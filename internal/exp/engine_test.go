@@ -52,8 +52,9 @@ func (s *stubs) add(j Job, r Runner) Job {
 }
 
 // stubMachine builds distinct (but valid) machine specs from a small id.
+// Warmup is off so the short stub workloads leave something to measure.
 func stubMachine(id int) spec.Machine {
-	return spec.Machine{Model: spec.ModelInOrder, Overrides: &spec.Overrides{SliceEntries: spec.Int(32 + id)}}
+	return spec.Machine{Model: spec.ModelInOrder, Overrides: &spec.Overrides{SliceEntries: spec.Int(32 + id), Warmup: spec.Int(0)}}
 }
 
 // stubWorkload builds distinct (but valid, cheap to generate) workload

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,6 +328,12 @@ func Plan(jobs []Job) ([]spec.Job, error) {
 // option, memoization also spans earlier runs. Run fails fast on
 // malformed job sets (duplicate names, invalid specs) before simulating
 // anything.
+//
+// Jobs are dispatched workload-major: grouped by workload, groups in
+// order of first appearance. Without WithArena, Run drops each workload
+// once its last job is done with it (simulated, parked behind another
+// claimant, answered from the cache, or skipped on cancel), so the run
+// holds about one workload per pool worker, however many the plan names.
 func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	o := options{}
 	for _, opt := range opts {
@@ -342,12 +349,41 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	if o.cache == nil {
 		o.cache = NewCache()
 	}
-	if o.arena == nil {
-		o.arena = NewArena()
+	ownArena := o.arena == nil
+	if ownArena {
+		o.arena = privateArena()
 	}
 
 	if err := validate(jobs); err != nil {
 		return nil, err
+	}
+
+	// Each key is computed once, here; the pool reuses it. The arena key
+	// equals the canonical workload unless a live sampling policy sets
+	// the two apart, so only sampled jobs pay a second encoding.
+	keys := make([]Key, len(jobs))
+	wkeys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key()
+		wkeys[i] = keys[i].Workload
+		if j.Workload.Sampling.Live() {
+			wkeys[i] = arenaKey(j.Workload)
+		}
+	}
+	order, group, groups := workloadMajor(wkeys)
+	// left counts each workload's jobs not yet done with it; the job
+	// that takes it to zero releases the workload from a private arena.
+	var left []atomic.Int32
+	if ownArena {
+		left = make([]atomic.Int32, groups)
+		for _, g := range group {
+			left[g].Add(1)
+		}
+	}
+	done := func(i int) {
+		if left != nil && left[group[i]].Add(-1) == 0 {
+			o.arena.release(wkeys[i])
+		}
 	}
 
 	var hookMu sync.Mutex
@@ -374,17 +410,19 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 			for i := range work {
 				if o.cancel != nil {
 					if canceled.Load() {
+						done(i)
 						continue // drain the queue without simulating
 					}
 					select {
 					case <-o.cancel:
 						canceled.Store(true)
+						done(i)
 						continue
 					default:
 					}
 				}
 				j := jobs[i]
-				k := j.Key()
+				k := keys[i]
 				e, claimed := o.cache.claim(k)
 				if claimed {
 					r, err := newRunner(j)
@@ -394,7 +432,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 						panic(fmt.Sprintf("exp: job %q: %v", j.Name, err))
 					}
 					start := time.Now()
-					wk := o.arena.Get(j.Workload)
+					wk := o.arena.get(wkeys[i], j.Workload)
 					var res pipeline.Result
 					if pol := j.Workload.Sampling; pol.Live() {
 						// Every machine a spec can name implements sampled
@@ -405,6 +443,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 						res = r.Run(wk)
 					}
 					end := time.Now()
+					done(i)
 					elapsed := end.Sub(start)
 					o.cache.finish(k, e, res, elapsed)
 					if reg := o.cache.registry(); reg != nil {
@@ -421,6 +460,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 						hookMu.Unlock()
 					}
 				} else {
+					done(i)
 					select {
 					case <-e.done:
 					default:
@@ -434,7 +474,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 			}
 		}()
 	}
-	for i := range jobs {
+	for _, i := range order {
 		work <- i
 	}
 	close(work)
@@ -458,4 +498,30 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		results[d.idx] = Result{Name: j.Name, Machine: j.Machine, Workload: j.Workload, R: d.e.res}
 	}
 	return &ResultSet{Results: results}, nil
+}
+
+// privateArena builds the arena a Run without WithArena owns; engine
+// tests swap it to watch how many workloads the run holds.
+var privateArena = NewArena
+
+// workloadMajor returns the dispatch order of jobs with the given arena
+// keys — grouped by key, groups in order of first appearance, job order
+// within a group — plus each job's group index and the number of groups.
+func workloadMajor(wkeys []string) (order, group []int, groups int) {
+	first := make(map[string]int)
+	group = make([]int, len(wkeys))
+	for i, k := range wkeys {
+		g, ok := first[k]
+		if !ok {
+			g = len(first)
+			first[k] = g
+		}
+		group[i] = g
+	}
+	order = make([]int, len(wkeys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return group[a] - group[b] })
+	return order, group, len(first)
 }

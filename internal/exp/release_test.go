@@ -1,0 +1,238 @@
+package exp
+
+// Arena lifetime tests: a Run that owns its arena holds workloads in
+// proportion to its parallelism, not its plan, and every way a job can
+// finish with its workload — simulated, parked behind another claimant,
+// answered from the cache, skipped on cancel — releases it.
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"icfp/internal/pipeline"
+	"icfp/internal/workload"
+)
+
+// captureArenas collects the private arenas Run builds for the duration
+// of the test, in creation order.
+func captureArenas(t *testing.T) func() []*Arena {
+	t.Helper()
+	var mu sync.Mutex
+	var got []*Arena
+	old := privateArena
+	privateArena = func() *Arena {
+		a := NewArena()
+		mu.Lock()
+		got = append(got, a)
+		mu.Unlock()
+		return a
+	}
+	t.Cleanup(func() { privateArena = old })
+	return func() []*Arena {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*Arena(nil), got...)
+	}
+}
+
+// live reports how many workloads the arena holds now; maxLive, the
+// most it ever held at once.
+func (a *Arena) live() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.entries)
+}
+
+func (a *Arena) maxLive() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.peak
+}
+
+// machineMajor builds machines × workloads stub jobs in machine-major
+// order, the worst order for a dispatcher that follows the job list:
+// the last machine needs every workload again.
+func machineMajor(s *stubs, machines, workloads int) []Job {
+	var jobs []Job
+	for m := 0; m < machines; m++ {
+		for w := 0; w < workloads; w++ {
+			jobs = append(jobs, s.stubJob(fmt.Sprintf("m%d/w%d", m, w), m, w, int64(100*m+w), nil))
+		}
+	}
+	return jobs
+}
+
+func TestWorkloadMajorOrder(t *testing.T) {
+	order, group, groups := workloadMajor([]string{"a", "b", "a", "c", "b", "a"})
+	if want := []int{0, 2, 5, 1, 4, 3}; !reflect.DeepEqual(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+	if want := []int{0, 1, 0, 2, 1, 0}; !reflect.DeepEqual(group, want) {
+		t.Errorf("group = %v, want %v", group, want)
+	}
+	if groups != 3 {
+		t.Errorf("groups = %d, want 3", groups)
+	}
+}
+
+// TestPrivateArenaBoundedByParallelism pins the memory contract: over a
+// plan naming 8 workloads, a Run that owns its arena holds at most one
+// workload at Parallelism(1) and three at Parallelism(2), releases them
+// all by the time it returns, and still generates each only once.
+func TestPrivateArenaBoundedByParallelism(t *testing.T) {
+	var s stubs
+	s.install(t)
+	jobs := machineMajor(&s, 3, 8)
+	for _, c := range []struct{ par, maxLive int }{{1, 1}, {2, 3}} {
+		arenas := captureArenas(t)
+		rs, err := Run(jobs, Parallelism(c.par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := arenas()[0]
+		if got := a.maxLive(); got > c.maxLive {
+			t.Errorf("Parallelism(%d): %d workloads live at once, want <= %d", c.par, got, c.maxLive)
+		}
+		if got := a.live(); got != 0 {
+			t.Errorf("Parallelism(%d): %d workloads still held after Run returned", c.par, got)
+		}
+		if got := a.Generations(); got != 8 {
+			t.Errorf("Parallelism(%d): %d generations, want 8 (one per workload)", c.par, got)
+		}
+		for m := 0; m < 3; m++ {
+			for w := 0; w < 8; w++ {
+				if got := rs.MustGet(fmt.Sprintf("m%d/w%d", m, w)).Cycles; got != int64(100*m+w) {
+					t.Errorf("Parallelism(%d): m%d/w%d cycles = %d, want %d (results land by job index)", c.par, m, w, got, 100*m+w)
+				}
+			}
+		}
+	}
+}
+
+// TestSharedArenaRetainsWorkloads pins the other half of the contract:
+// an arena passed in with WithArena keeps every workload, so a caller
+// whose later runs revisit them (a dist worker's batches) never
+// regenerates.
+func TestSharedArenaRetainsWorkloads(t *testing.T) {
+	var s stubs
+	s.install(t)
+	arenas := captureArenas(t)
+	a := NewArena()
+	jobs := machineMajor(&s, 3, 8)
+	for range 2 {
+		if _, err := Run(jobs, Parallelism(2), WithArena(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.live(); got != 8 {
+		t.Errorf("shared arena holds %d workloads after the runs, want all 8", got)
+	}
+	if got := a.Generations(); got != 8 {
+		t.Errorf("shared arena generated %d times over two runs, want 8", got)
+	}
+	if n := len(arenas()); n != 0 {
+		t.Errorf("Run built %d private arenas despite WithArena", n)
+	}
+}
+
+// closingRunner closes a channel (once) when it runs.
+type closingRunner struct {
+	once *sync.Once
+	ch   chan struct{}
+}
+
+func (r closingRunner) Run(*workload.Workload) pipeline.Result {
+	r.once.Do(func() { close(r.ch) })
+	return pipeline.Result{Name: "closing", Cycles: 1, Insts: 1}
+}
+
+// blockingRunner signals that it started, then blocks until released.
+type blockingRunner struct{ started, release chan struct{} }
+
+func (r blockingRunner) Run(*workload.Workload) pipeline.Result {
+	close(r.started)
+	<-r.release
+	return pipeline.Result{Name: "blocking", Cycles: 9, Insts: 1}
+}
+
+// TestCancelReleasesPins: the first job cancels the run from inside its
+// simulation; the jobs the pool then drains without simulating — two of
+// them over the same workload — still count down, so the workload the
+// first job generated is released.
+func TestCancelReleasesPins(t *testing.T) {
+	var s stubs
+	s.install(t)
+	arenas := captureArenas(t)
+	cancel := make(chan struct{})
+	canceler := s.add(Job{Name: "canceler", Machine: stubMachine(50), Workload: stubWorkload(0)},
+		closingRunner{once: new(sync.Once), ch: cancel})
+	jobs := append([]Job{canceler}, machineMajor(&s, 2, 8)...)
+	if _, err := Run(jobs, Parallelism(1), Cancel(cancel)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Run = %v, want ErrCanceled", err)
+	}
+	a := arenas()[0]
+	if got := a.Generations(); got != 1 {
+		t.Errorf("%d generations, want 1 (only the canceling job simulated)", got)
+	}
+	if got := a.live(); got != 0 {
+		t.Errorf("canceled run still holds %d workloads", got)
+	}
+}
+
+// TestDeferredReleasesPins: a job parked behind another run's in-flight
+// simulation of its key must count down its workload's pin, or the
+// workload its sibling generated stays held to the end of the run.
+func TestDeferredReleasesPins(t *testing.T) {
+	var s stubs
+	s.install(t)
+	arenas := captureArenas(t)
+	cache := NewCache()
+
+	// Run A claims key K and blocks inside its simulation.
+	started, release := make(chan struct{}), make(chan struct{})
+	k := s.add(Job{Name: "a", Machine: stubMachine(100), Workload: stubWorkload(100)},
+		blockingRunner{started: started, release: release})
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := Run([]Job{k}, WithCache(cache), Parallelism(1))
+		aDone <- err
+	}()
+	<-started
+
+	// Run B holds K (parked: A is still simulating it) and a sibling over
+	// the same workload, which B simulates itself. The sibling signals
+	// when it runs — after K was parked, since B's pool is serial — and
+	// only then may A finish.
+	dup := k
+	dup.Name = "b/dup"
+	siblingRan := make(chan struct{})
+	sibling := s.add(Job{Name: "b/sibling", Machine: stubMachine(101), Workload: stubWorkload(100)},
+		closingRunner{once: new(sync.Once), ch: siblingRan})
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := Run([]Job{dup, sibling}, WithCache(cache), Parallelism(1))
+		bDone <- err
+	}()
+	<-siblingRan
+	close(release)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	got := arenas()
+	if len(got) != 2 {
+		t.Fatalf("captured %d private arenas, want 2", len(got))
+	}
+	b := got[1]
+	if n := b.Generations(); n != 1 {
+		t.Errorf("run B generated %d workloads, want 1 (the sibling's)", n)
+	}
+	if n := b.live(); n != 0 {
+		t.Errorf("run B still holds %d workloads: the parked job kept its pin", n)
+	}
+}

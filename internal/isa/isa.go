@@ -102,17 +102,23 @@ func (r Reg) String() string {
 }
 
 // Inst is one dynamic instruction in a resolved trace.
+//
+// The four 64-bit fields lead so the byte-wide ones pack into a single
+// tail word: a record is 40 bytes, not the 56 that interleaving them
+// would pad to, and traces run to millions of records
+// (TestInstRecordSize pins it). The codec and Trace.Checksum encode
+// field by field, so the layout never reaches their bytes.
 type Inst struct {
 	PC     uint64 // instruction address (drives I$ and branch prediction)
-	Op     Op
-	Dst    Reg    // destination register, RegNone if none
-	Src1   Reg    // first source, RegNone if none
-	Src2   Reg    // second source, RegNone if none
 	Addr   uint64 // effective address for loads/stores
-	Size   uint8  // access size in bytes for loads/stores
 	Val    uint64 // result value (loads: loaded value; stores: stored value)
-	Taken  bool   // resolved direction for branches
 	Target uint64 // resolved target for taken control transfers
+	Op     Op
+	Dst    Reg   // destination register, RegNone if none
+	Src1   Reg   // first source, RegNone if none
+	Src2   Reg   // second source, RegNone if none
+	Size   uint8 // access size in bytes for loads/stores
+	Taken  bool  // resolved direction for branches
 }
 
 // HasDst reports whether the instruction writes a register.

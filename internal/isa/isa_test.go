@@ -3,7 +3,18 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstRecordSize pins the instruction record at 40 bytes: four
+// 64-bit fields plus six byte-wide ones packed into one tail word.
+// Traces hold millions of records, so a field order that lets padding
+// back in (56 bytes) costs 40% more trace memory.
+func TestInstRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d bytes, want 40", got)
+	}
+}
 
 func TestOpString(t *testing.T) {
 	cases := map[Op]string{

@@ -91,8 +91,7 @@ type flight struct {
 // Server handles suite submissions. One Server owns the in-flight
 // table; run exactly one per store directory.
 type Server struct {
-	cfg   Config
-	arena *exp.Arena // local mode: workload traces shared across submissions
+	cfg Config
 
 	mu       sync.Mutex // guards inflight
 	inflight map[exp.Key]*flight
@@ -114,7 +113,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		arena:       exp.NewArena(),
 		inflight:    make(map[exp.Key]*flight),
 		submissions: cfg.Metrics.Counter("expq_submissions_total", "suite submissions accepted"),
 		dispatched:  cfg.Metrics.Counter("expq_dispatched_jobs_total", "jobs sent to the compute backend (store misses not already in flight)"),
@@ -421,7 +419,6 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 	}
 	if _, rerr := exp.Run(jobs,
 		exp.WithCache(cache),
-		exp.WithArena(s.arena),
 		exp.Parallelism(s.cfg.LocalParallel),
 		exp.OnRun(complete),
 	); rerr != nil && err == nil {

@@ -16,8 +16,20 @@ import (
 // sim.DefaultConfig is this function.
 func BaseConfig() pipeline.Config {
 	cfg := pipeline.DefaultConfig()
-	cfg.WarmupInsts = 150_000
+	cfg.WarmupInsts = baseWarmup
 	return cfg
+}
+
+// baseWarmup is BaseConfig's warmup length in instructions.
+const baseWarmup = 150_000
+
+// warmup returns the machine's effective warmup length: its override,
+// else the base configuration's.
+func (m Machine) warmup() int {
+	if m.Overrides != nil && m.Overrides.Warmup != nil {
+		return *m.Overrides.Warmup
+	}
+	return baseWarmup
 }
 
 // Overrides names the configuration fields a machine spec may change

@@ -476,13 +476,20 @@ func (w Workload) New() *workload.Workload {
 }
 
 // Validate checks the job's machine and workload, with the job's name as
-// context.
+// context, and that the pair measures something: a SPEC or fuzz
+// workload must run past the machine's warmup, or no instruction is
+// timed and every per-instruction statistic is NaN.
 func (j Job) Validate() error {
 	if err := j.Machine.Validate(); err != nil {
 		return fmt.Errorf("job %q: %w", j.Name, err)
 	}
 	if err := j.Workload.Validate(); err != nil {
 		return fmt.Errorf("job %q: %w", j.Name, err)
+	}
+	if j.Workload.Scenario == "" {
+		if warm := j.Machine.warmup(); warm >= j.Workload.N {
+			return fmt.Errorf("spec: job %q: machine warmup %d leaves nothing of the n=%d-instruction workload to measure (want warmup < n)", j.Name, warm, j.Workload.N)
+		}
 	}
 	return nil
 }

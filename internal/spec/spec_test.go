@@ -233,7 +233,7 @@ func TestUnmarshalSuiteStrict(t *testing.T) {
   "warm": 100,
   "render": {"kind": "speedup"},
   "jobs": [
-    {"name": "g/base", "machine": {"model": "in-order"}, "workload": {"spec": "mcf", "n": 1100}},
+    {"name": "g/base", "machine": {"model": "in-order", "overrides": {"warmup": 100}}, "workload": {"spec": "mcf", "n": 1100}},
     {"name": "g/icfp", "machine": {"model": "icfp", "overrides": {"warmup": 100}}, "workload": {"spec": "mcf", "n": 1100}}
   ]
 }`
@@ -274,7 +274,7 @@ func TestFuzzWorkloadDecodesToError(t *testing.T) {
   "name": "f",
   "n": 1000,
   "jobs": [
-    {"name": "j", "machine": {"model": "icfp"}, "workload": {"fuzz": %s, "n": 1000}}
+    {"name": "j", "machine": {"model": "icfp", "overrides": {"warmup": 100}}, "workload": {"fuzz": %s, "n": 1000}}
   ]
 }`
 	for name, fz := range map[string]string{
@@ -299,6 +299,37 @@ func TestFuzzWorkloadDecodesToError(t *testing.T) {
 	}
 	if w := wl.New(); w.Trace.Len() == 0 {
 		t.Error("generated fuzz workload is empty")
+	}
+}
+
+// TestJobRejectsWarmupPastN pins that a SPEC or fuzz job measures
+// something: a machine warmup at or past the workload's length leaves no
+// instruction timed, and the NaN per-KI statistics that follow cannot
+// even be stored. Scenarios have a fixed length and are not checked.
+func TestJobRejectsWarmupPastN(t *testing.T) {
+	warm := func(n int) *spec.Overrides { return &spec.Overrides{Warmup: spec.Int(n)} }
+	mcf := spec.SPECWorkload("mcf", 20_000)
+	sampled := mcf
+	sampled.Sampling = &spec.Sampling{Mode: spec.ModeSampled, Interval: 1_000, Period: 5_000}
+	for name, j := range map[string]spec.Job{
+		"base warmup over a short SPEC run": {Machine: spec.Machine{Model: spec.ModelICFP}, Workload: mcf},
+		"warmup equal to n":                 {Machine: spec.Machine{Model: spec.ModelInOrder, Overrides: warm(20_000)}, Workload: mcf},
+		"fuzz":                              {Machine: spec.Machine{Model: spec.ModelSLTP}, Workload: spec.FuzzWorkload(3, workload.FuzzKnobs{}, 20_000)},
+		"sampled":                           {Machine: spec.Machine{Model: spec.ModelOOO, Overrides: warm(25_000)}, Workload: sampled},
+	} {
+		j.Name = name
+		if err := j.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a job that measures nothing", name)
+		}
+	}
+	for name, j := range map[string]spec.Job{
+		"warmup just below n": {Machine: spec.Machine{Model: spec.ModelInOrder, Overrides: warm(19_999)}, Workload: mcf},
+		"scenario":            {Machine: spec.Machine{Model: spec.ModelICFP}, Workload: spec.ScenarioWorkload(workload.ScenarioLoneL2)},
+	} {
+		j.Name = name
+		if err := j.Validate(); err != nil {
+			t.Errorf("%s: valid job rejected: %v", name, err)
+		}
 	}
 }
 
