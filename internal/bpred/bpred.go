@@ -9,6 +9,8 @@
 // moves the branch into a longer-history table.
 package bpred
 
+import "fmt"
+
 // Config sizes the predictor.
 type Config struct {
 	BimodalBits int   // log2 entries of the base bimodal table
@@ -36,12 +38,21 @@ type taggedEntry struct {
 	valid bool
 }
 
+// maxTagged bounds the number of tagged tables: the cached history
+// folds and Update's per-call index scratch are fixed arrays this long.
+const maxTagged = 8
+
 // Predictor is the combined direction predictor, BTB, and RAS.
 type Predictor struct {
 	cfg     Config
 	bimodal []int8 // 2-bit saturating counters, taken if >= 2 (range 0..3)
 	tagged  [][]taggedEntry
 	hist    uint64 // global history, youngest outcome in bit 0
+
+	// idxFold[t] and tagFold[t] are hist folded to table t's index and
+	// tag widths. They change only when hist does, so Update recomputes
+	// them once per branch and every lookup reads them.
+	idxFold, tagFold [maxTagged]uint64
 
 	btbTags    []uint32
 	btbTargets []uint64
@@ -55,8 +66,13 @@ type Predictor struct {
 	RASPushes, RASOverflow uint64
 }
 
-// New builds a predictor from cfg.
+// New builds a predictor from cfg. It panics on more than maxTagged
+// tagged tables, a machine-configuration error like an invalid cache
+// geometry.
 func New(cfg Config) *Predictor {
+	if len(cfg.HistLens) > maxTagged {
+		panic(fmt.Sprintf("bpred: %d tagged tables, at most %d supported", len(cfg.HistLens), maxTagged))
+	}
 	p := &Predictor{
 		cfg:        cfg,
 		bimodal:    make([]int8, 1<<cfg.BimodalBits),
@@ -71,7 +87,16 @@ func New(cfg Config) *Predictor {
 	for i := range p.tagged {
 		p.tagged[i] = make([]taggedEntry, 1<<cfg.TaggedBits)
 	}
+	p.refold()
 	return p
+}
+
+// refold recomputes every table's history folds from hist.
+func (p *Predictor) refold() {
+	for t, n := range p.cfg.HistLens {
+		p.idxFold[t] = foldHistory(p.hist, n, p.cfg.TaggedBits)
+		p.tagFold[t] = foldHistory(p.hist, n, 9)
+	}
 }
 
 // foldHistory compresses histLen bits of global history into bits wide.
@@ -94,11 +119,9 @@ func foldHistory(hist uint64, histLen, bits int) uint64 {
 }
 
 func (p *Predictor) taggedIndex(table int, pc uint64) (idx uint64, tag uint16) {
-	bits := p.cfg.TaggedBits
-	h := foldHistory(p.hist, p.cfg.HistLens[table], bits)
-	idx = ((pc >> 2) ^ h ^ (pc >> uint(bits+2))) & ((1 << uint(bits)) - 1)
-	t := foldHistory(p.hist, p.cfg.HistLens[table], 9)
-	tag = uint16(((pc >> 2) ^ (t << 1)) & 0x1FF)
+	bits := uint(p.cfg.TaggedBits)
+	idx = ((pc >> 2) ^ p.idxFold[table] ^ (pc >> (bits + 2))) & (1<<bits - 1)
+	tag = uint16(((pc >> 2) ^ (p.tagFold[table] << 1)) & 0x1FF)
 	return idx, tag
 }
 
@@ -111,8 +134,7 @@ func (p *Predictor) Predict(pc uint64) bool {
 	p.Lookups++
 	for t := len(p.tagged) - 1; t >= 0; t-- {
 		idx, tag := p.taggedIndex(t, pc)
-		e := &p.tagged[t][idx]
-		if e.valid && e.tag == tag {
+		if e := &p.tagged[t][idx]; e.valid && e.tag == tag {
 			return e.ctr >= 0
 		}
 	}
@@ -123,26 +145,34 @@ func (p *Predictor) Predict(pc uint64) bool {
 // global history. Call it exactly once per dynamic conditional branch, in
 // program order.
 func (p *Predictor) Update(pc uint64, taken bool) {
-	pred := p.predictInternal(pc)
-	correct := pred == taken
-
-	// Train the provider (longest matching table, else bimodal).
+	// Every table's index and tag, computed once and shared by the
+	// prediction, the provider's training and the allocation.
+	var idx [maxTagged]uint64
+	var tag [maxTagged]uint16
+	for t := range p.tagged {
+		idx[t], tag[t] = p.taggedIndex(t, pc)
+	}
+	// The provider is the longest matching table, else the bimodal; its
+	// prediction is the one Predict returned against this same state.
 	provider := -1
 	for t := len(p.tagged) - 1; t >= 0; t-- {
-		idx, tag := p.taggedIndex(t, pc)
-		e := &p.tagged[t][idx]
-		if e.valid && e.tag == tag {
+		if e := &p.tagged[t][idx[t]]; e.valid && e.tag == tag[t] {
 			provider = t
-			if taken && e.ctr < 1 {
-				e.ctr++
-			} else if !taken && e.ctr > -2 {
-				e.ctr--
-			}
 			break
 		}
 	}
-	if provider < 0 {
+	var correct bool
+	if provider >= 0 {
+		e := &p.tagged[provider][idx[provider]]
+		correct = (e.ctr >= 0) == taken
+		if taken && e.ctr < 1 {
+			e.ctr++
+		} else if !taken && e.ctr > -2 {
+			e.ctr--
+		}
+	} else {
 		bi := p.bimodalIndex(pc)
+		correct = (p.bimodal[bi] >= 2) == taken
 		if taken && p.bimodal[bi] < 3 {
 			p.bimodal[bi]++
 		} else if !taken && p.bimodal[bi] > 0 {
@@ -154,33 +184,20 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 	if !correct {
 		p.Mispredicts++
 		for t := provider + 1; t < len(p.tagged); t++ {
-			idx, tag := p.taggedIndex(t, pc)
-			e := &p.tagged[t][idx]
+			e := &p.tagged[t][idx[t]]
 			if !e.valid || e.ctr == 0 || e.ctr == -1 {
 				var ctr int8 = -1
 				if taken {
 					ctr = 0
 				}
-				*e = taggedEntry{tag: tag, ctr: ctr, valid: true}
+				*e = taggedEntry{tag: tag[t], ctr: ctr, valid: true}
 				break
 			}
 		}
 	}
 
 	p.hist = p.hist<<1 | boolBit(taken)
-}
-
-// predictInternal is Predict without stats, used by Update to determine
-// correctness against the same state Predict saw.
-func (p *Predictor) predictInternal(pc uint64) bool {
-	for t := len(p.tagged) - 1; t >= 0; t-- {
-		idx, tag := p.taggedIndex(t, pc)
-		e := &p.tagged[t][idx]
-		if e.valid && e.tag == tag {
-			return e.ctr >= 0
-		}
-	}
-	return p.bimodal[p.bimodalIndex(pc)] >= 2
+	p.refold()
 }
 
 func boolBit(b bool) uint64 {

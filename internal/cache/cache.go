@@ -46,8 +46,11 @@ type line struct {
 
 // Cache is a set-associative tag array. Create with New.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
+	cfg Config
+	// lines holds every set back to back: set i is
+	// lines[i*Assoc : (i+1)*Assoc], so a clone or copy of the tag array
+	// is a single slice copy.
+	lines     []line
 	setMask   uint64
 	lineShift uint
 	clock     uint64
@@ -108,18 +111,13 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	shift := uint(0)
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, numSets*cfg.Assoc),
 		setMask:   uint64(numSets - 1),
 		lineShift: shift,
 		victim:    make([]victimLine, cfg.VictimEntries),
@@ -130,10 +128,17 @@ func New(cfg Config) *Cache {
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
 
+// Config returns the cache's geometry.
+func (c *Cache) Config() Config { return c.cfg }
+
 // LineBytes returns the configured line size.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
-func (c *Cache) set(addr uint64) []line { return c.sets[(addr>>c.lineShift)&c.setMask] }
+func (c *Cache) set(addr uint64) []line {
+	a := c.cfg.Assoc
+	i := int((addr>>c.lineShift)&c.setMask) * a
+	return c.lines[i : i+a : i+a]
+}
 
 func (c *Cache) find(addr uint64) *line {
 	tag := addr >> c.lineShift
@@ -276,13 +281,11 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // how many were flushed. SLTP calls this at the start of each rally.
 func (c *Cache) FlushSpeculative() int {
 	n := 0
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			if c.sets[si][i].valid && c.sets[si][i].spec {
-				c.sets[si][i].valid = false
-				c.sets[si][i].spec = false
-				n++
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.spec {
+			l.valid = false
+			l.spec = false
+			n++
 		}
 	}
 	return n
@@ -292,12 +295,10 @@ func (c *Cache) FlushSpeculative() int {
 // writes permanent (SLTP does this when a rally completes successfully).
 func (c *Cache) CommitSpeculative() int {
 	n := 0
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			if c.sets[si][i].valid && c.sets[si][i].spec {
-				c.sets[si][i].spec = false
-				n++
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.spec {
+			l.spec = false
+			n++
 		}
 	}
 	return n
@@ -305,11 +306,7 @@ func (c *Cache) CommitSpeculative() int {
 
 // Reset invalidates the whole cache and clears statistics.
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			c.sets[si][i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.vHead, c.vLen = 0, 0
 	c.clock = 0
 	c.Hits, c.Misses, c.VictimHits = 0, 0, 0

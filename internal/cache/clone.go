@@ -1,6 +1,8 @@
 package cache
 
-// Clone returns a deep copy of the cache: tag arrays, victim buffer, LRU
+import "slices"
+
+// Clone returns a deep copy of the cache: tag array, victim buffer, LRU
 // clock, and statistics. The copy shares nothing mutable with the
 // original, so warmed cache state can be checkpointed once and handed to
 // any number of simulations (pipeline.WarmState). Cloning must be exact —
@@ -8,15 +10,22 @@ package cache
 // started from the original — which the warm-state equivalence tests pin.
 func (c *Cache) Clone() *Cache {
 	cl := *c
-	numSets := len(c.sets)
-	backing := make([]line, numSets*c.cfg.Assoc)
-	cl.sets = make([][]line, numSets)
-	for i := range cl.sets {
-		dst := backing[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc : (i+1)*c.cfg.Assoc]
-		copy(dst, c.sets[i])
-		cl.sets[i] = dst
-	}
-	cl.victim = make([]victimLine, len(c.victim))
-	copy(cl.victim, c.victim)
+	cl.lines = slices.Clone(c.lines)
+	cl.victim = slices.Clone(c.victim)
 	return &cl
+}
+
+// CopyFrom makes c an exact copy of src, as Clone would, reusing c's
+// buffers instead of allocating. The two caches must share a geometry;
+// CopyFrom panics otherwise, since recycling a buffer across geometries
+// is a programming error.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic("cache: CopyFrom across geometries")
+	}
+	lines, victim := c.lines, c.victim
+	copy(lines, src.lines)
+	copy(victim, src.victim)
+	*c = *src
+	c.lines, c.victim = lines, victim
 }

@@ -153,6 +153,25 @@ func (c *Cache) finish(k Key, e *entry, res pipeline.Result, elapsed time.Durati
 	close(e.done)
 }
 
+// completed returns k's entry if its simulation has finished, counting
+// no hit or miss: Lookup and Elapsed count for their callers, and the
+// dispatcher peeks through it on no one's behalf. In-flight entries read
+// as absent.
+func (c *Cache) completed(k Key) (*entry, bool) {
+	c.mu.Lock()
+	e, ok := c.entries[k]
+	c.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		return e, true
+	default:
+		return nil, false
+	}
+}
+
 // Simulations returns the total number of actual simulator runs recorded
 // by the cache (cache hits are not counted).
 func (c *Cache) Simulations() int {
@@ -177,21 +196,13 @@ func (c *Cache) SimulationsFor(k Key) int {
 // In-flight entries read as absent: Lookup never blocks on a simulation
 // another claimant is still running.
 func (c *Cache) Lookup(k Key) (pipeline.Result, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	c.mu.Unlock()
+	e, ok := c.completed(k)
 	if !ok {
 		c.misses.Inc()
 		return pipeline.Result{}, false
 	}
-	select {
-	case <-e.done:
-		c.hits.Inc()
-		return e.res, true
-	default:
-		c.misses.Inc()
-		return pipeline.Result{}, false
-	}
+	c.hits.Inc()
+	return e.res, true
 }
 
 // Elapsed returns the wall time the completed simulation for k took, if
@@ -199,18 +210,11 @@ func (c *Cache) Lookup(k Key) (pipeline.Result, bool) {
 // time their snapshot recorded (zero when the snapshot predates timing
 // capture); in-flight entries read as absent, like Lookup.
 func (c *Cache) Elapsed(k Key) (time.Duration, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	c.mu.Unlock()
+	e, ok := c.completed(k)
 	if !ok {
 		return 0, false
 	}
-	select {
-	case <-e.done:
-		return e.elapsed, true
-	default:
-		return 0, false
-	}
+	return e.elapsed, true
 }
 
 // options collects Run configuration.
@@ -334,6 +338,15 @@ func Plan(jobs []Job) ([]spec.Job, error) {
 // once its last job is done with it (simulated, parked behind another
 // claimant, answered from the cache, or skipped on cancel), so the run
 // holds about one workload per pool worker, however many the plan names.
+//
+// With two or more workers, Run also generates ahead: once a worker has
+// taken a group's first job, a helper goroutine generates the next
+// group's workload, unless every job of that group is already complete
+// in the cache. A workload-major pool otherwise meets each workload with
+// all its workers at once, and all but one would wait out the
+// generation. The helper pins its group like a job, so a private arena
+// holds at most one workload per worker plus the one being generated
+// ahead.
 func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	o := options{}
 	for _, opt := range opts {
@@ -371,8 +384,17 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		}
 	}
 	order, group, groups := workloadMajor(wkeys)
-	// left counts each workload's jobs not yet done with it; the job
-	// that takes it to zero releases the workload from a private arena.
+	// Group g's jobs are order[bounds[g]:bounds[g+1]].
+	bounds := make([]int, groups+1)
+	for _, g := range group {
+		bounds[g+1]++
+	}
+	for g := range groups {
+		bounds[g+1] += bounds[g]
+	}
+	// left counts each workload's jobs (and generate-ahead helpers) not
+	// yet done with it; the one that takes it to zero releases the
+	// workload from a private arena.
 	var left []atomic.Int32
 	if ownArena {
 		left = make([]atomic.Int32, groups)
@@ -391,6 +413,18 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	// sent on the channel (rather than the idiomatic close) stops every
 	// pool worker and is still visible to the final check below.
 	var canceled atomic.Bool
+	stopped := func() bool {
+		if canceled.Load() {
+			return true
+		}
+		select {
+		case <-o.cancel: // a nil channel (no Cancel option) never fires
+			canceled.Store(true)
+			return true
+		default:
+			return false
+		}
+	}
 	work := make(chan int)
 	results := make([]Result, len(jobs))
 	// Jobs whose key is claimed by a still-running simulation are parked
@@ -408,18 +442,9 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				if o.cancel != nil {
-					if canceled.Load() {
-						done(i)
-						continue // drain the queue without simulating
-					}
-					select {
-					case <-o.cancel:
-						canceled.Store(true)
-						done(i)
-						continue
-					default:
-					}
+				if stopped() {
+					done(i)
+					continue // drain the queue without simulating
 				}
 				j := jobs[i]
 				k := keys[i]
@@ -474,23 +499,42 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 			}
 		}()
 	}
-	for _, i := range order {
+	// Generate-ahead helpers: one per group at most, each holding a pin
+	// on its group until its generation returns.
+	var helpers sync.WaitGroup
+	genAhead := func(g int) {
+		grp := order[bounds[g]:bounds[g+1]]
+		uncached := func(i int) bool { _, ok := o.cache.completed(keys[i]); return !ok }
+		if stopped() || !slices.ContainsFunc(grp, uncached) {
+			return
+		}
+		i := grp[0]
+		if left != nil {
+			left[g].Add(1)
+		}
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			o.arena.get(wkeys[i], jobs[i].Workload)
+			done(i)
+		}()
+	}
+	for pos, i := range order {
 		work <- i
+		// A worker has taken job i; if it opens a group, generate the
+		// next group's workload now.
+		if g := group[i]; o.parallelism >= 2 && pos == bounds[g] && g+1 < groups {
+			genAhead(g + 1)
+		}
 	}
 	close(work)
 	wg.Wait()
-	if o.cancel != nil {
-		if canceled.Load() {
-			// Claimed entries were all finished (claim-then-simulate is
-			// never abandoned mid-key), so the cache is consistent; only
-			// this run's result set is incomplete.
-			return nil, ErrCanceled
-		}
-		select {
-		case <-o.cancel:
-			return nil, ErrCanceled
-		default:
-		}
+	helpers.Wait()
+	if stopped() {
+		// Claimed entries were all finished (claim-then-simulate is
+		// never abandoned mid-key), so the cache is consistent; only
+		// this run's result set is incomplete.
+		return nil, ErrCanceled
 	}
 	for _, d := range deferred {
 		<-d.e.done

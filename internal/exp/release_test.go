@@ -10,8 +10,11 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"icfp/internal/obs"
 	"icfp/internal/pipeline"
 	"icfp/internal/workload"
 )
@@ -234,5 +237,126 @@ func TestDeferredReleasesPins(t *testing.T) {
 	}
 	if n := b.live(); n != 0 {
 		t.Errorf("run B still holds %d workloads: the parked job kept its pin", n)
+	}
+}
+
+// runnerFunc adapts a function to a Runner.
+type runnerFunc func(*workload.Workload) pipeline.Result
+
+func (f runnerFunc) Run(w *workload.Workload) pipeline.Result { return f(w) }
+
+// TestGenerateAhead: with two workers, the next group's workload is
+// generated while both workers are still simulating the current group —
+// before any of the next group's jobs is dispatched — and with one
+// worker it is not.
+func TestGenerateAhead(t *testing.T) {
+	for _, c := range []struct {
+		par  int
+		want int // generations seen from inside group 0's jobs
+	}{{1, 1}, {2, 2}} {
+		var s stubs
+		s.install(t)
+		arenas := captureArenas(t)
+		var mu sync.Mutex
+		var seen []int
+		// arrived is a barrier: at Parallelism(2) neither waiter returns
+		// (freeing its worker for the next group) until both have looked.
+		var arrived atomic.Int32
+		waiter := runnerFunc(func(*workload.Workload) pipeline.Result {
+			a := arenas()[0]
+			deadline := time.Now().Add(10 * time.Second)
+			for a.Generations() < c.want && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			seen = append(seen, a.Generations())
+			mu.Unlock()
+			arrived.Add(1)
+			for arrived.Load() < int32(c.par) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			return pipeline.Result{Name: "waiter", Cycles: 1, Insts: 1}
+		})
+		jobs := []Job{
+			s.add(Job{Name: "w0a", Machine: stubMachine(0), Workload: stubWorkload(0)}, waiter),
+			s.add(Job{Name: "w0b", Machine: stubMachine(1), Workload: stubWorkload(0)}, waiter),
+			s.stubJob("w1", 0, 1, 1, nil),
+			s.stubJob("w2", 0, 2, 1, nil),
+		}
+		if _, err := Run(jobs, Parallelism(c.par)); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range seen {
+			if n != c.want {
+				t.Errorf("Parallelism(%d): %d workloads generated while group 0 simulated, want %d", c.par, n, c.want)
+			}
+		}
+		if a := arenas()[0]; a.Generations() != 3 || a.live() != 0 {
+			t.Errorf("Parallelism(%d): %d generations, %d live after Run, want 3 and 0", c.par, a.Generations(), a.live())
+		}
+	}
+}
+
+// TestGenerateAheadReleasesOnCancel: a run canceled by its first job
+// releases every workload — including one a generate-ahead helper was
+// building when the cancel landed — before Run returns. The race between
+// the cancel and the helper's start goes either way, so the run repeats.
+func TestGenerateAheadReleasesOnCancel(t *testing.T) {
+	var s stubs
+	s.install(t)
+	arenas := captureArenas(t)
+	for r := range 20 {
+		cancel := make(chan struct{})
+		canceler := s.add(Job{Name: "canceler", Machine: stubMachine(60 + r), Workload: stubWorkload(0)},
+			closingRunner{once: new(sync.Once), ch: cancel})
+		jobs := append([]Job{canceler}, machineMajor(&s, 2, 4)...)
+		if _, err := Run(jobs, Parallelism(2), Cancel(cancel)); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("Run = %v, want ErrCanceled", err)
+		}
+		a := arenas()[r]
+		if got := a.live(); got != 0 {
+			t.Fatalf("round %d: canceled run still holds %d workloads", r, got)
+		}
+		if got := a.maxLive(); got > 3 {
+			t.Fatalf("round %d: %d workloads live at once, want <= 3", r, got)
+		}
+	}
+}
+
+// TestGenerateAheadSkipsCachedGroups: a group whose every job is already
+// complete in the cache is never generated — not by a job, which hits
+// the cache, and not ahead of time — and peeking at the cache to decide
+// that counts no hit or miss.
+func TestGenerateAheadSkipsCachedGroups(t *testing.T) {
+	var s stubs
+	s.install(t)
+	arenas := captureArenas(t)
+	cache := NewCache()
+	jobs := machineMajor(&s, 3, 3) // workloads 0, 1, 2; three machines each
+	var cached []Job
+	for _, j := range jobs {
+		if j.Workload == stubWorkload(1) {
+			cached = append(cached, j)
+		}
+	}
+	if _, err := Run(cached, WithCache(cache), Parallelism(2)); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cache.Instrument(reg)
+	if _, err := Run(jobs, WithCache(cache), Parallelism(2)); err != nil {
+		t.Fatal(err)
+	}
+	a := arenas()[1]
+	if got := a.Generations(); got != 2 {
+		t.Errorf("%d generations, want 2: the fully cached workload must not be generated", got)
+	}
+	if a.live() != 0 {
+		t.Errorf("%d workloads still held after Run returned", a.live())
+	}
+	hits := reg.Counter("exp_cache_hits_total", "").Value()
+	misses := reg.Counter("exp_cache_misses_total", "").Value()
+	if hits != 3 || misses != 6 {
+		t.Errorf("cache counted %d hits and %d misses, want 3 and 6 (one per job claim; peeks count nothing)", hits, misses)
 	}
 }

@@ -207,3 +207,41 @@ func TestSampledSpeedupAndAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmStateSharedAcrossTimingConfigs pins the warm-state series key
+// at the model level: for every model, a sampled run under a machine
+// that differs from an earlier one only in what functional warming never
+// reads — L2 hit latency, memory latency, MSHRs, stream buffers — starts
+// its windows from the earlier machine's masters (and recycled window
+// buffers), and must still be byte-identical to the same run over a
+// fresh workload, where its windows are warmed directly under its own
+// configuration.
+func TestWarmStateSharedAcrossTimingConfigs(t *testing.T) {
+	const n = 30_000
+	wl := spec.SPECWorkload("mcf", n)
+	wl.Sampling = &spec.Sampling{Mode: spec.ModeSampled, Interval: 1_000, Period: 7_000, Ramp: 400}
+	for _, m := range spec.Models {
+		a := spec.Machine{Model: m, Overrides: &spec.Overrides{Warmup: spec.Int(2_000)}}
+		b := spec.Machine{Model: m, Overrides: &spec.Overrides{Warmup: spec.Int(2_000),
+			L2HitLat: spec.Int(35), MemLat: spec.Int(250), NumMSHRs: spec.Int(8), StreamBufs: spec.Int(2)}}
+		arena := exp.NewArena()
+		shared, err := exp.Run([]exp.Job{{Name: "a", Machine: a, Workload: wl}, {Name: "b", Machine: b, Workload: wl}},
+			exp.WithArena(arena), exp.Parallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := exp.Run([]exp.Job{{Name: "b", Machine: b, Workload: wl}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arena.Generations() != 1 {
+			t.Fatalf("%s: %d generations, want 1 (a and b share the workload)", m, arena.Generations())
+		}
+		if shared.MustGet("a") == shared.MustGet("b") {
+			t.Fatalf("%s: machines a and b produced identical results; the timing overrides had no effect", m)
+		}
+		if got, want := shared.MustGet("b"), direct.MustGet("b"); got != want {
+			t.Errorf("%s: run from masters warmed under another config differs from direct warming:\ngot  %+v\nwant %+v", m, got, want)
+		}
+	}
+}

@@ -1,33 +1,28 @@
 package mem
 
-import "maps"
+// CloneCaches returns a hierarchy under cfg holding exact copies of
+// src's three caches, with every other piece of state — bus and MSHR
+// clocks, in-flight fills, stream buffers, miss filter, statistics, the
+// MissObserver — as New(cfg) builds it. Functional warming touches only
+// the caches, so this is how warmed state is checkpointed once and handed
+// to any number of simulations (pipeline.WarmState), including machines
+// whose latencies, MSHRs, bus or stream buffers differ from the one that
+// warmed it; cfg's cache geometries must equal src's. The copy shares
+// nothing mutable with src, and it must be exact: a run started from it
+// is byte-identical to one started from directly warmed state, which the
+// warm-state equivalence tests pin.
+func CloneCaches(cfg Config, src *Hierarchy) *Hierarchy {
+	h := &Hierarchy{ICache: src.ICache.Clone(), DCache: src.DCache.Clone(), L2: src.L2.Clone()}
+	h.reset(cfg)
+	return h
+}
 
-// Clone returns a deep copy of the hierarchy: caches, bus and MSHR
-// clocks, in-flight fill map, stream buffers, miss-filter set, and
-// statistics. MissObserver is NOT copied — it closes over the owning
-// simulation's trackers, so every simulation must install its own on the
-// clone. Cloning must be exact (a run started from a clone is
-// byte-identical to one started from the original); the warm-state
-// equivalence tests pin that property.
-func (h *Hierarchy) Clone() *Hierarchy {
-	cl := *h
-	cl.ICache = h.ICache.Clone()
-	cl.DCache = h.DCache.Clone()
-	cl.L2 = h.L2.Clone()
-	cl.pending = maps.Clone(h.pending)
-	cl.missedLines = maps.Clone(h.missedLines)
-	cl.mshrs = make([]int64, len(h.mshrs), cap(h.mshrs))
-	copy(cl.mshrs, h.mshrs)
-	if h.streams != nil {
-		cl.streams = make([]streamBuf, len(h.streams))
-		blocks := make([]streamBlock, len(h.streams)*h.cfg.StreamBufBlocks)
-		for i := range h.streams {
-			cl.streams[i] = h.streams[i]
-			dst := blocks[i*h.cfg.StreamBufBlocks : (i+1)*h.cfg.StreamBufBlocks : (i+1)*h.cfg.StreamBufBlocks]
-			copy(dst, h.streams[i].blocks)
-			cl.streams[i].blocks = dst
-		}
-	}
-	cl.MissObserver = nil
-	return &cl
+// CopyCaches is CloneCaches into h, overwriting its caches in place
+// instead of allocating: h ends up indistinguishable from
+// CloneCaches(cfg, src).
+func (h *Hierarchy) CopyCaches(cfg Config, src *Hierarchy) {
+	h.ICache.CopyFrom(src.ICache)
+	h.DCache.CopyFrom(src.DCache)
+	h.L2.CopyFrom(src.L2)
+	h.reset(cfg)
 }

@@ -2,9 +2,9 @@ package mem
 
 import "testing"
 
-// TestHierarchyCloneIsolated pins that a cloned hierarchy shares no
-// mutable state with its original: accesses through the clone must not
-// change what the original's caches hold, and vice versa.
+// TestHierarchyCloneIsolated pins that a hierarchy built by CloneCaches
+// shares no mutable state with its original: accesses through the clone
+// must not change what the original's caches hold, and vice versa.
 func TestHierarchyCloneIsolated(t *testing.T) {
 	h := New(DefaultConfig())
 	// Populate: a strided walk that fills L1D sets and some MSHR/pending
@@ -13,7 +13,7 @@ func TestHierarchyCloneIsolated(t *testing.T) {
 		h.Data(int64(a/64), a, a%128 == 0)
 	}
 
-	c := h.Clone()
+	c := CloneCaches(h.Config(), h)
 
 	// The clone sees the original's cache contents: the most recently
 	// touched line must be resident in both.
@@ -44,7 +44,8 @@ func TestHierarchyCloneIsolated(t *testing.T) {
 	}
 
 	// MissObserver must not carry over: each simulation installs its own.
-	if c2 := h.Clone(); c2.MissObserver != nil {
+	h.MissObserver = func(int64, int64, bool) {}
+	if c2 := CloneCaches(h.Config(), h); c2.MissObserver != nil {
 		t.Fatal("clone inherited a MissObserver")
 	}
 }
@@ -69,5 +70,56 @@ func TestCacheCloneVictim(t *testing.T) {
 	}
 	if h.DCache.VictimHits != before {
 		t.Fatal("original victim state aliased by clone")
+	}
+}
+
+// TestCopyCachesEqualsCloneCaches pins that recycling a hierarchy is
+// invisible: CopyCaches into a buffer dirtied under another
+// configuration — fills in flight, busy MSHRs and bus, primed stream
+// buffers, statistics — behaves exactly like a fresh CloneCaches under
+// the new configuration, which in turn starts from New's non-cache
+// state.
+func TestCopyCachesEqualsCloneCaches(t *testing.T) {
+	// walk streams (priming stream buffers), then scatters misses
+	// faster than the MSHRs drain.
+	walk := func(h *Hierarchy, base uint64) (out []Result) {
+		for a := base; a < base+1<<16; a += 64 {
+			out = append(out, h.Data(int64(a/256), a, a%192 == 0))
+			out = append(out, h.Inst(int64(a/256), 0x40_0000+a%4096))
+		}
+		for i := uint64(0); i < 512; i++ {
+			out = append(out, h.Data(1024+int64(i), base+1<<20+(i*2654435761)%(1<<22)&^63, false))
+		}
+		return out
+	}
+	src := New(DefaultConfig())
+	walk(src, 0)
+	dst := New(DefaultConfig())
+	walk(dst, 1<<24)
+
+	cfg := DefaultConfig()
+	cfg.L2HitLat, cfg.MemLat, cfg.NumMSHRs, cfg.StreamBufs = 30, 300, 6, 3
+	dst.CopyCaches(cfg, src)
+	fresh := CloneCaches(cfg, src)
+	if dst.Config() != cfg || fresh.Config() != cfg {
+		t.Fatal("copies do not carry the requested configuration")
+	}
+	if dst.Stats != (Stats{}) || len(dst.pending) != 0 || len(dst.mshrs) != 0 || dst.busFree != 0 {
+		t.Fatalf("recycled hierarchy kept timing state: stats %+v, %d fills, %d MSHRs, bus free at %d",
+			dst.Stats, len(dst.pending), len(dst.mshrs), dst.busFree)
+	}
+	for _, base := range []uint64{0, 1 << 24, 1 << 26} {
+		a, b := walk(dst, base), walk(fresh, base)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("walk from %#x, access %d: recycled %+v, fresh %+v", base, i, a[i], b[i])
+			}
+		}
+	}
+	if dst.Stats != fresh.Stats {
+		t.Fatalf("stats: recycled %+v, fresh %+v", dst.Stats, fresh.Stats)
+	}
+	if dst.Stats.Prefetches == 0 || dst.Stats.MSHRStallCycles == 0 {
+		t.Fatalf("walk exercised no prefetches or MSHR stalls (%+v)", dst.Stats)
 	}
 }

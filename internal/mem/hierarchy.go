@@ -163,21 +163,49 @@ type Hierarchy struct {
 // New builds a hierarchy from cfg, validating all cache geometries.
 func New(cfg Config) *Hierarchy {
 	h := &Hierarchy{
-		cfg:         cfg,
-		ICache:      cache.New(cfg.L1I),
-		DCache:      cache.New(cfg.L1D),
-		L2:          cache.New(cfg.L2),
-		pending:     make(map[uint64]int64),
-		missedLines: make(map[uint64]struct{}),
+		ICache: cache.New(cfg.L1I),
+		DCache: cache.New(cfg.L1D),
+		L2:     cache.New(cfg.L2),
 	}
-	if cfg.StreamBufs > 0 {
+	h.reset(cfg)
+	return h
+}
+
+// reset sets everything but the caches to what New(cfg) builds — idle
+// bus and MSHR clocks, no fills in flight, empty stream buffers and miss
+// filter, zero statistics, no MissObserver — reusing h's buffers where
+// their sizes allow.
+func (h *Hierarchy) reset(cfg Config) {
+	if h.ICache.Config() != cfg.L1I || h.DCache.Config() != cfg.L1D || h.L2.Config() != cfg.L2 {
+		panic("mem: hierarchy caches do not match the configuration")
+	}
+	h.cfg = cfg
+	h.busFree, h.clock = 0, 0
+	if h.pending == nil {
+		h.pending = make(map[uint64]int64)
+		h.missedLines = make(map[uint64]struct{})
+	} else {
+		clear(h.pending)
+		clear(h.missedLines)
+	}
+	h.mshrs = h.mshrs[:0]
+	switch {
+	case cfg.StreamBufs == 0:
+		h.streams = nil
+	case len(h.streams) == cfg.StreamBufs && len(h.streams[0].blocks) == cfg.StreamBufBlocks:
+		for i := range h.streams {
+			clear(h.streams[i].blocks)
+			h.streams[i] = streamBuf{blocks: h.streams[i].blocks}
+		}
+	default:
 		h.streams = make([]streamBuf, cfg.StreamBufs)
 		blocks := make([]streamBlock, cfg.StreamBufs*cfg.StreamBufBlocks)
 		for i := range h.streams {
 			h.streams[i].blocks = blocks[i*cfg.StreamBufBlocks : (i+1)*cfg.StreamBufBlocks : (i+1)*cfg.StreamBufBlocks]
 		}
 	}
-	return h
+	h.MissObserver = nil
+	h.Stats = Stats{}
 }
 
 // Config returns the hierarchy configuration.

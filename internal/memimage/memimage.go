@@ -87,6 +87,56 @@ func (m *Image) Write64(addr uint64, v uint64) {
 	}
 }
 
+// Cursor reads and writes an image through a one-page cache, so a run
+// of accesses to one page costs a single map probe. A cursor belongs to
+// the one goroutine building an image; the cache lives in the cursor,
+// not the image, because finished images are shared read-only across
+// goroutines.
+type Cursor struct {
+	m  *Image
+	pn uint64
+	p  *[pageSize]byte // page pn; nil until a materialized page is cached
+}
+
+// NewCursor returns a cursor over m.
+func NewCursor(m *Image) *Cursor { return &Cursor{m: m} }
+
+// page is Image.page through the cursor's cache.
+func (c *Cursor) page(addr uint64, create bool) *[pageSize]byte {
+	pn := addr >> pageShift
+	if c.p != nil && pn == c.pn {
+		return c.p
+	}
+	p := c.m.page(addr, create)
+	if p != nil {
+		c.pn, c.p = pn, p
+	}
+	return p
+}
+
+// Read64 is Image.Read64 through the cursor.
+func (c *Cursor) Read64(addr uint64) uint64 {
+	off := addr & pageMask
+	if off > pageSize-8 {
+		return c.m.Read64(addr)
+	}
+	p := c.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p[off : off+8])
+}
+
+// Write64 is Image.Write64 through the cursor.
+func (c *Cursor) Write64(addr uint64, v uint64) {
+	off := addr & pageMask
+	if off > pageSize-8 {
+		c.m.Write64(addr, v)
+		return
+	}
+	binary.LittleEndian.PutUint64(c.page(addr, true)[off:off+8], v)
+}
+
 // Checksum returns a content hash of the image: identical images (same
 // written bytes, regardless of write order) hash identically. Tests use
 // it to pin that simulation never mutates a shared workload's memory.

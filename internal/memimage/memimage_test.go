@@ -1,6 +1,7 @@
 package memimage
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -89,5 +90,40 @@ func TestOverwrite(t *testing.T) {
 	m.Write64(64, 0xFFFFFFFFFFFFFFFF)
 	if got := m.Read64(64); got != 0xFFFFFFFFFFFFFFFF {
 		t.Errorf("overwrite read = %#x", got)
+	}
+}
+
+// TestCursorMatchesImage replays one random mix of reads and writes —
+// page-local, page-straddling, and reads of pages never written —
+// through a cursor and straight into a second image: every read must
+// agree, reads must not materialize pages, and the two images must end
+// identical.
+func TestCursorMatchesImage(t *testing.T) {
+	viaCursor, direct := New(), New()
+	c := NewCursor(viaCursor)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		addr := uint64(rng.Intn(8)) << pageShift
+		switch rng.Intn(3) {
+		case 0:
+			addr += uint64(rng.Intn(pageSize/8)) * 8
+		case 1:
+			addr += pageSize - uint64(1+rng.Intn(7)) // straddles into the next page
+		default:
+			addr += uint64(rng.Intn(pageSize))
+		}
+		if rng.Intn(2) == 0 {
+			v := rng.Uint64()
+			c.Write64(addr, v)
+			direct.Write64(addr, v)
+		} else if got, want := c.Read64(addr), direct.Read64(addr); got != want {
+			t.Fatalf("op %d: cursor read %#x at %#x, image %#x", i, got, addr, want)
+		}
+		if viaCursor.PageCount() != direct.PageCount() {
+			t.Fatalf("op %d: cursor image has %d pages, direct %d", i, viaCursor.PageCount(), direct.PageCount())
+		}
+	}
+	if viaCursor.Checksum() != direct.Checksum() {
+		t.Fatal("images differ after the same writes")
 	}
 }

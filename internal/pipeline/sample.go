@@ -172,8 +172,10 @@ func CombineWindows(name string, parts []Result) Result {
 // policy is zero), fetches warmed cache/predictor state for each window
 // start from the workload's shared warm-state store, runs the model's
 // detailed window function, and combines the partial results. runWindow
-// receives a private warmed hierarchy and predictor (clones — the model
-// may mutate them freely) and trace index bounds start <= meas < end: it
+// receives a private warmed hierarchy and predictor (copies — the model
+// may mutate them freely, but must not keep them: when runWindow returns
+// they go back to the store, whose next hand-out overwrites them) and
+// trace index bounds start <= meas < end: it
 // must simulate [start, end) in detail starting at cycle 0 but measure
 // only [meas, end) — Cycles, Insts, and every event counter cover the
 // measured range (the [start, meas) ramp re-creates execution-dependent
@@ -190,13 +192,15 @@ func RunWindowed(w *workload.Workload, cfg *Config, pol SamplePolicy,
 	}
 	wins := pol.Windows(warm, n)
 	parts := make([]Result, 0, len(wins))
+	series := seriesFor(w, cfg.Hier, cfg.Bpred)
 	for _, win := range wins {
 		start := win.Start - pol.Ramp
 		if start < 0 {
 			start = 0
 		}
-		hier, pred := WarmState(w, cfg.Hier, cfg.Bpred, start)
+		hier, pred := series.at(cfg.Hier, start)
 		parts = append(parts, runWindow(hier, pred, start, win.Start, win.End))
+		series.put(hier, pred)
 	}
 	return CombineWindows(w.Name, parts)
 }

@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"sync"
 	"testing"
 
 	"icfp/internal/bpred"
+	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/workload"
 )
@@ -89,5 +91,165 @@ func TestWarmStateMastersAreImmutable(t *testing.T) {
 	if dh.DCache.Hits != h2.DCache.Hits || dh.DCache.Misses != h2.DCache.Misses ||
 		dp.Lookups != p2.Lookups || dp.Mispredicts != p2.Mispredicts {
 		t.Fatal("master corrupted by a previous clone's mutations")
+	}
+}
+
+// timedWindow is a minimal detailed window for tests: it replays
+// [start, end) through the hierarchy's timed access paths and the
+// predictor, so it reads and writes every piece of state a model's
+// window does — cache tags, bus and MSHR clocks, in-flight fills, stream
+// buffers, miss filter, statistics — and reports what it saw, several
+// hierarchy counters carried in otherwise unused Result fields.
+func timedWindow(tr *isa.Trace, seen *[]*mem.Hierarchy) func(*mem.Hierarchy, *bpred.Predictor, int, int, int) Result {
+	return func(h *mem.Hierarchy, p *bpred.Predictor, start, meas, end int) Result {
+		if seen != nil {
+			*seen = append(*seen, h)
+		}
+		var res Result
+		h.MissObserver = func(s, d int64, l2 bool) {
+			if l2 {
+				res.Advances++
+			}
+		}
+		var cycle int64
+		for i := start; i < end; i++ {
+			in := tr.At(i)
+			cycle = max(cycle+1, h.Inst(cycle, in.PC).Done)
+			switch in.Op {
+			case isa.OpLoad, isa.OpStore:
+				// Misses overlap without limit but the MSHRs': the
+				// window never waits on data.
+				h.Data(cycle, in.Addr, in.Op == isa.OpStore)
+			case isa.OpBranch:
+				if p.Predict(in.PC) != in.Taken {
+					cycle += 8
+				}
+				p.Update(in.PC, in.Taken)
+			}
+		}
+		res.Cycles, res.Insts = cycle, int64(end-meas)
+		res.BranchMispredicts = p.Mispredicts
+		st := h.Stats
+		res.RallyInsts, res.RallyPasses = st.DataL1Misses, st.DataL2Misses
+		res.SliceOverflows, res.SBOverflows = st.StreamHits, st.Prefetches
+		res.PoisonAddrObs, res.Squashes = st.Writebacks, st.MSHRMergeHits
+		res.SBForwards = st.MSHRStallCycles
+		return res
+	}
+}
+
+// freshWindowed is RunWindowed without recycling: every window starts
+// from a newly cloned hand-out, since nothing is ever put back.
+func freshWindowed(w *workload.Workload, cfg *Config, pol SamplePolicy) Result {
+	var parts []Result
+	run := timedWindow(w.Trace, nil)
+	for _, win := range pol.Windows(min(cfg.WarmupInsts, w.Trace.Len()), w.Trace.Len()) {
+		start := max(win.Start-pol.Ramp, 0)
+		h, p := WarmState(w, cfg.Hier, cfg.Bpred, start)
+		parts = append(parts, run(h, p, start, win.Start, win.End))
+	}
+	return CombineWindows(w.Name, parts)
+}
+
+// TestRecycledWindowsEqualFreshClones pins that recycling window buffers
+// is invisible: a sampled run whose windows reuse one hierarchy and
+// predictor — each copied over from the next master, with the non-cache
+// state the previous window dirtied reset — equals a run in which every
+// window gets a fresh clone.
+func TestRecycledWindowsEqualFreshClones(t *testing.T) {
+	const n = 40_000
+	cfg := DefaultConfig()
+	cfg.WarmupInsts = 2_000
+	cfg.Hier.NumMSHRs = 4 // make MSHR stalls, and so MSHR state, likely
+	// Each window's ramp overlaps the previous window's tail, so state a
+	// recycled buffer failed to reset (a stream buffer still primed for
+	// those lines, say) would be hit again.
+	pol := SamplePolicy{Interval: 1_000, Period: 1_500, Ramp: 1_000}
+
+	// mcf chases pointers (MSHR and fill state); swim streams (stream
+	// buffers and prefetches).
+	for _, name := range []string{"mcf", "swim"} {
+		var seen []*mem.Hierarchy
+		w := workload.SPEC(name, n)
+		recycled := RunWindowed(w, &cfg, pol, timedWindow(w.Trace, &seen))
+		fresh := freshWindowed(workload.SPEC(name, n), &cfg, pol)
+		if recycled != fresh {
+			t.Fatalf("%s: recycled run differs from fresh clones:\nrecycled %+v\nfresh    %+v", name, recycled, fresh)
+		}
+		if len(seen) < 3 {
+			t.Fatalf("%s: only %d windows: the policy does not exercise recycling", name, len(seen))
+		}
+		for i, h := range seen[1:] {
+			if h != seen[0] {
+				t.Fatalf("%s: window %d got a new hierarchy: a serial run should recycle its one buffer", name, i+1)
+			}
+		}
+		if recycled.SBOverflows+recycled.SBForwards == 0 {
+			t.Fatalf("%s: no prefetches or MSHR stalls (%+v): the windows do not dirty non-cache state", name, recycled)
+		}
+	}
+}
+
+// TestWarmSeriesSharedAcrossTimingConfigs pins the series key: machines
+// that differ only in what warming never touches — latencies, MSHRs,
+// stream buffers — share one series, and a hand-out under one
+// configuration from masters warmed under another is exactly what direct
+// warming under it gives: the same caches and predictor, every other
+// piece of state as mem.New builds it.
+func TestWarmSeriesSharedAcrossTimingConfigs(t *testing.T) {
+	const n, upto = 20_000, 12_000
+	a := DefaultConfig()
+	b := a
+	b.Hier.L2HitLat, b.Hier.MemLat, b.Hier.NumMSHRs, b.Hier.StreamBufs = 35, 250, 8, 2
+
+	w := workload.SPEC("gzip", n)
+	if seriesFor(w, a.Hier, a.Bpred) != seriesFor(w, b.Hier, b.Bpred) {
+		t.Fatal("timing-only configuration differences split the warm series")
+	}
+	WarmState(w, a.Hier, a.Bpred, upto) // masters warmed under a
+	hb, pb := WarmState(w, b.Hier, b.Bpred, upto)
+	if hb.Config() != b.Hier {
+		t.Fatalf("hand-out carries config %+v, want the caller's %+v", hb.Config(), b.Hier)
+	}
+
+	dh := mem.New(b.Hier)
+	if w.Prewarm != nil {
+		w.Prewarm(dh)
+	}
+	dp := bpred.New(b.Bpred)
+	WarmRange(dh, dp, w.Trace, 0, upto)
+
+	run := timedWindow(w.Trace, nil)
+	if got, want := run(hb, pb, upto, upto, n), run(dh, dp, upto, upto, n); got != want {
+		t.Fatalf("hand-out under b diverged from direct warming under b:\nhand-out %+v\ndirect   %+v", got, want)
+	}
+}
+
+// TestWarmSeriesConcurrentRuns drives one workload's series from several
+// goroutines at once, as pool workers simulating different machines over
+// a shared workload do: masters, hand-outs and the free list must stay
+// consistent (run it under -race), and every run must equal a serial one.
+func TestWarmSeriesConcurrentRuns(t *testing.T) {
+	const n = 30_000
+	cfg := DefaultConfig()
+	cfg.WarmupInsts = 2_000
+	pol := SamplePolicy{Interval: 1_000, Period: 5_000, Ramp: 300}
+	want := freshWindowed(workload.SPEC("mcf", n), &cfg, pol)
+
+	w := workload.SPEC("mcf", n)
+	got := make([]Result, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = RunWindowed(w, &cfg, pol, timedWindow(w.Trace, nil))
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r != want {
+			t.Errorf("concurrent run %d differs from a serial run:\ngot  %+v\nwant %+v", i, r, want)
+		}
 	}
 }

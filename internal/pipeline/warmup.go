@@ -28,12 +28,24 @@ func WarmRange(h *mem.Hierarchy, p *bpred.Predictor, tr *isa.Trace, lo, hi int) 
 	if hi > tr.Len() {
 		hi = tr.Len()
 	}
+	// The I-cache is looked up once per fetched line, as the frontend
+	// charges it. Repeating the lookup for the line just touched changes
+	// nothing but the hit count: that line is already the most recently
+	// used. Seeding the previous line from instruction lo-1 keeps warming
+	// [0, a) then [a, b) identical to warming [0, b) in one pass.
+	line := ^uint64(0)
+	if lo > 0 && lo < hi {
+		line = h.ICache.LineAddr(tr.At(lo - 1).PC)
+	}
 	for i := lo; i < hi; i++ {
 		in := tr.At(i)
-		if !h.ICache.Lookup(in.PC, false) {
-			h.L2.Lookup(in.PC, false)
-			h.L2.Insert(in.PC, false)
-			h.ICache.Insert(in.PC, false)
+		if l := h.ICache.LineAddr(in.PC); l != line {
+			line = l
+			if !h.ICache.Lookup(in.PC, false) {
+				h.L2.Lookup(in.PC, false)
+				h.L2.Insert(in.PC, false)
+				h.ICache.Insert(in.PC, false)
+			}
 		}
 		switch in.Op {
 		case isa.OpLoad, isa.OpStore:

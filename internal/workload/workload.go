@@ -119,6 +119,7 @@ type Profile struct {
 type builder struct {
 	rng  *rand.Rand
 	mem  *memimage.Image
+	img  *memimage.Cursor // mem through a last-page cache, for generation's reads and writes
 	tr   []isa.Inst
 	vals [isa.NumRegs]uint64
 
@@ -162,9 +163,11 @@ func dataReg(i int, fp bool) isa.Reg {
 }
 
 func newBuilder(seed int64, n int) *builder {
+	m := memimage.New()
 	return &builder{
 		rng: rand.New(rand.NewSource(seed)),
-		mem: memimage.New(),
+		mem: m,
+		img: memimage.NewCursor(m),
 		// One allocation for the whole trace: generation appends at most
 		// one iteration past n (bounded by genSlack), and growing a
 		// multi-hundred-kilo-instruction slice by doubling would copy the
@@ -173,7 +176,17 @@ func newBuilder(seed int64, n int) *builder {
 	}
 }
 
-func (b *builder) emit(in isa.Inst) { b.tr = append(b.tr, in) }
+// emit appends an instruction. A taken control transfer's target is the
+// instruction that dynamically follows it, so the previous instruction's
+// target is set here, as its successor arrives.
+func (b *builder) emit(in isa.Inst) {
+	if n := len(b.tr); n > 0 {
+		if prev := &b.tr[n-1]; prev.Taken && prev.Op.IsCtrl() {
+			prev.Target = in.PC
+		}
+	}
+	b.tr = append(b.tr, in)
+}
 
 // emitALU appends a 1-cycle integer op dst = f(src1, src2).
 func (b *builder) emitALU(pc uint64, dst, s1, s2 isa.Reg) {
@@ -202,7 +215,7 @@ func (b *builder) emitOp(pc uint64, op isa.Op, dst, s1, s2 isa.Reg) {
 // emitLoad appends a load dst = mem[addr] whose address was produced by
 // addrReg (the dependence the timing model honors).
 func (b *builder) emitLoad(pc uint64, dst, addrReg isa.Reg, addr uint64) {
-	v := b.mem.Read64(addr)
+	v := b.img.Read64(addr)
 	if dst.Valid() {
 		b.vals[dst] = v
 	}
@@ -212,7 +225,7 @@ func (b *builder) emitLoad(pc uint64, dst, addrReg isa.Reg, addr uint64) {
 // emitStore appends a store mem[addr] = dataReg.
 func (b *builder) emitStore(pc uint64, addrReg, data isa.Reg, addr uint64) {
 	v := b.vals[data&63]
-	b.mem.Write64(addr, v)
+	b.img.Write64(addr, v)
 	b.emit(isa.Inst{PC: pc, Op: isa.OpStore, Src1: addrReg, Src2: data, Addr: addr, Size: 8, Val: v})
 }
 
@@ -240,7 +253,7 @@ func (b *builder) buildChase(base, bytes uint64, reg isa.Reg) chaseWalk {
 	}
 	for i := range addrs {
 		next := addrs[(i+1)%n]
-		b.mem.Write64(addrs[i], next)
+		b.img.Write64(addrs[i], next)
 	}
 	b.vals[reg] = addrs[0]
 	return chaseWalk{ptr: addrs[0], ring: addrs}
@@ -273,7 +286,7 @@ func Generate(p Profile, n int, seed int64) *Workload {
 	b.near = b.buildChase(chase2Base, p.Chase2Bytes, regChase2)
 	// Hot region: fill with nonzero data.
 	for a := uint64(0); a < hotBytes; a += 8 {
-		b.mem.Write64(hotBase+a, a^0xABCD)
+		b.img.Write64(hotBase+a, a^0xABCD)
 	}
 
 	// The program is one big loop; every iteration walks the same static
@@ -282,7 +295,6 @@ func Generate(p Profile, n int, seed int64) *Workload {
 	for len(b.tr) < n {
 		b.iteration(p)
 	}
-	fixupTargets(b.tr)
 	// Terminate cleanly: final loop-back branch falls through.
 	if last := &b.tr[len(b.tr)-1]; last.Op == isa.OpBranch {
 		last.Taken = false
@@ -495,8 +507,8 @@ func (b *builder) iteration(p Profile) {
 		}
 	}
 
-	// Data-dependent branches. Targets are fixed up after generation to
-	// point at the dynamically following instruction.
+	// Data-dependent branches. emit sets each taken one's target to the
+	// dynamically following instruction.
 	for k := 0; k < branches; k++ {
 		src := dataReg(di+k, p.FP)
 		if b.rng.Float64() < p.BranchOnLoad {
@@ -519,14 +531,4 @@ func (b *builder) iteration(p Profile) {
 	// Loop-back branch (predictably taken).
 	lb := next()
 	b.emitBranch(lb, regIndex, regZero, true, codeBase)
-}
-
-// fixupTargets points every taken control transfer at the PC of the
-// dynamically following instruction so traces are internally consistent.
-func fixupTargets(tr []isa.Inst) {
-	for i := range tr {
-		if tr[i].Op.IsCtrl() && tr[i].Taken && i+1 < len(tr) {
-			tr[i].Target = tr[i+1].PC
-		}
-	}
 }
