@@ -6,11 +6,11 @@
 //
 // Jobs are declarative: a job carries a spec.Machine and a spec.Workload
 // — serializable data, not closures — and the cache key of a simulation
-// is the pair of their canonical encodings (spec.Canonical). That single
-// identity is used everywhere a simulation is named: the in-process memo
-// cache, persisted cache snapshots, and the distributed dispatch protocol
-// all key on the same strings, so results computed anywhere are reusable
-// everywhere.
+// is the pair of their canonical encodings (spec.Machine.Canonical,
+// spec.Workload.Canonical). That single identity is used everywhere a
+// simulation is named: the in-process memo cache, persisted cache
+// snapshots, and the distributed dispatch protocol all key on the same
+// strings, so results computed anywhere are reusable everywhere.
 //
 // Simulations in this module are deterministic pure functions of their
 // (machine spec, workload spec) inputs, which is what makes the design

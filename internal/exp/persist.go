@@ -14,9 +14,9 @@ import (
 
 // SnapshotVersion identifies the cache-file schema this build reads and
 // writes. Version 2 keys entries by canonical machine/workload specs
-// (spec.Canonical); the unversioned pre-spec schema keyed entries by a
-// machine label and an opaque configuration fingerprint, which cannot be
-// re-keyed — loading one yields a SnapshotVersionError so callers can
+// (spec.Machine.Canonical, spec.Workload.Canonical); the unversioned
+// pre-spec schema keyed entries by a machine label and an opaque
+// configuration fingerprint, which cannot be re-keyed — loading one yields a SnapshotVersionError so callers can
 // warn and regenerate instead of failing or silently mixing identities.
 const SnapshotVersion = 2
 

@@ -29,11 +29,13 @@ type ResultSet struct {
 // Len returns the number of results.
 func (rs *ResultSet) Len() int { return len(rs.Results) }
 
-// Get returns the named result.
+// Get returns the named result. The scan compares names in place:
+// ranging by value would copy every Result it passes, and renderers call
+// Get once per cell, so an n-job suite would copy O(n²) structs.
 func (rs *ResultSet) Get(name string) (Result, bool) {
-	for _, r := range rs.Results {
-		if r.Name == name {
-			return r, true
+	for i := range rs.Results {
+		if rs.Results[i].Name == name {
+			return rs.Results[i], true
 		}
 	}
 	return Result{}, false

@@ -12,9 +12,9 @@ import (
 // exact surface expq exposes to user-authored JSON. Garbage must come
 // back as an error, never a panic, and anything accepted must satisfy
 // the identity contract the cache and store build on:
-// Marshal(Unmarshal(x)) re-decodes, and every job's canonical encoding
-// is a fixed point (decode -> canonicalize -> decode -> canonicalize is
-// idempotent).
+// Marshal(Unmarshal(x)) re-decodes, every job's canonical encoding
+// matches the reflective oracle byte for byte, and is a fixed point
+// (decode -> canonicalize -> decode -> canonicalize is idempotent).
 func FuzzSuiteCanonical(f *testing.F) {
 	mk := func(s spec.Suite) []byte {
 		b, err := s.Marshal()
@@ -52,6 +52,12 @@ func FuzzSuiteCanonical(f *testing.F) {
 		}
 		for _, j := range s.Jobs {
 			mc, wc := j.Machine.Canonical(), j.Workload.Canonical()
+			if want := spec.OracleMachine(j.Machine); mc != want {
+				t.Fatalf("machine canonical differs from the oracle:\n got %s\nwant %s", mc, want)
+			}
+			if want := spec.OracleWorkload(j.Workload); wc != want {
+				t.Fatalf("workload canonical differs from the oracle:\n got %s\nwant %s", wc, want)
+			}
 			var m2 spec.Machine
 			if err := json.Unmarshal([]byte(mc), &m2); err != nil {
 				t.Fatalf("canonical machine does not decode: %v\n%s", err, mc)

@@ -1,0 +1,33 @@
+package spec
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+// canonicalOracle is the reference canonical encoder: compact JSON with
+// object keys sorted, obtained by marshalling v, re-parsing it into a
+// generic tree and marshalling the tree (encoding/json sorts map keys).
+// It defines the encoding; the direct encoders must match it byte for
+// byte on every value, or existing cache and store keys stop hitting.
+func canonicalOracle(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("spec: canonical encoding of %T: %v", v, err))
+	}
+	var tree any
+	if err := json.Unmarshal(b, &tree); err != nil {
+		panic(fmt.Sprintf("spec: canonical re-parse of %T: %v", v, err))
+	}
+	out, err := json.Marshal(tree)
+	if err != nil {
+		panic(fmt.Sprintf("spec: canonical re-encoding of %T: %v", v, err))
+	}
+	return string(out)
+}
+
+// OracleMachine and OracleWorkload give the external tests the oracle's
+// encoding of the value each Canonical method encodes.
+func OracleMachine(m Machine) string { return canonicalOracle(m.collapsed()) }
+
+func OracleWorkload(w Workload) string { return canonicalOracle(w.collapsed()) }

@@ -6,10 +6,11 @@
 // `cmd/experiments -describe`, shipped to distributed workers, and keyed
 // in persistent caches, all in one format.
 //
-// The canonical encoding (Canonical: compact JSON with sorted object
-// keys) is the identity of a machine or workload throughout the module:
-// it is the memoization key of internal/exp, the wire identity of
-// internal/dist batches, and the entry key of persisted cache snapshots.
+// The canonical encoding (Machine.Canonical, Workload.Canonical: compact
+// JSON with sorted object keys) is the identity of a machine or workload
+// throughout the module: it is the memoization key of internal/exp, the
+// wire identity of internal/dist batches, and the key of result-store
+// records and persisted cache snapshots.
 // Two specs with equal canonical encodings always construct identical
 // simulations; specs with different encodings are simply cached apart.
 //
@@ -269,28 +270,6 @@ func FuzzWorkload(seed int64, k workload.FuzzKnobs, n int) Workload {
 	}, N: n}
 }
 
-// Canonical returns the canonical encoding of v: compact JSON with
-// object keys sorted. It is deterministic across processes and Go
-// versions, which is what makes it usable as a cache key and wire
-// identity. All spec values are built from strings, bools, and small
-// integers, so the float64 round trip through the generic JSON tree is
-// exact.
-func Canonical(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("spec: canonical encoding of %T: %v", v, err))
-	}
-	var tree any
-	if err := json.Unmarshal(b, &tree); err != nil {
-		panic(fmt.Sprintf("spec: canonical re-parse of %T: %v", v, err))
-	}
-	out, err := json.Marshal(tree) // encoding/json sorts map keys
-	if err != nil {
-		panic(fmt.Sprintf("spec: canonical re-encoding of %T: %v", v, err))
-	}
-	return string(out)
-}
-
 // Canonical returns the machine's canonical encoding — its identity in
 // caches and on the wire. Spellings that construct provably identical
 // machines collapse to one encoding: an explicit paper-default policy
@@ -303,6 +282,13 @@ func Canonical(v any) string {
 // spelling is not the same machine under a block_secondary_d1 override
 // and stays distinct.
 func (m Machine) Canonical() string {
+	var buf [256]byte
+	return string(m.collapsed().appendJSON(buf[:0]))
+}
+
+// collapsed returns m with its paper-default spellings cleared, the
+// value whose JSON is the canonical encoding.
+func (m Machine) collapsed() Machine {
 	switch m.Model {
 	case ModelICFP:
 		if m.Trigger == TriggerAll {
@@ -316,7 +302,7 @@ func (m Machine) Canonical() string {
 			m.Trigger = ""
 		}
 	}
-	return Canonical(m)
+	return m
 }
 
 // Canonical returns the workload's canonical encoding. A sampling policy
@@ -327,10 +313,17 @@ func (m Machine) Canonical() string {
 // entries and wire identity. Every live policy field, including the
 // placement seed, stays part of the identity.
 func (w Workload) Canonical() string {
+	var buf [128]byte
+	return string(w.collapsed().appendJSON(buf[:0]))
+}
+
+// collapsed returns w with a non-live sampling policy dropped, the value
+// whose JSON is the canonical encoding.
+func (w Workload) collapsed() Workload {
 	if !w.Sampling.Live() {
 		w.Sampling = nil
 	}
-	return Canonical(w)
+	return w
 }
 
 // Base returns the workload stripped of its sampling policy — the

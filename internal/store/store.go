@@ -19,12 +19,22 @@
 // bounded: with a positive MaxBytes, least-recently-accessed records are
 // evicted after each Put (Get refreshes a record's access time), so a
 // long-lived daemon's disk footprint stays under the knob.
+//
+// The in-memory index keeps each record's decoded result once this
+// process has read or written it, so repeat lookups (every resubmitted
+// suite) are answered without reading or decoding the file again. The
+// bound covers those copies too: a decoded result is smaller than its
+// indented on-disk record, and evicting a record drops its copy. A
+// record that fails to decode is moved aside as damaged and its key
+// reads as a miss, so one bad file costs one re-simulation rather than
+// failing its key forever.
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,6 +83,9 @@ type Options struct {
 type recMeta struct {
 	size   int64
 	access time.Time
+	// res is the record's decoded result once this process has read or
+	// written it, nil before. It leaves the index with the entry.
+	res *exp.CachedResult
 }
 
 // Store is one on-disk result store. It is safe for concurrent use by
@@ -85,12 +98,18 @@ type Store struct {
 	maxBytes int64
 
 	mu    sync.Mutex
-	recs  map[string]recMeta // hash → size and last access
+	recs  map[string]recMeta // hash → size, last access, decoded result
 	bytes int64
+	// drops counts index entries removed (evicted, found gone, or
+	// quarantined). A result read or written outside mu is kept as the
+	// entry's decoded copy only if no drop ran meanwhile: that drop may
+	// have removed the very file the result came from, and this process
+	// must never serve a record it evicted itself.
+	drops uint64
 
 	// Telemetry (Instrument); every method on the nil zero values is a
 	// no-op, so an uninstrumented store pays one nil check per event.
-	hits, misses, puts, evictions *obs.Counter
+	hits, misses, puts, evictions, corrupt *obs.Counter
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes
@@ -108,7 +127,8 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // Instrument attaches a metrics registry: expq_store_hits_total /
 // expq_store_misses_total (Get outcomes), expq_store_puts_total (new
-// records written), expq_store_evictions_total, and the
+// records written), expq_store_evictions_total,
+// expq_store_corrupt_total (damaged records quarantined), and the
 // expq_store_bytes / expq_store_records gauges. A nil registry detaches.
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
@@ -117,6 +137,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.misses = reg.Counter("expq_store_misses_total", "store lookups that found no record")
 	s.puts = reg.Counter("expq_store_puts_total", "new records written to the store")
 	s.evictions = reg.Counter("expq_store_evictions_total", "records evicted to stay under the byte bound")
+	s.corrupt = reg.Counter("expq_store_corrupt_total", "damaged records moved aside as *.corrupt and re-simulated")
 	reg.GaugeFunc("expq_store_bytes", "total bytes of persisted result records", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -196,21 +217,47 @@ func (s *Store) Bytes() int64 {
 }
 
 // Get returns the persisted result for k, if the store has one, and
-// refreshes the record's access time (the LRU clock eviction runs on).
-// A record another process evicted since it was indexed reads as a
-// plain miss.
+// refreshes the record's access time in memory and on disk (the LRU
+// clock eviction runs on). The first Get of a record in this process
+// reads and decodes its file and keeps the decoded result in the index;
+// later Gets answer from that copy without touching the file's
+// contents. A record another process evicted therefore still answers
+// here if this process decoded it before — the same bytes the file
+// held, since simulations are deterministic — while one this process
+// never read reads as a plain miss. A record whose file does not decode
+// is quarantined (renamed to *.corrupt, counted in
+// expq_store_corrupt_total) and reads as a miss, so its key simulates
+// again; a record of a newer schema, or one holding another key, is an
+// error.
 func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
 	hash := HashKey(k)
 	path := s.pathFor(hash)
+	s.mu.Lock()
+	if m, ok := s.recs[hash]; ok && m.res != nil {
+		m.access = time.Now()
+		s.recs[hash] = m
+		res := *m.res
+		s.mu.Unlock()
+		os.Chtimes(path, m.access, m.access) // best effort: a failed bump only ages the record early
+		s.hits.Inc()
+		return res, true, nil
+	}
+	drops := s.drops
+	s.mu.Unlock()
+
 	rec, size, err := readRecord(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			s.mu.Lock()
-			s.dropLocked(hash)
-			s.mu.Unlock()
-			s.misses.Inc()
-			return exp.CachedResult{}, false, nil
-		}
+	switch {
+	case errors.Is(err, errCorrupt):
+		s.quarantine(hash, path)
+		s.misses.Inc()
+		return exp.CachedResult{}, false, nil
+	case os.IsNotExist(err):
+		s.mu.Lock()
+		s.dropLocked(hash)
+		s.mu.Unlock()
+		s.misses.Inc()
+		return exp.CachedResult{}, false, nil
+	case err != nil:
 		return exp.CachedResult{}, false, err
 	}
 	if rec.Machine != k.Machine || rec.Workload != k.Workload {
@@ -218,18 +265,16 @@ func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
 			path, rec.Machine, rec.Workload, k.Machine, k.Workload)
 	}
 	now := time.Now()
-	os.Chtimes(path, now, now) // best effort: a failed bump only ages the record early
+	os.Chtimes(path, now, now) // best effort, as above
 	s.mu.Lock()
-	if old, ok := s.recs[hash]; ok {
-		s.bytes += size - old.size
-	} else {
-		s.bytes += size // another process wrote it since our scan
-	}
-	s.recs[hash] = recMeta{size: size, access: now}
+	s.indexLocked(hash, size, now, &rec.CachedResult, drops)
 	s.mu.Unlock()
 	s.hits.Inc()
 	return rec.CachedResult, true, nil
 }
+
+// errCorrupt marks a record file that is not a decodable record.
+var errCorrupt = errors.New("store: damaged record")
 
 // readRecord reads and decodes one record file.
 func readRecord(path string) (record, int64, error) {
@@ -239,12 +284,40 @@ func readRecord(path string) (record, int64, error) {
 	}
 	var rec record
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return record{}, 0, fmt.Errorf("store: decoding %s: %w", path, err)
+		return record{}, 0, fmt.Errorf("%w: decoding %s: %v", errCorrupt, path, err)
 	}
 	if rec.Version != RecordVersion {
 		return record{}, 0, fmt.Errorf("store: %s is record schema v%d, this build reads v%d", path, rec.Version, RecordVersion)
 	}
 	return rec, int64(len(data)), nil
+}
+
+// quarantine moves a record file that does not decode aside, to
+// <path>.corrupt (kept for inspection; scan ignores it), and drops it
+// from the index, so its key misses and simulates again. It returns
+// the drop count its own drop left (see Store.drops).
+func (s *Store) quarantine(hash, path string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.dropLocked(hash)
+	if os.Rename(path, path+".corrupt") == nil { // fails if another reader got there first
+		s.corrupt.Inc()
+	}
+	return s.drops
+}
+
+// indexLocked records one record this process just read or wrote,
+// keeping res as its decoded copy unless an entry was dropped since the
+// caller read drops (see Store.drops); the caller holds mu.
+func (s *Store) indexLocked(hash string, size int64, access time.Time, res *exp.CachedResult, drops uint64) {
+	if old, ok := s.recs[hash]; ok {
+		s.bytes -= old.size
+	}
+	if s.drops != drops {
+		res = nil
+	}
+	s.recs[hash] = recMeta{size: size, access: access, res: res}
+	s.bytes += size
 }
 
 // resultBytes is the comparable identity of a stored result: its JSON
@@ -270,18 +343,22 @@ func resultBytes(r exp.CachedResult) []byte {
 func (s *Store) Put(r exp.CachedResult) error {
 	hash := HashKey(exp.Key{Machine: r.Machine, Workload: r.Workload})
 	path := s.pathFor(hash)
-	if existing, size, err := readRecord(path); err == nil {
+	s.mu.Lock()
+	drops := s.drops
+	s.mu.Unlock()
+	existing, size, err := readRecord(path)
+	switch {
+	case err == nil:
 		if string(resultBytes(existing.CachedResult)) != string(resultBytes(r)) {
 			return &ConflictError{Path: path, Machine: r.Machine, Workload: r.Workload}
 		}
 		s.mu.Lock()
-		if _, ok := s.recs[hash]; !ok {
-			s.bytes += size
-		}
-		s.recs[hash] = recMeta{size: size, access: time.Now()}
+		s.indexLocked(hash, size, time.Now(), &existing.CachedResult, drops)
 		s.mu.Unlock()
 		return nil
-	} else if !os.IsNotExist(err) {
+	case errors.Is(err, errCorrupt):
+		drops = s.quarantine(hash, path)
+	case !os.IsNotExist(err):
 		return err
 	}
 
@@ -295,16 +372,9 @@ func (s *Store) Put(r exp.CachedResult) error {
 	}
 	s.puts.Inc()
 	s.mu.Lock()
-	if old, ok := s.recs[hash]; ok {
-		s.bytes -= old.size
-	}
-	s.recs[hash] = recMeta{size: int64(len(data)), access: time.Now()}
-	s.bytes += int64(len(data))
-	evict := s.evictablesLocked()
-	s.mu.Unlock()
-	for _, h := range evict {
-		s.remove(h)
-	}
+	defer s.mu.Unlock()
+	s.indexLocked(hash, int64(len(data)), time.Now(), &r, drops)
+	s.evictLocked()
 	return nil
 }
 
@@ -343,15 +413,15 @@ func writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// evictablesLocked picks the least-recently-accessed records to drop
-// until the store is back under its byte bound; the caller holds mu and
-// performs the removals after releasing it. The newest record always
+// evictLocked drops the least-recently-accessed records, index entry
+// and file, until the store is back under its byte bound; the caller
+// holds mu, so no Get can read a file between its eviction and its
+// removal and keep a decoded copy of it. The newest record always
 // survives, so a single result larger than the bound still persists.
-func (s *Store) evictablesLocked() []string {
+func (s *Store) evictLocked() {
 	if s.maxBytes <= 0 {
-		return nil
+		return
 	}
-	var out []string
 	for s.bytes > s.maxBytes && len(s.recs) > 1 {
 		var oldest string
 		var oldestAt time.Time
@@ -360,25 +430,19 @@ func (s *Store) evictablesLocked() []string {
 				oldest, oldestAt = h, m.access
 			}
 		}
-		out = append(out, oldest)
-		s.bytes -= s.recs[oldest].size
-		delete(s.recs, oldest)
+		s.dropLocked(oldest)
+		os.Remove(s.pathFor(oldest)) // ENOENT means another process got there first
+		s.evictions.Inc()
 	}
-	return out
 }
 
-// remove deletes one record file (already dropped from the index).
-func (s *Store) remove(hash string) {
-	os.Remove(s.pathFor(hash)) // ENOENT means another process got there first
-	s.evictions.Inc()
-}
-
-// dropLocked forgets an index entry whose file is gone (evicted by
-// another process); the caller holds mu.
+// dropLocked forgets an index entry and its decoded copy (evicted, gone
+// from disk, or quarantined); the caller holds mu.
 func (s *Store) dropLocked(hash string) {
 	if m, ok := s.recs[hash]; ok {
 		s.bytes -= m.size
 		delete(s.recs, hash)
+		s.drops++
 	}
 }
 

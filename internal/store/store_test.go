@@ -1,11 +1,13 @@
 package store_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -312,7 +314,9 @@ func TestConcurrentPutGet(t *testing.T) {
 // TestConcurrentEviction races writers against the evictor: a tiny byte
 // bound forces every Put to evict while other goroutines Get. Nothing
 // here asserts which records survive (that depends on timing) — the
-// assertions are no errors, no torn files, and the bound holds.
+// assertions are no errors, no torn files, the bound holds, and no
+// decoded copy outlives its eviction: every key whose file is gone
+// misses in the evicting store, although its writer decoded it.
 func TestConcurrentEviction(t *testing.T) {
 	dir := t.TempDir()
 	probe, err := store.Open(dir, store.Options{})
@@ -351,6 +355,22 @@ func TestConcurrentEviction(t *testing.T) {
 	}
 	if s.Bytes() > bound {
 		t.Errorf("store over budget under concurrent eviction: %d > %d", s.Bytes(), bound)
+	}
+	evicted := 0
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 16; i++ {
+			k := exp.Key{Machine: "m", Workload: fmt.Sprintf("g%d-w%d", g, i)}
+			if _, err := os.Stat(recordPath(s.Dir(), k)); !os.IsNotExist(err) {
+				continue
+			}
+			evicted++
+			if _, ok, err := s.Get(k); err != nil || ok {
+				t.Errorf("evicted record %v still served (ok=%v err=%v): its decoded copy outlived the eviction", k, ok, err)
+			}
+		}
+	}
+	if evicted == 0 {
+		t.Error("a bound of four records evicted none of 64")
 	}
 	// Every surviving record must parse cleanly — no torn files.
 	s2, err := store.Open(s.Dir(), store.Options{})
@@ -472,6 +492,300 @@ func TestInstrumentCounters(t *testing.T) {
 	} {
 		if v := reg.Counter(name, "").Value(); v != want {
 			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+}
+
+// recordPath is the content address of k's record file under dir.
+func recordPath(dir string, k exp.Key) string {
+	hash := store.HashKey(k)
+	return filepath.Join(dir, hash[:2], hash+".json")
+}
+
+// decodeFile decodes a record file the way any reader of the on-disk
+// format would, independently of the store's own reader.
+func decodeFile(t *testing.T, path string) exp.CachedResult {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Version int `json:"version"`
+		exp.CachedResult
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec.CachedResult
+}
+
+// TestDecodedRecordMatchesFile pins that the decoded copy a hit is
+// served from is exactly what decoding the file yields: after the Put
+// that wrote it, and after reopening the store, for the Get that reads
+// the file and for the Gets answered from memory after it.
+func TestDecodedRecordMatchesFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := exp.CachedResult{
+		Machine:  `{"model":"icfp","overrides":{"warmup":10000}}`,
+		Workload: `{"fuzz":{"seed":9007199254740993},"n":60000}`,
+		R: pipeline.Result{
+			Name: "fuzz-102", Cycles: 987_654_321, Insts: 60_000,
+			DCacheMissPerKI: 1.0 / 3, L2MissPerKI: 2.5e-7, DCacheMLP: 1.7976931348623157e308,
+			BranchMispredicts: 1<<64 - 1, RallyPerKI: 0.1,
+			SampleIntervals: 12, SampleCPICI95: 0.0123456789,
+		},
+		ElapsedNS: 123_456_789,
+	}
+	k := key(r)
+	if err := s.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	want := decodeFile(t, recordPath(dir, k))
+	for i := 0; i < 2; i++ {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("Get %d after Put: ok=%v err=%v", i, ok, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Get %d after Put = %+v, decoding the file gives %+v", i, got, want)
+		}
+	}
+
+	s2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, ok, err := s2.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("Get %d after reopening: ok=%v err=%v", i, ok, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Get %d after reopening = %+v, decoding the file gives %+v", i, got, want)
+		}
+	}
+}
+
+// TestDecodedRecordsAcrossProcesses pins Get's cross-process contract:
+// after another process evicts every record, a record this process had
+// already decoded keeps serving (its bytes cannot differ, simulations
+// being deterministic), while one it only indexed at Open reads as a
+// miss.
+func TestDecodedRecordsAcrossProcesses(t *testing.T) {
+	if dir := os.Getenv("STORE_EVICT_HELPER"); dir != "" {
+		// One record against a one-byte bound: every other record goes.
+		s, err := store.Open(dir, store.Options{MaxBytes: 1})
+		if err == nil {
+			err = s.Put(rec("m", "evictor", 1))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	writer, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, unread := rec("m", "read", 1), rec("m", "unread", 2)
+	for _, r := range []exp.CachedResult{read, unread} {
+		if err := writer.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok, err := s.Get(key(read))
+	if err != nil || !ok {
+		t.Fatalf("Get before eviction: ok=%v err=%v", ok, err)
+	}
+
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-test.run", "^TestDecodedRecordsAcrossProcesses$")
+	cmd.Env = append(os.Environ(), "STORE_EVICT_HELPER="+dir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("evicting process: %v\n%s", err, out)
+	}
+	for _, r := range []exp.CachedResult{read, unread} {
+		if _, err := os.Stat(recordPath(dir, key(r))); !os.IsNotExist(err) {
+			t.Fatalf("the other process left %s on disk (stat: %v)", r.Workload, err)
+		}
+	}
+
+	got, ok, err := s.Get(key(read))
+	if err != nil || !ok || got != want {
+		t.Errorf("decoded record after another process evicted it: ok=%v err=%v got %+v, want %+v", ok, err, got, want)
+	}
+	if _, ok, err := s.Get(key(unread)); err != nil || ok {
+		t.Errorf("never-read record after another process evicted it: ok=%v err=%v, want a miss", ok, err)
+	}
+}
+
+// TestQuarantineDamagedRecord pins that one damaged record costs its key
+// one re-simulation, not every later lookup: a record that no longer
+// decodes is renamed to *.corrupt, counted, and read as a miss, and the
+// key then stores and serves again. Whichever of Get and Put meets the
+// damage first quarantines it.
+func TestQuarantineDamagedRecord(t *testing.T) {
+	for _, first := range []string{"Get", "Put"} {
+		t.Run(first, func(t *testing.T) {
+			dir := t.TempDir()
+			writer, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rec("m", "w", 5)
+			if err := writer.Put(r); err != nil {
+				t.Fatal(err)
+			}
+			path := recordPath(dir, key(r))
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, info.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			if first == "Get" {
+				if _, ok, err := s.Get(key(r)); err != nil || ok {
+					t.Fatalf("Get of a damaged record: ok=%v err=%v, want a miss", ok, err)
+				}
+			}
+			if err := s.Put(r); err != nil {
+				t.Fatalf("Put over a damaged record: %v", err)
+			}
+			if v := reg.Counter("expq_store_corrupt_total", "").Value(); v != 1 {
+				t.Errorf("expq_store_corrupt_total = %d, want 1", v)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("damaged record not kept aside: %v", err)
+			}
+			got, ok, err := s.Get(key(r))
+			if err != nil || !ok || got != r {
+				t.Errorf("Get after re-Put: ok=%v err=%v got %+v, want %+v", ok, err, got, r)
+			}
+			if s.Len() != 1 {
+				t.Errorf("index holds %d records, want 1 (the .corrupt file is not a record)", s.Len())
+			}
+		})
+	}
+}
+
+// TestUndecodableIsNotDamage pins what quarantine leaves alone: a record
+// of a newer schema (this build cannot judge it) and a record holding
+// another key stay errors on every lookup, and stay on disk.
+func TestUndecodableIsNotDamage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	newer, other := rec("m", "newer", 1), rec("m", "other", 2)
+	for _, c := range []struct {
+		r    exp.CachedResult
+		body string
+	}{
+		{newer, fmt.Sprintf(`{"version":%d,"machine":"m","workload":"newer","result":{}}`, store.RecordVersion+1)},
+		{other, fmt.Sprintf(`{"version":%d,"machine":"m","workload":"someone-else","result":{}}`, store.RecordVersion)},
+	} {
+		path := recordPath(dir, key(c.r))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, ok, err := s.Get(key(c.r)); err == nil || ok {
+				t.Errorf("%s: Get %d = ok=%v err=%v, want an error", c.r.Workload, i, ok, err)
+			}
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("%s: record moved: %v", c.r.Workload, err)
+		}
+	}
+	if v := reg.Counter("expq_store_corrupt_total", "").Value(); v != 0 {
+		t.Errorf("expq_store_corrupt_total = %d, want 0", v)
+	}
+}
+
+// TestEvictionRacesFirstReads races first reads of records this store
+// indexed but never decoded against Puts that evict exactly those
+// records. A Get can read a file just before its eviction removes it;
+// the decoded copy it then keeps must not survive that eviction, so
+// every key whose file is gone must still miss afterwards.
+func TestEvictionRacesFirstReads(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 120
+	keyAt := func(i int) exp.Key { return exp.Key{Machine: "m", Workload: fmt.Sprintf("old%d", i)} }
+	for i := 0; i < n; i++ {
+		if err := writer.Put(rec("m", keyAt(i).Workload, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := store.Open(dir, store.Options{MaxBytes: writer.Bytes() / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := s.Get(keyAt(i)); err != nil {
+					t.Error(err)
+					return
+				}
+				i = (i + 7) % n
+			}
+		}(g)
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Put(rec("m", fmt.Sprintf("new%d", i), int64(i))); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if _, err := os.Stat(recordPath(dir, keyAt(i))); !os.IsNotExist(err) {
+			continue
+		}
+		if _, ok, err := s.Get(keyAt(i)); err != nil || ok {
+			t.Errorf("evicted record %v still served (ok=%v err=%v)", keyAt(i), ok, err)
 		}
 	}
 }
