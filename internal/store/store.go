@@ -227,8 +227,8 @@ func (s *Store) Bytes() int64 {
 // never read reads as a plain miss. A record whose file does not decode
 // is quarantined (renamed to *.corrupt, counted in
 // expq_store_corrupt_total) and reads as a miss, so its key simulates
-// again; a record of a newer schema, or one holding another key, is an
-// error.
+// again; a record of another schema version, or one holding another
+// key, is an error.
 func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
 	hash := HashKey(k)
 	path := s.pathFor(hash)
