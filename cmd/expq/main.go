@@ -153,7 +153,7 @@ func daemonMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -171,6 +171,22 @@ func daemonMain(args []string) {
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
+}
+
+// The submissions endpoint's timeouts. A client has headerTimeout to
+// send its request line and headers, and a kept-alive connection may sit
+// idle between requests for idleTimeout; either way a stalled client is
+// disconnected instead of holding its connection open. There is no
+// write timeout: a submission streams NDJSON events for as long as its
+// suite simulates.
+const (
+	headerTimeout = 10 * time.Second
+	idleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer returns the submissions endpoint's server for h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 func backendName(accept string) string {

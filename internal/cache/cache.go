@@ -2,7 +2,7 @@
 // replacement, an optional victim buffer, and per-line speculative tagging.
 //
 // The simulator is trace-driven, so caches track tags only (no data — the
-// functional values live in the resolved trace and the memory image).
+// functional values live in the resolved trace).
 // Speculative tagging exists for SLTP's SRL-based memory system, which
 // writes advance stores speculatively into the data cache and must flush
 // them when a rally begins (paper §4).

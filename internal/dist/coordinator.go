@@ -75,9 +75,6 @@ type Options struct {
 	// records using the shared obs key vocabulary (worker, jobs, cause,
 	// ...). Results themselves are silent.
 	Log *slog.Logger
-	// Logf is the legacy printf diagnostics sink, consulted only when
-	// Log is nil; events arrive pre-rendered by obs.Event.
-	Logf func(format string, args ...any)
 	// Metrics, when set, receives the coordinator's dispatch telemetry:
 	// queue depth, in-flight jobs, fleet size, per-worker batch and
 	// result counters, requeues, retirements, and the cost-model
@@ -109,17 +106,12 @@ func readFrame(rw io.ReadWriteCloser, opts *Options) (*Message, error) {
 	return ReadMessage(rw)
 }
 
-// event emits one structured dispatch diagnostic: to Options.Log as a
-// slog record when set, otherwise rendered through obs.Event into the
-// legacy Logf sink. Keys come from the shared obs vocabulary so the
-// coordinator, the workers, and the CLIs all log the same field names.
+// event emits one structured dispatch diagnostic to Options.Log, when
+// set. Keys come from the shared obs vocabulary so the coordinator, the
+// workers, and the CLIs all log the same field names.
 func (o *Options) event(msg string, kv ...any) {
 	if o.Log != nil {
 		o.Log.Info(msg, kv...)
-		return
-	}
-	if o.Logf != nil {
-		o.Logf("%s", obs.Event(msg, kv...))
 	}
 }
 

@@ -274,7 +274,7 @@ func TestCrashRecovery(t *testing.T) {
 	err = dist.Run(plan, []dist.Worker{victim, survivor}, cache, dist.Options{
 		BatchSize: len(plan), // one batch: the crash strands a big remainder
 		Parallel:  1,         // deterministic in-worker order: one result lands before the crash
-		Logf:      t.Logf,
+		Log:       obs.TestLogger(t),
 	})
 	if err != nil {
 		t.Fatalf("run with one crashed worker must still succeed, got: %v", err)
@@ -341,7 +341,7 @@ func TestStalledWorkerTimesOut(t *testing.T) {
 	err = dist.Run(plan, []dist.Worker{staller, survivor}, cache, dist.Options{
 		BatchSize:    len(plan),
 		FrameTimeout: 150 * time.Millisecond,
-		Logf:         t.Logf,
+		Log:          obs.TestLogger(t),
 	})
 	if err != nil {
 		t.Fatalf("run with one stalled worker must still succeed, got: %v", err)
@@ -593,7 +593,7 @@ func TestGoodbyeMidBatchReassignsRemainder(t *testing.T) {
 		BatchSize:   len(plan),
 		MaxAttempts: 1,
 		Join:        join,
-		Logf:        t.Logf,
+		Log:         obs.TestLogger(t),
 	})
 	if err != nil {
 		t.Fatalf("run with a goodbye mid-batch must succeed, got: %v", err)
@@ -653,7 +653,7 @@ func TestJoinIntoRunningDispatchReceivesWork(t *testing.T) {
 	}()
 
 	cache := exp.NewCache()
-	if err := dist.Run(plan, nil, cache, dist.Options{Join: join, Logf: t.Logf}); err != nil {
+	if err := dist.Run(plan, nil, cache, dist.Options{Join: join, Log: obs.TestLogger(t)}); err != nil {
 		t.Fatalf("elastic run starting with an empty fleet: %v", err)
 	}
 	for i, sj := range plan {
@@ -794,7 +794,7 @@ func TestHeartbeatRunAndMetrics(t *testing.T) {
 		Parallel:  1,
 		Heartbeat: 20 * time.Millisecond,
 		Metrics:   creg,
-		Logf:      t.Logf,
+		Log:       obs.TestLogger(t),
 	})
 	if err != nil {
 		t.Fatalf("heartbeat-enabled run failed: %v", err)
@@ -898,7 +898,7 @@ func TestMaxIdleGivesUp(t *testing.T) {
 	err = dist.Run(plan, nil, exp.NewCache(), dist.Options{
 		Join:    join,
 		MaxIdle: 80 * time.Millisecond,
-		Logf:    t.Logf,
+		Log:     obs.TestLogger(t),
 	})
 	if !errors.Is(err, dist.ErrFleetIdle) {
 		t.Fatalf("idle elastic run error = %v, want ErrFleetIdle", err)
@@ -931,7 +931,7 @@ func TestMaxIdleDisarmedByJoin(t *testing.T) {
 	if err := dist.Run(plan, nil, cache, dist.Options{
 		Join:    join,
 		MaxIdle: 2 * time.Second,
-		Logf:    t.Logf,
+		Log:     obs.TestLogger(t),
 	}); err != nil {
 		t.Fatalf("run with an in-window join must succeed, got: %v", err)
 	}

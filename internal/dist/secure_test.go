@@ -17,6 +17,7 @@ import (
 
 	"icfp/internal/dist"
 	"icfp/internal/exp"
+	"icfp/internal/obs"
 )
 
 // genCert writes a throwaway self-signed certificate and key, the test
@@ -102,7 +103,7 @@ func TestTLSTokenTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := exp.NewCache()
-	if err := dist.Run(plan, []dist.Worker{w}, cache, dist.Options{Logf: t.Logf}); err != nil {
+	if err := dist.Run(plan, []dist.Worker{w}, cache, dist.Options{Log: obs.TestLogger(t)}); err != nil {
 		t.Fatalf("run over TLS+token transport: %v", err)
 	}
 	for i, sj := range plan {

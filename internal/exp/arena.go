@@ -11,13 +11,12 @@ import (
 // (canonical encoding) is generated exactly once and the resulting
 // *workload.Workload is handed out, read-only, to every simulation that
 // asks for it. Sharing is sound because workloads are immutable during
-// simulation: machines read the trace and the memory image but never
-// write either (the Prewarm hook writes only to the machine's own
-// hierarchy), an invariant pinned by TestWorkloadImmutableAcrossModels.
-// Trace regeneration used to dominate the harness — every job rebuilt
-// its multi-hundred-kilo-instruction trace and memory image from scratch
-// — so the arena is what makes the evaluation CPU-bound on simulation
-// rather than on generation.
+// simulation: machines read the trace but never write it (the Prewarm
+// hook writes only to the machine's own hierarchy), an invariant pinned
+// by TestWorkloadImmutableAcrossModels. Trace regeneration used to
+// dominate the harness — every job rebuilt its multi-hundred-kilo-
+// instruction trace from scratch — so the arena is what makes the
+// evaluation CPU-bound on simulation rather than on generation.
 //
 // An Arena built with NewArena retains every workload it generates for
 // its own lifetime: that is what lets a long-lived caller (a dist

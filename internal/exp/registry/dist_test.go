@@ -55,7 +55,7 @@ func TestDistributedReportMatchesLocal(t *testing.T) {
 
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	sets, err := registry.ReportDistributed(&distributed, names, p, pipeWorkers(t, 3), 1, cache, dist.Options{Logf: t.Logf})
+	sets, err := registry.ReportDistributed(&distributed, names, p, pipeWorkers(t, 3), 1, cache, dist.Options{Log: obs.TestLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	}
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	if _, err := registry.ReportSuiteDistributed(&distributed, s, pipeWorkers(t, 2), 1, cache, dist.Options{Logf: t.Logf}); err != nil {
+	if _, err := registry.ReportSuiteDistributed(&distributed, s, pipeWorkers(t, 2), 1, cache, dist.Options{Log: obs.TestLogger(t)}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(local.Bytes(), distributed.Bytes()) {
@@ -253,7 +253,7 @@ func TestElasticTLSFleetMatchesGolden(t *testing.T) {
 
 	var out bytes.Buffer
 	cache := exp.NewCache()
-	opts := dist.Options{Join: join, Logf: t.Logf}
+	opts := dist.Options{Join: join, Log: obs.TestLogger(t)}
 	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), nil, 1, cache, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestChaosFleetMatchesGolden(t *testing.T) {
 		BatchSize:    8,
 		FrameTimeout: 500 * time.Millisecond,
 		Metrics:      reg,
-		Logf:         t.Logf,
+		Log:          obs.TestLogger(t),
 	}
 	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), workers, 1, cache, opts); err != nil {
 		t.Fatalf("chaos run must still succeed: %v", err)

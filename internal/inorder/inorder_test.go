@@ -5,7 +5,6 @@ import (
 
 	"icfp/internal/isa"
 	"icfp/internal/mem"
-	"icfp/internal/memimage"
 	"icfp/internal/pipeline"
 	"icfp/internal/workload"
 )
@@ -16,7 +15,6 @@ func tinyWorkload(insts []isa.Inst) *workload.Workload {
 	return &workload.Workload{
 		Name:  "tiny",
 		Trace: &isa.Trace{Name: "tiny", Insts: insts},
-		Mem:   memimage.New(),
 		Prewarm: func(h *mem.Hierarchy) {
 			for i := range insts {
 				h.ICache.Insert(insts[i].PC, false)

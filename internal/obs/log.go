@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -39,23 +38,17 @@ func NewLogger(w io.Writer) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo}))
 }
 
-// Event formats a structured event as "msg key=value ..." — the bridge
-// from the slog vocabulary to legacy printf-style log sinks (test
-// t.Logf, the deprecated dist.Options.Logf). Values render with %v;
-// strings containing spaces are quoted the way slog's text handler
-// quotes them.
-func Event(msg string, kv ...any) string {
-	var b strings.Builder
-	b.WriteString(msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		b.WriteByte(' ')
-		fmt.Fprintf(&b, "%v=", kv[i])
-		v := fmt.Sprintf("%v", kv[i+1])
-		if strings.ContainsAny(v, " \t\"") {
-			fmt.Fprintf(&b, "%q", v)
-		} else {
-			b.WriteString(v)
-		}
-	}
-	return b.String()
+// TestLogger returns a logger in NewLogger's format that hands each
+// record to t.Log, so diagnostics show beside the output of the test
+// that caused them. Pass the test's *testing.T.
+func TestLogger(t interface{ Log(args ...any) }) *slog.Logger {
+	return NewLogger(testLogWriter{t})
+}
+
+// testLogWriter writes each slog record, one Write per record, to t.Log.
+type testLogWriter struct{ t interface{ Log(args ...any) } }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

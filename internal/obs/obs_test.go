@@ -259,10 +259,15 @@ func TestSpanLogSortsAndRenders(t *testing.T) {
 	}
 }
 
-func TestEventRendering(t *testing.T) {
-	got := Event("worker joined", KeyWorker, "hostB:9700", KeyJobs, 7, KeyCause, "two words")
-	want := `worker joined worker=hostB:9700 jobs=7 cause="two words"`
-	if got != want {
-		t.Errorf("Event = %q, want %q", got, want)
+// lines collects what TestLogger hands to t.Log.
+type lines []string
+
+func (l *lines) Log(args ...any) { *l = append(*l, args[0].(string)) }
+
+func TestTestLoggerOneLinePerRecord(t *testing.T) {
+	var got lines
+	TestLogger(&got).Info("worker joined", KeyWorker, "hostB:9700", KeyCause, "two words")
+	if len(got) != 1 || !strings.HasSuffix(got[0], `msg="worker joined" worker=hostB:9700 cause="two words"`) {
+		t.Errorf("TestLogger logged %q, want one slog text record without its newline", got)
 	}
 }

@@ -148,7 +148,7 @@ func TestServiceFleetMatchesGoldenAndSurvivesRestart(t *testing.T) {
 	srvA, err := serve.New(serve.Config{
 		Store:    stA,
 		Join:     join,
-		DistOpts: dist.Options{Logf: t.Logf},
+		DistOpts: dist.Options{Log: obs.TestLogger(t)},
 		Token:    "fleet-secret",
 		Metrics:  regA,
 	})

@@ -327,9 +327,9 @@ func (w Workload) collapsed() Workload {
 }
 
 // Base returns the workload stripped of its sampling policy — the
-// identity of the generated trace and memory image, which sampling does
-// not affect. Sampled and full runs of one benchmark share a Base, and
-// with it the harness's in-memory trace and warmed-state checkpoints.
+// identity of the generated trace, which sampling does not affect.
+// Sampled and full runs of one benchmark share a Base, and with it the
+// harness's in-memory trace and warmed-state checkpoints.
 func (w Workload) Base() Workload {
 	w.Sampling = nil
 	return w

@@ -2,9 +2,11 @@
 // to a file decouples regression baselines from generator changes and
 // lets externally produced traces (e.g. converted from a real
 // instruction-trace format) run on the simulator. The format is a simple
-// little-endian binary stream; the memory image is reconstructed from
-// the stores and load values in the trace itself plus an explicit seed
-// section for data that is read before ever being written (chase rings).
+// little-endian binary stream: a name, a seed section of the memory
+// words loads observe before any store writes them (chase rings, the
+// hot region), and the instructions. Every load already carries the
+// value it reads, so the simulator needs no memory image: ReadTrace
+// checks the seed section and skips it.
 package workload
 
 import (
@@ -14,11 +16,14 @@ import (
 	"io"
 
 	"icfp/internal/isa"
-	"icfp/internal/memimage"
 )
 
 // traceMagic identifies the file format; bump the version on change.
 const traceMagic = "ICFPTRC1"
+
+// maxTraceInsts bounds the instruction and seed counts a trace file may
+// declare.
+const maxTraceInsts = 1 << 28
 
 // WriteTrace serializes a workload (trace plus the memory words its loads
 // observe) to w.
@@ -83,7 +88,7 @@ func WriteTrace(w io.Writer, wl *Workload) error {
 type seedWord struct{ addr, val uint64 }
 
 // seedWords extracts the memory words loads observe before any store to
-// the same address, which is exactly the initial image the trace needs.
+// the same address: the initial memory contents the trace reads.
 func seedWords(wl *Workload) []seedWord {
 	written := map[uint64]bool{}
 	seeded := map[uint64]bool{}
@@ -134,28 +139,24 @@ func ReadTrace(r io.Reader) (*Workload, error) {
 		return nil, err
 	}
 
-	img := memimage.New()
 	nSeeds, err := readU64()
 	if err != nil {
 		return nil, err
 	}
-	for k := uint64(0); k < nSeeds; k++ {
-		addr, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		val, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		img.Write64(addr, val)
+	// Each seed word is a load's, so there are at most as many as the
+	// trace may hold instructions.
+	if nSeeds > maxTraceInsts {
+		return nil, fmt.Errorf("workload: implausible seed count %d", nSeeds)
+	}
+	if _, err := br.Discard(int(nSeeds) * 16); err != nil {
+		return nil, fmt.Errorf("workload: seed section: %w", err)
 	}
 
 	n, err := readU64()
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
+	if n > maxTraceInsts {
 		return nil, fmt.Errorf("workload: implausible trace length %d", n)
 	}
 	// Grow in bounded chunks rather than trusting the length field with a
@@ -188,6 +189,5 @@ func ReadTrace(r io.Reader) (*Workload, error) {
 	return &Workload{
 		Name:  string(name),
 		Trace: &isa.Trace{Name: string(name), Insts: insts},
-		Mem:   img,
 	}, nil
 }

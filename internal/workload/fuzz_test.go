@@ -112,21 +112,7 @@ func TestFuzzCorpusIsWellFormed(t *testing.T) {
 // negative-capacity slice must now generate. These shapes are exactly
 // what a hostile spec-decoded fuzz profile could once reach.
 func TestGenerateSurvivesDegenerateProfiles(t *testing.T) {
-	cases := []Profile{
-		// ChaseFrac without chase memory: empty far ring.
-		{Name: "no-chase-mem", LoadFrac: 0.4, ChaseFrac: 0.3, ChaseBytes: 0},
-		// Chase2Frac without near-ring memory.
-		{Name: "no-chase2-mem", LoadFrac: 0.4, Chase2Frac: 0.3, Chase2Bytes: 0},
-		// RandFrac with a random region too small to address.
-		{Name: "tiny-rand", LoadFrac: 0.4, RandFrac: 0.4, RandBytes: 4},
-		// Rounding pressure: fractions sum to ~1 of loads, so per-body
-		// rounding can transiently exceed the load budget.
-		{Name: "round-pressure", LoadFrac: 0.5, ChaseFrac: 0.5, Chase2Frac: 0.49,
-			ChaseBytes: 1 << 20, Chase2Bytes: 1 << 16},
-		// Stores with degenerate random region.
-		{Name: "store-tiny-rand", LoadFrac: 0.2, StoreFrac: 0.3, RandFrac: 0.5, RandBytes: 4},
-	}
-	for _, p := range cases {
+	for _, p := range degenerateProfiles {
 		t.Run(p.Name, func(t *testing.T) {
 			w := Generate(p, 5000, 1)
 			if w.Trace.Len() == 0 {
@@ -134,6 +120,26 @@ func TestGenerateSurvivesDegenerateProfiles(t *testing.T) {
 			}
 		})
 	}
+}
+
+// degenerateProfiles are the shapes TestGenerateSurvivesDegenerateProfiles
+// must generate and TestGenerateMatchesOracle compares.
+var degenerateProfiles = []Profile{
+	// ChaseFrac without chase memory: empty far ring.
+	{Name: "no-chase-mem", LoadFrac: 0.4, ChaseFrac: 0.3, ChaseBytes: 0},
+	// Chase2Frac without near-ring memory.
+	{Name: "no-chase2-mem", LoadFrac: 0.4, Chase2Frac: 0.3, Chase2Bytes: 0},
+	// RandFrac with a random region too small to address.
+	{Name: "tiny-rand", LoadFrac: 0.4, RandFrac: 0.4, RandBytes: 4},
+	// Rounding pressure: fractions sum to ~1 of loads, so per-body
+	// rounding can transiently exceed the load budget.
+	{Name: "round-pressure", LoadFrac: 0.5, ChaseFrac: 0.5, Chase2Frac: 0.49,
+		ChaseBytes: 1 << 20, Chase2Bytes: 1 << 16},
+	// Stores with degenerate random region.
+	{Name: "store-tiny-rand", LoadFrac: 0.2, StoreFrac: 0.3, RandFrac: 0.5, RandBytes: 4},
+	// Chase rings smaller than two nodes round up to two.
+	{Name: "tiny-chase", LoadFrac: 0.4, StoreFrac: 0.2, ChaseFrac: 0.3, Chase2Frac: 0.3,
+		ChaseBytes: 40, Chase2Bytes: 100, PoisonAddrFrac: 0.5},
 }
 
 // TestFuzzName pins the display-name forms.

@@ -8,7 +8,6 @@ package workload
 import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
-	"icfp/internal/memimage"
 )
 
 // Scenario identifies one of the Figure 1 cases.
@@ -42,12 +41,12 @@ const (
 type scnBuilder struct {
 	pc    uint64
 	insts []isa.Inst
-	mem   *memimage.Image
-	l2    []uint64 // lines to pre-warm into L2 only
+	mem   map[uint64]uint64 // words the scenario lays out; others read as zero
+	l2    []uint64          // lines to pre-warm into L2 only
 }
 
 func newScn() *scnBuilder {
-	return &scnBuilder{pc: codeBase, mem: memimage.New()}
+	return &scnBuilder{pc: codeBase, mem: map[uint64]uint64{}}
 }
 
 func (s *scnBuilder) next() uint64 { s.pc += 4; return s.pc - 4 }
@@ -55,7 +54,7 @@ func (s *scnBuilder) next() uint64 { s.pc += 4; return s.pc - 4 }
 func (s *scnBuilder) load(dst, addrReg isa.Reg, addr uint64) {
 	s.insts = append(s.insts, isa.Inst{
 		PC: s.next(), Op: isa.OpLoad, Dst: dst, Src1: addrReg,
-		Addr: addr, Size: 8, Val: s.mem.Read64(addr),
+		Addr: addr, Size: 8, Val: s.mem[addr],
 	})
 }
 
@@ -69,7 +68,6 @@ func (s *scnBuilder) build(name string) *Workload {
 	return &Workload{
 		Name:  name,
 		Trace: &isa.Trace{Name: name, Insts: insts},
-		Mem:   s.mem,
 		Prewarm: func(h *mem.Hierarchy) {
 			// Code and hot data are fully warm.
 			for i := range insts {
@@ -128,8 +126,8 @@ func NewScenario(sc Scenario) *Workload {
 
 	case ScenarioDependentL2:
 		// E's address depends on A's value: dependent L2 misses.
-		// The memory image holds a pointer at A's location.
-		s.mem.Write64(scnMissA, scnMissE)
+		// Memory holds a pointer at A's location.
+		s.mem[scnMissA] = scnMissE
 		s.load(rA, regZero, scnMissA)
 		s.filler(8, regZero)
 		s.load(rE, rA, scnMissE) // address from rA
@@ -138,8 +136,8 @@ func NewScenario(sc Scenario) *Workload {
 
 	case ScenarioChains:
 		// Two independent chains of dependent misses: A->B and E->F.
-		s.mem.Write64(scnMissA, scnMissD)
-		s.mem.Write64(scnMissE, scnMissD+0x100_0000)
+		s.mem[scnMissA] = scnMissD
+		s.mem[scnMissE] = scnMissD + 0x100_0000
 		s.load(rA, regZero, scnMissA)
 		s.load(rB, rA, scnMissD) // dep miss on A
 		s.filler(6, regZero)
@@ -162,7 +160,7 @@ func NewScenario(sc Scenario) *Workload {
 
 	case ScenarioD1DependentL2:
 		// Under L2 miss A: a D$ miss C whose value feeds L2 miss D.
-		s.mem.Write64(scnDHitC, scnMissD)
+		s.mem[scnDHitC] = scnMissD
 		s.load(rA, regZero, scnMissA)
 		s.alu(rB, rA, isa.RegNone)
 		s.filler(4, regZero)

@@ -11,21 +11,21 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
 	"icfp/internal/isa"
 	"icfp/internal/mem"
-	"icfp/internal/memimage"
 )
 
-// Workload couples a resolved trace with the functional memory image it
-// was generated against and an optional cache pre-warm hook (used by the
-// Figure 1 micro-scenarios to set up exact hit/miss patterns).
+// Workload couples a resolved trace with an optional cache pre-warm hook
+// (used by the Figure 1 micro-scenarios to set up exact hit/miss
+// patterns). Every load carries the value it reads in its Inst.Val, so a
+// workload needs no memory image.
 type Workload struct {
 	Name    string
 	Trace   *isa.Trace
-	Mem     *memimage.Image
 	Prewarm func(h *mem.Hierarchy) // optional; called before simulation
 
 	sharedMu sync.Mutex
@@ -115,32 +115,61 @@ type Profile struct {
 	ConsumeLag int
 }
 
-// builder incrementally constructs a resolved trace.
+// builder incrementally constructs a resolved trace. It keeps no memory
+// image: a load's value is the last word stored at its address (stored),
+// else the address's initial contents, which are a function of the
+// address — the hot region's fill pattern, a chase ring's next pointer,
+// or zero (see word).
 type builder struct {
-	rng  *rand.Rand
-	mem  *memimage.Image
-	img  *memimage.Cursor // mem through a last-page cache, for generation's reads and writes
-	tr   []isa.Inst
-	vals [isa.NumRegs]uint64
+	rng    *rand.Rand
+	tr     []isa.Inst
+	vals   [isa.NumRegs]uint64
+	stored map[uint64]uint64 // every word a store has written, by address
 
 	streamPtr uint64
-	far       chaseWalk // far ring (memory misses)
-	near      chaseWalk // near ring (L2-resident D$ misses)
+	far       chaseRing // far ring (memory misses)
+	near      chaseRing // near ring (L2-resident D$ misses)
 }
 
-// chaseWalk tracks a pointer walk over a prebuilt ring of nodes.
-type chaseWalk struct {
-	ptr  uint64
-	ring []uint64
-	idx  int
+// nodeSize is a chase-ring node: one per L1 line, its first word the
+// pointer to the next node and its second the payload.
+const nodeSize = 64
+
+// chaseRing is a pseudo-random ring of linked-list nodes laid over the
+// lines from base, and a walk around it. The ring is never written to
+// memory: node order[i]'s pointer word holds the address of node
+// order[i+1], so a load of node o's pointer word reads
+// order[pos[o]+1].
+type chaseRing struct {
+	base  uint64
+	order []int32 // node at each ring position; order[n] repeats order[0]
+	pos   []int32 // ring position of each node
+	idx   int     // the walk's position
 }
 
-// next returns the current node address and advances the walk.
-func (c *chaseWalk) next() uint64 {
-	addr := c.ptr
-	c.idx = (c.idx + 1) % len(c.ring)
-	c.ptr = c.ring[c.idx]
+// nodes returns the ring's node count (0 for no ring).
+func (c *chaseRing) nodes() int { return len(c.pos) }
+
+// at returns the address of the node at ring position i.
+func (c *chaseRing) at(i int) uint64 { return c.base + uint64(c.order[i])*nodeSize }
+
+// next returns the walk's current node address and advances the walk.
+func (c *chaseRing) next() uint64 {
+	addr := c.at(c.idx)
+	if c.idx++; c.idx == len(c.pos) {
+		c.idx = 0
+	}
 	return addr
+}
+
+// pointer returns the initial contents of the word at addr when it is
+// a node's pointer word.
+func (c *chaseRing) pointer(addr uint64) (uint64, bool) {
+	off := addr - c.base
+	if addr < c.base || off >= uint64(len(c.pos))*nodeSize || off%nodeSize != 0 {
+		return 0, false
+	}
+	return c.at(int(c.pos[off/nodeSize]) + 1), true
 }
 
 // Register conventions inside generated programs.
@@ -163,11 +192,9 @@ func dataReg(i int, fp bool) isa.Reg {
 }
 
 func newBuilder(seed int64, n int) *builder {
-	m := memimage.New()
 	return &builder{
-		rng: rand.New(rand.NewSource(seed)),
-		mem: m,
-		img: memimage.NewCursor(m),
+		rng:    rand.New(rand.NewSource(seed)),
+		stored: make(map[uint64]uint64),
 		// One allocation for the whole trace: generation appends at most
 		// one iteration past n (bounded by genSlack), and growing a
 		// multi-hundred-kilo-instruction slice by doubling would copy the
@@ -215,7 +242,7 @@ func (b *builder) emitOp(pc uint64, op isa.Op, dst, s1, s2 isa.Reg) {
 // emitLoad appends a load dst = mem[addr] whose address was produced by
 // addrReg (the dependence the timing model honors).
 func (b *builder) emitLoad(pc uint64, dst, addrReg isa.Reg, addr uint64) {
-	v := b.img.Read64(addr)
+	v := b.word(addr)
 	if dst.Valid() {
 		b.vals[dst] = v
 	}
@@ -225,8 +252,39 @@ func (b *builder) emitLoad(pc uint64, dst, addrReg isa.Reg, addr uint64) {
 // emitStore appends a store mem[addr] = dataReg.
 func (b *builder) emitStore(pc uint64, addrReg, data isa.Reg, addr uint64) {
 	v := b.vals[data&63]
-	b.img.Write64(addr, v)
+	mustAlign(addr)
+	b.stored[addr] = v
 	b.emit(isa.Inst{PC: pc, Op: isa.OpStore, Src1: addrReg, Src2: data, Addr: addr, Size: 8, Val: v})
+}
+
+// word returns the memory word at addr as the program so far has left
+// it. Regions are laid out in the order far ring, near ring, hot fill,
+// so where they could overlap the later one wins.
+func (b *builder) word(addr uint64) uint64 {
+	mustAlign(addr)
+	if v, ok := b.stored[addr]; ok {
+		return v
+	}
+	if off := addr - hotBase; off < hotBytes {
+		return off ^ 0xABCD
+	}
+	if v, ok := b.near.pointer(addr); ok {
+		return v
+	}
+	if v, ok := b.far.pointer(addr); ok {
+		return v
+	}
+	return 0
+}
+
+// mustAlign panics on an access that is not 8-byte aligned. Every region
+// base, node, stride and index the generator uses is a multiple of 8, so
+// an access never straddles two words and a word map models memory
+// exactly.
+func mustAlign(addr uint64) {
+	if addr&7 != 0 {
+		panic(fmt.Sprintf("workload: unaligned generator access at %#x", addr))
+	}
 }
 
 // emitBranch appends a conditional branch.
@@ -235,28 +293,35 @@ func (b *builder) emitBranch(pc uint64, s1, s2 isa.Reg, taken bool, target uint6
 }
 
 // buildChase lays a pseudo-random ring of linked-list nodes over bytes of
-// memory starting at base and initializes the image so that each node's
-// first word points at the next node.
-func (b *builder) buildChase(base, bytes uint64, reg isa.Reg) chaseWalk {
+// memory starting at base and points reg at the ring's first node. The
+// node order is rand.Perm's, from the same draws, so the rng stream is
+// exactly what Perm leaves behind.
+func (b *builder) buildChase(base, bytes uint64, reg isa.Reg) chaseRing {
 	if bytes == 0 {
-		return chaseWalk{}
+		return chaseRing{}
 	}
-	const nodeSize = 64 // one node per L1 line
-	n := int(bytes / nodeSize)
+	n := bytes / nodeSize
 	if n < 2 {
 		n = 2
 	}
-	order := b.rng.Perm(n)
-	addrs := make([]uint64, n)
-	for i, o := range order {
-		addrs[i] = base + uint64(o)*nodeSize
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("workload: chase ring of %d bytes is over %d nodes", bytes, math.MaxInt32))
 	}
-	for i := range addrs {
-		next := addrs[(i+1)%n]
-		b.img.Write64(addrs[i], next)
+	order := make([]int32, n+1)
+	pos := make([]int32, n)
+	for i := range int(n) {
+		j := b.rng.Intn(i + 1)
+		if j != i {
+			order[i] = order[j]
+			pos[order[i]] = int32(i)
+		}
+		order[j] = int32(i)
+		pos[i] = int32(j)
 	}
-	b.vals[reg] = addrs[0]
-	return chaseWalk{ptr: addrs[0], ring: addrs}
+	order[n] = order[0]
+	c := chaseRing{base: base, order: order, pos: pos}
+	b.vals[reg] = c.at(0)
+	return c
 }
 
 // MaxInsts bounds generated workload lengths at roughly the paper's full
@@ -284,10 +349,6 @@ func Generate(p Profile, n int, seed int64) *Workload {
 	b.streamPtr = streamBase
 	b.far = b.buildChase(chaseBase, p.ChaseBytes, regChase)
 	b.near = b.buildChase(chase2Base, p.Chase2Bytes, regChase2)
-	// Hot region: fill with nonzero data.
-	for a := uint64(0); a < hotBytes; a += 8 {
-		b.img.Write64(hotBase+a, a^0xABCD)
-	}
 
 	// The program is one big loop; every iteration walks the same static
 	// block sequence (stable PCs train the predictor and I$), with block
@@ -302,7 +363,6 @@ func Generate(p Profile, n int, seed int64) *Workload {
 	return &Workload{
 		Name:    p.Name,
 		Trace:   &isa.Trace{Name: p.Name, Insts: b.tr},
-		Mem:     b.mem,
 		Prewarm: prewarmL2(p),
 	}
 }
@@ -354,10 +414,10 @@ func (b *builder) iteration(p Profile) {
 	// panic: a load class without a backing region becomes hot loads,
 	// and probabilistic rounding that oversubscribes the load budget
 	// clamps the hot remainder at zero.
-	if len(b.far.ring) == 0 {
+	if b.far.nodes() == 0 {
 		chase = 0
 	}
-	if len(b.near.ring) == 0 {
+	if b.near.nodes() == 0 {
 		chase2 = 0
 	}
 	if p.RandBytes < 8 {
@@ -484,7 +544,7 @@ func (b *builder) iteration(p Profile) {
 		var addr uint64
 		addrReg := regIndex
 		switch {
-		case b.rng.Float64() < p.PoisonAddrFrac && len(b.far.ring) > 0:
+		case b.rng.Float64() < p.PoisonAddrFrac && b.far.nodes() > 0:
 			// Address derived from a chase load: poisoned-address store
 			// when the chase is miss-dependent.
 			addr = b.vals[regChase] + 8

@@ -55,10 +55,8 @@ func TestTraceEndsWithFallthrough(t *testing.T) {
 }
 
 func TestLoadValuesMatchMemoryImage(t *testing.T) {
-	// Every load's recorded value must equal what the memory image holds
-	// under in-order replay of the stores. Since stores were applied at
-	// generation time, the final image reflects all stores; instead we
-	// replay: maintain our own image copy and check as we go.
+	// Every load's recorded value must equal the last value a store
+	// wrote to its address, replaying the stores in trace order.
 	w := SPEC("mcf", 20000)
 	type pending struct{ addr, val uint64 }
 	written := map[uint64]uint64{}
