@@ -1,24 +1,17 @@
-// Command expd runs the paper's evaluation across hosts over the
-// internal/dist protocol on TCP, with optional TLS and shared-token
-// authentication on every connection (docs/OPERATIONS.md is the fleet
-// runbook; docs/ARCHITECTURE.md describes the protocol).
+// Command expd runs the paper's evaluation across processes and hosts
+// over the internal/dist protocol on TCP, with optional TLS and
+// shared-token authentication on every connection (docs/OPERATIONS.md is
+// the fleet runbook; docs/ARCHITECTURE.md describes the protocol).
 //
-// It has three roles. A worker host can run a serving daemon that
-// coordinators dial:
+// It has two roles. A coordinator names the experiments and accepts
+// workers on -accept-workers; workers dial in and join its fleet, and
+// may join or leave while a run is in flight:
 //
-//	expd serve -listen :9700
-//
-// or dial a long-lived coordinator itself and join its fleet (elastic
-// mode — workers may join or leave while a run is in flight):
-//
+//	expd -accept-workers :9701 -all -store results/
 //	expd join coord-host:9701
 //
-// The coordinator names the experiments and builds its fleet from
-// either or both directions:
-//
-//	expd -connect hostA:9700,hostB:9700 -all
-//	expd -accept-workers :9701 -all -cache-file sim.json
-//	expd -connect hostA:9700 -accept-workers :9701 -run fig5,table2 -n 1000000 -warm 4000000
+// A local multi-process fleet is the same thing on one host: N
+// `expd join` processes against a coordinator on localhost.
 //
 // The coordinator plans the deduplicated simulation jobs, shards them
 // across the fleet with cost-aware work-stealing batches (per-key cost
@@ -36,25 +29,24 @@
 // as they speak the same protocol version and simulate identically; the
 // handshake rejects mismatched protocol versions by name.
 //
-// Transport security: -tls-cert/-tls-key arm an accepting endpoint
-// (serve's listener, the coordinator's -accept-workers listener),
-// -tls-ca (plus optional -tls-server-name) makes a dialing endpoint
-// (the coordinator's -connect, join's outbound connection) verify the
-// peer, and -token arms both sides of a shared-secret preamble that is
-// checked before any protocol frame is processed. Leave all of them
-// unset only on loopback or a trusted network.
+// Transport security: -tls-cert/-tls-key arm the coordinator's
+// -accept-workers listener, -tls-ca (plus optional -tls-server-name)
+// makes join verify the coordinator, and -token arms both sides of a
+// shared-secret preamble that is checked before any protocol frame is
+// processed. Leave all of them unset only on loopback or a trusted
+// network.
 //
-// -cache-file works as in cmd/experiments: preloaded results are not
-// re-dispatched (and their recorded wall times pre-seed the cost
-// model), and interrupts or failures save a partial snapshot of
-// everything the workers completed.
+// -store works as in cmd/experiments: results the store already holds
+// are not dispatched (and their recorded wall times pre-seed the cost
+// model), and every merged result is written to the store as it
+// arrives, so an interrupted run keeps everything the workers finished.
 //
-// Observability: every role accepts -metrics-addr to serve /metrics
+// Observability: both roles accept -metrics-addr to serve /metrics
 // (Prometheus text, or JSON via ?format=json) and /healthz over plain
 // HTTP — bind it to loopback or an internal interface. The coordinator
 // additionally beacons protocol-v4 heartbeats (-heartbeat) so idle
 // workers detect a vanished coordinator fast, and -max-idle bounds how
-// long an elastic run waits with zero workers before giving up. See the
+// long a run waits with zero workers before giving up. See the
 // Monitoring section of docs/OPERATIONS.md for the metric catalog.
 package main
 
@@ -62,17 +54,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	"icfp/cmd/internal/cliutil"
 	"icfp/internal/dist"
+	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
 	"icfp/internal/sim"
@@ -97,80 +87,12 @@ func serveMetrics(role, addr string) *obs.Registry {
 
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			serveMain(os.Args[2:])
-			return
-		case "join":
+		if os.Args[1] == "join" {
 			joinMain(os.Args[2:])
 			return
 		}
 	}
 	coordMain(os.Args[1:])
-}
-
-// serveMain is the worker daemon: accept coordinator connections and
-// serve the protocol on each, concurrently, until killed.
-func serveMain(args []string) {
-	fs := flag.NewFlagSet("expd serve", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expd serve -listen :port [-tls-cert c.pem -tls-key k.pem] [-token secret]")
-		fmt.Fprintln(os.Stderr, "Worker daemon: accepts coordinators (expd -connect) and simulates their batches.")
-		fs.PrintDefaults()
-	}
-	listen := fs.String("listen", ":9700", "TCP address to accept coordinators on")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = telemetry off)")
-	sec := cliutil.SecurityFlags(fs)
-	fs.Parse(args)
-
-	reg := serveMetrics("serve", *metricsAddr)
-	ln, err := sec.Listen(*listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "expd serve:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "expd serve: listening on %s (%d CPUs, tls: %v, token auth: %v)\n",
-		ln.Addr(), runtime.NumCPU(), sec.CertFile != "", sec.Token != "")
-	failures := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			// A transient accept failure (EMFILE, connection churn) must
-			// not kill a daemon mid-serve on other connections — but a
-			// listener that only ever errors is dead, so bounded
-			// consecutive failures exit instead of looping forever.
-			if errors.Is(err, net.ErrClosed) {
-				fmt.Fprintln(os.Stderr, "expd serve: listener closed:", err)
-				os.Exit(1)
-			}
-			failures++
-			fmt.Fprintf(os.Stderr, "expd serve: accept (%d consecutive failures): %v\n", failures, err)
-			if failures >= 10 {
-				fmt.Fprintln(os.Stderr, "expd serve: listener looks permanently broken, exiting")
-				os.Exit(1)
-			}
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		failures = 0
-		go func(c net.Conn) {
-			defer c.Close()
-			peer := c.RemoteAddr()
-			// The token preamble is verified before a single protocol
-			// frame is read; an unauthenticated peer never reaches Serve.
-			sc, err := sec.Secure(c)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "expd serve: coordinator %s: %v\n", peer, err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "expd serve: coordinator %s connected\n", peer)
-			if err := dist.Serve(sc, dist.WithMetrics(reg)); err != nil {
-				fmt.Fprintf(os.Stderr, "expd serve: coordinator %s: %v\n", peer, err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "expd serve: coordinator %s done\n", peer)
-		}(conn)
-	}
 }
 
 // joinMain is the elastic worker: dial a long-lived coordinator
@@ -284,27 +206,24 @@ func joinMain(args []string) {
 	}
 }
 
-// coordMain is the coordinator: build the fleet (dial -connect workers,
-// accept -accept-workers joiners), distribute the run, render locally.
+// coordMain is the coordinator: accept -accept-workers joiners,
+// distribute the run, render locally.
 func coordMain(args []string) {
 	fs := flag.NewFlagSet("expd", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expd serve -listen :port                                (worker daemon)")
-		fmt.Fprintln(os.Stderr, "       expd join coordinator:port                              (elastic worker)")
-		fmt.Fprintln(os.Stderr, "       expd [-connect host:port,...] [-accept-workers :port] [flags]  (coordinator)")
-		fmt.Fprintln(os.Stderr, "The coordinator needs at least one of -connect and -accept-workers.")
+		fmt.Fprintln(os.Stderr, "usage: expd -accept-workers :port [flags]   (coordinator)")
+		fmt.Fprintln(os.Stderr, "       expd join coordinator:port          (worker)")
 		fs.PrintDefaults()
 	}
 	var (
-		connect   = fs.String("connect", "", "comma-separated worker addresses to dial (expd serve daemons)")
-		accept    = fs.String("accept-workers", "", "TCP address to accept elastic workers on (expd join); they may join mid-run")
+		accept    = fs.String("accept-workers", "", "TCP address to accept workers on (expd join; required); they may join mid-run")
 		run       = fs.String("run", "", "comma-separated experiment names (default: the -all set)")
 		all       = fs.Bool("all", false, "run the standard experiment set (same as leaving -run empty; extras like fig5s run when named in -run)")
 		n         = fs.Int("n", 400_000, "timed instructions per sample")
 		warm      = fs.Int("warm", 150_000, "warmup instructions per sample")
 		parallel  = fs.Int("parallel", 0, "per-worker pool size (0 = each worker's GOMAXPROCS)")
 		batch     = fs.Int("batch", 0, "fixed jobs per dispatched batch (0 = cost-aware sizing from per-key estimates)")
-		cacheFile = fs.String("cache-file", "", "load/save the memoization cache from/to this JSON file")
+		storeDir  = fs.String("store", "", "persistent result store directory: stored results are not dispatched, merged ones are written as they arrive")
 		timeout   = fs.Duration("worker-timeout", 0, "declare a silent worker dead and reassign its batch after this long (must exceed one simulation's duration; 0 = wait forever)")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "beacon a liveness heartbeat to every worker on this interval so idle workers detect a dead coordinator (0 = off)")
 		maxIdle   = fs.Duration("max-idle", 0, "give up an elastic run after this long with zero workers and jobs outstanding (0 = wait forever)")
@@ -317,7 +236,7 @@ func coordMain(args []string) {
 		fmt.Fprintln(os.Stderr, "expd:", err)
 		os.Exit(1)
 	}
-	if *connect == "" && *accept == "" {
+	if *accept == "" {
 		fs.Usage()
 		os.Exit(2)
 	}
@@ -340,95 +259,43 @@ func coordMain(args []string) {
 		}
 	}
 
-	cache, saveCache, err := cliutil.PersistentCache("expd", *cacheFile)
-	if err != nil {
-		fatal(err)
-	}
-
 	log := obs.NewLogger(os.Stderr)
+	p := registry.Params{Cfg: sim.DefaultConfig(), N: *n}
+	p.Cfg.WarmupInsts = *warm
+	cache := exp.NewCache()
+	var persist func(exp.Key)
+	if *storeDir != "" {
+		plan, err := registry.Plan(names, p)
+		if err == nil {
+			persist, err = cliutil.UseStore("expd", *storeDir, cache, plan, log)
+		}
+		if err != nil {
+			fatal(err)
+		}
+	}
 	reg := serveMetrics("", *metrics)
 	cache.Instrument(reg)
 
-	var workers []dist.Worker
-	for _, addr := range strings.Split(*connect, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		w, err := dist.DialTCP(addr, *sec)
-		if err != nil {
-			dist.CloseAll(workers)
-			fatal(err)
-		}
-		workers = append(workers, w)
-	}
-
-	var join chan dist.Worker
-	if *accept != "" {
-		ln, err := sec.Listen(*accept)
-		if err != nil {
-			dist.CloseAll(workers)
-			fatal(err)
-		}
-		log.Info("accepting elastic workers", obs.KeyAddr, ln.Addr().String(),
-			"tls", sec.CertFile != "", "token_auth", sec.Token != "")
-		join = make(chan dist.Worker)
-		runDone := make(chan struct{})
-		go acceptWorkers(ln, *sec, join, runDone, log)
-		// Once the run ends nothing reads the join channel again: stop
-		// accepting and turn away candidates already mid-handshake, so a
-		// late joiner gets a closed connection instead of a silent hang.
-		defer close(runDone)
-		defer ln.Close()
-	}
-
-	p := registry.Params{Cfg: sim.DefaultConfig(), N: *n}
-	p.Cfg.WarmupInsts = *warm
-	opts := dist.Options{
-		Log: log, FrameTimeout: *timeout, BatchSize: *batch, Join: join,
-		Heartbeat: *heartbeat, MaxIdle: *maxIdle, Metrics: reg,
-	}
-	if _, err := registry.ReportDistributed(os.Stdout, names, p, workers, *parallel, cache, opts); err != nil {
-		if serr := saveCache(); serr != nil {
-			fmt.Fprintln(os.Stderr, "expd: saving cache:", serr)
-		}
+	ln, err := sec.Listen(*accept)
+	if err != nil {
 		fatal(err)
 	}
-	// The complete snapshot: failing to persist it is a failed run.
-	if err := saveCache(); err != nil {
-		fatal(fmt.Errorf("saving cache: %w", err))
-	}
-}
+	log.Info("accepting elastic workers", obs.KeyAddr, ln.Addr().String(),
+		"tls", sec.CertFile != "", "token_auth", sec.Token != "")
+	join := make(chan dist.Worker)
+	runDone := make(chan struct{})
+	go cliutil.AcceptWorkers(ln, *sec, join, runDone, log)
+	// Once the run ends nothing reads the join channel again: stop
+	// accepting and turn away candidates already mid-handshake, so a
+	// late joiner gets a closed connection instead of a silent hang.
+	defer close(runDone)
+	defer ln.Close()
 
-// acceptWorkers feeds registering dialers into the dispatcher's join
-// channel until the listener closes (when the run ends). Each candidate
-// is authenticated, then its register frame validated, off the accept
-// loop so one slow dialer cannot block the next; a worker whose
-// handshake finishes after the run ended is closed instead of parked on
-// the never-again-read join channel.
-func acceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, done <-chan struct{}, log *slog.Logger) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			peer := c.RemoteAddr().String()
-			sc, err := sec.Secure(c)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			w, err := dist.AcceptWorker(sc, peer)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			select {
-			case join <- w:
-			case <-done:
-				w.RW.Close()
-			}
-		}(conn)
+	opts := dist.Options{
+		Log: log, FrameTimeout: *timeout, BatchSize: *batch, Join: join,
+		Heartbeat: *heartbeat, MaxIdle: *maxIdle, Metrics: reg, OnMerge: persist,
+	}
+	if _, err := registry.ReportDistributed(os.Stdout, names, p, nil, *parallel, cache, opts); err != nil {
+		fatal(err)
 	}
 }

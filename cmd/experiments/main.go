@@ -48,24 +48,9 @@
 // once for the whole invocation, and every distinct workload is generated
 // once and shared read-only across all machines; the output is
 // byte-identical at every parallelism setting. -json FILE additionally
-// exports every result set as machine-readable JSON.
-//
-// -workers N shards the simulations across N subprocess copies of this
-// binary (internal/dist): the deduplicated job plan is dispatched in
-// work-stealing batches over a length-delimited JSON protocol on each
-// worker's stdin/stdout, completed results stream back into the shared
-// cache as they finish, and the report is rendered locally from the warm
-// cache — so output is byte-identical to a single-process run at any
-// worker count, and a crashed worker's batch is reassigned to the
-// survivors. Batches are sized at dispatch time by a per-key cost model
-// (seeded from each spec's workload length and model class, refined
-// online from the wall times workers report), so cheap keys batch large
-// and expensive stragglers ship alone; they carry self-describing specs,
-// so workers need no matching job table. The hidden -worker-stdio flag
-// is the worker side of that protocol; cmd/expd speaks the same protocol
-// over TCP — with optional TLS and token auth, elastic worker join/leave
-// included — for multi-host runs (see docs/ARCHITECTURE.md and
-// docs/OPERATIONS.md).
+// exports every result set as machine-readable JSON. To spread a run
+// over several processes or hosts, use cmd/expd: a coordinator plus any
+// number of `expd join` workers renders the same bytes.
 //
 // -server URL submits the selected experiments (or the -spec suite) to
 // a running expq simulation daemon instead of simulating locally: the
@@ -73,21 +58,20 @@
 // genuinely new work, and streams back the rendered report —
 // byte-identical to the local run at any fleet shape.
 // -server-token/-server-tls-ca/-server-tls-name authenticate the
-// connection; execution flags (-workers, -cache-file, -json,
-// -run-summary, profiling) conflict with -server, since the daemon owns
-// execution. See docs/OPERATIONS.md, "Running expq".
+// connection; execution flags (-store, -json, -run-summary, profiling)
+// conflict with -server, since the daemon owns execution. See
+// docs/OPERATIONS.md, "Running expq".
 //
-// -cache-file FILE persists the memoization cache across invocations:
-// results are loaded before the run and the merged cache is saved after
-// it, so re-running (or running a different selection that shares work)
-// skips simulations already on disk. Cache entries are keyed by
-// canonical machine/workload specs; a snapshot from the older
-// fingerprint-keyed schema is ignored with a warning and regenerated.
-// Interrupts (SIGINT/SIGTERM) and mid-run errors save a partial snapshot
-// of the completed simulations before exiting, so long runs never lose
-// finished work. Results are deterministic, so a cache built by an older
-// simulator version must be deleted after any behavioural change — the
-// golden tests pin when that happens.
+// -store DIR keeps results in a persistent result store (internal/store,
+// the same one expq and expd use): every planned simulation the store
+// already holds is answered from it, and every new result is written to
+// it atomically the moment it completes — so re-running (or running a
+// different selection that shares work) skips simulations already on
+// disk, and an interrupted or killed run loses nothing it finished.
+// Records are keyed by canonical machine/workload specs. Results are
+// deterministic, so a store built by an older simulator version must be
+// deleted after any behavioural change — the golden tests pin when that
+// happens.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, the
 // performance workflow described in README.md ("Performance").
@@ -108,7 +92,6 @@ import (
 	"strings"
 
 	"icfp/cmd/internal/cliutil"
-	"icfp/internal/dist"
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
@@ -125,10 +108,8 @@ var (
 	flagN           = flag.Int("n", 400_000, "timed instructions per sample")
 	flagWarm        = flag.Int("warm", 150_000, "warmup instructions per sample")
 	flagParallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size (results are identical at any setting)")
-	flagWorkers     = flag.Int("workers", 0, "shard simulations across N subprocess workers (0 = this process only; results are identical at any setting)")
-	flagWorkerStdio = flag.Bool("worker-stdio", false, "serve as a stdio protocol worker (internal: spawned by -workers)")
 	flagJSON        = flag.String("json", "", "also write every result set to this file as JSON")
-	flagCacheFile   = flag.String("cache-file", "", "load/save the memoization cache from/to this JSON file")
+	flagStore       = flag.String("store", "", "persistent result store directory: stored results are reused, new ones written as they complete")
 	flagServer      = flag.String("server", "", "submit the selected experiments to a running expq daemon at this base URL instead of simulating locally")
 	flagServerToken = flag.String("server-token", "", "bearer token for -server (the daemon's -token)")
 	flagServerCA    = flag.String("server-tls-ca", "", "CA certificate file to verify an https -server against")
@@ -169,16 +150,6 @@ func main() {
 	}
 	flag.Parse()
 
-	if *flagWorkerStdio {
-		// Worker mode: speak the protocol on stdin/stdout and nothing
-		// else; the coordinator owns every other concern.
-		if err := dist.Serve(dist.Stdio()); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *flagList {
 		for _, e := range all {
 			fmt.Printf("%-8s %s\n", e.Name, e.Desc)
@@ -189,8 +160,6 @@ func main() {
 	switch {
 	case *flagParallel <= 0:
 		usageError(fmt.Sprintf("-parallel %d: need at least one pool worker", *flagParallel))
-	case *flagWorkers < 0:
-		usageError(fmt.Sprintf("-workers %d: need a non-negative worker count", *flagWorkers))
 	case *flagN <= 0:
 		usageError(fmt.Sprintf("-n %d: need at least one timed instruction", *flagN))
 	case *flagWarm < 0:
@@ -287,7 +256,7 @@ func main() {
 		// silently ignored, so reject them instead.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "workers", "cache-file", "json", "run-summary", "cpuprofile", "memprofile", "parallel":
+			case "store", "json", "run-summary", "cpuprofile", "memprofile", "parallel":
 				usageError("-" + f.Name + " conflicts with -server: execution happens on the daemon")
 			}
 		})
@@ -298,24 +267,28 @@ func main() {
 		return
 	}
 
-	// The persistent cache checkpoints completed work on every exit
-	// path: SIGINT/SIGTERM (handled inside PersistentCache), mid-run
-	// failures (fail below), and the happy path — where a save failure
-	// is itself fatal, since a silently missing snapshot would make the
-	// next invocation re-simulate everything. Distributed results merge
-	// into the cache as they stream in, so even a mid-batch interrupt
-	// saves every result already received.
-	cache, saveCache, err := cliutil.PersistentCache("experiments", *flagCacheFile)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		if serr := saveCache(); serr != nil {
-			fmt.Fprintln(os.Stderr, "experiments: saving cache:", serr)
+
+	// With -store, stored results preload the cache and every new
+	// result is written the moment it completes, so no exit path —
+	// error, interrupt, or kill — needs a checkpoint of its own.
+	cache := exp.NewCache()
+	var persist func(exp.Key)
+	if *flagStore != "" {
+		plan := suite.Jobs
+		var err error
+		if *flagSpec == "" {
+			plan, err = registry.Plan(names, p)
 		}
-		os.Exit(1)
+		if err == nil {
+			persist, err = cliutil.UseStore("experiments", *flagStore, cache, plan, obs.NewLogger(os.Stderr))
+		}
+		if err != nil {
+			fail(err)
+		}
 	}
 
 	if *flagCPUProfile != "" {
@@ -332,38 +305,25 @@ func main() {
 		}()
 	}
 
-	var workers []dist.Worker
-	if *flagWorkers > 0 {
-		if workers, err = spawnWorkers(); err != nil {
-			fail(err)
-		}
-	}
-
-	// The span log records one entry per simulation — local pool workers
-	// and dist fleet members alike — when -run-summary asks for the
-	// timeline; nil otherwise, and every Add on nil is a no-op.
+	// The span log records one entry per simulation when -run-summary
+	// asks for the timeline; nil otherwise, and every Add on nil is a
+	// no-op.
 	var spans *obs.SpanLog
 	if *flagRunSummary != "" {
 		spans = obs.NewSpanLog()
 	}
 
+	opts := []exp.Option{exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans), exp.OnRun(persist)}
 	sets := make(map[string]*exp.ResultSet)
 	exportN, exportWarm := *flagN, *flagWarm
-	switch {
-	case *flagSpec != "" && *flagWorkers > 0:
+	var err error
+	if *flagSpec != "" {
 		var rs *exp.ResultSet
-		rs, err = registry.ReportSuiteDistributed(os.Stdout, suite, workers, perWorkerParallel(), cache, distOptions(spans))
+		rs, err = registry.ReportSuite(os.Stdout, suite, opts...)
 		sets[suite.Name] = rs
 		exportN, exportWarm = suite.N, suite.Warm
-	case *flagSpec != "":
-		var rs *exp.ResultSet
-		rs, err = registry.ReportSuite(os.Stdout, suite, exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans))
-		sets[suite.Name] = rs
-		exportN, exportWarm = suite.N, suite.Warm
-	case *flagWorkers > 0:
-		sets, err = registry.ReportDistributed(os.Stdout, names, p, workers, perWorkerParallel(), cache, distOptions(spans))
-	default:
-		sets, err = registry.Report(os.Stdout, names, p, exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans))
+	} else {
+		sets, err = registry.Report(os.Stdout, names, p, opts...)
 	}
 	if err != nil {
 		fail(err)
@@ -381,12 +341,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-	}
-
-	// The complete snapshot: failing to persist it is a failed run.
-	if err := saveCache(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: saving cache:", err)
-		os.Exit(1)
 	}
 
 	if *flagMemProfile != "" {
@@ -477,38 +431,4 @@ func loadSuite(path string) (spec.Suite, error) {
 		return spec.Suite{}, fmt.Errorf("suite %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// spawnWorkers self-execs -workers subprocess copies of this binary in
-// -worker-stdio mode and returns their coordinator-side transports.
-// Errors return (never exit) so the caller's failure path still saves
-// the cache snapshot.
-func spawnWorkers() ([]dist.Worker, error) {
-	bin, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("locating own binary for worker self-exec: %w", err)
-	}
-	workers := make([]dist.Worker, 0, *flagWorkers)
-	for i := 0; i < *flagWorkers; i++ {
-		w, err := dist.Command(fmt.Sprintf("proc %d", i), bin, "-worker-stdio")
-		if err != nil {
-			dist.CloseAll(workers)
-			return nil, err
-		}
-		workers = append(workers, w)
-	}
-	return workers, nil
-}
-
-// perWorkerParallel splits the -parallel budget across workers (each
-// gets the ceiling share, minimum 1).
-func perWorkerParallel() int {
-	return (*flagParallel + *flagWorkers - 1) / *flagWorkers
-}
-
-// distOptions builds the dispatch options shared by both distributed
-// paths: structured dispatch events on stderr, plus the run's span log
-// (nil when -run-summary is off).
-func distOptions(spans *obs.SpanLog) dist.Options {
-	return dist.Options{Log: obs.NewLogger(os.Stderr), Spans: spans}
 }

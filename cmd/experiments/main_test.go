@@ -13,6 +13,9 @@ import (
 	"time"
 
 	"icfp/internal/exp"
+	"icfp/internal/exp/registry"
+	"icfp/internal/sim"
+	"icfp/internal/store"
 )
 
 // buildBinary compiles cmd/experiments once per test binary invocation.
@@ -57,78 +60,47 @@ func TestMain(m *testing.M) {
 // sample sizes.
 var tinyArgs = []string{"-all", "-n", "2000", "-warm", "1000"}
 
-// TestWorkersGolden is the acceptance pin for the distributed
-// dispatcher: -all output is byte-identical to the committed
-// single-process golden at every worker count, including the real
-// subprocess fan-out path (self-exec'd -worker-stdio workers over
-// stdio pipes).
-func TestWorkersGolden(t *testing.T) {
+// TestParallelGolden is the acceptance pin for the in-process harness:
+// -all output is byte-identical to the committed golden at every pool
+// size. (cmd/expd's tests pin the same bytes across a multi-process
+// fleet.)
+func TestParallelGolden(t *testing.T) {
 	bin := buildBinary(t)
 	want, err := os.ReadFile("testdata/golden_all_tiny.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 3} {
-		args := append(append([]string{}, tinyArgs...), "-workers", fmt.Sprint(workers))
-		cmd := exec.Command(bin, args...)
-		var out, stderr bytes.Buffer
-		cmd.Stdout = &out
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("-workers %d: %v\nstderr: %s", workers, err, stderr.String())
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-workers %d output differs from the committed golden (simulator behaviour changed? regenerate testdata/golden_all_tiny.txt)", workers)
+	for _, parallel := range []int{1, 2, 3} {
+		args := append(append([]string{}, tinyArgs...), "-parallel", fmt.Sprint(parallel))
+		if got := run(t, bin, args...); !bytes.Equal(got, want) {
+			t.Errorf("-parallel %d output differs from the committed golden (simulator behaviour changed? regenerate testdata/golden_all_tiny.txt)", parallel)
 		}
 	}
 }
 
-// TestDistributedCacheFile pins the -workers / -cache-file interplay: a
-// distributed run persists its merged results, and a rerun loads them
-// and simulates nothing remotely (it needs no live workers' worth of
-// time — just verify output stability and that the file round-trips).
-func TestDistributedCacheFile(t *testing.T) {
-	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	run := func(extra ...string) []byte {
-		t.Helper()
-		args := append([]string{"-fig8", "-n", "2000", "-warm", "1000", "-cache-file", cachePath}, extra...)
-		cmd := exec.Command(bin, args...)
-		var out, stderr bytes.Buffer
-		cmd.Stdout = &out
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%v: %v\nstderr: %s", args, err, stderr.String())
-		}
-		return out.Bytes()
+// run runs the binary with args and returns its stdout, failing the
+// test on a non-zero exit.
+func run(t *testing.T, bin string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var out, stderr bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v: %v\nstderr: %s", args, err, stderr.String())
 	}
-	first := run("-workers", "2")
-	f, err := os.Open(cachePath)
-	if err != nil {
-		t.Fatalf("distributed run saved no cache file: %v", err)
-	}
-	entries, err := exp.ReadSnapshot(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("distributed run saved an empty cache snapshot")
-	}
-	second := run()
-	if !bytes.Equal(first, second) {
-		t.Error("warm-cache rerun differs from the distributed run that built the cache")
-	}
+	return out.Bytes()
 }
 
-// TestFlagValidation pins the usage-error paths: worker and pool counts
-// that used to hang or misbehave are rejected up front with exit 2.
+// TestFlagValidation pins the usage-error paths: pool counts and flag
+// combinations that used to hang or misbehave are rejected up front with
+// exit 2.
 func TestFlagValidation(t *testing.T) {
 	bin := buildBinary(t)
 	for _, args := range [][]string{
 		{"-all", "-parallel", "0"},
 		{"-all", "-parallel", "-3"},
-		{"-all", "-workers", "-1"},
+		{"-all", "-server", "http://127.0.0.1:1", "-store", "d"}, // the daemon owns execution
 		{"-all", "-n", "0"},
 		{"-all", "-warm", "-1"},
 		{},                                       // no experiments selected
@@ -173,58 +145,103 @@ func TestSampledRunReportsCI(t *testing.T) {
 	}
 }
 
-// TestInterruptSavesPartialCache pins the satellite guarantee: a run
-// interrupted by SIGINT exits promptly and leaves a loadable cache
-// snapshot behind, so completed simulations survive. The run is pinned
-// to -parallel 1, so its wall time is single-core-bound (~15 s of
-// simulation) and the signal reliably lands mid-run on any hardware; if
-// some future machine still finishes first, the test skips rather than
-// reporting a false failure.
-func TestInterruptSavesPartialCache(t *testing.T) {
+// TestKillLeavesStoreConsistent is the crash test of -store: SIGKILL a
+// multi-experiment run part-way through, and the store it leaves behind
+// holds only complete records — each decodes or is absent, nothing is
+// quarantined as damaged, and no temp file counts as a record. A rerun
+// against that store simulates exactly the missing keys (its
+// -run-summary has one span per key the killed run did not store) and
+// renders byte-identically to an uninterrupted run. The killed run is
+// pinned to -parallel 1 so its records land one by one; if it still
+// finishes before the kill lands, the test skips.
+func TestKillLeavesStoreConsistent(t *testing.T) {
 	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	cmd := exec.Command(bin, "-all", "-n", "200000", "-warm", "50000", "-parallel", "1", "-cache-file", cachePath)
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	args := []string{"-all", "-n", "20000", "-warm", "5000"}
+	cmd := exec.Command(bin, append(append([]string{}, args...), "-parallel", "1", "-store", storeDir)...)
 	cmd.Stdout = &bytes.Buffer{}
 	cmd.Stderr = &bytes.Buffer{}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Second)
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	records := func() []string {
+		files, _ := filepath.Glob(filepath.Join(storeDir, "??", "*.json"))
+		return files
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for len(records()) < 20 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	err := cmd.Wait()
-	if err == nil {
-		t.Skip("run finished before the signal landed; nothing to observe")
+	if err := <-exited; err == nil {
+		t.Skip("run finished before the kill landed; nothing to observe")
 	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 130 {
-		t.Fatalf("interrupted run: err = %v, want exit code 130", err)
-	}
-	f, err := os.Open(cachePath)
+
+	p := registry.Params{Cfg: sim.DefaultConfig(), N: 20000}
+	p.Cfg.WarmupInsts = 5000
+	plan, err := registry.Plan(registry.DefaultNames(), p)
 	if err != nil {
-		t.Fatalf("interrupted run saved no cache snapshot: %v", err)
+		t.Fatal(err)
 	}
-	defer f.Close()
-	entries, err := exp.ReadSnapshot(f)
+	st, err := store.Open(storeDir, store.Options{})
 	if err != nil {
-		t.Fatalf("interrupted run's snapshot does not parse: %v", err)
+		t.Fatal(err)
 	}
-	// On a slow or loaded machine zero simulations may have completed
-	// within the window; an empty-but-valid snapshot is then the correct
-	// partial state, just a weaker observation.
-	t.Logf("snapshot preserved %d completed simulations", len(entries))
+	if n := len(records()); st.Len() != n {
+		t.Errorf("store indexes %d records, %d record files on disk", st.Len(), n)
+	}
+	stored := 0
+	for _, sj := range plan {
+		_, ok, err := st.Get(exp.KeyOf(sj))
+		if err != nil {
+			t.Fatalf("record of a killed run does not read back: %v", err)
+		}
+		if ok {
+			stored++
+		}
+	}
+	if damaged, _ := filepath.Glob(filepath.Join(storeDir, "??", "*.corrupt")); len(damaged) != 0 {
+		t.Errorf("killed run left damaged records: %v", damaged)
+	}
+	if stored != st.Len() || stored == 0 || stored == len(plan) {
+		t.Fatalf("%d of %d planned keys stored, %d records in the store; want a partial store of planned keys only", stored, len(plan), st.Len())
+	}
+	t.Logf("killed run stored %d of %d simulations", stored, len(plan))
+
+	summary := filepath.Join(dir, "summary.json")
+	resumed := run(t, bin, append(append([]string{}, args...), "-store", storeDir, "-run-summary", summary)...)
+	if want := run(t, bin, args...); !bytes.Equal(resumed, want) {
+		t.Error("rerun against the killed run's store differs from an uninterrupted run")
+	}
+	raw, err := os.ReadFile(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans struct {
+		Spans []json.RawMessage `json:"spans"`
+	}
+	if err := json.Unmarshal(raw, &spans); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans.Spans) != len(plan)-stored {
+		t.Errorf("rerun simulated %d keys, want the %d the killed run had not stored", len(spans.Spans), len(plan)-stored)
+	}
 }
 
 // TestDescribeSpecRoundTripGolden is the acceptance pin for the spec
 // redesign: for every experiment in the registry,
 // `-describe <name> | -spec /dev/stdin` produces byte-identical output
-// to running the experiment directly. The pairs share one -cache-file,
-// so each simulation happens once across the whole test.
+// to running the experiment directly. The pairs share one -store, so
+// each simulation happens once across the whole test.
 func TestDescribeSpecRoundTripGolden(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
-	cachePath := filepath.Join(dir, "cache.json")
+	storeDir := filepath.Join(dir, "store")
 
 	list, err := exec.Command(bin, "-list").Output()
 	if err != nil {
@@ -240,7 +257,7 @@ func TestDescribeSpecRoundTripGolden(t *testing.T) {
 
 	for _, name := range names {
 		direct := new(bytes.Buffer)
-		cmd := exec.Command(bin, "-"+name, "-n", "2000", "-warm", "1000", "-cache-file", cachePath)
+		cmd := exec.Command(bin, "-"+name, "-n", "2000", "-warm", "1000", "-store", storeDir)
 		cmd.Stdout = direct
 		cmd.Stderr = &bytes.Buffer{}
 		if err := cmd.Run(); err != nil {
@@ -256,7 +273,7 @@ func TestDescribeSpecRoundTripGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		viaSpec := new(bytes.Buffer)
-		cmd = exec.Command(bin, "-spec", suitePath, "-cache-file", cachePath)
+		cmd = exec.Command(bin, "-spec", suitePath, "-store", storeDir)
 		cmd.Stdout = viaSpec
 		cmd.Stderr = &bytes.Buffer{}
 		if err := cmd.Run(); err != nil {
@@ -270,8 +287,8 @@ func TestDescribeSpecRoundTripGolden(t *testing.T) {
 }
 
 // TestCustomSuiteExample exercises the checked-in user-authored suite:
-// it must run cleanly (locally and with subprocess workers,
-// byte-identically) and render the sweep it declares.
+// it must run cleanly (cold and again from a -store, byte-identically)
+// and render the sweep it declares.
 func TestCustomSuiteExample(t *testing.T) {
 	bin := buildBinary(t)
 	suitePath, err := filepath.Abs("../../examples/customsuite/suite.json")
@@ -290,14 +307,15 @@ func TestCustomSuiteExample(t *testing.T) {
 		}
 		return out.String()
 	}
-	local := run()
+	storeDir := filepath.Join(t.TempDir(), "store")
+	local := run("-store", storeDir)
 	for _, marker := range []string{"icfp-trigger-l2-sweep", "iCFP-l2", "iCFP-all", "config"} {
 		if !strings.Contains(local, marker) {
 			t.Errorf("suite output missing %q:\n%s", marker, local)
 		}
 	}
-	if workers2 := run("-workers", "2"); workers2 != local {
-		t.Errorf("-workers 2 suite output differs from local:\n--- local ---\n%s\n--- workers ---\n%s", local, workers2)
+	if stored := run("-store", storeDir); stored != local {
+		t.Errorf("suite output from the store differs from the cold run:\n--- cold ---\n%s\n--- stored ---\n%s", local, stored)
 	}
 }
 
@@ -331,64 +349,6 @@ func TestSpecRejectsTypos(t *testing.T) {
 	}
 }
 
-// TestLegacyCacheFileRegenerates pins the snapshot-versioning satellite:
-// a pre-spec (fingerprint-keyed) cache file is not a fatal decode error
-// — the run warns, proceeds, and replaces it with a current-schema
-// snapshot.
-func TestLegacyCacheFileRegenerates(t *testing.T) {
-	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	legacy := []byte(`{"entries":[{"machine":"iCFP","config":"00ff00ff00ff00ff","workload":"spec:mcf:n=3000","result":{"name":"mcf","cycles":1}}]}` + "\n")
-	if err := os.WriteFile(cachePath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(bin, "-fig8", "-n", "2000", "-warm", "1000", "-cache-file", cachePath)
-	cmd.Stdout = &bytes.Buffer{}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("run with a legacy cache file must succeed, got %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "regenerated") {
-		t.Errorf("no re-keying warning on stderr:\n%s", stderr.String())
-	}
-	f, err := os.Open(cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	entries, err := exp.ReadSnapshot(f)
-	if err != nil {
-		t.Fatalf("cache file was not regenerated under the current schema: %v", err)
-	}
-	if len(entries) == 0 {
-		t.Error("regenerated cache file is empty")
-	}
-}
-
-// TestFutureCacheFileIsFatal pins the other side of snapshot
-// versioning: a cache file from a NEWER schema must abort the run, not
-// be silently overwritten with a downgraded snapshot.
-func TestFutureCacheFileIsFatal(t *testing.T) {
-	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	future := []byte(`{"version":99,"entries":[]}` + "\n")
-	if err := os.WriteFile(cachePath, future, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(bin, "-table1", "-cache-file", cachePath)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("future-schema cache file: err = %v, want exit 1\nstderr: %s", err, stderr.String())
-	}
-	if got, err := os.ReadFile(cachePath); err != nil || !bytes.Equal(got, future) {
-		t.Errorf("future-schema cache file was modified (err %v):\n%s", err, got)
-	}
-}
-
 // TestListStillWorks guards the registry listing against the CLI
 // restructure.
 func TestListStillWorks(t *testing.T) {
@@ -404,22 +364,22 @@ func TestListStillWorks(t *testing.T) {
 	}
 }
 
-// TestJSONExportWithWorkers pins that -json works through the
-// distributed path and round-trips.
-func TestJSONExportWithWorkers(t *testing.T) {
+// TestJSONExport pins that -json works and round-trips, and that a run
+// answered entirely from a -store exports the same document.
+func TestJSONExport(t *testing.T) {
 	bin := buildBinary(t)
-	jsonPath := filepath.Join(t.TempDir(), "out.json")
-	cmd := exec.Command(bin, "-fig8", "-n", "2000", "-warm", "1000", "-workers", "2", "-json", jsonPath)
-	cmd.Stdout = &bytes.Buffer{}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\nstderr: %s", err, stderr.String())
+	dir := t.TempDir()
+	export := func() []byte {
+		t.Helper()
+		jsonPath := filepath.Join(dir, "out.json")
+		run(t, bin, "-fig8", "-n", "2000", "-warm", "1000", "-store", filepath.Join(dir, "store"), "-json", jsonPath)
+		raw, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := export()
 	var ex struct {
 		N           int                        `json:"n"`
 		Experiments map[string]json.RawMessage `json:"experiments"`
@@ -429,5 +389,8 @@ func TestJSONExportWithWorkers(t *testing.T) {
 	}
 	if ex.N != 2000 || len(ex.Experiments) != 1 {
 		t.Errorf("export = n %d, %d experiments; want 2000 and 1", ex.N, len(ex.Experiments))
+	}
+	if again := export(); !bytes.Equal(raw, again) {
+		t.Error("export of a run answered from the store differs from the cold run's")
 	}
 }

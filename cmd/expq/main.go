@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -132,7 +131,7 @@ func daemonMain(args []string) {
 		join = make(chan dist.Worker)
 		// The daemon outlives every submission: the accept loop never
 		// stands down, and workers redial between coordinator rounds.
-		go acceptWorkers(ln, *sec, join, log)
+		go cliutil.AcceptWorkers(ln, *sec, join, nil, log)
 	}
 
 	srv, err := serve.New(serve.Config{
@@ -194,34 +193,6 @@ func backendName(accept string) string {
 		return "local"
 	}
 	return "fleet"
-}
-
-// acceptWorkers feeds registering dialers into the service's join
-// channel for as long as the daemon lives. Authentication and the
-// register frame are handled off the accept loop so one slow dialer
-// cannot block the next (same shape as expd's coordinator, minus the
-// run-scoped shutdown: the daemon's fleet is permanent).
-func acceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, log *slog.Logger) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			peer := c.RemoteAddr().String()
-			sc, err := sec.Secure(c)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			w, err := dist.AcceptWorker(sc, peer)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			join <- w
-		}(conn)
-	}
 }
 
 func submitMain(args []string) {

@@ -1,19 +1,24 @@
-// Package cliutil holds the cache-persistence, signal, and
+// Package cliutil holds the result-store, worker-intake, and
 // transport-security plumbing shared by the experiment CLIs
-// (cmd/experiments, cmd/expd), so the interrupt-snapshot semantics and
-// the TLS/token flag vocabulary each live in exactly one place.
+// (cmd/experiments, cmd/expd, cmd/expq), so the -store semantics, the
+// accept loop, and the TLS/token flag vocabulary each live in exactly
+// one place.
 package cliutil
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
+	"net"
 	"os"
-	"os/signal"
-	"syscall"
+	"time"
 
 	"icfp/internal/dist"
 	"icfp/internal/exp"
+	"icfp/internal/obs"
+	"icfp/internal/spec"
+	"icfp/internal/store"
 )
 
 // SecurityFlags registers the transport-security flags every TCP
@@ -32,53 +37,85 @@ func SecurityFlags(fs *flag.FlagSet) *dist.Security {
 	return sec
 }
 
-// PersistentCache builds the run's memoization cache, preloading the
-// optional snapshot at path, and installs a SIGINT/SIGTERM handler that
-// checkpoints completed results before exiting (with the conventional
-// 130/143 codes) — so interrupted long runs keep their finished
-// simulations. The returned save function writes the snapshot (a no-op
-// without a path); callers must treat its error as fatal on the happy
-// path, where a silently missing snapshot would make the next
-// invocation re-simulate everything, and may merely log it on paths
-// that already exit non-zero.
-//
-// A snapshot written under an older schema (the pre-spec,
-// fingerprint-keyed format) is not an error: its entries cannot be
-// re-keyed, so the run warns, starts from an empty cache, and replaces
-// the file with a current-schema snapshot on save. A snapshot from a
-// NEWER schema is fatal — regenerating would overwrite another build's
-// accumulated results with a downgraded file.
-func PersistentCache(prog, path string) (*exp.Cache, func() error, error) {
-	cache := exp.NewCache()
-	if path != "" {
-		if err := exp.LoadCacheFile(cache, path); err != nil {
-			var verr *exp.SnapshotVersionError
-			if !errors.As(err, &verr) || verr.Got > exp.SnapshotVersion {
-				return nil, nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%s: cache file %s: %v — entries are re-keyed under the canonical spec schema, so the snapshot is ignored and will be regenerated\n",
-				prog, path, verr)
-		}
+// UseStore opens the result store at dir, preloads cache with every job
+// of plan the store already holds — those are neither simulated nor
+// dispatched — and returns the hook that persists each result as it
+// completes (exp.OnRun locally, dist.Options.OnMerge on a fleet). A
+// failed write ends the process with exit status 1 at once; every result
+// written before it stays in the store, so a rerun resumes from there.
+// Each record is written atomically as it lands, which is also why an
+// interrupted or killed run needs no checkpoint of its own.
+func UseStore(prog, dir string, cache *exp.Cache, plan []spec.Job, log *slog.Logger) (func(exp.Key), error) {
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return nil, err
 	}
-	save := func() error {
-		if path == "" {
-			return nil
-		}
-		return exp.SaveCacheFile(cache, path)
+	hits, err := st.Preload(cache, plan)
+	if err != nil {
+		return nil, err
 	}
+	log.Info("store open", "dir", dir, "records", st.Len(), "planned", len(plan), "hits", hits)
+	return func(k exp.Key) {
+		if _, _, err := st.PutCached(cache, k); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+			os.Exit(1)
+		}
+	}, nil
+}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "%s: %v: saving partial cache and exiting\n", prog, s)
-		if err := save(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: saving cache: %v\n", prog, err)
+// The accept loop's retry policy: a transient Accept failure (EMFILE,
+// connection churn) backs off and retries, but a listener that fails
+// acceptMaxFailures times in a row is treated as dead.
+const (
+	acceptBackoff     = 100 * time.Millisecond
+	acceptMaxFailures = 10
+)
+
+// AcceptWorkers feeds registering dialers (expd join) into join until
+// the listener closes. Each candidate is authenticated, then its
+// register frame validated, off the accept loop so one slow dialer
+// cannot block the next. With a non-nil done (a single run's
+// coordinator), a worker whose handshake finishes after done closes is
+// closed instead of parked on the never-again-read join channel; a
+// long-lived daemon passes nil. Transient accept errors are logged and
+// retried after a short backoff, so one EMFILE does not end worker
+// intake for the process's life; the loop gives up, and logs it, after
+// acceptMaxFailures consecutive failures.
+func AcceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, done <-chan struct{}, log *slog.Logger) {
+	failures := 0
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			failures++
+			if failures >= acceptMaxFailures {
+				log.Error("worker listener keeps failing; no longer accepting workers", obs.KeyCause, err, "failures", failures)
+				return
+			}
+			log.Warn("accepting a worker failed; retrying", obs.KeyCause, err, "failures", failures)
+			time.Sleep(acceptBackoff)
+			continue
 		}
-		if s == syscall.SIGTERM {
-			os.Exit(143)
-		}
-		os.Exit(130)
-	}()
-	return cache, save, nil
+		failures = 0
+		go func(c net.Conn) {
+			peer := c.RemoteAddr().String()
+			sc, err := sec.Secure(c)
+			if err != nil {
+				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
+				return
+			}
+			w, err := dist.AcceptWorker(sc, peer)
+			if err != nil {
+				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
+				return
+			}
+			select {
+			case join <- w:
+			case <-done:
+				w.RW.Close()
+			}
+		}(conn)
+	}
 }

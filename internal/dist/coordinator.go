@@ -47,8 +47,7 @@ type Options struct {
 	// its batch reassigned, exactly like a transport failure. It must
 	// comfortably exceed one simulation's duration — results stream per
 	// simulation, so that is the longest legitimate silence. Applies
-	// only to transports with read deadlines (TCP, test pipes);
-	// subprocess workers die with their pipes, which EOF on their own.
+	// only to transports with read deadlines (TCP, test pipes).
 	// Zero disables the timeout.
 	FrameTimeout time.Duration
 	// Join delivers workers that join the fleet mid-run (elastic mode:
@@ -56,7 +55,7 @@ type Options struct {
 	// joined worker is handshaken and enters the work-stealing loop
 	// immediately. With Join set, a run whose last worker dies waits for
 	// the next join instead of failing — the operator decides when to
-	// give up (an interrupt still checkpoints the cache). Closing the
+	// give up (with a store, every merged result is already on disk). Closing the
 	// channel restores fail-when-all-workers-die semantics.
 	Join <-chan Worker
 	// Heartbeat, when positive, makes the coordinator beacon a
@@ -197,7 +196,7 @@ type dispatcher struct {
 
 // Run shards the plan's self-describing jobs across the workers and
 // merges every completed result into cache. Jobs whose key the cache
-// already has (a preloaded -cache-file) are not dispatched at all.
+// already has (preloaded from a result store) are not dispatched at all.
 // Dispatch is work-stealing — idle workers pull the next batch, so shard
 // sizes adapt to worker speed — and, by default, cost-aware (see
 // Options.BatchSize). The fleet is elastic: workers arriving on
@@ -207,8 +206,7 @@ type dispatcher struct {
 // the batch's unfinished remainder requeued for the survivors, up to
 // MaxAttempts dispatches per job. Worker-side errors (invalid specs,
 // simulation failures) abort the run with the worker's context attached.
-// Run closes every worker transport before returning; for subprocess
-// transports that also reaps the process.
+// Run closes every worker transport before returning.
 func Run(plan []spec.Job, workers []Worker, cache *exp.Cache, opts Options) error {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = DefaultMaxAttempts

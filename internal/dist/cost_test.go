@@ -119,8 +119,8 @@ func TestBatchFloorKeepsPoolsBusy(t *testing.T) {
 	}
 }
 
-// TestSeedFromCacheUsesSnapshotTimings pins the -cache-file interplay:
-// elapsed times preserved in a snapshot pre-seed the model, so a rerun
+// TestSeedFromCacheUsesSnapshotTimings pins the -store interplay:
+// elapsed times preserved in store records pre-seed the model, so a rerun
 // opens with measured costs instead of static guesses.
 func TestSeedFromCacheUsesSnapshotTimings(t *testing.T) {
 	sj, k := costJob(spec.ModelICFP, 10_000)

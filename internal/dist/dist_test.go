@@ -164,7 +164,7 @@ func TestRunMergesAllResults(t *testing.T) {
 	}
 }
 
-// TestRunSkipsCachedKeys pins the -cache-file interplay: preloaded keys
+// TestRunSkipsCachedKeys pins the -store interplay: preloaded keys
 // are never dispatched, and a fully warm cache needs no workers at all.
 func TestRunSkipsCachedKeys(t *testing.T) {
 	jobs := testJobs(6)

@@ -10,9 +10,8 @@
 // pipeline.Result round-trips JSON exactly.
 //
 // Coordinator and worker speak a length-delimited JSON protocol over an
-// abstract transport: net.Pipe in tests, the stdin/stdout of a
-// self-exec'd subprocess (cmd/experiments -workers), or a TCP connection
-// (cmd/expd) for multi-host runs — optionally wrapped in TLS with a
+// abstract transport: net.Pipe in tests, or a TCP connection a worker
+// dials into a coordinator (cmd/expd join) — optionally wrapped in TLS with a
 // shared-token preamble (Security) when the fleet spans more than a
 // trusted loopback. Since protocol v2 every batch carries
 // self-describing spec.Jobs — a worker needs no prior copy of the job

@@ -19,9 +19,8 @@ import (
 // for loopback and tests, never for anything routable (see
 // docs/OPERATIONS.md for the multi-host setup).
 //
-// Both connection directions exist in an elastic fleet (coordinators
-// dial workers with -connect; workers dial coordinators with expd join),
-// so each process may act as dialer, acceptor, or both. CertFile/KeyFile
+// Workers dial coordinators (expd join → -accept-workers), so the
+// coordinator is the acceptor and each worker a dialer. CertFile/KeyFile
 // arm the accepting side; CAFile arms the dialing side; Token arms both.
 type Security struct {
 	// CertFile and KeyFile are the accepting side's PEM certificate and

@@ -63,12 +63,12 @@ func genCert(t *testing.T) (certFile, keyFile string) {
 
 // TestTLSTokenTransportRoundTrip runs a real dispatch over a real TCP
 // connection wrapped in TLS with token auth — the full cmd/expd
-// transport stack — and pins that results coming through it match a
-// local run exactly.
+// transport stack, worker dialing in as `expd join` does — and pins that
+// results coming through it match a local run exactly.
 func TestTLSTokenTransportRoundTrip(t *testing.T) {
 	certFile, keyFile := genCert(t)
-	serverSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
-	clientSec := dist.Security{CAFile: certFile, Token: "fleet-secret"}
+	coordSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
+	workerSec := dist.Security{CAFile: certFile, Token: "fleet-secret"}
 
 	jobs := testJobs(4)
 	want := localResults(t, jobs)
@@ -77,28 +77,35 @@ func TestTLSTokenTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ln, err := serverSec.Listen("127.0.0.1:0")
+	ln, err := coordSec.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	serveErr := make(chan error, 1)
 	go func() {
-		conn, err := ln.Accept()
+		conn, err := workerSec.Dial(ln.Addr().String())
 		if err != nil {
 			serveErr <- err
 			return
 		}
 		defer conn.Close()
-		sc, err := serverSec.Secure(conn)
-		if err != nil {
+		if err := dist.Register(conn, "tls-worker"); err != nil {
 			serveErr <- err
 			return
 		}
-		serveErr <- dist.Serve(sc)
+		serveErr <- dist.Serve(conn)
 	}()
 
-	w, err := dist.DialTCP(ln.Addr().String(), clientSec)
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := coordSec.Secure(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := dist.AcceptWorker(sc, conn.RemoteAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +152,11 @@ func TestTLSDialRejectsWrongToken(t *testing.T) {
 		rejected <- err
 	}()
 
-	w, err := dist.DialTCP(ln.Addr().String(), dist.Security{CAFile: certFile, Token: "wrong"})
+	conn, err := dist.Security{CAFile: certFile, Token: "wrong"}.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.RW.Close()
+	defer conn.Close()
 	if err := <-rejected; err == nil || !strings.Contains(err.Error(), "token") {
 		t.Errorf("Secure with a wrong token = %v, want a token rejection", err)
 	}

@@ -1,18 +1,13 @@
 package dist
 
 import (
-	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/exec"
-	"sync"
-	"time"
 )
 
 // Worker is one remote worker from the coordinator's point of view: a
-// name for error context ("proc 2", "hostB:9700") and the protocol
-// transport. The coordinator owns the transport and closes it when the
+// name for error context (the name it registered under, or the dialing
+// address) and the protocol transport. The coordinator owns the transport and closes it when the
 // run ends; stream-level workers (Serve) treat that close as the
 // shutdown signal.
 type Worker struct {
@@ -34,81 +29,4 @@ func CloseAll(workers []Worker) {
 // other to the coordinator.
 func Pipe() (coord, worker io.ReadWriteCloser) {
 	return net.Pipe()
-}
-
-// DialTCP connects to a worker serving at addr (cmd/expd serve), under
-// the given transport security (TLS when sec.CAFile is set, token
-// preamble when sec.Token is set; the zero Security is plaintext), and
-// names it after the address.
-func DialTCP(addr string, sec Security) (Worker, error) {
-	conn, err := sec.Dial(addr)
-	if err != nil {
-		return Worker{}, fmt.Errorf("dist: connecting to worker %s: %w", addr, err)
-	}
-	return Worker{Name: addr, RW: conn}, nil
-}
-
-// Stdio returns the worker-side transport of a subprocess worker: frames
-// arrive on stdin and leave on stdout. A process serving on it must not
-// write anything else to stdout (diagnostics belong on stderr).
-func Stdio() io.ReadWriteCloser {
-	return stdio{}
-}
-
-type stdio struct{}
-
-func (stdio) Read(p []byte) (int, error)  { return os.Stdin.Read(p) }
-func (stdio) Write(p []byte) (int, error) { return os.Stdout.Write(p) }
-func (stdio) Close() error                { return nil }
-
-// killGrace is how long a closing subprocess transport waits for the
-// worker to exit on its own after stdin closes before killing it.
-const killGrace = 5 * time.Second
-
-// Command starts bin with args as a subprocess worker speaking the
-// protocol on its stdin/stdout (the -worker-stdio mode of
-// cmd/experiments) and returns the coordinator-side transport. The
-// worker's stderr passes through to this process's stderr. Closing the
-// transport closes the worker's stdin — its signal to exit — and reaps
-// the process, killing it if it outlives the grace period.
-func Command(name, bin string, args ...string) (Worker, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return Worker{}, fmt.Errorf("dist: worker %s: %w", name, err)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return Worker{}, fmt.Errorf("dist: worker %s: %w", name, err)
-	}
-	if err := cmd.Start(); err != nil {
-		return Worker{}, fmt.Errorf("dist: starting worker %s (%s): %w", name, bin, err)
-	}
-	return Worker{Name: name, RW: &proc{cmd: cmd, in: stdin, out: stdout}}, nil
-}
-
-// proc is the coordinator-side transport of a subprocess worker.
-type proc struct {
-	cmd  *exec.Cmd
-	in   io.WriteCloser
-	out  io.ReadCloser
-	once sync.Once
-	err  error
-}
-
-func (p *proc) Read(b []byte) (int, error)  { return p.out.Read(b) }
-func (p *proc) Write(b []byte) (int, error) { return p.in.Write(b) }
-
-// Close is idempotent: it closes the worker's stdin and waits for the
-// process, escalating to a kill after the grace period. Wait also closes
-// the stdout pipe, unblocking any reader.
-func (p *proc) Close() error {
-	p.once.Do(func() {
-		p.in.Close()
-		timer := time.AfterFunc(killGrace, func() { p.cmd.Process.Kill() })
-		p.err = p.cmd.Wait()
-		timer.Stop()
-	})
-	return p.err
 }

@@ -1,13 +1,6 @@
 package exp_test
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
 
 	"icfp/internal/exp"
@@ -15,55 +8,8 @@ import (
 	"icfp/internal/workload"
 )
 
-// persistJobs is a pair of distinct, cheap, real jobs.
-func persistJobs() []exp.Job {
-	return []exp.Job{
-		planJob("a", sim.InOrder, workload.ScenarioLoneL2),
-		planJob("b", sim.ICFP, workload.ScenarioLoneL2),
-	}
-}
-
-// TestCacheFileRoundTrip pins the -cache-file workflow: a cache saved by
-// one invocation pre-fills the next, so repeated runs simulate nothing.
-func TestCacheFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	jobs := persistJobs()
-
-	first := exp.NewCache()
-	if err := exp.LoadCacheFile(first, path); err != nil {
-		t.Fatalf("loading a missing cache file must be a no-op, got %v", err)
-	}
-	rs1, err := exp.Run(jobs, exp.WithCache(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.SaveCacheFile(first, path); err != nil {
-		t.Fatal(err)
-	}
-	if first.Simulations() != 2 {
-		t.Fatalf("first invocation simulated %d, want 2", first.Simulations())
-	}
-
-	second := exp.NewCache()
-	if err := exp.LoadCacheFile(second, path); err != nil {
-		t.Fatal(err)
-	}
-	rs2, err := exp.Run(jobs, exp.WithCache(second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Simulations() != 0 {
-		t.Errorf("second invocation simulated %d, want 0 (cache file must satisfy both jobs)", second.Simulations())
-	}
-	for _, name := range []string{"a", "b"} {
-		if rs1.MustGet(name).Cycles != rs2.MustGet(name).Cycles {
-			t.Errorf("%s: results changed across the cache file round trip", name)
-		}
-	}
-}
-
 // TestSnapshotDeterministicOrder pins that a snapshot's entry order does
-// not depend on map iteration, so saved cache files diff cleanly.
+// not depend on map iteration, so persisted result sets diff cleanly.
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	c := exp.NewCache()
 	jobs := []exp.Job{
@@ -84,190 +30,4 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 			t.Errorf("snapshot not sorted at %d: %+v then %+v", i, a, b)
 		}
 	}
-}
-
-// TestLoadCacheFileRejectsGarbage pins the error path for corrupt files.
-func TestLoadCacheFileRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.LoadCacheFile(exp.NewCache(), path); err == nil {
-		t.Fatal("corrupt cache file must be rejected")
-	}
-}
-
-// TestLoadCacheFileRejectsTruncated pins the error path for a snapshot
-// cut off mid-write (e.g. a crash without the atomic-rename discipline):
-// both ReadSnapshot and LoadCacheFile must reject it rather than load a
-// silently incomplete result set.
-func TestLoadCacheFileRejectsTruncated(t *testing.T) {
-	c := exp.NewCache()
-	if _, err := exp.Run(persistJobs()[:1], exp.WithCache(c)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	truncated := buf.Bytes()[:buf.Len()/2]
-	if _, err := exp.ReadSnapshot(bytes.NewReader(truncated)); err == nil {
-		t.Fatal("ReadSnapshot accepted a truncated snapshot")
-	}
-	path := filepath.Join(t.TempDir(), "cache.json")
-	if err := os.WriteFile(path, truncated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.LoadCacheFile(exp.NewCache(), path); err == nil {
-		t.Fatal("LoadCacheFile accepted a truncated snapshot")
-	}
-}
-
-// TestSnapshotVersionMismatch pins the schema-versioning contract: a
-// pre-spec (unversioned, fingerprint-keyed) snapshot and a
-// future-versioned one both surface as SnapshotVersionError — loadable
-// nowhere, but distinguishable from corruption so callers can warn and
-// regenerate instead of failing.
-func TestSnapshotVersionMismatch(t *testing.T) {
-	legacy := []byte(`{
-  "entries": [
-    {"machine": "iCFP", "config": "00f0ba41cafe0000", "workload": "spec:mcf:n=3000", "result": {"name": "mcf", "cycles": 123}}
-  ]
-}`)
-	_, err := exp.ReadSnapshot(bytes.NewReader(legacy))
-	var verr *exp.SnapshotVersionError
-	if !errors.As(err, &verr) {
-		t.Fatalf("legacy snapshot: err = %v, want SnapshotVersionError", err)
-	}
-	if verr.Got != 0 || verr.Want != exp.SnapshotVersion {
-		t.Errorf("legacy snapshot error = %+v, want got 0, want %d", verr, exp.SnapshotVersion)
-	}
-
-	future := []byte(`{"version": 99, "entries": []}`)
-	_, err = exp.ReadSnapshot(bytes.NewReader(future))
-	if !errors.As(err, &verr) || verr.Got != 99 {
-		t.Fatalf("future snapshot: err = %v, want SnapshotVersionError{Got: 99}", err)
-	}
-
-	// LoadCacheFile wraps the same error so callers can errors.As it.
-	path := filepath.Join(t.TempDir(), "cache.json")
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.LoadCacheFile(exp.NewCache(), path); !errors.As(err, &verr) {
-		t.Fatalf("LoadCacheFile of a legacy snapshot: err = %v, want wrapped SnapshotVersionError", err)
-	}
-}
-
-// TestSnapshotRoundTripsCurrentVersion pins that what SaveCacheFile
-// writes, ReadSnapshot accepts — the trivial-but-load-bearing inverse of
-// the version rejection above.
-func TestSnapshotRoundTripsCurrentVersion(t *testing.T) {
-	c := exp.NewCache()
-	if _, err := exp.Run(persistJobs(), exp.WithCache(c)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := exp.ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("round trip kept %d entries, want 2", len(entries))
-	}
-	for _, e := range entries {
-		// Keys are canonical spec encodings, not labels or hashes.
-		if !bytes.Contains([]byte(e.Machine), []byte(`"model"`)) {
-			t.Errorf("entry machine key %q is not a canonical machine spec", e.Machine)
-		}
-	}
-}
-
-// TestSaveCacheFileConcurrentSavers pins that simultaneous SaveCacheFile
-// calls on the same path never tear the file: each saver writes its own
-// uniquely named temp file and the final rename is atomic, so the
-// survivor is one complete snapshot.
-func TestSaveCacheFileConcurrentSavers(t *testing.T) {
-	c := exp.NewCache()
-	jobs := make([]exp.Job, 0, 8)
-	for i, sc := range workload.AllScenarios[:4] {
-		jobs = append(jobs,
-			planJob(fmt.Sprintf("io/%d", i), sim.InOrder, sc),
-			planJob(fmt.Sprintf("ic/%d", i), sim.ICFP, sc))
-	}
-	if _, err := exp.Run(jobs, exp.WithCache(c)); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "cache.json")
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = exp.SaveCacheFile(c, path)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("saver %d: %v", i, err)
-		}
-	}
-	loaded := exp.NewCache()
-	if err := exp.LoadCacheFile(loaded, path); err != nil {
-		t.Fatalf("surviving snapshot is not loadable: %v", err)
-	}
-	if got := len(loaded.Snapshot()); got != len(jobs) {
-		t.Errorf("surviving snapshot has %d entries, want %d", got, len(jobs))
-	}
-	left, err := filepath.Glob(path + ".tmp-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("temp files left behind: %v", left)
-	}
-}
-
-// TestSaveCacheFileErrorNamesPath pins the failure-mode ergonomics of
-// SaveCacheFile: when the destination directory is unwritable, the error
-// must name the snapshot path the caller asked for — not just the
-// anonymous temp file — so an operator reading a log knows which cache
-// was lost.
-func TestSaveCacheFileErrorNamesPath(t *testing.T) {
-	// A destination whose parent directory does not exist fails for every
-	// user, including root (where 0555 permission bits are not enforced).
-	t.Run("missing dir", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "no", "such", "cache.json")
-		err := exp.SaveCacheFile(exp.NewCache(), path)
-		if err == nil {
-			t.Fatalf("SaveCacheFile into a missing directory succeeded")
-		}
-		if !strings.Contains(err.Error(), path) {
-			t.Errorf("error %q does not name the destination path %q", err, path)
-		}
-	})
-	t.Run("read-only dir", func(t *testing.T) {
-		if os.Geteuid() == 0 {
-			t.Skip("running as root: directory permissions are not enforced")
-		}
-		dir := filepath.Join(t.TempDir(), "ro")
-		if err := os.Mkdir(dir, 0o555); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { os.Chmod(dir, 0o755) })
-		path := filepath.Join(dir, "cache.json")
-		err := exp.SaveCacheFile(exp.NewCache(), path)
-		if err == nil {
-			t.Fatalf("SaveCacheFile into a read-only directory succeeded")
-		}
-		if !strings.Contains(err.Error(), path) {
-			t.Errorf("error %q does not name the destination path %q", err, path)
-		}
-	})
 }

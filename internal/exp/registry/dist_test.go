@@ -73,8 +73,9 @@ func TestDistributedReportMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedReportWarmCache pins the cache-file interplay: a cache
-// warmed by one distributed run satisfies the next without any workers.
+// TestDistributedReportWarmCache pins the preloaded-cache interplay: a
+// cache warmed by one distributed run (or filled from a result store)
+// satisfies the next without any workers.
 func TestDistributedReportWarmCache(t *testing.T) {
 	names := []string{"fig8"}
 	p := tinyParams()
@@ -92,9 +93,10 @@ func TestDistributedReportWarmCache(t *testing.T) {
 	}
 }
 
-// TestSuiteDistributedMatchesLocal pins the -spec / -workers interplay:
-// a described suite dispatched to workers renders byte-identically to a
-// local run of the same suite — and, transitively, to the compiled-in
+// TestSuiteDistributedMatchesLocal pins the suite path over a fleet (the
+// shape expq serves): a described suite's deduplicated jobs dispatched to
+// workers, then rendered by ReportSuite from the warm cache, match a
+// local run of the same suite — and, transitively, the compiled-in
 // experiment.
 func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	p := tinyParams()
@@ -106,9 +108,20 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	if _, err := registry.ReportSuite(&local, s, exp.Parallelism(1)); err != nil {
 		t.Fatal(err)
 	}
-	var distributed bytes.Buffer
+	jobs := make([]exp.Job, len(s.Jobs))
+	for i, j := range s.Jobs {
+		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
+	}
+	plan, err := exp.Plan(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := exp.NewCache()
-	if _, err := registry.ReportSuiteDistributed(&distributed, s, pipeWorkers(t, 2), 1, cache, dist.Options{Log: obs.TestLogger(t)}); err != nil {
+	if err := dist.Run(plan, pipeWorkers(t, 2), cache, dist.Options{Parallel: 1, Log: obs.TestLogger(t)}); err != nil {
+		t.Fatal(err)
+	}
+	var distributed bytes.Buffer
+	if _, err := registry.ReportSuite(&distributed, s, exp.WithCache(cache), exp.Parallelism(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(local.Bytes(), distributed.Bytes()) {

@@ -1,8 +1,6 @@
 package exp_test
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -16,7 +14,7 @@ import (
 // a sampling policy with no effect (period == interval, no warmup — it
 // measures every instruction) canonicalizes away, so the job shares the
 // full run's cache key, simulates once, and returns the identical
-// result. This is what keeps every pre-sampling cache file, golden, and
+// result. This is what keeps every pre-sampling store record, golden, and
 // dist identity valid.
 func TestSampledDegenerateIsFullIdentity(t *testing.T) {
 	mach := sim.ICFP.Spec()
@@ -98,39 +96,6 @@ func TestSampledRunAllModels(t *testing.T) {
 		if relErr := math.Abs(s.CPI()-f.CPI()) / f.CPI(); relErr > 0.25 {
 			t.Errorf("%s: sampled CPI %v vs full %v (%.1f%% off)", m, s.CPI(), f.CPI(), 100*relErr)
 		}
-	}
-}
-
-// TestLegacyV2SnapshotLoads pins schema compatibility: a v2 cache file
-// written before sampling existed (its results lack the additive
-// SampleIntervals/SampleCPICI95 fields) still loads, and the new fields
-// read zero — exactly the "additive fields only within a version" rule
-// docs/ARCHITECTURE.md commits to.
-func TestLegacyV2SnapshotLoads(t *testing.T) {
-	mkey := spec.Machine{Model: spec.ModelInOrder}.Canonical()
-	wkey := spec.SPECWorkload("mcf", 1000).Canonical()
-	legacy := fmt.Sprintf(
-		`{"version":2,"entries":[{"machine":%q,"workload":%q,"result":{"Name":"mcf","Cycles":2000,"Insts":1000},"elapsed_ns":7}]}`,
-		mkey, wkey)
-
-	entries, err := exp.ReadSnapshot(bytes.NewReader([]byte(legacy)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("loaded %d entries, want 1", len(entries))
-	}
-	c := exp.NewCache()
-	c.AddResults(entries)
-	r, ok := c.Lookup(exp.Key{Machine: mkey, Workload: wkey})
-	if !ok {
-		t.Fatal("legacy entry not reachable under its canonical key")
-	}
-	if r.Cycles != 2000 || r.Insts != 1000 {
-		t.Fatalf("legacy result corrupted: %+v", r)
-	}
-	if r.SampleIntervals != 0 || r.SampleCPICI95 != 0 {
-		t.Fatalf("legacy result invented sampling statistics: %+v", r)
 	}
 }
 

@@ -132,7 +132,7 @@ type Result struct {
 	SBHopsAtLeast float64 // fraction of loads with >= 5 extra hops
 
 	// Interval sampling (zero for full runs). Both fields are additive
-	// to the persisted cache-file schema: snapshots written before they
+	// to the persisted result schema: records written before they
 	// existed decode them as zero, i.e. as full runs.
 	SampleIntervals int     // measurement windows combined into this result
 	SampleCPICI95   float64 // 95% confidence half-width of CPI across windows

@@ -336,15 +336,10 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 	// Persist-before-publish: a waiter released on a result that then
 	// failed to persist would report success the store cannot back.
 	complete := func(k exp.Key) {
-		res, ok := cache.Lookup(k)
+		rec, ok, perr := s.cfg.Store.PutCached(cache, k)
 		if !ok {
 			return // foreign key (cost report echo); nothing to publish
 		}
-		rec := exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: res}
-		if d, ok := cache.Elapsed(k); ok {
-			rec.ElapsedNS = int64(d)
-		}
-		perr := s.cfg.Store.Put(rec)
 		pubMu.Lock()
 		if published[k] {
 			pubMu.Unlock()

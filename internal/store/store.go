@@ -1,6 +1,7 @@
 // Package store is the persistent, content-addressed simulation result
-// store behind the expq service (internal/serve, cmd/expq): a shared,
-// multi-client promotion of the single-file `-cache-file` snapshot. Each
+// store: the one persistence layer, behind the expq service
+// (internal/serve, cmd/expq) and the -store flag of cmd/experiments and
+// cmd/expd. Each
 // completed simulation is one record on disk, addressed by the SHA-256
 // of its canonical (machine, workload) spec pair — the same collision-
 // free identity internal/exp memoizes on and internal/dist ships over
@@ -444,30 +445,4 @@ func (s *Store) dropLocked(hash string) {
 		delete(s.recs, hash)
 		s.drops++
 	}
-}
-
-// ImportSnapshot is the one-shot migration path from the single-client
-// `-cache-file` world: it reads a schema-v2 snapshot (exp.ReadSnapshot)
-// and persists every entry, returning how many records were newly
-// written (entries already in the store are first-writer-wins no-ops).
-// A snapshot from a different schema — including the legacy unversioned
-// fingerprint-keyed format, whose entries cannot be re-keyed — is an
-// error, not a silent partial import.
-func (s *Store) ImportSnapshot(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	rs, err := exp.ReadSnapshot(f)
-	if err != nil {
-		return 0, fmt.Errorf("store: importing %s: %w", path, err)
-	}
-	before := s.Len()
-	for _, r := range rs {
-		if err := s.Put(r); err != nil {
-			return s.Len() - before, fmt.Errorf("store: importing %s: %w", path, err)
-		}
-	}
-	return s.Len() - before, nil
 }

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +17,10 @@ import (
 	"icfp/internal/exp"
 	"icfp/internal/obs"
 	"icfp/internal/pipeline"
+	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/store"
+	"icfp/internal/workload"
 )
 
 // rec fabricates a distinct result record. The store treats machine and
@@ -73,6 +77,68 @@ func TestRoundTripAndLayout(t *testing.T) {
 	}
 	if s2.Len() != 1 || s2.Bytes() <= 0 {
 		t.Errorf("reopened index Len=%d Bytes=%d, want 1 record with positive bytes", s2.Len(), s2.Bytes())
+	}
+}
+
+// TestPreloadAndPersist pins the -store workflow of the CLIs: a run
+// persists each result through PutCached as it completes, and the next
+// run's Preload answers every planned key from the store, so it
+// simulates nothing and reproduces the first run's results.
+func TestPreloadAndPersist(t *testing.T) {
+	var jobs []exp.Job
+	for i, m := range []sim.Model{sim.InOrder, sim.ICFP} {
+		mach := m.Spec()
+		mach.Overrides = &spec.Overrides{Warmup: spec.Int(0)}
+		jobs = append(jobs, exp.Job{Name: fmt.Sprint(i), Machine: mach, Workload: spec.ScenarioWorkload(workload.ScenarioLoneL2)})
+	}
+	plan, err := exp.Plan(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func() (*exp.Cache, *exp.ResultSet, int) {
+		t.Helper()
+		s, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := exp.NewCache()
+		hits, err := s.Preload(cache, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := exp.Run(jobs, exp.WithCache(cache), exp.OnRun(func(k exp.Key) {
+			if _, ok, err := s.PutCached(cache, k); err != nil || !ok {
+				t.Errorf("PutCached(%v) = ok=%v err=%v", k, ok, err)
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cache, rs, hits
+	}
+	first, rs1, hits := run()
+	if hits != 0 || first.Simulations() != 2 {
+		t.Fatalf("cold run: %d store hits, %d simulations; want 0 and 2", hits, first.Simulations())
+	}
+	second, rs2, hits := run()
+	if hits != 2 || second.Simulations() != 0 {
+		t.Errorf("warm run: %d store hits, %d simulations; want 2 and 0", hits, second.Simulations())
+	}
+	for i := range jobs {
+		if rs1.Results[i].R != rs2.Results[i].R {
+			t.Errorf("job %d: result changed across the store round trip", i)
+		}
+	}
+	for _, r := range second.Snapshot() {
+		// Keys are canonical spec encodings, not labels or hashes, and
+		// wall times survive for the dist cost model.
+		if !strings.Contains(r.Machine, `"model"`) || r.ElapsedNS <= 0 {
+			t.Errorf("preloaded entry %s: not a canonical key or no elapsed time (%d ns)", r.Machine, r.ElapsedNS)
+		}
+	}
+	if _, ok, err := (&store.Store{}).PutCached(exp.NewCache(), exp.KeyOf(plan[0])); ok || err != nil {
+		t.Errorf("PutCached of a key the cache lacks = ok=%v err=%v, want a silent no-op", ok, err)
 	}
 }
 
@@ -181,17 +247,29 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
+// writeSnapshot writes entries as a legacy schema-v2 `-cache-file`
+// snapshot: the layout expq -import-cache reads.
+func writeSnapshot(t *testing.T, path string, entries []exp.CachedResult) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(map[string]any{"version": store.SnapshotVersion, "entries": entries}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestImportSnapshot pins the one-shot migration from -cache-file: a v2
 // snapshot imports completely, re-import is a no-op, and a legacy
 // unversioned snapshot is a loud SnapshotVersionError, not a partial
-// import.
+// import — as is a garbage file or one cut off mid-write, which import
+// nothing.
 func TestImportSnapshot(t *testing.T) {
-	cache := exp.NewCache()
-	cache.AddResults([]exp.CachedResult{rec("m1", "w1", 1), rec("m2", "w2", 2)})
-	snap := filepath.Join(t.TempDir(), "cache.json")
-	if err := exp.SaveCacheFile(cache, snap); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "cache.json")
+	data := writeSnapshot(t, snap, []exp.CachedResult{rec("m1", "w1", 1), rec("m2", "w2", 2)})
 
 	s, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -212,13 +290,86 @@ func TestImportSnapshot(t *testing.T) {
 		t.Errorf("re-import wrote %d new records, want 0 (first-writer-wins)", n)
 	}
 
-	legacy := filepath.Join(t.TempDir(), "old.json")
+	legacy := filepath.Join(dir, "old.json")
 	if err := os.WriteFile(legacy, []byte(`{"entries":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var vErr *exp.SnapshotVersionError
+	var vErr *store.SnapshotVersionError
 	if _, err := s.ImportSnapshot(legacy); !errors.As(err, &vErr) {
 		t.Errorf("legacy snapshot import returned %v, want SnapshotVersionError", err)
+	}
+
+	fresh, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"garbage": []byte("not json"), "truncated": data[:len(data)/2]} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := fresh.ImportSnapshot(path); err == nil || n != 0 {
+			t.Errorf("%s snapshot: import wrote %d records, err %v; want an error and none", name, n, err)
+		}
+	}
+}
+
+// TestSnapshotVersionMismatch pins the snapshot schema-versioning
+// contract: a pre-spec (unversioned, fingerprint-keyed) snapshot and a
+// future-versioned one both surface as SnapshotVersionError, so an
+// import names the schema problem instead of reporting corruption.
+func TestSnapshotVersionMismatch(t *testing.T) {
+	legacy := []byte(`{
+  "entries": [
+    {"machine": "iCFP", "config": "00f0ba41cafe0000", "workload": "spec:mcf:n=3000", "result": {"name": "mcf", "cycles": 123}}
+  ]
+}`)
+	_, err := store.ReadSnapshot(bytes.NewReader(legacy))
+	var verr *store.SnapshotVersionError
+	if !errors.As(err, &verr) {
+		t.Fatalf("legacy snapshot: err = %v, want SnapshotVersionError", err)
+	}
+	if verr.Got != 0 || verr.Want != store.SnapshotVersion {
+		t.Errorf("legacy snapshot error = %+v, want got 0, want %d", verr, store.SnapshotVersion)
+	}
+
+	future := []byte(`{"version": 99, "entries": []}`)
+	_, err = store.ReadSnapshot(bytes.NewReader(future))
+	if !errors.As(err, &verr) || verr.Got != 99 {
+		t.Fatalf("future snapshot: err = %v, want SnapshotVersionError{Got: 99}", err)
+	}
+}
+
+// TestLegacyV2SnapshotLoads pins schema compatibility: a v2 cache file
+// written before sampling existed (its results lack the additive
+// SampleIntervals/SampleCPICI95 fields) still loads, and the new fields
+// read zero — exactly the "additive fields only within a version" rule
+// docs/ARCHITECTURE.md commits to.
+func TestLegacyV2SnapshotLoads(t *testing.T) {
+	mkey := spec.Machine{Model: spec.ModelInOrder}.Canonical()
+	wkey := spec.SPECWorkload("mcf", 1000).Canonical()
+	legacy := fmt.Sprintf(
+		`{"version":2,"entries":[{"machine":%q,"workload":%q,"result":{"Name":"mcf","Cycles":2000,"Insts":1000},"elapsed_ns":7}]}`,
+		mkey, wkey)
+
+	entries, err := store.ReadSnapshot(bytes.NewReader([]byte(legacy)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("loaded %d entries, want 1", len(entries))
+	}
+	c := exp.NewCache()
+	c.AddResults(entries)
+	r, ok := c.Lookup(exp.Key{Machine: mkey, Workload: wkey})
+	if !ok {
+		t.Fatal("legacy entry not reachable under its canonical key")
+	}
+	if r.Cycles != 2000 || r.Insts != 1000 {
+		t.Fatalf("legacy result corrupted: %+v", r)
+	}
+	if r.SampleIntervals != 0 || r.SampleCPICI95 != 0 {
+		t.Fatalf("legacy result invented sampling statistics: %+v", r)
 	}
 }
 
@@ -692,7 +843,8 @@ func TestQuarantineDamagedRecord(t *testing.T) {
 
 // TestUndecodableIsNotDamage pins what quarantine leaves alone: a record
 // of a newer schema (this build cannot judge it) and a record holding
-// another key stay errors on every lookup, and stay on disk.
+// another key stay errors on every lookup and every Put, and stay on
+// disk unmodified.
 func TestUndecodableIsNotDamage(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
@@ -723,6 +875,14 @@ func TestUndecodableIsNotDamage(t *testing.T) {
 		}
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("%s: record moved: %v", c.r.Workload, err)
+		}
+		// Nor may a Put replace it: overwriting a newer build's record
+		// with this build's would silently downgrade it.
+		if err := s.Put(c.r); err == nil {
+			t.Errorf("%s: Put over the record succeeded, want an error", c.r.Workload)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != c.body {
+			t.Errorf("%s: Put modified the record (err %v): %s", c.r.Workload, err, got)
 		}
 	}
 	if v := reg.Counter("expq_store_corrupt_total", "").Value(); v != 0 {
