@@ -3,6 +3,7 @@ package main_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -167,12 +168,8 @@ func TestKillLeavesStoreConsistent(t *testing.T) {
 	}
 	exited := make(chan error, 1)
 	go func() { exited <- cmd.Wait() }()
-	records := func() []string {
-		files, _ := filepath.Glob(filepath.Join(storeDir, "??", "*.json"))
-		return files
-	}
 	deadline := time.Now().Add(30 * time.Second)
-	for len(records()) < 20 && time.Now().Before(deadline) {
+	for len(storeRecords(t, storeDir)) < 20 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
@@ -192,7 +189,7 @@ func TestKillLeavesStoreConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(records()); st.Len() != n {
+	if n := len(storeRecords(t, storeDir)); st.Len() != n {
 		t.Errorf("store indexes %d records, %d record files on disk", st.Len(), n)
 	}
 	stored := 0
@@ -218,18 +215,118 @@ func TestKillLeavesStoreConsistent(t *testing.T) {
 	if want := run(t, bin, args...); !bytes.Equal(resumed, want) {
 		t.Error("rerun against the killed run's store differs from an uninterrupted run")
 	}
-	raw, err := os.ReadFile(summary)
+	if n := spanCount(t, summary); n != len(plan)-stored {
+		t.Errorf("rerun simulated %d keys, want the %d the killed run had not stored", n, len(plan)-stored)
+	}
+}
+
+// storeRecords lists the record files of the result store at dir.
+func storeRecords(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans struct {
+	return files
+}
+
+// spanCount returns how many simulations the -run-summary file at path
+// records.
+func spanCount(t *testing.T, path string) int {
+	t.Helper()
+	var summary struct {
 		Spans []json.RawMessage `json:"spans"`
 	}
-	if err := json.Unmarshal(raw, &spans); err != nil {
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, &summary)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans.Spans) != len(plan)-stored {
-		t.Errorf("rerun simulated %d keys, want the %d the killed run had not stored", len(spans.Spans), len(plan)-stored)
+	return len(summary.Spans)
+}
+
+// storedRun runs -fig8 against a fresh -store and returns its arguments,
+// its output, and one of the records it stored, read back.
+func storedRun(t *testing.T, bin string) (args []string, out []byte, record string, data []byte) {
+	t.Helper()
+	args = []string{"-fig8", "-n", "2000", "-warm", "1000", "-store", filepath.Join(t.TempDir(), "store")}
+	out = run(t, bin, args...)
+	files := storeRecords(t, args[len(args)-1])
+	if len(files) < 2 {
+		t.Fatalf("run stored %d records, want several", len(files))
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return args, out, files[0], data
+}
+
+// TestLegacyCacheFileRegenerates pins that a persisted result this build
+// cannot decode costs a re-simulation, not the run: the damaged -store
+// record is moved aside, its one key simulates again and is rewritten
+// under the current record schema, and the output is byte-identical to
+// the run that stored it.
+func TestLegacyCacheFileRegenerates(t *testing.T) {
+	bin := buildBinary(t)
+	args, want, path, data := storedRun(t, bin)
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	summary := filepath.Join(t.TempDir(), "summary.json")
+	if got := run(t, bin, append(args, "-run-summary", summary)...); !bytes.Equal(got, want) {
+		t.Error("rerun over a damaged record differs from the run that stored it")
+	}
+	if n := spanCount(t, summary); n != 1 {
+		t.Errorf("rerun simulated %d keys, want only the damaged one", n)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("damaged record was not moved aside: %v", err)
+	}
+	// The rewrite matches the original record but for its wall time.
+	var before, after struct {
+		Version int             `json:"version"`
+		Result  json.RawMessage `json:"result"`
+	}
+	got, err := os.ReadFile(path)
+	if err == nil {
+		err = errors.Join(json.Unmarshal(data, &before), json.Unmarshal(got, &after))
+	}
+	if err != nil || after.Version != store.RecordVersion || !bytes.Equal(after.Result, before.Result) {
+		t.Errorf("damaged record was not regenerated under record schema v%d (err %v):\n%s", store.RecordVersion, err, got)
+	}
+}
+
+// TestFutureCacheFileIsFatal pins the never-downgrade rule for persisted
+// results: a -store record written under a newer record schema fails the
+// run with exit 1 instead of being simulated over, and stays on disk
+// unmodified.
+func TestFutureCacheFileIsFatal(t *testing.T) {
+	bin := buildBinary(t)
+	args, _, path, data := storedRun(t, bin)
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["version"] = json.RawMessage(fmt.Sprint(store.RecordVersion + 1))
+	future, err := json.Marshal(rec)
+	if err == nil {
+		err = os.WriteFile(path, future, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "record schema") {
+		t.Fatalf("future-schema record: err = %v, want exit 1 naming the schema\nstderr: %s", err, stderr.String())
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, future) {
+		t.Errorf("future-schema record was modified (err %v):\n%s", err, got)
 	}
 }
 

@@ -1,10 +1,17 @@
 package exp_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"icfp/internal/exp"
 	"icfp/internal/sim"
+	"icfp/internal/store"
 	"icfp/internal/workload"
 )
 
@@ -30,4 +37,119 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 			t.Errorf("snapshot not sorted at %d: %+v then %+v", i, a, b)
 		}
 	}
+}
+
+// persistJobs is a pair of distinct, cheap, real jobs.
+func persistJobs() []exp.Job {
+	return []exp.Job{
+		planJob("a", sim.InOrder, workload.ScenarioLoneL2),
+		planJob("b", sim.ICFP, workload.ScenarioLoneL2),
+	}
+}
+
+// runSnapshot runs jobs on a fresh cache and encodes its entries as a
+// current-schema cache snapshot (the input of expq -import-cache).
+func runSnapshot(t *testing.T, jobs []exp.Job) (*exp.Cache, []byte) {
+	t.Helper()
+	c := exp.NewCache()
+	if _, err := exp.Run(jobs, exp.WithCache(c)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(map[string]any{"version": store.SnapshotVersion, "entries": c.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, b
+}
+
+// loadFails pins that loading the snapshot data is refused whole: an
+// error, and nothing imported.
+func loadFails(t *testing.T, data []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(filepath.Join(t.TempDir(), "store"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.ImportSnapshot(path); err == nil || st.Len() != 0 {
+		t.Errorf("load = %d records, err %v; want an error and none", n, err)
+	}
+}
+
+// TestLoadCacheFileRejectsGarbage pins that a cache snapshot file that
+// is not JSON is refused on load.
+func TestLoadCacheFileRejectsGarbage(t *testing.T) {
+	loadFails(t, []byte("not json"))
+}
+
+// TestLoadCacheFileRejectsTruncated pins that a snapshot cut off
+// mid-write is refused whole rather than partially loaded.
+func TestLoadCacheFileRejectsTruncated(t *testing.T) {
+	_, full := runSnapshot(t, persistJobs()[:1])
+	if _, err := store.ReadSnapshot(bytes.NewReader(full[:len(full)/2])); err == nil {
+		t.Fatal("ReadSnapshot accepted a truncated snapshot")
+	}
+	loadFails(t, full[:len(full)/2])
+}
+
+// TestSnapshotRoundTripsCurrentVersion pins the cache's half of the
+// snapshot format: Cache.Snapshot entries, keyed by canonical specs,
+// read back through the current-version reader, and AddResults of them
+// pre-fills a fresh cache so a rerun simulates nothing.
+func TestSnapshotRoundTripsCurrentVersion(t *testing.T) {
+	c, data := runSnapshot(t, persistJobs())
+	entries, err := store.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("round trip kept %d entries, want 2", len(entries))
+	}
+	for _, e := range entries {
+		// Keys are canonical spec encodings, not labels or hashes.
+		if !strings.Contains(e.Machine, `"model"`) {
+			t.Errorf("entry machine key %q is not a canonical machine spec", e.Machine)
+		}
+	}
+	fresh := exp.NewCache()
+	fresh.AddResults(entries)
+	if _, err := exp.Run(persistJobs(), exp.WithCache(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Simulations() != 0 || !reflect.DeepEqual(fresh.Snapshot(), c.Snapshot()) {
+		t.Errorf("rerun on the reloaded cache simulated %d jobs or changed a result", fresh.Simulations())
+	}
+}
+
+// TestSaveCacheFileErrorNamesPath pins that persisting a cache's result
+// fails with an error naming where it tried to write. A store whose
+// directory is gone and cannot be recreated (a file now sits at its
+// path) fails for every user, including root; the store's own tests
+// cover a read-only directory.
+func TestSaveCacheFileErrorNamesPath(t *testing.T) {
+	c, _ := runSnapshot(t, persistJobs()[:1])
+	e := c.Snapshot()[0]
+	t.Run("missing dir", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "store")
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := st.PutCached(c, exp.Key{Machine: e.Machine, Workload: e.Workload})
+		if !ok || err == nil {
+			t.Fatalf("saving into a missing store directory = ok=%v err=%v, want an error", ok, err)
+		}
+		if !strings.Contains(err.Error(), dir) {
+			t.Errorf("error %q does not name the store path %q", err, dir)
+		}
+	})
 }

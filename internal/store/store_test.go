@@ -247,29 +247,20 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
-// writeSnapshot writes entries as a legacy schema-v2 `-cache-file`
-// snapshot: the layout expq -import-cache reads.
-func writeSnapshot(t *testing.T, path string, entries []exp.CachedResult) []byte {
-	t.Helper()
-	data, err := json.MarshalIndent(map[string]any{"version": store.SnapshotVersion, "entries": entries}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // TestImportSnapshot pins the one-shot migration from -cache-file: a v2
 // snapshot imports completely, re-import is a no-op, and a legacy
 // unversioned snapshot is a loud SnapshotVersionError, not a partial
-// import — as is a garbage file or one cut off mid-write, which import
-// nothing.
+// import.
 func TestImportSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "cache.json")
-	data := writeSnapshot(t, snap, []exp.CachedResult{rec("m1", "w1", 1), rec("m2", "w2", 2)})
+	data, err := json.Marshal(map[string]any{"version": store.SnapshotVersion, "entries": []exp.CachedResult{rec("m1", "w1", 1), rec("m2", "w2", 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -297,20 +288,6 @@ func TestImportSnapshot(t *testing.T) {
 	var vErr *store.SnapshotVersionError
 	if _, err := s.ImportSnapshot(legacy); !errors.As(err, &vErr) {
 		t.Errorf("legacy snapshot import returned %v, want SnapshotVersionError", err)
-	}
-
-	fresh, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, body := range map[string][]byte{"garbage": []byte("not json"), "truncated": data[:len(data)/2]} {
-		path := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(path, body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := fresh.ImportSnapshot(path); err == nil || n != 0 {
-			t.Errorf("%s snapshot: import wrote %d records, err %v; want an error and none", name, n, err)
-		}
 	}
 }
 
