@@ -18,6 +18,7 @@ import (
 	"icfp/internal/inorder"
 	"icfp/internal/pipeline"
 	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/stats"
 	"icfp/internal/workload"
 )
@@ -27,19 +28,45 @@ const (
 	benchWarm  = 50_000
 )
 
+// The paper's machines: in-order, the baseline, and the four
+// latency-tolerant designs compared against it.
+var (
+	inOrder     = spec.Machine{Model: spec.ModelInOrder}
+	icfpMachine = spec.Machine{Model: spec.ModelICFP}
+	fig5Models  = sim.PaperMachines()[1:]
+)
+
 func benchCfg() pipeline.Config {
-	cfg := sim.DefaultConfig()
+	cfg := spec.BaseConfig()
 	cfg.WarmupInsts = benchWarm
 	return cfg
 }
 
-// geomeanSpeedup runs model over the given benchmarks and returns the
-// geometric-mean percent speedup over in-order.
-func geomeanSpeedup(m sim.Model, cfg pipeline.Config, names []string) float64 {
+// newOn builds machine m on cfg.
+func newOn(tb testing.TB, m spec.Machine, cfg pipeline.Config) spec.Runner {
+	tb.Helper()
+	r, err := m.NewOn(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// runSPEC simulates the named SPEC2000-profile benchmark on machine m,
+// built on cfg, with benchTimed timed instructions after the warmup.
+func runSPEC(tb testing.TB, m spec.Machine, cfg pipeline.Config, name string) pipeline.Result {
+	tb.Helper()
+	return newOn(tb, m, cfg).Run(workload.SPEC(name, cfg.WarmupInsts+benchTimed))
+}
+
+// geomeanSpeedup runs machine m over the given benchmarks and returns
+// the geometric-mean percent speedup over in-order.
+func geomeanSpeedup(tb testing.TB, m spec.Machine, cfg pipeline.Config, names []string) float64 {
+	tb.Helper()
 	ratios := make([]float64, 0, len(names))
 	for _, name := range names {
-		base := sim.RunSPEC(sim.InOrder, cfg, name, benchTimed)
-		r := sim.RunSPEC(m, cfg, name, benchTimed)
+		base := runSPEC(tb, inOrder, cfg, name)
+		r := runSPEC(tb, m, cfg, name)
 		ratios = append(ratios, float64(base.Cycles)/float64(r.Cycles))
 	}
 	return (stats.GeoMean(ratios) - 1) * 100
@@ -50,11 +77,11 @@ func geomeanSpeedup(m sim.Model, cfg pipeline.Config, names []string) float64 {
 // Paper values: Runahead 11%, Multipass 11%, SLTP 9%, iCFP 16%.
 func BenchmarkFigure5(b *testing.B) {
 	cfg := benchCfg()
-	for _, m := range []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP, sim.ICFP} {
-		b.Run(m.String(), func(b *testing.B) {
+	for _, m := range fig5Models {
+		b.Run(m.Label, func(b *testing.B) {
 			var geo float64
 			for i := 0; i < b.N; i++ {
-				geo = geomeanSpeedup(m, cfg, workload.AllSPECNames)
+				geo = geomeanSpeedup(b, m.Machine, cfg, workload.AllSPECNames)
 			}
 			b.ReportMetric(geo, "speedup%")
 		})
@@ -69,8 +96,8 @@ func BenchmarkTable2(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var io, ic pipeline.Result
 			for i := 0; i < b.N; i++ {
-				io = sim.RunSPEC(sim.InOrder, cfg, name, benchTimed)
-				ic = sim.RunSPEC(sim.ICFP, cfg, name, benchTimed)
+				io = runSPEC(b, inOrder, cfg, name)
+				ic = runSPEC(b, icfpMachine, cfg, name)
 			}
 			b.ReportMetric(io.DCacheMissPerKI, "D$miss/KI")
 			b.ReportMetric(io.L2MissPerKI, "L2miss/KI")
@@ -86,14 +113,17 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	cfg := benchCfg()
 	machines := sim.Figure6Machines()
-	for _, m := range []sim.L2LatencyPoint{machines[1], machines[5]} { // RA-L2, iCFP-all
+	for _, m := range []sim.Labeled{machines[1], machines[5]} { // RA-L2, iCFP-all
 		for _, lat := range []int{10, 50} {
 			b.Run(fmt.Sprintf("%s/l2lat=%d", m.Label, lat), func(b *testing.B) {
-				var sp []float64
+				cl := cfg
+				cl.Hier.L2HitLat = lat
+				var sp float64
 				for i := 0; i < b.N; i++ {
-					sp = sim.SweepL2Latency(m.Machine, cfg, "equake", benchTimed, []int{lat})
+					base := runSPEC(b, inOrder, cl, "equake")
+					sp = runSPEC(b, m.Machine, cl, "equake").SpeedupOver(base)
 				}
-				b.ReportMetric(sp[0], "speedup%")
+				b.ReportMetric(sp, "speedup%")
 			})
 		}
 	}
@@ -103,12 +133,12 @@ func BenchmarkFigure6(b *testing.B) {
 // benchmark where non-blocking rallies matter most.
 func BenchmarkFigure7(b *testing.B) {
 	cfg := benchCfg()
-	base := sim.RunSPEC(sim.InOrder, cfg, "mcf", benchTimed)
+	base := runSPEC(b, inOrder, cfg, "mcf")
 	for _, build := range sim.FeatureBuildConfigs() {
 		b.Run(build.Label, func(b *testing.B) {
 			var r pipeline.Result
 			for i := 0; i < b.N; i++ {
-				r = sim.NewFromSpec(build.Machine, cfg).Run(workload.SPEC("mcf", cfg.WarmupInsts+benchTimed))
+				r = runSPEC(b, build.Machine, cfg, "mcf")
 			}
 			b.ReportMetric(r.SpeedupOver(base), "speedup%")
 		})
@@ -118,13 +148,12 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 regenerates the store-buffer design comparison on swim.
 func BenchmarkFigure8(b *testing.B) {
 	cfg := benchCfg()
-	base := sim.RunSPEC(sim.InOrder, cfg, "swim", benchTimed)
+	base := runSPEC(b, inOrder, cfg, "swim")
 	for _, sb := range sim.StoreBufferConfigs() {
 		b.Run(sb.Label, func(b *testing.B) {
 			var r pipeline.Result
 			for i := 0; i < b.N; i++ {
-				m := sim.NewFromSpec(sb.Machine, cfg)
-				r = m.Run(workload.SPEC("swim", cfg.WarmupInsts+benchTimed))
+				r = runSPEC(b, sb.Machine, cfg, "swim")
 			}
 			b.ReportMetric(r.SpeedupOver(base), "speedup%")
 			b.ReportMetric(r.SBExtraHops, "extra-hops")
@@ -141,7 +170,7 @@ func BenchmarkPoisonVectors(b *testing.B) {
 			cfg.PoisonBits = bits
 			var r pipeline.Result
 			for i := 0; i < b.N; i++ {
-				r = sim.RunSPEC(sim.ICFP, cfg, "mcf", benchTimed)
+				r = runSPEC(b, icfpMachine, cfg, "mcf")
 			}
 			b.ReportMetric(float64(r.Cycles), "cycles")
 		})
@@ -169,7 +198,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	w := workload.SPEC("equake", cfg.WarmupInsts+benchTimed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := sim.Run(sim.ICFP, cfg, w)
+		r := newOn(b, icfpMachine, cfg).Run(w)
 		b.SetBytes(r.Insts) // "bytes" = simulated instructions
 	}
 }
@@ -195,17 +224,17 @@ func TestEvaluationShape(t *testing.T) {
 		t.Skip("full-suite integration test")
 	}
 	cfg := benchCfg()
-	geo := map[sim.Model]float64{}
-	for _, m := range []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP, sim.ICFP} {
-		geo[m] = geomeanSpeedup(m, cfg, workload.AllSPECNames)
+	geo := map[string]float64{}
+	for _, m := range fig5Models {
+		geo[m.Label] = geomeanSpeedup(t, m.Machine, cfg, workload.AllSPECNames)
 	}
 	t.Logf("geomean speedups: RA %+.1f%% MP %+.1f%% SLTP %+.1f%% iCFP %+.1f%%",
-		geo[sim.Runahead], geo[sim.Multipass], geo[sim.SLTP], geo[sim.ICFP])
+		geo["Runahead"], geo["Multipass"], geo["SLTP"], geo["iCFP"])
 
 	// Claim 1: iCFP out-performs Runahead, Multipass and SLTP on average.
-	for _, m := range []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP} {
-		if geo[sim.ICFP] <= geo[m] {
-			t.Errorf("iCFP geomean %.1f%% must beat %s %.1f%%", geo[sim.ICFP], m, geo[m])
+	for _, m := range []string{"Runahead", "Multipass", "SLTP"} {
+		if geo["iCFP"] <= geo[m] {
+			t.Errorf("iCFP geomean %.1f%% must beat %s %.1f%%", geo["iCFP"], m, geo[m])
 		}
 	}
 	// Claim 2: every design helps on average (positive geomeans).
@@ -216,8 +245,8 @@ func TestEvaluationShape(t *testing.T) {
 	}
 	// Claim 3: high-miss benchmarks see speedups of 40%+ under iCFP.
 	for _, name := range []string{"ammp", "art"} {
-		base := sim.RunSPEC(sim.InOrder, cfg, name, benchTimed)
-		ic := sim.RunSPEC(sim.ICFP, cfg, name, benchTimed)
+		base := runSPEC(t, inOrder, cfg, name)
+		ic := runSPEC(t, icfpMachine, cfg, name)
 		if sp := ic.SpeedupOver(base); sp < 40 {
 			t.Errorf("%s iCFP speedup %.1f%%, paper reports 40%%+", name, sp)
 		}

@@ -65,7 +65,7 @@ import (
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
-	"icfp/internal/sim"
+	"icfp/internal/spec"
 )
 
 // serveMetrics starts the telemetry endpoint when addr is nonempty and
@@ -260,7 +260,7 @@ func coordMain(args []string) {
 	}
 
 	log := obs.NewLogger(os.Stderr)
-	p := registry.Params{Cfg: sim.DefaultConfig(), N: *n}
+	p := registry.Params{Cfg: spec.BaseConfig(), N: *n}
 	p.Cfg.WarmupInsts = *warm
 	cache := exp.NewCache()
 	var persist func(exp.Key)

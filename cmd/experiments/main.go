@@ -96,7 +96,6 @@ import (
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
 	"icfp/internal/serve"
-	"icfp/internal/sim"
 	"icfp/internal/spec"
 )
 
@@ -186,7 +185,7 @@ func main() {
 		}
 	}
 
-	p := registry.Params{Cfg: sim.DefaultConfig(), N: *flagN}
+	p := registry.Params{Cfg: spec.BaseConfig(), N: *flagN}
 	p.Cfg.WarmupInsts = *flagWarm
 	if *flagSample {
 		pol := registry.DefaultSampling(*flagWarm + *flagN)

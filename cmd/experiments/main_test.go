@@ -15,7 +15,7 @@ import (
 
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
-	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/store"
 )
 
@@ -179,7 +179,7 @@ func TestKillLeavesStoreConsistent(t *testing.T) {
 		t.Skip("run finished before the kill landed; nothing to observe")
 	}
 
-	p := registry.Params{Cfg: sim.DefaultConfig(), N: 20000}
+	p := registry.Params{Cfg: spec.BaseConfig(), N: 20000}
 	p.Cfg.WarmupInsts = 5000
 	plan, err := registry.Plan(registry.DefaultNames(), p)
 	if err != nil {

@@ -16,7 +16,9 @@ import (
 	"os"
 	"strings"
 
+	"icfp/internal/pipeline"
 	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
@@ -29,10 +31,8 @@ var (
 	flagBase  = flag.Bool("baseline", false, "also run the in-order baseline and print speedup")
 )
 
-var models = map[string]sim.Model{
-	"inorder": sim.InOrder, "runahead": sim.Runahead,
-	"multipass": sim.Multipass, "sltp": sim.SLTP, "icfp": sim.ICFP,
-}
+// models maps each -model value to its machine in sim.PaperMachines.
+var models = map[string]int{"inorder": 0, "runahead": 1, "multipass": 2, "sltp": 3, "icfp": 4}
 
 var scenarios = map[string]workload.Scenario{
 	"scenario:a": workload.ScenarioLoneL2,
@@ -45,26 +45,27 @@ var scenarios = map[string]workload.Scenario{
 
 func main() {
 	flag.Parse()
-	model, ok := models[strings.ToLower(*flagModel)]
+	i, ok := models[strings.ToLower(*flagModel)]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *flagModel)
 		os.Exit(2)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInsts = *flagWarm
-	cfg.Hier.L2HitLat = *flagL2
+	model := sim.PaperMachines()[i]
 
-	var load func() *workload.Workload
+	ov := &spec.Overrides{Warmup: flagWarm, L2HitLat: flagL2}
+	wl := spec.SPECWorkload(*flagBench, *flagWarm+*flagN)
 	if sc, ok := scenarios[*flagBench]; ok {
-		cfg.WarmupInsts = 0
-		load = func() *workload.Workload { return workload.NewScenario(sc) }
-	} else {
-		name := *flagBench
-		load = func() *workload.Workload { return workload.SPEC(name, cfg.WarmupInsts+*flagN) }
+		ov.Warmup = spec.Int(0) // scenarios pre-warm their caches explicitly
+		wl = spec.ScenarioWorkload(sc)
+	}
+	model.Machine.Overrides = ov
+	if err := (spec.Job{Name: *flagBench, Machine: model.Machine, Workload: wl}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
-	r := sim.Run(model, cfg, load())
-	fmt.Printf("%s on %s:\n", model, r.Name)
+	r := run(model.Machine, wl)
+	fmt.Printf("%s on %s:\n", model.Label, r.Name)
 	fmt.Printf("  cycles        %12d\n", r.Cycles)
 	fmt.Printf("  instructions  %12d   (IPC %.3f)\n", r.Insts, r.IPC())
 	fmt.Printf("  D$ miss/KI    %12.1f   L2 miss/KI %.1f\n", r.DCacheMissPerKI, r.L2MissPerKI)
@@ -78,8 +79,17 @@ func main() {
 	if r.SBForwards > 0 {
 		fmt.Printf("  SB forwards   %12d   mean extra hops %.3f\n", r.SBForwards, r.SBExtraHops)
 	}
-	if *flagBase && model != sim.InOrder {
-		base := sim.Run(sim.InOrder, cfg, load())
+	if *flagBase && model.Machine.Model != spec.ModelInOrder {
+		base := run(spec.Machine{Model: spec.ModelInOrder, Overrides: ov}, wl)
 		fmt.Printf("  speedup over in-order: %+.1f%%\n", r.SpeedupOver(base))
 	}
+}
+
+// run simulates the validated workload on the validated machine.
+func run(m spec.Machine, wl spec.Workload) pipeline.Result {
+	r, err := m.New()
+	if err != nil {
+		panic(err) // validated in main
+	}
+	return r.Run(wl.New())
 }

@@ -10,17 +10,20 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"icfp/internal/exp"
 	"icfp/internal/sim"
+	"icfp/internal/spec"
 )
 
 func main() {
-	cfg := sim.DefaultConfig()
 	lats := []int{10, 20, 30, 40, 50}
 	const timed = 250_000
+	wl := spec.SPECWorkload("equake", spec.BaseConfig().WarmupInsts+timed)
 
-	machines := sim.Figure6Machines()[1:]
+	machines := sim.Figure6Machines()
+	baseline, machines := machines[0].Machine, machines[1:]
 	cache := exp.NewCache()
 
 	fmt.Println("equake-profile speedup over in-order vs L2 hit latency")
@@ -30,10 +33,25 @@ func main() {
 	}
 	fmt.Println()
 	for _, m := range machines {
-		sp := sim.SweepL2LatencyCached(cache, m.Machine, cfg, "equake", timed, lats)
+		// One run per machine: the machine and the in-order baseline at
+		// every latency. Baselines an earlier run already simulated are
+		// answered from the shared cache.
+		var jobs []exp.Job
+		for _, lat := range lats {
+			at := func(name string, mach spec.Machine) exp.Job {
+				mach.Overrides = spec.Merge(mach.Overrides, &spec.Overrides{L2HitLat: spec.Int(lat)})
+				return exp.Job{Name: fmt.Sprintf("%s/%d", name, lat), Machine: mach, Workload: wl}
+			}
+			jobs = append(jobs, at("base", baseline), at("test", m.Machine))
+		}
+		rs, err := exp.Run(jobs, exp.WithCache(cache))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "latencysweep:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("%-18s", m.Label)
-		for _, v := range sp {
-			fmt.Printf(" %+7.1f%%", v)
+		for _, lat := range lats {
+			fmt.Printf(" %+7.1f%%", rs.Speedup(fmt.Sprintf("test/%d", lat), fmt.Sprintf("base/%d", lat)))
 		}
 		fmt.Println()
 	}

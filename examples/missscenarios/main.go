@@ -24,13 +24,12 @@ import (
 )
 
 func main() {
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInsts = 0 // scenarios pre-warm their caches explicitly
-
 	var jobs []exp.Job
 	for _, sc := range workload.AllScenarios {
-		for _, m := range sim.AllModels {
-			jobs = append(jobs, sim.Job(string(sc)+"/"+m.String(), m, cfg, spec.ScenarioWorkload(sc)))
+		for _, m := range sim.PaperMachines() {
+			mach := m.Machine
+			mach.Overrides = &spec.Overrides{Warmup: spec.Int(0)} // scenarios pre-warm their caches explicitly
+			jobs = append(jobs, exp.Job{Name: string(sc) + "/" + m.Label, Machine: mach, Workload: spec.ScenarioWorkload(sc)})
 		}
 	}
 	rs, err := exp.Run(jobs) // default parallelism: one worker per CPU
@@ -40,14 +39,14 @@ func main() {
 	}
 
 	fmt.Printf("%-22s", "scenario")
-	for _, m := range sim.AllModels {
-		fmt.Printf(" %10s", m)
+	for _, m := range sim.PaperMachines() {
+		fmt.Printf(" %10s", m.Label)
 	}
 	fmt.Println(" (cycles)")
 	for _, sc := range workload.AllScenarios {
 		fmt.Printf("%-22s", sc)
-		for _, m := range sim.AllModels {
-			fmt.Printf(" %10d", rs.MustGet(string(sc)+"/"+m.String()).Cycles)
+		for _, m := range sim.PaperMachines() {
+			fmt.Printf(" %10d", rs.MustGet(string(sc)+"/"+m.Label).Cycles)
 		}
 		fmt.Println()
 	}

@@ -1,26 +1,32 @@
 // Quickstart: build the Table 1 machine, run one workload on the in-order
 // baseline and on iCFP, and print the speedup. This is the minimal use of
-// the library's public surface: sim.DefaultConfig, workload.SPEC, sim.Run.
+// the library's public surface: spec.Machine.New, workload.SPEC,
+// Runner.Run.
 package main
 
 import (
 	"fmt"
 
-	"icfp/internal/sim"
+	"icfp/internal/pipeline"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
 func main() {
-	cfg := sim.DefaultConfig() // the paper's Table 1 machine
-
 	// A deterministic mcf-profile workload: pointer chasing over a
 	// working set larger than the L2, the worst case for an in-order
 	// pipeline.
 	const timed = 300_000
-	w := func() *workload.Workload { return workload.SPEC("mcf", cfg.WarmupInsts+timed) }
+	run := func(model string) pipeline.Result {
+		m, err := spec.Machine{Model: model}.New() // the paper's Table 1 machine
+		if err != nil {
+			panic(err)
+		}
+		return m.Run(workload.SPEC("mcf", spec.BaseConfig().WarmupInsts+timed))
+	}
 
-	base := sim.Run(sim.InOrder, cfg, w())
-	icfp := sim.Run(sim.ICFP, cfg, w())
+	base := run(spec.ModelInOrder)
+	icfp := run(spec.ModelICFP)
 
 	fmt.Printf("workload: %s (%d timed instructions)\n", base.Name, base.Insts)
 	fmt.Printf("in-order: %8d cycles  IPC %.3f\n", base.Cycles, base.IPC())

@@ -37,8 +37,8 @@ const (
 // FloorFactor bounds every enhanced model's cycles relative to the
 // blocking in-order core: the enhanced machines hide miss latency, so
 // on no workload may one fall behind in-order by more than the slack a
-// pathological advance policy can cost (the bound internal/sim's fuzz
-// suite has pinned since the seed).
+// pathological advance policy can cost (the bound TestFuzzAllMachines in
+// internal/sim pins for every sim.PaperMachines entry).
 const FloorFactor = 1.3
 
 // idealTolerance is the slack allowed on the ideal-dominates-limited

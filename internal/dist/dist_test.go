@@ -28,14 +28,15 @@ import (
 // testJobs builds n distinct real jobs from (model, scenario) combos,
 // with warmup disabled (scenarios pre-warm their caches explicitly).
 func testJobs(n int) []exp.Job {
-	if max := len(sim.AllModels) * len(workload.AllScenarios); n > max {
+	machines := sim.PaperMachines()
+	if max := len(machines) * len(workload.AllScenarios); n > max {
 		panic(fmt.Sprintf("at most %d distinct test jobs", max))
 	}
 	jobs := make([]exp.Job, 0, n)
 	for i := 0; i < n; i++ {
-		m := sim.AllModels[i%len(sim.AllModels)].Spec()
+		m := machines[i%len(machines)].Machine
 		m.Overrides = &spec.Overrides{Warmup: spec.Int(0)}
-		sc := workload.AllScenarios[i/len(sim.AllModels)]
+		sc := workload.AllScenarios[i/len(machines)]
 		jobs = append(jobs, exp.Job{
 			Name:     fmt.Sprintf("job%d", i),
 			Machine:  m,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"icfp/internal/exp"
+	"icfp/internal/pipeline"
 	"icfp/internal/sim"
 	"icfp/internal/spec"
 	"icfp/internal/workload"
@@ -44,6 +45,16 @@ func TestArenaGeneratesOncePerKey(t *testing.T) {
 	}
 }
 
+// run simulates w on machine m built on cfg.
+func run(t *testing.T, m spec.Machine, cfg pipeline.Config, w *workload.Workload) pipeline.Result {
+	t.Helper()
+	r, err := m.NewOn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Run(w)
+}
+
 // TestWorkloadImmutableAcrossModels pins the invariant that makes arena
 // sharing sound: running every machine of the evaluation over one shared
 // workload leaves the trace bit-identical. If any model ever starts
@@ -52,27 +63,28 @@ func TestWorkloadImmutableAcrossModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates all five machines")
 	}
-	cfg := sim.DefaultConfig()
+	cfg := spec.BaseConfig()
 	cfg.WarmupInsts = 10_000
 	w := workload.SPEC("mcf", cfg.WarmupInsts+40_000)
 
 	traceSum := w.Trace.Checksum()
 
-	for _, m := range sim.AllModels {
-		sim.Run(m, cfg, w)
+	for _, m := range sim.PaperMachines() {
+		run(t, m.Machine, cfg, w)
 		if got := w.Trace.Checksum(); got != traceSum {
-			t.Fatalf("%s mutated the shared trace: checksum %#x != %#x", m, got, traceSum)
+			t.Fatalf("%s mutated the shared trace: checksum %#x != %#x", m.Label, got, traceSum)
 		}
 	}
 
 	// The shared workload also yields the same results as a private one —
 	// sharing must be invisible.
 	private := workload.SPEC("mcf", cfg.WarmupInsts+40_000)
-	for _, m := range []sim.Model{sim.InOrder, sim.ICFP} {
-		a := sim.Run(m, cfg, w)
-		b := sim.Run(m, cfg, private)
+	for _, model := range []string{spec.ModelInOrder, spec.ModelICFP} {
+		m := spec.Machine{Model: model}
+		a := run(t, m, cfg, w)
+		b := run(t, m, cfg, private)
 		if a.Cycles != b.Cycles {
-			t.Errorf("%s: shared workload %d cycles, private %d", m, a.Cycles, b.Cycles)
+			t.Errorf("%s: shared workload %d cycles, private %d", model, a.Cycles, b.Cycles)
 		}
 	}
 }

@@ -15,12 +15,12 @@ import (
 // scenarioJobs is a small all-real job set: every Figure 1 scenario on
 // every machine.
 func scenarioJobs() []exp.Job {
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInsts = 0
 	var jobs []exp.Job
 	for _, sc := range workload.AllScenarios {
-		for _, m := range sim.AllModels {
-			jobs = append(jobs, sim.Job(string(sc)+"/"+m.String(), m, cfg, spec.ScenarioWorkload(sc)))
+		for _, m := range sim.PaperMachines() {
+			mach := m.Machine
+			mach.Overrides = &spec.Overrides{Warmup: spec.Int(0)}
+			jobs = append(jobs, exp.Job{Name: string(sc) + "/" + m.Label, Machine: mach, Workload: spec.ScenarioWorkload(sc)})
 		}
 	}
 	return jobs
@@ -70,8 +70,8 @@ func TestRunRejectsMalformedJobs(t *testing.T) {
 // canonical spec encodings, so jobs differing in any override (top-level
 // or nested) get distinct keys, and identical specs share one.
 func TestCanonicalKeysSeparateConfigs(t *testing.T) {
-	base := exp.Job{Machine: sim.ICFP.Spec(), Workload: spec.SPECWorkload("mcf", 1000)}
-	same := exp.Job{Machine: sim.ICFP.Spec(), Workload: spec.SPECWorkload("mcf", 1000)}
+	base := exp.Job{Machine: spec.Machine{Model: spec.ModelICFP}, Workload: spec.SPECWorkload("mcf", 1000)}
+	same := exp.Job{Machine: spec.Machine{Model: spec.ModelICFP}, Workload: spec.SPECWorkload("mcf", 1000)}
 	if base.Key() != same.Key() {
 		t.Error("equal specs must share a key")
 	}

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"icfp/internal/exp"
-	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/store"
 	"icfp/internal/workload"
 )
@@ -20,9 +20,9 @@ import (
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	c := exp.NewCache()
 	jobs := []exp.Job{
-		planJob("z", sim.ICFP, workload.ScenarioChains),
-		planJob("y", sim.InOrder, workload.ScenarioChains),
-		planJob("x", sim.InOrder, workload.ScenarioLoneL2),
+		planJob("z", spec.ModelICFP, workload.ScenarioChains),
+		planJob("y", spec.ModelInOrder, workload.ScenarioChains),
+		planJob("x", spec.ModelInOrder, workload.ScenarioLoneL2),
 	}
 	if _, err := exp.Run(jobs, exp.WithCache(c)); err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 // persistJobs is a pair of distinct, cheap, real jobs.
 func persistJobs() []exp.Job {
 	return []exp.Job{
-		planJob("a", sim.InOrder, workload.ScenarioLoneL2),
-		planJob("b", sim.ICFP, workload.ScenarioLoneL2),
+		planJob("a", spec.ModelInOrder, workload.ScenarioLoneL2),
+		planJob("b", spec.ModelICFP, workload.ScenarioLoneL2),
 	}
 }
 

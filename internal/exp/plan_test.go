@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"icfp/internal/exp"
-	"icfp/internal/sim"
 	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
@@ -14,9 +13,8 @@ import (
 // is disabled: scenarios pre-warm their caches explicitly, and the base
 // configuration's sampling warmup would otherwise consume the whole
 // trace.
-func planJob(name string, m sim.Model, sc workload.Scenario) exp.Job {
-	mach := m.Spec()
-	mach.Overrides = &spec.Overrides{Warmup: spec.Int(0)}
+func planJob(name, model string, sc workload.Scenario) exp.Job {
+	mach := spec.Machine{Model: model, Overrides: &spec.Overrides{Warmup: spec.Int(0)}}
 	return exp.Job{Name: name, Machine: mach, Workload: spec.ScenarioWorkload(sc)}
 }
 
@@ -26,10 +24,10 @@ func planJob(name string, m sim.Model, sc workload.Scenario) exp.Job {
 // shards on.
 func TestPlanDeduplicatesKeys(t *testing.T) {
 	jobs := []exp.Job{
-		planJob("a", sim.InOrder, workload.ScenarioLoneL2),
-		planJob("b", sim.InOrder, workload.ScenarioLoneL2), // same key as a
-		planJob("c", sim.ICFP, workload.ScenarioLoneL2),
-		planJob("d", sim.InOrder, workload.ScenarioChains),
+		planJob("a", spec.ModelInOrder, workload.ScenarioLoneL2),
+		planJob("b", spec.ModelInOrder, workload.ScenarioLoneL2), // same key as a
+		planJob("c", spec.ModelICFP, workload.ScenarioLoneL2),
+		planJob("d", spec.ModelInOrder, workload.ScenarioChains),
 	}
 	plan, err := exp.Plan(jobs)
 	if err != nil {
@@ -63,7 +61,7 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 // run, absent for unknown keys, and populated by AddResults.
 func TestCacheLookup(t *testing.T) {
 	c := exp.NewCache()
-	job := planJob("a", sim.InOrder, workload.ScenarioLoneL2)
+	job := planJob("a", spec.ModelInOrder, workload.ScenarioLoneL2)
 	if _, ok := c.Lookup(job.Key()); ok {
 		t.Fatal("Lookup hit on an empty cache")
 	}

@@ -12,9 +12,18 @@ import (
 	"icfp/internal/workload"
 )
 
-// fig5Models are the four latency-tolerant designs compared against the
-// in-order baseline throughout the evaluation.
-var fig5Models = []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP, sim.ICFP}
+// The paper's five machines in presentation order; their labels name
+// the registry's jobs.
+var (
+	paperMachines = sim.PaperMachines()
+	// inOrder is the baseline every speedup divides by.
+	inOrder = paperMachines[0].Machine
+	// icfpMachine is full iCFP, the subject of the structure studies.
+	icfpMachine = paperMachines[4].Machine
+	// fig5Models are the four latency-tolerant designs compared against
+	// the in-order baseline throughout the evaluation.
+	fig5Models = paperMachines[1:]
+)
 
 // fig6Lats are the L2 hit latencies of the Figure 6 sweep.
 var fig6Lats = []int{10, 20, 30, 40, 50}
@@ -67,9 +76,9 @@ func fig5Suite(e Experiment, p Params) (spec.Suite, error) {
 	b := newSuite(e, p)
 	for _, name := range workload.AllSPECNames {
 		wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-		b.add(e.Name+"/"+name+"/base", sim.InOrder.Spec(), p.Cfg, wl)
+		b.add(e.Name+"/"+name+"/base", inOrder, p.Cfg, wl)
 		for _, m := range fig5Models {
-			b.add(e.Name+"/"+name+"/"+m.String(), m.Spec(), p.Cfg, wl)
+			b.add(e.Name+"/"+name+"/"+m.Label, m.Machine, p.Cfg, wl)
 		}
 	}
 	return b.done()
@@ -86,14 +95,17 @@ func fig5Exp() Experiment {
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
 		// Sampled cells (the -sample flag family) grow a ±CI tail; full
 		// cells format exactly as always, keeping the golden intact.
-		sp := func(name string, m sim.Model) string {
-			return spCell(rs, "%+8.1f%%", "fig5/"+name+"/"+m.String(), "fig5/"+name+"/base")
+		sp := func(name string, m sim.Labeled) string {
+			return spCell(rs, "%+8.1f%%", "fig5/"+name+"/"+m.Label, "fig5/"+name+"/base")
 		}
 		fmt.Fprintln(w, "== Figure 5: % speedup over in-order ==")
 		fmt.Fprintf(w, "%-9s %9s %9s %9s %9s\n", "bench", "Runahead", "Multipass", "SLTP", "iCFP")
 		for _, name := range workload.AllSPECNames {
-			fmt.Fprintf(w, "%-9s %s %s %s %s\n", name,
-				sp(name, sim.Runahead), sp(name, sim.Multipass), sp(name, sim.SLTP), sp(name, sim.ICFP))
+			fmt.Fprintf(w, "%-9s", name)
+			for _, m := range fig5Models {
+				fmt.Fprintf(w, " %s", sp(name, m))
+			}
+			fmt.Fprintln(w)
 		}
 		for _, grp := range []struct {
 			label string
@@ -103,15 +115,15 @@ func fig5Exp() Experiment {
 			{"SPECint", workload.SPECintNames},
 			{"SPEC", workload.AllSPECNames},
 		} {
-			geo := func(m sim.Model) float64 {
+			fmt.Fprintf(w, "%-9s", grp.label)
+			for _, m := range fig5Models {
 				pairs := make([][2]string, 0, len(grp.names))
 				for _, name := range grp.names {
-					pairs = append(pairs, [2]string{"fig5/" + name + "/" + m.String(), "fig5/" + name + "/base"})
+					pairs = append(pairs, [2]string{"fig5/" + name + "/" + m.Label, "fig5/" + name + "/base"})
 				}
-				return rs.GeoMeanSpeedup(pairs)
+				fmt.Fprintf(w, " %+8.1f%%", rs.GeoMeanSpeedup(pairs))
 			}
-			fmt.Fprintf(w, "%-9s %+8.1f%% %+8.1f%% %+8.1f%% %+8.1f%%   (geomean)\n", grp.label,
-				geo(sim.Runahead), geo(sim.Multipass), geo(sim.SLTP), geo(sim.ICFP))
+			fmt.Fprintln(w, "   (geomean)")
 		}
 		fmt.Fprintln(w, "paper geomeans: Runahead 11%, Multipass 11%, SLTP 9%, iCFP 16%")
 		fmt.Fprintln(w)
@@ -148,27 +160,27 @@ func fig5sExp() Experiment {
 		for _, name := range workload.AllSPECNames {
 			fmt.Fprintf(w, "%-9s", name)
 			for _, m := range fig5Models {
-				sp, ci := rs.SpeedupCI95("fig5s/"+name+"/"+m.String(), "fig5s/"+name+"/base")
+				sp, ci := rs.SpeedupCI95("fig5s/"+name+"/"+m.Label, "fig5s/"+name+"/base")
 				fmt.Fprintf(w, " %14s", fmt.Sprintf("%+.1f%%±%.1f", sp, ci))
 			}
 			fmt.Fprintln(w)
 		}
-		geo := func(m sim.Model) float64 {
+		fmt.Fprintf(w, "%-9s", "SPEC")
+		for _, m := range fig5Models {
 			pairs := make([][2]string, 0, len(workload.AllSPECNames))
 			for _, name := range workload.AllSPECNames {
-				pairs = append(pairs, [2]string{"fig5s/" + name + "/" + m.String(), "fig5s/" + name + "/base"})
+				pairs = append(pairs, [2]string{"fig5s/" + name + "/" + m.Label, "fig5s/" + name + "/base"})
 			}
-			return rs.GeoMeanSpeedup(pairs)
+			fmt.Fprintf(w, " %+13.1f%%", rs.GeoMeanSpeedup(pairs))
 		}
-		fmt.Fprintf(w, "%-9s %+13.1f%% %+13.1f%% %+13.1f%% %+13.1f%%   (geomean)\n", "SPEC",
-			geo(sim.Runahead), geo(sim.Multipass), geo(sim.SLTP), geo(sim.ICFP))
+		fmt.Fprintln(w, "   (geomean)")
 		fmt.Fprintln(w)
 	}
 	return e
 }
 
 func table2Exp() Experiment {
-	models := []sim.Model{sim.InOrder, sim.Runahead, sim.ICFP}
+	models := []sim.Labeled{paperMachines[0], paperMachines[1], paperMachines[4]} // in-order, Runahead, iCFP
 	e := Experiment{
 		Name: "table2",
 		Desc: "diagnostics: miss rates, D$/L2 MLP, iCFP rally rate (Table 2)",
@@ -178,7 +190,7 @@ func table2Exp() Experiment {
 		for _, name := range workload.AllSPECNames {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
 			for _, m := range models {
-				b.add("table2/"+name+"/"+m.String(), m.Spec(), p.Cfg, wl)
+				b.add("table2/"+name+"/"+m.Label, m.Machine, p.Cfg, wl)
 			}
 		}
 		return b.done()
@@ -214,13 +226,13 @@ func fig6Exp() Experiment {
 			cl := p.Cfg
 			cl.Hier.L2HitLat = lat
 			wlEq := spec.SPECWorkload("equake", cl.WarmupInsts+p.N)
-			b.add(fmt.Sprintf("fig6/equake/base/%d", lat), sim.InOrder.Spec(), cl, wlEq)
+			b.add(fmt.Sprintf("fig6/equake/base/%d", lat), inOrder, cl, wlEq)
 			for _, m := range machines {
 				b.add(fmt.Sprintf("fig6/equake/%s/%d", m.Label, lat), m.Machine, cl, wlEq)
 			}
 			for _, bench := range workload.AllSPECNames {
 				wl := spec.SPECWorkload(bench, cl.WarmupInsts+n2)
-				b.add(fmt.Sprintf("fig6/spec/%s/base/%d", bench, lat), sim.InOrder.Spec(), cl, wl)
+				b.add(fmt.Sprintf("fig6/spec/%s/base/%d", bench, lat), inOrder, cl, wl)
 				for _, m := range machines {
 					b.add(fmt.Sprintf("fig6/spec/%s/%s/%d", bench, m.Label, lat), m.Machine, cl, wl)
 				}
@@ -278,7 +290,7 @@ func fig7Exp() Experiment {
 		b := newSuite(e, p)
 		for _, name := range figure7Names {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-			b.add("fig7/"+name+"/base", sim.InOrder.Spec(), p.Cfg, wl)
+			b.add("fig7/"+name+"/base", inOrder, p.Cfg, wl)
 			for i, build := range builds {
 				b.add(fmt.Sprintf("fig7/%s/bar%d", name, i+1), build.Machine, p.Cfg, wl)
 			}
@@ -317,7 +329,7 @@ func fig8Exp() Experiment {
 		b := newSuite(e, p)
 		for _, name := range figure8Names {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-			b.add("fig8/"+name+"/base", sim.InOrder.Spec(), p.Cfg, wl)
+			b.add("fig8/"+name+"/base", inOrder, p.Cfg, wl)
 			for _, sb := range sbs {
 				b.add(fmt.Sprintf("fig8/%s/%s", name, sb.Label), sb.Machine, p.Cfg, wl)
 			}
@@ -350,8 +362,8 @@ func hopsExp() Experiment {
 		small.ChainTableEntries = 64
 		for _, name := range workload.AllSPECNames {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-			b.add("hops/"+name+"/512", sim.ICFP.Spec(), p.Cfg, wl)
-			b.add("hops/"+name+"/64", sim.ICFP.Spec(), small, wl)
+			b.add("hops/"+name+"/512", icfpMachine, p.Cfg, wl)
+			b.add("hops/"+name+"/64", icfpMachine, small, wl)
 		}
 		return b.done()
 	}
@@ -380,8 +392,8 @@ func poisonExp() Experiment {
 		one.PoisonBits = 1
 		for _, name := range workload.AllSPECNames {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-			b.add("poison/"+name+"/1", sim.ICFP.Spec(), one, wl)
-			b.add("poison/"+name+"/8", sim.ICFP.Spec(), p.Cfg, wl)
+			b.add("poison/"+name+"/1", icfpMachine, one, wl)
+			b.add("poison/"+name+"/8", icfpMachine, p.Cfg, wl)
 		}
 		return b.done()
 	}
@@ -427,7 +439,7 @@ func oooExp() Experiment {
 		b := newSuite(e, p)
 		for _, name := range workload.AllSPECNames {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-			b.add("ooo/"+name+"/base", sim.InOrder.Spec(), p.Cfg, wl)
+			b.add("ooo/"+name+"/base", inOrder, p.Cfg, wl)
 			b.add("ooo/"+name+"/2way", spec.Machine{Model: spec.ModelOOO}, p.Cfg, wl)
 			b.add("ooo/"+name+"/cfp", spec.Machine{Model: spec.ModelOOO, CFP: true}, p.Cfg, wl)
 		}
@@ -472,7 +484,7 @@ func ablateExp() Experiment {
 		// baseline per benchmark serves all sweep points.
 		for _, name := range ablateNames {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-			b.add("ablate/base/"+name, sim.InOrder.Spec(), p.Cfg, wl)
+			b.add("ablate/base/"+name, inOrder, p.Cfg, wl)
 		}
 		for si, sweep := range ablateSweeps {
 			for _, v := range sweep.vals {
@@ -480,7 +492,7 @@ func ablateExp() Experiment {
 				sweep.modify(&c, v)
 				for _, name := range ablateNames {
 					wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
-					b.add(fmt.Sprintf("ablate/%d/%d/%s", si, v, name), sim.ICFP.Spec(), c, wl)
+					b.add(fmt.Sprintf("ablate/%d/%d/%s", si, v, name), icfpMachine, c, wl)
 				}
 			}
 		}
@@ -506,7 +518,7 @@ func ablateExp() Experiment {
 
 // fuzzModels are the latency-tolerant designs the fuzz-corpus
 // experiment compares against the in-order baseline.
-var fuzzModels = []sim.Model{sim.Runahead, sim.SLTP, sim.ICFP}
+var fuzzModels = []sim.Labeled{paperMachines[1], paperMachines[3], paperMachines[4]}
 
 func fuzzExp() Experiment {
 	e := Experiment{
@@ -521,9 +533,9 @@ func fuzzExp() Experiment {
 		b := newSuite(e, p)
 		for _, c := range workload.FuzzCorpus() {
 			wl := spec.FuzzWorkload(c.Seed, c.Knobs, p.Cfg.WarmupInsts+p.N)
-			b.add("fuzz/"+c.Label+"/base", sim.InOrder.Spec(), p.Cfg, wl)
+			b.add("fuzz/"+c.Label+"/base", inOrder, p.Cfg, wl)
 			for _, m := range fuzzModels {
-				b.add("fuzz/"+c.Label+"/"+m.String(), m.Spec(), p.Cfg, wl)
+				b.add("fuzz/"+c.Label+"/"+m.Label, m.Machine, p.Cfg, wl)
 			}
 		}
 		return b.done()
@@ -532,23 +544,23 @@ func fuzzExp() Experiment {
 		fmt.Fprintln(w, "== adversarial fuzz corpus: percent speedup over in-order ==")
 		fmt.Fprintf(w, "%-13s", "scenario")
 		for _, m := range fuzzModels {
-			fmt.Fprintf(w, " %9s", m.String())
+			fmt.Fprintf(w, " %9s", m.Label)
 		}
 		fmt.Fprintln(w)
-		speedups := make(map[sim.Model][]float64)
+		speedups := make(map[string][]float64)
 		for _, c := range workload.FuzzCorpus() {
 			fmt.Fprintf(w, "%-13s", c.Label)
 			base := "fuzz/" + c.Label + "/base"
 			for _, m := range fuzzModels {
-				name := "fuzz/" + c.Label + "/" + m.String()
-				speedups[m] = append(speedups[m], rs.Speedup(name, base))
+				name := "fuzz/" + c.Label + "/" + m.Label
+				speedups[m.Label] = append(speedups[m.Label], rs.Speedup(name, base))
 				fmt.Fprintf(w, " %s", spCell(rs, "%+8.1f%%", name, base))
 			}
 			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(w, "%-13s", "geomean")
 		for _, m := range fuzzModels {
-			fmt.Fprintf(w, " %+8.1f%%", exp.GeoMeanPercent(speedups[m]))
+			fmt.Fprintf(w, " %+8.1f%%", exp.GeoMeanPercent(speedups[m.Label]))
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintln(w)

@@ -15,7 +15,6 @@ import (
 
 	"icfp/internal/exp"
 	"icfp/internal/pipeline"
-	"icfp/internal/sim"
 	"icfp/internal/spec"
 )
 
@@ -54,7 +53,7 @@ func DefaultSampling(total int) *spec.Sampling {
 // DefaultParams mirrors the cmd/experiments defaults: the Table 1
 // machine, scaled-down samples.
 func DefaultParams() Params {
-	cfg := sim.DefaultConfig()
+	cfg := spec.BaseConfig()
 	return Params{Cfg: cfg, N: 400_000}
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
-	"icfp/internal/sim"
+	"icfp/internal/spec"
 )
 
 // isInOrderKey reports whether a memoization key names the in-order
@@ -20,7 +20,7 @@ func isInOrderKey(k exp.Key) bool {
 // tinyParams keeps the full registry fast enough for tests while still
 // simulating every experiment for real.
 func tinyParams() registry.Params {
-	cfg := sim.DefaultConfig()
+	cfg := spec.BaseConfig()
 	cfg.WarmupInsts = 1_000
 	return registry.Params{Cfg: cfg, N: 2_000}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"icfp/internal/exp"
-	"icfp/internal/sim"
 	"icfp/internal/spec"
 )
 
@@ -40,7 +39,7 @@ func renderBuiltin(w io.Writer, s spec.Suite, rs *exp.ResultSet) (err error) {
 		return fmt.Errorf("registry: suite %q: render names unknown builtin experiment %q (have %v)",
 			s.Name, s.Render.Builtin, Names())
 	}
-	p := Params{Cfg: sim.DefaultConfig(), N: s.N}
+	p := Params{Cfg: spec.BaseConfig(), N: s.N}
 	p.Cfg.WarmupInsts = s.Warm
 	defer func() {
 		if r := recover(); r != nil {

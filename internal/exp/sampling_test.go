@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"icfp/internal/exp"
-	"icfp/internal/sim"
 	"icfp/internal/spec"
 )
 
@@ -17,8 +16,7 @@ import (
 // result. This is what keeps every pre-sampling store record, golden, and
 // dist identity valid.
 func TestSampledDegenerateIsFullIdentity(t *testing.T) {
-	mach := sim.ICFP.Spec()
-	mach.Overrides = &spec.Overrides{Warmup: spec.Int(5_000)}
+	mach := spec.Machine{Model: spec.ModelICFP, Overrides: &spec.Overrides{Warmup: spec.Int(5_000)}}
 	full := exp.Job{Name: "full", Machine: mach, Workload: spec.SPECWorkload("mcf", 20_000)}
 	deg := full
 	deg.Name = "deg"

@@ -12,14 +12,14 @@ import (
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
 	"icfp/internal/serve"
-	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/store"
 )
 
 // tinyParams mirrors the registry tests' scaled-down sample sizes, so
 // suites here stay cheap.
 func tinyParams() registry.Params {
-	cfg := sim.DefaultConfig()
+	cfg := spec.BaseConfig()
 	cfg.WarmupInsts = 1_000
 	return registry.Params{Cfg: cfg, N: 2_000}
 }

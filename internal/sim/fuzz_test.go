@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"icfp/internal/pipeline"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
@@ -30,21 +31,21 @@ func TestFuzzAllMachines(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			var counts []int64
 			var baseline int64
-			for _, m := range AllModels {
+			for i, m := range PaperMachines() {
 				w := workload.Generate(p, cfg.WarmupInsts+insts, seed)
-				r := Run(m, cfg, w)
+				r := run(t, m.Machine, cfg, w)
 				if r.Cycles <= 0 {
-					t.Fatalf("%s: non-positive cycles %d", m, r.Cycles)
+					t.Fatalf("%s: non-positive cycles %d", m.Label, r.Cycles)
 				}
 				if r.IPC() > float64(cfg.Width) {
-					t.Fatalf("%s: IPC %.2f exceeds machine width", m, r.IPC())
+					t.Fatalf("%s: IPC %.2f exceeds machine width", m.Label, r.IPC())
 				}
 				counts = append(counts, r.Insts)
-				if m == InOrder {
+				if i == 0 {
 					baseline = r.Cycles
 				} else if float64(r.Cycles) > 1.3*float64(baseline) {
 					t.Errorf("%s: %d cycles, more than 1.3x the in-order %d",
-						m, r.Cycles, baseline)
+						m.Label, r.Cycles, baseline)
 				}
 			}
 			for _, c := range counts[1:] {
@@ -71,7 +72,7 @@ func TestFuzzStressSmallStructures(t *testing.T) {
 	for seed := int64(20); seed <= 26; seed++ {
 		p := randomProfile(seed)
 		w := workload.Generate(p, cfg.WarmupInsts+50_000, seed)
-		r := Run(ICFP, cfg, w)
+		r := run(t, icfpMachine, cfg, w)
 		if r.Cycles <= 0 {
 			t.Fatalf("%s: bad cycles %d", p.Name, r.Cycles)
 		}
@@ -93,7 +94,7 @@ func TestFuzzPoisonWidths(t *testing.T) {
 		cfg.CheckValues = true
 		cfg.PoisonBits = bits
 		w := workload.Generate(p, cfg.WarmupInsts+50_000, 7)
-		r := Run(ICFP, cfg, w)
+		r := run(t, icfpMachine, cfg, w)
 		if r.Cycles <= 0 {
 			t.Fatalf("bits=%d: bad cycles", bits)
 		}
@@ -105,6 +106,7 @@ func TestFuzzPoisonWidths(t *testing.T) {
 func TestAllTriggersTerminate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupInsts = 10_000
+	runahead := spec.Machine{Model: spec.ModelRunahead}
 	for _, trig := range []pipeline.AdvanceTrigger{
 		pipeline.TriggerL2Only, pipeline.TriggerPrimaryD1, pipeline.TriggerAll,
 	} {
@@ -113,9 +115,9 @@ func TestAllTriggersTerminate(t *testing.T) {
 			c.Trigger = trig
 			c.BlockSecondaryD1 = block
 			w := workload.SPEC("equake", c.WarmupInsts+60_000)
-			r1 := Run(Runahead, c, w)
+			r1 := run(t, runahead, c, w)
 			w2 := workload.SPEC("equake", c.WarmupInsts+60_000)
-			r2 := Run(Runahead, c, w2)
+			r2 := run(t, runahead, c, w2)
 			if r1.Cycles != r2.Cycles {
 				t.Errorf("trigger=%v block=%v: non-deterministic", trig, block)
 			}

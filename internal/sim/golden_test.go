@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
@@ -17,36 +18,42 @@ func TestGoldenDeterminism(t *testing.T) {
 	cfg.WarmupInsts = 20_000
 	const timed = 80_000
 
-	type key struct {
-		m     Model
-		bench string
+	pm := PaperMachines()
+	inOrder, runahead, multipass, sltp, icfp := pm[0], pm[1], pm[2], pm[3], pm[4]
+	golden := []struct {
+		m      Labeled
+		bench  string
+		cycles int64
+	}{
+		{inOrder, "equake", 116192},
+		{runahead, "equake", 113803},
+		{icfp, "equake", 90951},
+		{inOrder, "mcf", 1050961},
+		{sltp, "mcf", 1005754},
+		{icfp, "mcf", 793815},
+		{multipass, "swim", 181269},
+		{icfp, "swim", 108373},
 	}
-	got := map[key]int64{}
-	for _, k := range []key{
-		{InOrder, "equake"}, {Runahead, "equake"}, {ICFP, "equake"},
-		{InOrder, "mcf"}, {SLTP, "mcf"}, {ICFP, "mcf"},
-		{Multipass, "swim"}, {ICFP, "swim"},
-	} {
-		got[k] = RunSPEC(k.m, cfg, k.bench, timed).Cycles
-	}
-
-	// Cross-run stability: a second identical run must reproduce every
-	// number bit for bit.
-	for k, v := range got {
-		again := RunSPEC(k.m, cfg, k.bench, timed).Cycles
-		if again != v {
-			t.Errorf("%s/%s: %d then %d — simulation is not deterministic", k.m, k.bench, v, again)
+	got := make([]int64, len(golden))
+	for i, g := range golden {
+		got[i] = runSPEC(t, g.m.Machine, cfg, g.bench, timed).Cycles
+		if got[i] != g.cycles {
+			t.Errorf("%s/%s: %d cycles, golden %d", g.m.Label, g.bench, got[i], g.cycles)
+		}
+		// Cross-run stability: a second identical run must reproduce
+		// the number bit for bit.
+		if again := runSPEC(t, g.m.Machine, cfg, g.bench, timed).Cycles; again != got[i] {
+			t.Errorf("%s/%s: %d then %d — simulation is not deterministic", g.m.Label, g.bench, got[i], again)
 		}
 	}
 
-	// Relative invariants that must never regress silently.
-	if !(got[key{ICFP, "equake"}] < got[key{Runahead, "equake"}] &&
-		got[key{Runahead, "equake"}] <= got[key{InOrder, "equake"}]) {
-		t.Errorf("equake ordering broken: iCFP %d, RA %d, in-order %d",
-			got[key{ICFP, "equake"}], got[key{Runahead, "equake"}], got[key{InOrder, "equake"}])
+	// Relative invariants that must never regress silently, even when
+	// the table is refreshed.
+	if !(got[2] < got[1] && got[1] <= got[0]) {
+		t.Errorf("equake ordering broken: iCFP %d, RA %d, in-order %d", got[2], got[1], got[0])
 	}
-	if got[key{ICFP, "mcf"}] >= got[key{InOrder, "mcf"}] {
-		t.Errorf("mcf: iCFP %d must beat in-order %d", got[key{ICFP, "mcf"}], got[key{InOrder, "mcf"}])
+	if got[5] >= got[3] {
+		t.Errorf("mcf: iCFP %d must beat in-order %d", got[5], got[3])
 	}
 }
 
@@ -72,11 +79,11 @@ func TestSerializedTraceSimulatesIdentically(t *testing.T) {
 		// The loaded workload lacks the generator's Prewarm hook; compare
 		// against the original run without it too.
 		orig.Prewarm = nil
-		for _, m := range []Model{InOrder, ICFP} {
-			a := Run(m, cfg, orig)
-			b := Run(m, cfg, loaded)
+		for _, m := range []spec.Machine{{Model: spec.ModelInOrder}, icfpMachine} {
+			a := run(t, m, cfg, orig)
+			b := run(t, m, cfg, loaded)
 			if a.Cycles != b.Cycles || a.Insts != b.Insts {
-				t.Errorf("%s/%s: original %d cycles, round-tripped %d", m, name, a.Cycles, b.Cycles)
+				t.Errorf("%s/%s: original %d cycles, round-tripped %d", m.Model, name, a.Cycles, b.Cycles)
 			}
 		}
 	}

@@ -1,78 +1,14 @@
-// Package sim is the top-level driver: it names the five simulated
-// micro-architectures, runs workloads against them, and provides the
-// sweep helpers behind the paper's figures.
-//
-// Machines are identified declaratively: every named configuration in
-// this package is a thin producer of spec.Machine values, and
-// spec.Machine.New is the one constructor path behind the experiment
-// harness. The direct New/Run helpers remain for programmatic use (unit
-// tests, fuzzing, benchmarks) where a concrete pipeline.Config in hand
-// is more convenient than a spec.
+// Package sim names the machines of the paper's evaluation as
+// declarative specs: the five compared designs in presentation order,
+// and the machine lists behind Figures 6, 7 and 8. spec.Machine.New (or
+// NewOn, for a configuration in hand) builds any of them; the
+// experiment registry runs them as exp harness jobs.
 package sim
 
 import (
-	"fmt"
-
-	"icfp/internal/exp"
-	"icfp/internal/icfp"
-	"icfp/internal/inorder"
-	"icfp/internal/multipass"
 	"icfp/internal/pipeline"
-	"icfp/internal/runahead"
-	"icfp/internal/sltp"
 	"icfp/internal/spec"
-	"icfp/internal/workload"
 )
-
-// Model names a simulated micro-architecture.
-type Model int
-
-// The five machines of the paper's evaluation.
-const (
-	InOrder Model = iota
-	Runahead
-	Multipass
-	SLTP
-	ICFP
-)
-
-// AllModels lists the machines in the paper's presentation order.
-var AllModels = []Model{InOrder, Runahead, Multipass, SLTP, ICFP}
-
-// String names the model as the paper does.
-func (m Model) String() string {
-	switch m {
-	case InOrder:
-		return "in-order"
-	case Runahead:
-		return "Runahead"
-	case Multipass:
-		return "Multipass"
-	case SLTP:
-		return "SLTP"
-	case ICFP:
-		return "iCFP"
-	}
-	return fmt.Sprintf("model(%d)", int(m))
-}
-
-// Spec returns the model's declarative machine spec with its paper
-// defaults (no trigger or store-buffer variation, no overrides).
-func (m Model) Spec() spec.Machine {
-	switch m {
-	case InOrder:
-		return spec.Machine{Model: spec.ModelInOrder}
-	case Runahead:
-		return spec.Machine{Model: spec.ModelRunahead}
-	case Multipass:
-		return spec.Machine{Model: spec.ModelMultipass}
-	case SLTP:
-		return spec.Machine{Model: spec.ModelSLTP}
-	case ICFP:
-		return spec.Machine{Model: spec.ModelICFP}
-	}
-	panic(fmt.Sprintf("sim: unknown model %d", int(m)))
-}
 
 // DefaultConfig returns the Table 1 machine with the paper's sampling
 // methodology defaults — the configuration every spec diverges from
@@ -81,129 +17,33 @@ func DefaultConfig() pipeline.Config {
 	return spec.BaseConfig()
 }
 
-// New constructs model m on the given configuration. Each model applies
-// its own paper configuration for the advance trigger (Figure 5's
-// settings); use machine specs (or the model packages directly) for
-// trigger sensitivity studies.
-func New(m Model, cfg pipeline.Config) Runner {
-	switch m {
-	case InOrder:
-		return inorder.New(cfg)
-	case Runahead:
-		return runahead.New(cfg)
-	case Multipass:
-		return multipass.New(cfg)
-	case SLTP:
-		return sltp.New(cfg)
-	case ICFP:
-		return icfp.New(cfg)
-	}
-	panic(fmt.Sprintf("sim: unknown model %d", int(m)))
-}
-
-// NewFromSpec constructs the machine a spec names, with cfg's divergence
-// from the spec base carried as overrides. It panics when cfg touches a
-// field overrides cannot express or the spec is invalid — callers hold
-// both, so an error is a call-site bug.
-func NewFromSpec(m spec.Machine, cfg pipeline.Config) Runner {
-	r, err := specMachineAt(m, cfg).New()
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	return r
-}
-
-// specMachineAt merges cfg's divergence from the base into the machine
-// spec (the machine's own overrides win). It panics on an inexpressible
-// configuration.
-func specMachineAt(m spec.Machine, cfg pipeline.Config) spec.Machine {
-	ov, err := spec.OverridesFor(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	m.Overrides = spec.Merge(m.Overrides, ov)
-	return m
-}
-
-// Job expresses "run model m, configured by cfg, over the workload" as a
-// harness job, the building block of the experiment registry. The
-// configuration's divergence from the base rides in the machine spec's
-// overrides; Job panics when cfg is not spec-expressible.
-func Job(name string, m Model, cfg pipeline.Config, wl spec.Workload) exp.Job {
-	return JobFor(name, m.Spec(), cfg, wl)
-}
-
-// JobFor is Job for an explicit machine spec (a Figure 6 latency point,
-// a feature build, a store-buffer design).
-func JobFor(name string, m spec.Machine, cfg pipeline.Config, wl spec.Workload) exp.Job {
-	return exp.Job{Name: name, Machine: specMachineAt(m, cfg), Workload: wl}
-}
-
-// Run simulates workload w on model m.
-func Run(m Model, cfg pipeline.Config, w *workload.Workload) pipeline.Result {
-	return New(m, cfg).Run(w)
-}
-
-// RunSPEC simulates the named SPEC2000-profile benchmark with n timed
-// instructions after the configured warmup.
-func RunSPEC(m Model, cfg pipeline.Config, name string, n int) pipeline.Result {
-	w := workload.SPEC(name, cfg.WarmupInsts+n)
-	return Run(m, cfg, w)
-}
-
-// Speedups runs base and test models over the named benchmarks and
-// returns the percent speedup of test over base per benchmark, plus the
-// geometric-mean speedup. Runs go through the memoizing harness, so the
-// base model simulates once per (configuration, benchmark) even when it
-// appears on both sides.
-func Speedups(base, test Model, cfg pipeline.Config, names []string, n int) (per map[string]float64, geo float64) {
-	return SpeedupsCached(exp.NewCache(), base, test, cfg, names, n)
-}
-
-// SpeedupsCached is Speedups against a shared cache: runs already
-// performed by any earlier experiment sharing the cache are reused
-// instead of re-simulated.
-func SpeedupsCached(c *exp.Cache, base, test Model, cfg pipeline.Config, names []string, n int, opts ...exp.Option) (per map[string]float64, geo float64) {
-	jobs := make([]exp.Job, 0, 2*len(names))
-	seen := make(map[string]bool, len(names))
-	for _, name := range names {
-		if seen[name] {
-			continue // one job pair per benchmark; repeats reuse it
-		}
-		seen[name] = true
-		wl := spec.SPECWorkload(name, cfg.WarmupInsts+n)
-		jobs = append(jobs,
-			Job("base/"+name, base, cfg, wl),
-			Job("test/"+name, test, cfg, wl))
-	}
-	rs, err := exp.Run(jobs, append([]exp.Option{exp.WithCache(c)}, opts...)...)
-	if err != nil {
-		panic(err) // the job set is built right here; an error is a sim bug
-	}
-	per = make(map[string]float64, len(names))
-	pairs := make([][2]string, 0, len(names))
-	for _, name := range names {
-		per[name] = rs.Speedup("test/"+name, "base/"+name)
-		pairs = append(pairs, [2]string{"test/" + name, "base/" + name})
-	}
-	return per, rs.GeoMeanSpeedup(pairs)
-}
-
-// L2LatencyPoint is one machine of the Figure 6 sweep: a display label
-// and the declarative machine spec behind it.
-type L2LatencyPoint struct {
+// Labeled is one machine of a figure: a display label and the
+// declarative machine spec behind it.
+type Labeled struct {
 	Label   string
 	Machine spec.Machine
 }
 
-// Runner runs a workload (satisfied by every machine in this module).
-type Runner = spec.Runner
+// PaperMachines returns the five machines of the paper's evaluation in
+// presentation order, each with its paper defaults (no trigger or
+// store-buffer variation, no overrides). The labels are the job names of
+// every registry suite and the sub-benchmark names of the root
+// benchmarks, so they must not change.
+func PaperMachines() []Labeled {
+	return []Labeled{
+		{"in-order", spec.Machine{Model: spec.ModelInOrder}},
+		{"Runahead", spec.Machine{Model: spec.ModelRunahead}},
+		{"Multipass", spec.Machine{Model: spec.ModelMultipass}},
+		{"SLTP", spec.Machine{Model: spec.ModelSLTP}},
+		{"iCFP", spec.Machine{Model: spec.ModelICFP}},
+	}
+}
 
 // Figure6Machines returns the six configurations of the paper's L2
 // hit-latency sensitivity study: the baseline, three Runahead trigger
-// variants, and two iCFP trigger variants — as machine specs.
-func Figure6Machines() []L2LatencyPoint {
-	return []L2LatencyPoint{
+// variants, and two iCFP trigger variants.
+func Figure6Machines() []Labeled {
+	return []Labeled{
 		{"in-order", spec.Machine{Model: spec.ModelInOrder}},
 		{"RA-L2", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerL2,
 			Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(true)}}},
@@ -216,48 +56,10 @@ func Figure6Machines() []L2LatencyPoint {
 	}
 }
 
-// SweepL2Latency runs one machine spec over the given L2 hit latencies
-// for a benchmark and returns percent speedups over the in-order
-// baseline at the same latency.
-func SweepL2Latency(m spec.Machine, cfg pipeline.Config, name string, n int, lats []int) []float64 {
-	return SweepL2LatencyCached(exp.NewCache(), m, cfg, name, n, lats)
-}
-
-// SweepL2LatencyCached is SweepL2Latency against a shared cache: the
-// in-order baseline at each latency simulates once no matter how many
-// machines sweep against it, and machines are cached by their canonical
-// specs — no labels required.
-func SweepL2LatencyCached(c *exp.Cache, m spec.Machine, cfg pipeline.Config, name string, n int, lats []int, opts ...exp.Option) []float64 {
-	jobs := make([]exp.Job, 0, 2*len(lats))
-	for k, lat := range lats {
-		cl := cfg
-		cl.Hier.L2HitLat = lat
-		wl := spec.SPECWorkload(name, cl.WarmupInsts+n)
-		jobs = append(jobs,
-			Job(fmt.Sprintf("base/%d", k), InOrder, cl, wl),
-			JobFor(fmt.Sprintf("test/%d", k), m, cl, wl))
-	}
-	rs, err := exp.Run(jobs, append([]exp.Option{exp.WithCache(c)}, opts...)...)
-	if err != nil {
-		panic(err) // the job set is built right here; an error is a sim bug
-	}
-	out := make([]float64, len(lats))
-	for k := range lats {
-		out[k] = rs.Speedup(fmt.Sprintf("test/%d", k), fmt.Sprintf("base/%d", k))
-	}
-	return out
-}
-
-// FeatureBuild is one bar of the Figure 7 build from SLTP to full iCFP.
-type FeatureBuild struct {
-	Label   string
-	Machine spec.Machine
-}
-
 // FeatureBuildConfigs returns the Figure 7 "build" from SLTP to full
 // iCFP. The first entry is the SLTP machine itself; the rest are iCFP
 // configurations adding one feature at a time.
-func FeatureBuildConfigs() []FeatureBuild {
+func FeatureBuildConfigs() []Labeled {
 	icfpBuild := func(nonBlocking, multithread bool, poisonBits int) spec.Machine {
 		return spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll,
 			Overrides: &spec.Overrides{
@@ -266,7 +68,7 @@ func FeatureBuildConfigs() []FeatureBuild {
 				PoisonBits:       spec.Int(poisonBits),
 			}}
 	}
-	return []FeatureBuild{
+	return []Labeled{
 		{"SRL memory, single blocking rallies (SLTP)", spec.Machine{Model: spec.ModelSLTP}},
 		{"+ address-hash chaining", icfpBuild(false, false, 1)},
 		{"+ multiple non-blocking rallies", icfpBuild(true, false, 1)},
@@ -275,19 +77,13 @@ func FeatureBuildConfigs() []FeatureBuild {
 	}
 }
 
-// StoreBufferDesign is one column of the Figure 8 comparison.
-type StoreBufferDesign struct {
-	Label   string
-	Machine spec.Machine
-}
-
 // StoreBufferConfigs returns the Figure 8 store-buffer design
 // comparison: indexed-limited, chained, and idealized fully-associative.
-func StoreBufferConfigs() []StoreBufferDesign {
+func StoreBufferConfigs() []Labeled {
 	icfpSB := func(sb string) spec.Machine {
 		return spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll, StoreBuffer: sb}
 	}
-	return []StoreBufferDesign{
+	return []Labeled{
 		{"indexed with limited forwarding", icfpSB(spec.SBLimited)},
 		{"chained (iCFP)", icfpSB(spec.SBChained)},
 		{"fully-associative (idealized)", icfpSB(spec.SBIdeal)},

@@ -49,16 +49,25 @@ func sbMode(name string) icfp.SBMode {
 	panic(fmt.Sprintf("spec: unvalidated store_buffer %q", name))
 }
 
-// New constructs the declared machine — the one constructor path behind
-// the harness, the registry, and distributed workers. An empty Trigger
-// leaves each model its paper default (runahead honours the base
-// configuration's L2-only/D$-blocking setting; multipass forces
-// L2+primary-D$; sltp always L2-only; icfp advances under all misses).
+// New constructs the declared machine on BaseConfig — the one
+// constructor path behind the harness, the registry, and distributed
+// workers. It is NewOn(BaseConfig()).
 func (m Machine) New() (Runner, error) {
-	cfg, err := m.Config()
-	if err != nil {
+	return m.NewOn(BaseConfig())
+}
+
+// NewOn constructs the declared machine on cfg: the machine's overrides
+// win over cfg (the precedence Merge encodes), and every field no
+// override names — trigger policy, check flags, cache geometry — keeps
+// cfg's value. An empty Trigger leaves each model its paper default
+// (runahead honours cfg's trigger and D$-blocking setting; multipass
+// forces L2+primary-D$; sltp always L2-only; icfp advances under all
+// misses).
+func (m Machine) NewOn(cfg pipeline.Config) (Runner, error) {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	m.Overrides.apply(&cfg)
 	switch m.Model {
 	case ModelInOrder:
 		return inorder.New(cfg), nil

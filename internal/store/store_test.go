@@ -17,7 +17,6 @@ import (
 	"icfp/internal/exp"
 	"icfp/internal/obs"
 	"icfp/internal/pipeline"
-	"icfp/internal/sim"
 	"icfp/internal/spec"
 	"icfp/internal/store"
 	"icfp/internal/workload"
@@ -86,9 +85,8 @@ func TestRoundTripAndLayout(t *testing.T) {
 // simulates nothing and reproduces the first run's results.
 func TestPreloadAndPersist(t *testing.T) {
 	var jobs []exp.Job
-	for i, m := range []sim.Model{sim.InOrder, sim.ICFP} {
-		mach := m.Spec()
-		mach.Overrides = &spec.Overrides{Warmup: spec.Int(0)}
+	for i, model := range []string{spec.ModelInOrder, spec.ModelICFP} {
+		mach := spec.Machine{Model: model, Overrides: &spec.Overrides{Warmup: spec.Int(0)}}
 		jobs = append(jobs, exp.Job{Name: fmt.Sprint(i), Machine: mach, Workload: spec.ScenarioWorkload(workload.ScenarioLoneL2)})
 	}
 	plan, err := exp.Plan(jobs)

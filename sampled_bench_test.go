@@ -27,15 +27,15 @@ func BenchmarkSampledRate(b *testing.B) {
 	// trace, 2% of each stratum measured, a ramp three windows long.
 	pol := pipeline.SamplePolicy{Interval: total / 600, Period: total / 12, Ramp: total / 200, Seed: 1}
 	w := workload.SPEC(simRateBench, total)
-	for _, m := range sim.AllModels {
-		full := sim.Run(m, cfg, w)
-		b.Run(m.String(), func(b *testing.B) {
+	for _, m := range sim.PaperMachines() {
+		full := newOn(b, m.Machine, cfg).Run(w)
+		b.Run(m.Label, func(b *testing.B) {
 			b.ReportAllocs()
 			var insts int64
 			var errpct float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := sim.New(m, cfg).(spec.SampledRunner).RunSampled(w, pol)
+				r := newOn(b, m.Machine, cfg).(spec.SampledRunner).RunSampled(w, pol)
 				insts += int64(w.Trace.Len())
 				errpct = 100 * math.Abs(r.CPI()-full.CPI()) / full.CPI()
 			}

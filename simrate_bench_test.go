@@ -42,15 +42,15 @@ func BenchmarkSimRate(b *testing.B) {
 	// arena invariant (TestWorkloadImmutableAcrossModels) makes this safe
 	// and keeps generation cost out of the measurement.
 	w := workload.SPEC(simRateBench, cfg.WarmupInsts+benchTimed)
-	for _, m := range sim.AllModels {
-		b.Run(m.String(), func(b *testing.B) {
+	for _, m := range sim.PaperMachines() {
+		b.Run(m.Label, func(b *testing.B) {
 			b.ReportAllocs()
-			sims := reg.Counter("exp_simulations_total", "", "model", m.String())
-			simInsts := reg.Counter("exp_sim_instructions_total", "", "model", m.String())
+			sims := reg.Counter("exp_simulations_total", "", "model", m.Label)
+			simInsts := reg.Counter("exp_sim_instructions_total", "", "model", m.Label)
 			var insts int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := sim.Run(m, cfg, w)
+				r := newOn(b, m.Machine, cfg).Run(w)
 				insts += r.Insts
 				sims.Inc()
 				simInsts.Add(r.Insts)
