@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"icfp/internal/isa"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
@@ -32,6 +33,10 @@ func main() {
 	var wl *workload.Workload
 	switch {
 	case *flagGen != "":
+		if err := spec.SPECWorkload(*flagGen, *flagN).Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		wl = workload.Generate(workload.Profiles(*flagGen), *flagN, *flagSeed)
 	case flag.NArg() == 1:
 		f, err := os.Open(flag.Arg(0))

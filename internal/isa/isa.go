@@ -45,6 +45,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// Valid reports whether o names one of the opcode classes.
+func (o Op) Valid() bool { return o < numOps }
+
 // IsMem reports whether the op accesses data memory.
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 

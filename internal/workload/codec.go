@@ -173,7 +173,7 @@ func ReadTrace(r io.Reader) (*Workload, error) {
 			}
 		}
 		flags := vals[0]
-		insts = append(insts, isa.Inst{
+		in := isa.Inst{
 			Op:     isa.Op(flags & 0xFF),
 			Taken:  flags&(1<<8) != 0,
 			Dst:    isa.Reg(flags >> 16),
@@ -184,10 +184,28 @@ func ReadTrace(r io.Reader) (*Workload, error) {
 			Addr:   vals[2],
 			Val:    vals[3],
 			Target: vals[4],
-		})
+		}
+		if err := checkInst(in); err != nil {
+			return nil, fmt.Errorf("workload: instruction %d: %w", i, err)
+		}
+		insts = append(insts, in)
 	}
 	return &Workload{
 		Name:  string(name),
 		Trace: &isa.Trace{Name: string(name), Insts: insts},
 	}, nil
+}
+
+// checkInst rejects an opcode or register the simulator cannot index:
+// the timing models size their tables by opcode class and register.
+func checkInst(in isa.Inst) error {
+	if !in.Op.Valid() {
+		return fmt.Errorf("opcode %d out of range", uint8(in.Op))
+	}
+	for _, r := range [...]isa.Reg{in.Dst, in.Src1, in.Src2} {
+		if !r.Valid() && r != isa.RegNone {
+			return fmt.Errorf("register %d out of range", uint8(r))
+		}
+	}
+	return nil
 }

@@ -10,13 +10,15 @@ import (
 // so its only acceptable failure mode is a returned error: no panic, no
 // allocation proportional to a hostile length field rather than to the
 // bytes actually supplied. Accepted inputs must re-encode and decode
-// again cleanly (the seed section is re-derived from the trace, so
+// again cleanly and hold only opcodes and registers the simulator can
+// index (the seed section is re-derived from the trace, so
 // byte-identity is only guaranteed for writer-produced inputs).
 func FuzzReadTrace(f *testing.F) {
 	// Seed with a small real trace plus truncations and header
 	// corruptions of it, so the mutator starts inside the format.
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, Fuzz(101, FuzzKnobs{SBPressure: 50}, 200)); err != nil {
+	seed := Fuzz(101, FuzzKnobs{SBPressure: 50}, 200)
+	if err := WriteTrace(&buf, seed); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -31,11 +33,21 @@ func FuzzReadTrace(f *testing.F) {
 	hostile = append(hostile, 0, 0, 0, 0, 0, 0, 0, 0)  // seed count 0
 	hostile = append(hostile, 0, 0, 0, 0, 0, 16, 0, 0) // trace len 2^44: over cap
 	f.Add(hostile)
+	// The first instruction's opcode byte past the last class: valid
+	// framing, invalid content.
+	badOp := append([]byte{}, valid...)
+	badOp[len(valid)-seed.Trace.Len()*5*8] = 0x20
+	f.Add(badOp)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wl, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for i, in := range wl.Trace.Insts {
+			if err := checkInst(in); err != nil {
+				t.Fatalf("accepted instruction %d: %v", i, err)
+			}
 		}
 		// Successfully decoded inputs must re-encode deterministically.
 		var out bytes.Buffer

@@ -104,3 +104,28 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 		t.Fatal("truncated trace must be rejected")
 	}
 }
+
+// TestReadTraceRejectsBadOperands pins that an opcode or register the
+// timing models cannot index is an error naming the instruction, not a
+// trace that panics whoever reads it.
+func TestReadTraceRejectsBadOperands(t *testing.T) {
+	ok := isa.Inst{Op: isa.OpALU, Dst: isa.IntReg(1), Src1: isa.FPReg(31), Src2: isa.RegNone}
+	for _, tc := range []struct {
+		name string
+		bad  isa.Inst
+		want string
+	}{
+		{"opcode", isa.Inst{Op: 0x20, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}, "instruction 1: opcode 32 out of range"},
+		{"dst", isa.Inst{Op: isa.OpALU, Dst: isa.NumRegs, Src1: isa.RegNone, Src2: isa.RegNone}, "instruction 1: register 64 out of range"},
+		{"src2", isa.Inst{Op: isa.OpALU, Dst: isa.RegNone, Src1: isa.RegNone, Src2: 254}, "instruction 1: register 254 out of range"},
+	} {
+		var buf bytes.Buffer
+		wl := &Workload{Name: "bad", Trace: &isa.Trace{Insts: []isa.Inst{ok, tc.bad}}}
+		if err := WriteTrace(&buf, wl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTrace(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadTrace error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
