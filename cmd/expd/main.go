@@ -222,7 +222,6 @@ func coordMain(args []string) {
 		n         = fs.Int("n", 400_000, "timed instructions per sample")
 		warm      = fs.Int("warm", 150_000, "warmup instructions per sample")
 		parallel  = fs.Int("parallel", 0, "per-worker pool size (0 = each worker's GOMAXPROCS)")
-		batch     = fs.Int("batch", 0, "fixed jobs per dispatched batch (0 = cost-aware sizing from per-key estimates)")
 		storeDir  = fs.String("store", "", "persistent result store directory: stored results are not dispatched, merged ones are written as they arrive")
 		timeout   = fs.Duration("worker-timeout", 0, "declare a silent worker dead and reassign its batch after this long (must exceed one simulation's duration; 0 = wait forever)")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "beacon a liveness heartbeat to every worker on this interval so idle workers detect a dead coordinator (0 = off)")
@@ -292,7 +291,7 @@ func coordMain(args []string) {
 	defer ln.Close()
 
 	opts := dist.Options{
-		Log: log, FrameTimeout: *timeout, BatchSize: *batch, Join: join,
+		Log: log, FrameTimeout: *timeout, Join: join,
 		Heartbeat: *heartbeat, MaxIdle: *maxIdle, Metrics: reg, OnMerge: persist,
 	}
 	if _, err := registry.ReportDistributed(os.Stdout, names, p, nil, *parallel, cache, opts); err != nil {

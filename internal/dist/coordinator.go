@@ -32,11 +32,13 @@ type Options struct {
 	// the worker's GOMAXPROCS).
 	Parallel int
 	// BatchSize fixes the number of jobs per dispatched batch. Zero (the
-	// default) enables cost-aware sizing: batches are assembled at
-	// dispatch time from per-key cost estimates — statically seeded from
-	// each spec's workload length and model class, refined online from
-	// the wall times workers report — so cheap keys ride in large
-	// batches and known-expensive stragglers ship alone.
+	// default, and what every command uses) enables cost-aware sizing:
+	// batches are assembled at dispatch time from per-key cost estimates
+	// — statically seeded from each spec's workload length and model
+	// class, refined online from the wall times workers report — so
+	// cheap keys ride in large batches and known-expensive stragglers
+	// ship alone. A fixed size lets tests build exact one-batch fault
+	// scenarios.
 	BatchSize int
 	// MaxAttempts caps dispatch attempts per job (default
 	// DefaultMaxAttempts). Clean goodbyes do not count.

@@ -16,12 +16,11 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
-	"icfp/internal/workload"
 )
 
 // Machine is an iCFP pipeline.
 type Machine struct {
+	pipeline.Core
 	cfg    pipeline.Config
 	sbMode SBMode
 
@@ -41,15 +40,16 @@ type ExternalStoreEvent struct {
 // store buffer, non-blocking multithreaded rallies, poison vectors as
 // configured.
 func New(cfg pipeline.Config) *Machine {
-	cfg.Trigger = pipeline.TriggerAll
-	return &Machine{cfg: cfg}
+	return NewWithOptions(cfg, pipeline.TriggerAll, SBChained)
 }
 
 // NewWithOptions returns an iCFP machine with an explicit advance trigger
 // (Figure 6's iCFP-L2 vs iCFP-all) and store-buffer design (Figure 8).
 func NewWithOptions(cfg pipeline.Config, trig pipeline.AdvanceTrigger, sb SBMode) *Machine {
 	cfg.Trigger = trig
-	return &Machine{cfg: cfg, sbMode: sb}
+	m := &Machine{cfg: cfg, sbMode: sb}
+	m.Core = pipeline.NewCore(&m.cfg, true, m)
+	return m
 }
 
 // watchdogCycles bounds any single simulation; exceeding it indicates a
@@ -156,43 +156,22 @@ type run struct {
 	finish   int64
 	sraUntil int64 // simple-runahead episode active until this cycle
 
-	dTrack, l2Track stats.MLPTracker
-	res             pipeline.Result
+	res pipeline.Result
 
-	// Measurement-crossing snapshot (ramp support): latched once when the
-	// tail cursor first reaches meas.
-	crossed  bool
-	measBase int64
-	res0     pipeline.Result
-	hs0      mem.Stats
-	fwd0     uint64
+	// The window's meter, crossed once when the tail cursor first
+	// reaches meas.
+	meter   *pipeline.Meter
+	crossed bool
 }
 
-// Run simulates the workload to completion.
-func (m *Machine) Run(w *workload.Workload) pipeline.Result {
-	return m.RunSampled(w, pipeline.SamplePolicy{})
-}
-
-// RunSampled simulates the workload under the given sampling policy,
-// running the detailed model only inside measurement windows. The zero
-// policy is a full run.
-func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pipeline.Result {
-	return pipeline.RunWindowed(w, &m.cfg, pol,
-		func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
-			return m.runWindow(w, hier, pred, start, meas, hi)
-		})
-}
-
-// runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi): the cycle
-// loop latches a counter snapshot when the tail cursor first reaches
-// meas and the result reports differences (slice/rally work in flight at
-// the crossing is charged to the ramp). External store events are
-// replayed from the start of every window (their cycles are
+// Window is the window loop (pipeline.WindowLoop): the cycle loop
+// crosses the meter when the tail cursor first reaches meas (slice/rally
+// work in flight at the crossing is charged to the ramp). External store
+// events are replayed from the start of every window (their cycles are
 // window-relative).
-func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
+func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
-	r := &run{cfg: &cfg, sbMode: m.sbMode, tr: w.Trace, end: hi, meas: meas, ext: m.ExternalStores}
+	r := &run{cfg: &cfg, sbMode: m.sbMode, tr: tr, end: hi, meas: meas, ext: m.ExternalStores, meter: meter}
 	r.hier = hier
 	r.front = pipeline.NewFrontend(&cfg, r.hier, pred)
 	r.slots = pipeline.NewSlotAlloc(&cfg)
@@ -212,33 +191,17 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 
 	r.i = start
 
-	r.hier.MissObserver = func(start, done int64, l2 bool) {
-		r.dTrack.Add(start, done)
-		if l2 {
-			r.l2Track.Add(start, done)
-		}
-	}
-
 	r.loop()
+	return r.finish, r.counters()
+}
 
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	ki := float64(insts) / 1000
-	hs := r.hier.Stats
-	res := pipeline.SubCounters(r.res, r.res0)
-	res.Cycles = r.finish - r.measBase
-	res.Insts = insts
-	res.DCacheMissPerKI = float64(hs.DataL1Misses-r.hs0.DataL1Misses) / ki
-	res.L2MissPerKI = float64(hs.DataL2Misses-r.hs0.DataL2Misses) / ki
-	// MLP and store-buffer hop shapes observe the whole detailed range,
-	// ramp included: they are distribution summaries, not extensive
-	// counters, and the ramp's samples come from the same machine state.
-	res.DCacheMLP = r.dTrack.MLP()
-	res.L2MLP = r.l2Track.MLP()
-	res.RallyPerKI = float64(res.RallyInsts) / ki
-	res.SBForwards = r.csb.Forwards - r.fwd0
+// counters returns the run's event counters with the chained store
+// buffer's folded in: its forward count, which the meter subtracts at
+// the crossing like any counter, and its hop shapes, which are
+// distribution summaries over the whole detailed range, ramp included.
+func (r *run) counters() pipeline.Result {
+	res := r.res
+	res.SBForwards = r.csb.Forwards
 	res.SBExtraHops = r.csb.MeanExtraHops()
 	res.SBHopsAtLeast = r.csb.Hops.FractionAtLeast(5)
 	return res
@@ -628,7 +591,7 @@ func (r *run) stage() bool {
 		// rewind the cursor below meas; the latch stays set — replay work
 		// caused inside the measurement range is charged to it.
 		r.crossed = true
-		r.measBase, r.res0, r.hs0, r.fwd0 = r.finish, r.res, r.hier.Stats, r.csb.Forwards
+		r.meter.Cross(r.finish, r.counters())
 	}
 	in := r.tr.At(r.i)
 	r.st.idx = r.i
@@ -1069,9 +1032,7 @@ func (r *run) stallAdvance(idx int, counter *uint64) {
 		return
 	}
 	*counter++
-	if r.cfg.PoisonAddrPolicy == pipeline.PoisonAddrSimpleRunahead {
-		r.prefetchAhead(idx)
-	}
+	r.prefetchAhead(idx)
 	r.sraUntil = r.earliestReturn()
 }
 

@@ -10,65 +10,35 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
-	"icfp/internal/workload"
 )
 
 // Machine is a baseline in-order pipeline.
 type Machine struct {
+	pipeline.Core
 	cfg pipeline.Config
 }
 
 // New returns a baseline machine with the given configuration.
-func New(cfg pipeline.Config) *Machine { return &Machine{cfg: cfg} }
-
-// Run simulates the workload to completion and reports the result.
-func (m *Machine) Run(w *workload.Workload) pipeline.Result {
-	return m.RunSampled(w, pipeline.SamplePolicy{})
+func New(cfg pipeline.Config) *Machine {
+	m := &Machine{cfg: cfg}
+	m.Core = pipeline.NewCore(&m.cfg, true, m)
+	return m
 }
 
-// RunSampled simulates the workload under the given sampling policy: the
-// detailed pipeline runs only inside the policy's measurement windows,
-// with functional warming in between. The zero policy is a full run.
-func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pipeline.Result {
-	return pipeline.RunWindowed(w, &m.cfg, pol,
-		func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
-			return m.runWindow(w, hier, pred, start, meas, hi)
-		})
-}
-
-// runWindow runs the detailed pipeline over trace indexes [start, hi)
-// starting from the given warmed hierarchy and predictor at cycle 0,
-// measuring [meas, hi): counters are snapshotted when the loop crosses
-// meas and the result reports differences. MLP is the one exception —
-// its trackers observe the whole detailed range, ramp included.
-func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
+// Window is the in-order pipeline's window loop (pipeline.WindowLoop).
+func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
 	front := pipeline.NewFrontend(&cfg, hier, pred)
 	slots := pipeline.NewSlotAlloc(&cfg)
 	sb := pipeline.NewStoreBuffer(cfg.StoreBufEntries, hier)
 	var board pipeline.Scoreboard
 
-	var dTrack, l2Track stats.MLPTracker
-	hier.MissObserver = func(start, done int64, l2 bool) {
-		dTrack.Add(start, done)
-		if l2 {
-			l2Track.Add(start, done)
-		}
-	}
-
-	tr := w.Trace
-
 	var finish int64
 	var lastIssue int64
 	var mispredicts uint64
-
-	var measBase int64 // finish when detailed execution crossed meas
-	var misp0 uint64   // mispredicts at the crossing
-	var hs0 mem.Stats  // hierarchy counters at the crossing
 	for i := start; i < hi; i++ {
 		if i == meas {
-			measBase, misp0, hs0 = finish, mispredicts, hier.Stats
+			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
 		in := tr.At(i)
 		earliest := front.Avail(in)
@@ -119,16 +89,5 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		}
 	}
 
-	insts := int64(hi - meas)
-	ki := float64(insts) / 1000
-	hs := hier.Stats
-	return pipeline.Result{
-		Cycles:            finish - measBase,
-		Insts:             insts,
-		DCacheMissPerKI:   float64(hs.DataL1Misses-hs0.DataL1Misses) / ki,
-		L2MissPerKI:       float64(hs.DataL2Misses-hs0.DataL2Misses) / ki,
-		DCacheMLP:         dTrack.MLP(),
-		L2MLP:             l2Track.MLP(),
-		BranchMispredicts: mispredicts - misp0,
-	}
+	return finish, pipeline.Result{BranchMispredicts: mispredicts}
 }

@@ -19,7 +19,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/workload"
 )
 
 // Config extends the pipeline configuration with window sizes.
@@ -37,11 +36,17 @@ func DefaultConfig() Config {
 
 // Machine is an out-of-order (optionally continual-flow) pipeline.
 type Machine struct {
+	pipeline.Core
 	cfg Config
 }
 
-// New builds the machine.
-func New(cfg Config) *Machine { return &Machine{cfg: cfg} }
+// New builds the machine. Its results leave the D$ and L2 MLP fields
+// zero.
+func New(cfg Config) *Machine {
+	m := &Machine{cfg: cfg}
+	m.Core = pipeline.NewCore(&m.cfg.Config, false, m)
+	return m
+}
 
 // ports schedules a small set of identical, fully pipelined function
 // units: at most `count` operations may START in any one cycle. Unlike a
@@ -103,30 +108,11 @@ func (p *ports) slide(c int64) {
 	p.low = newLow
 }
 
-// Run simulates the workload to completion.
-func (m *Machine) Run(w *workload.Workload) pipeline.Result {
-	return m.RunSampled(w, pipeline.SamplePolicy{})
-}
-
-// RunSampled simulates the workload under the given sampling policy,
-// running the detailed model only inside measurement windows. The zero
-// policy is a full run.
-func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pipeline.Result {
-	return pipeline.RunWindowed(w, &m.cfg.Config, pol,
-		func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
-			return m.runWindow(w, hier, pred, start, meas, hi)
-		})
-}
-
-// runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi) (counters are
-// snapshotted at the crossing and reported as differences).
-func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
+// Window is the window loop (pipeline.WindowLoop).
+func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
 	front := pipeline.NewFrontend(&cfg.Config, hier, pred)
 	sb := pipeline.NewStoreBuffer(cfg.StoreBufEntries, hier)
-
-	tr := w.Trace
 
 	intPorts := newPorts(cfg.IntPorts)
 	memPorts := newPorts(cfg.MemFPBrPorts)
@@ -141,13 +127,9 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 	var finish int64
 	var mispredicts uint64
 	pipe := int64(cfg.DCachePipe)
-
-	var measBase int64
-	var misp0 uint64
-	var hs0 mem.Stats
 	for i := start; i < hi; i++ {
 		if i == meas {
-			measBase, misp0, hs0 = finish, mispredicts, hier.Stats
+			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
 		in := tr.At(i)
 		k := (i - start) % cfg.ROBEntries
@@ -237,17 +219,5 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		}
 	}
 
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	ki := float64(insts) / 1000
-	hs := hier.Stats
-	return pipeline.Result{
-		Cycles:            finish - measBase,
-		Insts:             insts,
-		DCacheMissPerKI:   float64(hs.DataL1Misses-hs0.DataL1Misses) / ki,
-		L2MissPerKI:       float64(hs.DataL2Misses-hs0.DataL2Misses) / ki,
-		BranchMispredicts: mispredicts - misp0,
-	}
+	return finish, pipeline.Result{BranchMispredicts: mispredicts}
 }

@@ -2,24 +2,14 @@
 // micro-architectures (in-order, Runahead, Multipass, SLTP, iCFP): the
 // Table 1 machine configuration, the front-end fetch/prediction model, the
 // per-cycle issue-slot allocator, the register scoreboard with poison
-// vectors and last-writer sequence numbers, and the conventional
-// associative store buffer.
+// vectors and last-writer sequence numbers, the conventional
+// associative store buffer, and the measured-window path (Core, Meter,
+// interval sampling and shared warm state) every model runs through.
 package pipeline
 
 import (
 	"icfp/internal/bpred"
 	"icfp/internal/mem"
-)
-
-// PoisonAddrPolicy selects what iCFP does on a store with a poisoned
-// address (paper §3.2: "it can either stall or transition to a simple
-// runahead mode").
-type PoisonAddrPolicy int
-
-// Poisoned-address store policies.
-const (
-	PoisonAddrSimpleRunahead PoisonAddrPolicy = iota
-	PoisonAddrStall
 )
 
 // Config is the full machine configuration (Table 1 plus the per-design
@@ -54,7 +44,6 @@ type Config struct {
 	// cache misses instead of poisoning them (Runahead's "D$-b" option,
 	// §2; irrelevant to iCFP, which always poisons).
 	BlockSecondaryD1 bool
-	PoisonAddrPolicy PoisonAddrPolicy
 	// MultithreadRally lets iCFP overlap rally with tail advance (§3.1).
 	MultithreadRally bool
 	// NonBlockingRally lets iCFP make multiple rally passes, re-poisoning
@@ -93,7 +82,6 @@ func DefaultConfig() Config {
 		ResultBufEntries:  128,
 		Trigger:           TriggerL2Only,
 		BlockSecondaryD1:  true,
-		PoisonAddrPolicy:  PoisonAddrSimpleRunahead,
 		MultithreadRally:  true,
 		NonBlockingRally:  true,
 	}
@@ -144,17 +132,6 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Insts) / float64(r.Cycles)
-}
-
-// IPCCI95 returns the 95% confidence half-width of IPC for sampled
-// results, derived from the CPI half-width by the delta method
-// (IPC = 1/CPI, so dIPC = dCPI/CPI²). Full runs report 0.
-func (r Result) IPCCI95() float64 {
-	if r.SampleCPICI95 == 0 || r.Insts == 0 || r.Cycles == 0 {
-		return 0
-	}
-	cpi := float64(r.Cycles) / float64(r.Insts)
-	return r.SampleCPICI95 / (cpi * cpi)
 }
 
 // CPI returns cycles per committed instruction (0 when nothing ran).

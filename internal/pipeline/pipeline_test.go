@@ -204,7 +204,7 @@ func TestWarmupPopulatesStructures(t *testing.T) {
 		{PC: 0x1000, Op: isa.OpLoad, Dst: isa.IntReg(1), Addr: 0x5000, Size: 8},
 		{PC: 0x1004, Op: isa.OpBranch, Src1: isa.IntReg(1), Taken: true, Target: 0x1000},
 	}}
-	Warmup(h, p, tr, 2)
+	WarmRange(h, p, tr, 0, 2)
 	if h.ProbeData(0x5000) != mem.LevelL1 {
 		t.Fatal("warmup must fill the D$")
 	}

@@ -64,13 +64,3 @@ func (s *Scoreboard) AnyPoisoned() bool {
 	}
 	return false
 }
-
-// SettleAll forces every register available by the given cycle (used on
-// checkpoint restore, when architectural state is rebuilt wholesale).
-func (s *Scoreboard) SettleAll(cycle int64) {
-	for i := range s.Ready {
-		if s.Ready[i] > cycle {
-			s.Ready[i] = cycle
-		}
-	}
-}

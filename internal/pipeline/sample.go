@@ -167,22 +167,22 @@ func CombineWindows(name string, parts []Result) Result {
 	return res
 }
 
-// RunWindowed is the shared driver behind every model's Run and
-// RunSampled: it plans the detailed windows (one full window when the
-// policy is zero), fetches warmed cache/predictor state for each window
-// start from the workload's shared warm-state store, runs the model's
-// detailed window function, and combines the partial results. runWindow
-// receives a private warmed hierarchy and predictor (copies — the model
-// may mutate them freely, but must not keep them: when runWindow returns
-// they go back to the store, whose next hand-out overwrites them) and
-// trace index bounds start <= meas < end: it
-// must simulate [start, end) in detail starting at cycle 0 but measure
-// only [meas, end) — Cycles, Insts, and every event counter cover the
-// measured range (the [start, meas) ramp re-creates execution-dependent
-// state functional warming cannot) — and report the window's Result
-// (Name left empty). Full runs always have start == meas, so the
-// snapshot a model takes at the measurement boundary is the zero state
-// and the historical single-pass result is reproduced exactly.
+// RunWindowed is the driver behind Core's Run and RunSampled: it plans
+// the detailed windows (one full window when the policy is zero),
+// fetches warmed cache/predictor state for each window start from the
+// workload's shared warm-state store, runs the detailed window function,
+// and combines the partial results. runWindow receives a private warmed
+// hierarchy and predictor (copies — it may mutate them freely, but must
+// not keep them: when runWindow returns they go back to the store, whose
+// next hand-out overwrites them) and trace index bounds
+// start <= meas <= end: it must simulate [start, end) in detail starting
+// at cycle 0 but measure only [meas, end) — Cycles, Insts, and every
+// event counter cover the measured range (the [start, meas) ramp
+// re-creates execution-dependent state functional warming cannot) — and
+// report the window's Result (Name left empty). Full runs always have
+// start == meas, so the snapshot taken at the measurement boundary is
+// the zero state and the historical single-pass result is reproduced
+// exactly.
 func RunWindowed(w *workload.Workload, cfg *Config, pol SamplePolicy,
 	runWindow func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, end int) Result) Result {
 	n := w.Trace.Len()

@@ -111,6 +111,3 @@ func (s *SlotAlloc) use(op isa.Op) {
 		s.ints++
 	}
 }
-
-// Cycle returns the allocator's current cycle (the last one issued into).
-func (s *SlotAlloc) Cycle() int64 { return s.cycle }

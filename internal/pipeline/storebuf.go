@@ -19,10 +19,9 @@ type StoreBuffer struct {
 }
 
 type sbEntry struct {
-	addr  uint64
-	val   uint64
-	done  int64 // cycle the entry's cache write completes (entry frees)
-	valid bool
+	addr uint64
+	val  uint64
+	done int64 // cycle the entry's cache write completes (entry frees)
 }
 
 // NewStoreBuffer builds a store buffer of the given capacity draining
@@ -75,7 +74,7 @@ func (b *StoreBuffer) Insert(cycle int64, addr, val uint64) int64 {
 	b.lastDrain = start
 	r := b.hier.Data(start, addr, true)
 	done := r.Done + 1
-	b.entries = append(b.entries, sbEntry{addr: addr, val: val, done: done, valid: true})
+	b.entries = append(b.entries, sbEntry{addr: addr, val: val, done: done})
 	return cycle
 }
 
@@ -90,12 +89,6 @@ func (b *StoreBuffer) Forward(cycle int64, addr uint64) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Occupancy returns the number of live entries at cycle.
-func (b *StoreBuffer) Occupancy(cycle int64) int {
-	b.compact(cycle)
-	return len(b.entries)
 }
 
 // DrainDone returns the cycle by which everything currently buffered has

@@ -6,21 +6,13 @@ import (
 	"icfp/internal/mem"
 )
 
-// Warmup functionally replays the first n instructions of the trace into
-// the caches and branch predictor without advancing simulated time,
-// mirroring the paper's methodology ("each 1 million instruction sample is
-// preceded by a 4 million instruction cache and predictor warmup period").
-// Cache insertions go through normal LRU replacement, so capacity
-// behaviour is preserved; the bus, MSHRs and stream buffers are untouched.
-//
-// Timing runs should then start at trace index n with all registers ready.
-func Warmup(h *mem.Hierarchy, p *bpred.Predictor, tr *isa.Trace, n int) {
-	WarmRange(h, p, tr, 0, n)
-}
-
 // WarmRange functionally replays trace indexes [lo, hi) into the caches
-// and branch predictor, exactly as Warmup does for [0, n). Sampled runs
-// use it to extend warmed state incrementally between measurement
+// and branch predictor without advancing simulated time, mirroring the
+// paper's methodology ("each 1 million instruction sample is preceded by
+// a 4 million instruction cache and predictor warmup period"). Cache
+// insertions go through normal LRU replacement, so capacity behaviour is
+// preserved; the bus, MSHRs and stream buffers are untouched. Sampled
+// runs use it to extend warmed state incrementally between measurement
 // windows: warming [0, a) and then [a, b) leaves state identical to
 // warming [0, b) in one pass, because warming is a pure left fold over
 // the trace.

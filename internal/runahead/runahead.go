@@ -18,8 +18,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
-	"icfp/internal/workload"
 )
 
 // Machine is a Runahead (or, with the result buffer enabled, Multipass)
@@ -30,6 +28,7 @@ import (
 // result-buffer marks) is retained across calls — but it must not be
 // shared between goroutines: concurrent Run calls race on that scratch.
 type Machine struct {
+	pipeline.Core
 	cfg       pipeline.Config
 	multipass bool
 
@@ -42,14 +41,22 @@ type Machine struct {
 // paper's best Runahead configuration applies: advance under L2 misses
 // only, block on data-cache misses during advance ("D$-b").
 func New(cfg pipeline.Config) *Machine {
-	return &Machine{cfg: cfg}
+	return newMachine(cfg, false)
 }
 
 // NewMultipass returns a Multipass machine: Runahead plus a result buffer
 // that saves miss-independent advance results and uses them to break
-// dependences during re-execution passes.
+// dependences during re-execution passes. The caller picks the trigger:
+// the paper's Multipass advances under L2 and primary D$ misses and
+// blocks on secondary D$ misses (the spec layer's default).
 func NewMultipass(cfg pipeline.Config) *Machine {
-	return &Machine{cfg: cfg, multipass: true}
+	return newMachine(cfg, true)
+}
+
+func newMachine(cfg pipeline.Config, multipass bool) *Machine {
+	m := &Machine{cfg: cfg, multipass: multipass}
+	m.Core = pipeline.NewCore(&m.cfg, true, m)
+	return m
 }
 
 // strictCycles (test-only) forces slot allocation to step one cycle at a
@@ -90,30 +97,13 @@ type run struct {
 	res pipeline.Result
 }
 
-// Run simulates the workload to completion.
-func (m *Machine) Run(w *workload.Workload) pipeline.Result {
-	return m.RunSampled(w, pipeline.SamplePolicy{})
-}
-
-// RunSampled simulates the workload under the given sampling policy,
-// running the detailed model only inside measurement windows. The zero
-// policy is a full run.
-func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pipeline.Result {
-	return pipeline.RunWindowed(w, &m.cfg, pol,
-		func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
-			return m.runWindow(w, hier, pred, start, meas, hi)
-		})
-}
-
-// runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi): counters are
-// snapshotted when the step loop crosses meas and the result reports
-// differences. An advance episode in flight at the crossing is charged
-// to the ramp (the snapshot happens between normal-mode steps), a
-// boundary effect bounded by one episode.
-func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
+// Window is the window loop (pipeline.WindowLoop). An advance episode
+// in flight at the measurement crossing is charged to the ramp (the
+// snapshot happens between normal-mode steps), a boundary effect bounded
+// by one episode.
+func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
-	r := &run{cfg: &cfg, mp: m.multipass, tr: w.Trace, end: hi}
+	r := &run{cfg: &cfg, mp: m.multipass, tr: tr, end: hi}
 	r.hier = hier
 	r.front = pipeline.NewFrontend(&cfg, r.hier, pred)
 	r.slots = pipeline.NewSlotAlloc(&cfg)
@@ -131,20 +121,9 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		r.resMark = m.resMark
 	}
 
-	var dTrack, l2Track stats.MLPTracker
-	r.hier.MissObserver = func(start, done int64, l2 bool) {
-		dTrack.Add(start, done)
-		if l2 {
-			l2Track.Add(start, done)
-		}
-	}
-
-	var measBase int64
-	var res0 pipeline.Result
-	var hs0 mem.Stats
 	for i := start; i < hi; i++ {
 		if i == meas {
-			measBase, res0, hs0 = r.finish, r.res, r.hier.Stats
+			meter.Cross(r.finish, r.res)
 		}
 		r.step(i)
 	}
@@ -156,21 +135,7 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		clear(r.resMark)
 	}
 
-	insts := int64(hi - meas)
-	ki := float64(insts) / 1000
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	hs := r.hier.Stats
-	res := pipeline.SubCounters(r.res, res0)
-	res.Cycles = r.finish - measBase
-	res.Insts = insts
-	res.DCacheMissPerKI = float64(hs.DataL1Misses-hs0.DataL1Misses) / ki
-	res.L2MissPerKI = float64(hs.DataL2Misses-hs0.DataL2Misses) / ki
-	res.DCacheMLP = dTrack.MLP()
-	res.L2MLP = l2Track.MLP()
-	res.RallyPerKI = float64(res.RallyInsts) / ki
-	return res
+	return r.finish, r.res
 }
 
 // triggered reports whether a load serviced at level enters advance mode.

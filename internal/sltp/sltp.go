@@ -19,8 +19,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
-	"icfp/internal/workload"
 )
 
 // Machine is an SLTP pipeline.
@@ -29,6 +27,7 @@ import (
 // slice, SRL, and advance-store forwarding table) is retained across
 // calls — but concurrent Run calls on one Machine race on that scratch.
 type Machine struct {
+	pipeline.Core
 	cfg pipeline.Config
 
 	// Run scratch, reused across Run calls.
@@ -41,7 +40,9 @@ type Machine struct {
 // misses only and blocks on data-cache misses during advance.
 func New(cfg pipeline.Config) *Machine {
 	cfg.Trigger = pipeline.TriggerL2Only
-	return &Machine{cfg: cfg}
+	m := &Machine{cfg: cfg}
+	m.Core = pipeline.NewCore(&m.cfg, true, m)
+	return m
 }
 
 type srcKind uint8
@@ -112,34 +113,17 @@ type run struct {
 	res pipeline.Result
 }
 
-// Run simulates the workload to completion.
-func (m *Machine) Run(w *workload.Workload) pipeline.Result {
-	return m.RunSampled(w, pipeline.SamplePolicy{})
-}
-
-// RunSampled simulates the workload under the given sampling policy,
-// running the detailed model only inside measurement windows. The zero
-// policy is a full run.
-func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pipeline.Result {
-	return pipeline.RunWindowed(w, &m.cfg, pol,
-		func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
-			return m.runWindow(w, hier, pred, start, meas, hi)
-		})
-}
-
-// runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi): counters are
-// snapshotted the first time the step loop reaches meas (step can both
-// jump forward past an episode and rewind on a squash, so the crossing
-// is latched once) and the result reports differences.
-func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
+// Window is the window loop (pipeline.WindowLoop). step can both
+// jump forward past an episode and rewind on a squash, so the
+// measurement crossing is latched the first time the loop reaches meas.
+func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
 	if m.slice == nil {
 		m.slice = make([]sliceEntry, 0, cfg.SliceEntries)
 		m.srl = make([]srlEntry, 0, cfg.SRLEntries)
 		m.spec = make(map[uint64]specVal, cfg.SRLEntries)
 	}
-	r := &run{cfg: &cfg, tr: w.Trace, end: hi, slice: m.slice[:0], srl: m.srl[:0], spec: m.spec}
+	r := &run{cfg: &cfg, tr: tr, end: hi, slice: m.slice[:0], srl: m.srl[:0], spec: m.spec}
 	clear(r.spec)
 	defer func() {
 		// Episode scratch may have grown (the SRL is unbounded by design);
@@ -151,41 +135,15 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 	r.slots = pipeline.NewSlotAlloc(&cfg)
 	r.sb = pipeline.NewStoreBuffer(cfg.StoreBufEntries, r.hier)
 
-	var dTrack, l2Track stats.MLPTracker
-	r.hier.MissObserver = func(start, done int64, l2 bool) {
-		dTrack.Add(start, done)
-		if l2 {
-			l2Track.Add(start, done)
-		}
-	}
-
-	var measBase int64
-	var res0 pipeline.Result
-	var hs0 mem.Stats
 	crossed := false
 	for i := start; i < hi; {
 		if !crossed && i >= meas {
 			crossed = true
-			measBase, res0, hs0 = r.finish, r.res, r.hier.Stats
+			meter.Cross(r.finish, r.res)
 		}
 		i = r.step(i)
 	}
-
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	ki := float64(insts) / 1000
-	hs := r.hier.Stats
-	res := pipeline.SubCounters(r.res, res0)
-	res.Cycles = r.finish - measBase
-	res.Insts = insts
-	res.DCacheMissPerKI = float64(hs.DataL1Misses-hs0.DataL1Misses) / ki
-	res.L2MissPerKI = float64(hs.DataL2Misses-hs0.DataL2Misses) / ki
-	res.DCacheMLP = dTrack.MLP()
-	res.L2MLP = l2Track.MLP()
-	res.RallyPerKI = float64(res.RallyInsts) / ki
-	return res
+	return r.finish, r.res
 }
 
 // take allocates an issue slot, via the strict cycle walk when the
@@ -479,7 +437,7 @@ func (r *run) rally(resume int, ret int64) int {
 		case e.isCtrl:
 			r.front.Train(in)
 			if !e.predOK {
-				return r.squash(e.idx, clock)
+				return r.squash(clock)
 			}
 		case in.Op == isa.OpStore:
 			// Poisoned-data store from the slice: written via its SRL slot.
@@ -510,13 +468,12 @@ func (r *run) rally(resume int, ret int64) int {
 
 // squash recovers from a mispredicted poisoned branch found during the
 // rally: restore the checkpoint and re-execute from there.
-func (r *run) squash(branchIdx int, clock int64) int {
+func (r *run) squash(clock int64) int {
 	r.res.Squashes++
 	r.res.BranchMispredicts++
 	r.ckpt.Restore(&r.board, clock+int64(r.cfg.FrontDepth))
 	r.hier.DCache.FlushSpeculative()
 	r.front.Flush(clock)
 	r.lastIssue = clock
-	_ = branchIdx
 	return r.ckpt.Index
 }

@@ -5,7 +5,6 @@ import (
 
 	"icfp/internal/icfp"
 	"icfp/internal/inorder"
-	"icfp/internal/multipass"
 	"icfp/internal/ooo"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
@@ -61,8 +60,9 @@ func (m Machine) New() (Runner, error) {
 // override names — trigger policy, check flags, cache geometry — keeps
 // cfg's value. An empty Trigger leaves each model its paper default
 // (runahead honours cfg's trigger and D$-blocking setting; multipass
-// forces L2+primary-D$; sltp always L2-only; icfp advances under all
-// misses).
+// advances under L2 and primary D$ misses and forces D$-blocking; sltp
+// always L2-only; icfp advances under all misses). An explicit multipass
+// trigger keeps cfg's D$-blocking setting.
 func (m Machine) NewOn(cfg pipeline.Config) (Runner, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -78,9 +78,11 @@ func (m Machine) NewOn(cfg pipeline.Config) (Runner, error) {
 		return runahead.New(cfg), nil
 	case ModelMultipass:
 		if m.Trigger != "" {
-			return multipass.NewWithTrigger(cfg, trigger(m.Trigger), cfg.BlockSecondaryD1), nil
+			cfg.Trigger = trigger(m.Trigger)
+		} else {
+			cfg.Trigger, cfg.BlockSecondaryD1 = pipeline.TriggerPrimaryD1, true
 		}
-		return multipass.New(cfg), nil
+		return runahead.NewMultipass(cfg), nil
 	case ModelSLTP:
 		return sltp.New(cfg), nil
 	case ModelICFP:

@@ -1,12 +1,24 @@
-package multipass
+package spec_test
 
 import (
 	"testing"
 
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
+
+// newMultipass builds Multipass through the spec layer on cfg, with the
+// given trigger ("" is the paper default).
+func newMultipass(t *testing.T, cfg pipeline.Config, trigger string) spec.Runner {
+	t.Helper()
+	r, err := spec.Machine{Model: spec.ModelMultipass, Trigger: trigger}.NewOn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestMultipassAcceleratesReexecution(t *testing.T) {
 	// The result buffer breaks dependences on re-execution passes, so
@@ -17,7 +29,7 @@ func TestMultipassAcceleratesReexecution(t *testing.T) {
 	wins := 0
 	for _, name := range []string{"ammp", "mcf", "gap"} {
 		ra := runahead.New(cfg).Run(workload.SPEC(name, 250_000))
-		mp := New(cfg).Run(workload.SPEC(name, 250_000))
+		mp := newMultipass(t, cfg, "").Run(workload.SPEC(name, 250_000))
 		if mp.Cycles <= ra.Cycles {
 			wins++
 		}
@@ -32,26 +44,27 @@ func TestMultipassAdvancesUnderPrimaryD1(t *testing.T) {
 	// so it advances even on workloads without L2 misses.
 	cfg := pipeline.DefaultConfig()
 	cfg.WarmupInsts = 50_000
-	r := New(cfg).Run(workload.SPEC("twolf", 200_000))
+	r := newMultipass(t, cfg, "").Run(workload.SPEC("twolf", 200_000))
 	if r.Advances == 0 {
 		t.Fatal("Multipass must advance under twolf's D$ misses")
 	}
 }
 
-func TestExplicitTriggerOverride(t *testing.T) {
+func TestMultipassExplicitTriggerOverride(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.WarmupInsts = 50_000
-	l2 := NewWithTrigger(cfg, pipeline.TriggerL2Only, true).Run(workload.SPEC("twolf", 200_000))
+	cfg.BlockSecondaryD1 = true
+	l2 := newMultipass(t, cfg, spec.TriggerL2).Run(workload.SPEC("twolf", 200_000))
 	if l2.Advances != 0 {
 		t.Fatalf("L2-only Multipass advanced %d times on an L2-hit workload", l2.Advances)
 	}
 }
 
-func TestDeterminism(t *testing.T) {
+func TestMultipassDeterminism(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.WarmupInsts = 20_000
-	a := New(cfg).Run(workload.SPEC("gcc", 120_000))
-	b := New(cfg).Run(workload.SPEC("gcc", 120_000))
+	a := newMultipass(t, cfg, "").Run(workload.SPEC("gcc", 120_000))
+	b := newMultipass(t, cfg, "").Run(workload.SPEC("gcc", 120_000))
 	if a.Cycles != b.Cycles {
 		t.Fatalf("non-deterministic: %d vs %d", a.Cycles, b.Cycles)
 	}

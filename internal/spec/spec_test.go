@@ -1,13 +1,13 @@
 package spec_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"icfp/internal/icfp"
 	"icfp/internal/inorder"
-	"icfp/internal/multipass"
 	"icfp/internal/ooo"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
@@ -79,11 +79,13 @@ func TestMachineNewMatchesDirectConstructors(t *testing.T) {
 	cfg.WarmupInsts = 5_000
 	w := workload.SPEC("mcf", cfg.WarmupInsts+20_000)
 	warm := &spec.Overrides{Warmup: spec.Int(5_000)}
+	mpCfg := cfg // Multipass's paper trigger, blocking on secondary D$ misses
+	mpCfg.Trigger, mpCfg.BlockSecondaryD1 = pipeline.TriggerPrimaryD1, true
 
 	direct := map[string]spec.Runner{
 		"in-order":  inorder.New(cfg),
 		"runahead":  runahead.New(cfg),
-		"multipass": multipass.New(cfg),
+		"multipass": runahead.NewMultipass(mpCfg),
 		"sltp":      sltp.New(cfg),
 		"icfp":      icfp.New(cfg),
 		"icfp-l2":   icfp.NewWithOptions(cfg, pipeline.TriggerL2Only, icfp.SBChained),
@@ -124,6 +126,37 @@ func TestMachineNewMatchesDirectConstructors(t *testing.T) {
 	}
 	if got := r.Run(w).Cycles; got != want {
 		t.Errorf("ooo-cfp: spec-built machine ran %d cycles, direct constructor %d", got, want)
+	}
+}
+
+// TestNoMeasuredInstructionsIsZeroResult pins the shared zero guard:
+// a machine whose warmup covers the whole trace measures nothing, and
+// every core reports the zero Result — which must encode as JSON, so no
+// per-instruction rate may come out as 0/0.
+func TestNoMeasuredInstructionsIsZeroResult(t *testing.T) {
+	cfg := pipeline.DefaultConfig()
+	w := workload.SPEC("mcf", 2_000)
+	cfg.WarmupInsts = w.Trace.Len()
+	oc := ooo.DefaultConfig()
+	oc.Config = cfg
+	for _, tc := range []struct {
+		name string
+		r    spec.Runner
+	}{
+		{"in-order", inorder.New(cfg)},
+		{"runahead", runahead.New(cfg)},
+		{"multipass", runahead.NewMultipass(cfg)},
+		{"sltp", sltp.New(cfg)},
+		{"icfp", icfp.New(cfg)},
+		{"ooo", ooo.New(oc)},
+	} {
+		got := tc.r.Run(w)
+		if want := (pipeline.Result{Name: w.Name}); got != want {
+			t.Errorf("%s: nothing measured, got %+v, want the zero result", tc.name, got)
+		}
+		if _, err := json.Marshal(got); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 
