@@ -79,7 +79,7 @@ func TestBadTraceFileFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := isa.Inst{Op: 0x20, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
-	if err := workload.WriteTrace(f, &workload.Workload{Name: "bad", Trace: &isa.Trace{Insts: []isa.Inst{bad}}}); err != nil {
+	if err := workload.WriteTrace(f, &workload.Workload{Name: "bad", Trace: isa.NewTrace("", []isa.Inst{bad})}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -49,10 +49,15 @@ type Predictor struct {
 	tagged  [][]taggedEntry
 	hist    uint64 // global history, youngest outcome in bit 0
 
-	// idxFold[t] and tagFold[t] are hist folded to table t's index and
-	// tag widths. They change only when hist does, so Update recomputes
-	// them once per branch and every lookup reads them.
+	// idxFold[t] and tagFold[t] are table t's history folded to its index
+	// and tag widths: the XOR of the history's width-bit chunks. Update
+	// shifts them along with hist and every lookup reads them.
 	idxFold, tagFold [maxTagged]uint64
+	// win[t] is how many outcomes table t's folds cover (see histWindow),
+	// and idxOut[t] and tagOut[t] where in each fold the outcome leaving
+	// that window lands: win%width. Fixed at New, so Update divides
+	// nothing.
+	win, idxOut, tagOut [maxTagged]uint8
 
 	btbTags    []uint32
 	btbTargets []uint64
@@ -86,42 +91,43 @@ func New(cfg Config) *Predictor {
 	p.tagged = make([][]taggedEntry, len(cfg.HistLens))
 	for i := range p.tagged {
 		p.tagged[i] = make([]taggedEntry, 1<<cfg.TaggedBits)
+		w := histWindow(cfg.HistLens[i])
+		p.win[i] = uint8(w)
+		if w > 0 {
+			p.idxOut[i], p.tagOut[i] = uint8(w%cfg.TaggedBits), uint8(w%tagBits)
+		}
 	}
-	p.refold()
 	return p
 }
 
-// refold recomputes every table's history folds from hist.
-func (p *Predictor) refold() {
-	for t, n := range p.cfg.HistLens {
-		p.idxFold[t] = foldHistory(p.hist, n, p.cfg.TaggedBits)
-		p.tagFold[t] = foldHistory(p.hist, n, 9)
+// tagBits is the width of a tagged entry's tag.
+const tagBits = 9
+
+// histWindow returns how many bits of global history a table of history
+// length histLen folds: at most the 64 hist holds.
+func histWindow(histLen int) int {
+	if histLen > 64 || histLen < 0 {
+		return 64
 	}
+	return histLen
 }
 
-// foldHistory compresses histLen bits of global history into bits wide.
-func foldHistory(hist uint64, histLen, bits int) uint64 {
-	if histLen > 64 {
-		histLen = 64
-	}
-	var masked uint64
-	if histLen == 64 {
-		masked = hist
-	} else {
-		masked = hist & ((1 << uint(histLen)) - 1)
-	}
-	var folded uint64
-	for masked != 0 {
-		folded ^= masked & ((1 << uint(bits)) - 1)
-		masked >>= uint(bits)
-	}
-	return folded
+// shiftFold advances fold, the bits-wide fold of a window of history,
+// by one outcome: in enters the window and out, the outcome at the
+// window's end, leaves it. Folding XORs the window's bits-wide chunks,
+// so shifting the window left shifts the fold left with its top bit
+// wrapping round, and the leaving outcome, now at bit window, sits at
+// bit outPos = window%bits of the fold (the circular shift register of
+// TAGE).
+func shiftFold(fold uint64, bits uint, in, out uint64, outPos uint8) uint64 {
+	fold = (fold<<1 | fold>>(bits-1)) & (1<<bits - 1)
+	return fold ^ in ^ out<<outPos
 }
 
 func (p *Predictor) taggedIndex(table int, pc uint64) (idx uint64, tag uint16) {
 	bits := uint(p.cfg.TaggedBits)
 	idx = ((pc >> 2) ^ p.idxFold[table] ^ (pc >> (bits + 2))) & (1<<bits - 1)
-	tag = uint16(((pc >> 2) ^ (p.tagFold[table] << 1)) & 0x1FF)
+	tag = uint16(((pc >> 2) ^ (p.tagFold[table] << 1)) & (1<<tagBits - 1))
 	return idx, tag
 }
 
@@ -196,8 +202,25 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		}
 	}
 
-	p.hist = p.hist<<1 | boolBit(taken)
-	p.refold()
+	in := boolBit(taken)
+	for t := range p.tagged {
+		w := p.win[t]
+		if w == 0 {
+			continue
+		}
+		out := p.hist >> (w - 1) & 1
+		p.idxFold[t] = shiftFold(p.idxFold[t], uint(p.cfg.TaggedBits), in, out, p.idxOut[t])
+		p.tagFold[t] = shiftFold(p.tagFold[t], tagBits, in, out, p.tagOut[t])
+	}
+	p.hist = p.hist<<1 | in
+}
+
+// PredictUpdate is Predict followed by Update for the same branch, with
+// the table indices computed once: it counts the lookup and trains,
+// returning nothing, for functional warming.
+func (p *Predictor) PredictUpdate(pc uint64, taken bool) {
+	p.Lookups++
+	p.Update(pc, taken)
 }
 
 func boolBit(b bool) uint64 {

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -199,5 +200,23 @@ func TestFoldHistory(t *testing.T) {
 		if v >= 256 {
 			t.Errorf("fold(%d bits) = %d exceeds width", hl, v)
 		}
+	}
+}
+
+// TestPredictUpdateEqualsPredictThenUpdate pins that the warming path's
+// single call leaves every field, counters included, as Predict
+// followed by Update does.
+func TestPredictUpdateEqualsPredictThenUpdate(t *testing.T) {
+	a, b := newDefault(), newDefault()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 50_000; i++ {
+		pc := uint64(rng.Intn(1<<12)) << 2
+		taken := rng.Intn(3) > 0
+		a.Predict(pc)
+		a.Update(pc, taken)
+		b.PredictUpdate(pc, taken)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("PredictUpdate left the predictor different from Predict then Update")
 	}
 }

@@ -5,6 +5,62 @@ import (
 	"testing"
 )
 
+// foldHistory compresses histLen bits of global history into bits wide
+// from scratch: the reference the incrementally kept folds must equal.
+func foldHistory(hist uint64, histLen, bits int) uint64 {
+	if histLen > 64 {
+		histLen = 64
+	}
+	var masked uint64
+	if histLen == 64 {
+		masked = hist
+	} else {
+		masked = hist & ((1 << uint(histLen)) - 1)
+	}
+	var folded uint64
+	for masked != 0 {
+		folded ^= masked & ((1 << uint(bits)) - 1)
+		masked >>= uint(bits)
+	}
+	return folded
+}
+
+// refold returns every table's index and tag folds of p's history,
+// computed afresh.
+func (p *Predictor) refold() (idx, tag [maxTagged]uint64) {
+	for t, n := range p.cfg.HistLens {
+		idx[t] = foldHistory(p.hist, n, p.cfg.TaggedBits)
+		tag[t] = foldHistory(p.hist, n, tagBits)
+	}
+	return idx, tag
+}
+
+// TestIncrementalFoldsMatchRefold pins the circular-shift fold update:
+// after every Update over random outcomes, each table's index and tag
+// folds equal refold()'s from-scratch folds. The history lengths
+// include 1, each fold width (the index's and the tag's), lengths just
+// past them, and 64 and beyond, where hist itself is the window.
+func TestIncrementalFoldsMatchRefold(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TaggedBits = 11
+	for _, lens := range [][]int{
+		{1, tagBits, cfg.TaggedBits, 64},
+		{2, tagBits + 1, cfg.TaggedBits + 1, 63, 65, 70, 22, 33},
+	} {
+		cfg.HistLens = lens
+		p := New(cfg)
+		rng := rand.New(rand.NewSource(int64(len(lens))))
+		for i := range 20_000 {
+			p.Update(uint64(rng.Intn(1<<12))<<2, rng.Intn(2) == 0)
+			idx, tag := p.refold()
+			if p.idxFold != idx || p.tagFold != tag {
+				t.Fatalf("HistLens %v, after update %d: folds idx %v tag %v, refold idx %v tag %v",
+					lens, i, p.idxFold, p.tagFold, idx, tag)
+			}
+		}
+	}
+}
+
 // refPredictor is the direction predictor as it was before history folds
 // were cached: every lookup folds the global history afresh. It is kept
 // here only as the reference the cached-fold predictor must match.

@@ -500,24 +500,37 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		}()
 	}
 	// Generate-ahead helpers: one per group at most, each holding a pin
-	// on its group until its generation returns.
+	// on its group until its generation returns. The dispatcher starts
+	// a helper only once the previous one has returned, so however the
+	// helpers are scheduled at most one is in flight: a helper that
+	// lingers after its generation would otherwise keep its group live
+	// while later groups are generated ahead of it.
 	var helpers sync.WaitGroup
+	var helper chan struct{} // closed when the last helper returns
 	genAhead := func(g int) {
 		grp := order[bounds[g]:bounds[g+1]]
 		uncached := func(i int) bool { _, ok := o.cache.completed(keys[i]); return !ok }
 		if stopped() || !slices.ContainsFunc(grp, uncached) {
 			return
 		}
+		if helper != nil {
+			<-helper
+		}
 		i := grp[0]
 		if left != nil {
 			left[g].Add(1)
 		}
+		helper = make(chan struct{})
 		helpers.Add(1)
-		go func() {
+		go func(returned chan struct{}) {
 			defer helpers.Done()
+			defer close(returned)
 			o.arena.get(wkeys[i], jobs[i].Workload)
+			if genAheadHook != nil {
+				genAheadHook()
+			}
 			done(i)
-		}()
+		}(helper)
 	}
 	for pos, i := range order {
 		work <- i
@@ -543,6 +556,10 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	}
 	return &ResultSet{Results: results}, nil
 }
+
+// genAheadHook, when set, runs in each generate-ahead helper between its
+// generation and unpinning its group; tests use it to delay helpers.
+var genAheadHook func()
 
 // privateArena builds the arena a Run without WithArena owns; engine
 // tests swap it to watch how many workloads the run holds.

@@ -115,6 +115,35 @@ func TestPrivateArenaBoundedByParallelism(t *testing.T) {
 	}
 }
 
+// TestGenerateAheadBoundedUnderSlowHelpers pins the same bound when
+// every generate-ahead helper lingers after its generation, as one the
+// scheduler leaves waiting does: the dispatcher starts no helper while
+// another is in flight, so the run still holds at most three workloads
+// at Parallelism(2).
+func TestGenerateAheadBoundedUnderSlowHelpers(t *testing.T) {
+	var s stubs
+	s.install(t)
+	genAheadHook = func() { time.Sleep(5 * time.Millisecond) }
+	t.Cleanup(func() { genAheadHook = nil })
+	jobs := machineMajor(&s, 3, 8)
+	for r := range 3 {
+		arenas := captureArenas(t)
+		if _, err := Run(jobs, Parallelism(2)); err != nil {
+			t.Fatal(err)
+		}
+		a := arenas()[0]
+		if got := a.maxLive(); got > 3 {
+			t.Errorf("round %d: %d workloads live at once, want <= 3", r, got)
+		}
+		if got := a.live(); got != 0 {
+			t.Errorf("round %d: %d workloads still held after Run returned", r, got)
+		}
+		if got := a.Generations(); got != 8 {
+			t.Errorf("round %d: %d generations, want 8 (one per workload)", r, got)
+		}
+	}
+}
+
 // TestSharedArenaRetainsWorkloads pins the other half of the contract:
 // an arena passed in with WithArena keeps every workload, so a caller
 // whose later runs revisit them (a dist worker's batches) never

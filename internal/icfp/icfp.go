@@ -75,11 +75,11 @@ type pendingMiss struct {
 	bit   uint8
 }
 
-// staged is the next tail instruction, with its front-end state resolved
-// exactly once.
+// staged is the next tail instruction, decoded and with its front-end
+// state resolved exactly once.
 type staged struct {
 	idx       int
-	in        *isa.Inst
+	in        isa.Inst
 	avail     int64
 	predTaken bool
 	valid     bool
@@ -466,7 +466,8 @@ func (r *run) rallyStep() bool {
 // at the current cycle. It returns true if rally bandwidth was consumed.
 func (r *run) execSliceEntry(id uint64) bool {
 	m := r.slice.Meta(id)
-	in := r.tr.At(m.idx)
+	var in isa.Inst
+	r.tr.Decode(m.idx, &in)
 
 	// Gather register inputs: all slice-internal producers must have
 	// executed; otherwise re-poison with their current wait bits.
@@ -515,7 +516,7 @@ func (r *run) execSliceEntry(id uint64) bool {
 			r.cursor++
 			return true
 		case fwd.Found:
-			r.checkValue(in, fwd.Val)
+			r.checkValue(&in, fwd.Val)
 			done = r.cycle + int64(r.cfg.DCachePipe) + int64(fwd.Hops)
 		default:
 			acc := r.hier.Data(r.cycle, in.Addr, false)
@@ -537,7 +538,7 @@ func (r *run) execSliceEntry(id uint64) bool {
 	case isa.OpStore:
 		r.csb.UpdateValue(m.storeSSN, in.Val)
 	case isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpRet:
-		r.front.Train(in)
+		r.front.Train(&in)
 		r.pendingBranches--
 		if !m.predOK {
 			r.squash(m.idx, m.ssn)
@@ -593,11 +594,10 @@ func (r *run) stage() bool {
 		r.crossed = true
 		r.meter.Cross(r.finish, r.counters())
 	}
-	in := r.tr.At(r.i)
 	r.st.idx = r.i
-	r.st.in = in
-	r.st.avail = r.front.Avail(in)
-	r.st.predTaken = r.front.Predict(in)
+	r.tr.Decode(r.i, &r.st.in)
+	r.st.avail = r.front.Avail(&r.st.in)
+	r.st.predTaken = r.front.Predict(&r.st.in)
 	r.st.valid = true
 	r.i++
 	r.dirtyTail()
@@ -626,8 +626,8 @@ func (r *run) cachedTailEarliest() int64 {
 func (r *run) tailEarliest() int64 {
 	var g pipeline.Gate
 	g.Reset(r.st.avail)
-	if r.mode == modeNormal || r.board.SrcPoison(r.st.in) == 0 {
-		g.Require(r.board.SrcReady(r.st.in))
+	if r.mode == modeNormal || r.board.SrcPoison(&r.st.in) == 0 {
+		g.Require(r.board.SrcReady(&r.st.in))
 	}
 	g.Require(r.lastIssue)
 	return g.At()
@@ -677,7 +677,7 @@ func (r *run) tailStep() bool {
 // returns false if the instruction could not issue after all (structural
 // stall) and must retry.
 func (r *run) issueTail() bool {
-	in := r.st.in
+	in := &r.st.in
 	idx := r.st.idx
 	t := r.cycle
 
@@ -693,7 +693,7 @@ func (r *run) issueTail() bool {
 	var done int64
 	switch in.Op {
 	case isa.OpLoad:
-		out, d := r.execLoad(idx, t)
+		out, d := r.execLoad(idx, in, t)
 		switch out {
 		case loadStall:
 			return false
@@ -752,11 +752,10 @@ const (
 	loadStall                     // structural stall; retry next cycle
 )
 
-// execLoad performs a tail load: store-buffer forwarding, then the
-// hierarchy; misses poison and slice (in advance mode) or trigger the
-// transition (in normal mode).
-func (r *run) execLoad(idx int, t int64) (loadOutcome, int64) {
-	in := r.tr.At(idx)
+// execLoad performs the tail load in at trace index idx: store-buffer
+// forwarding, then the hierarchy; misses poison and slice (in advance
+// mode) or trigger the transition (in normal mode).
+func (r *run) execLoad(idx int, in *isa.Inst, t int64) (loadOutcome, int64) {
 	pipe := int64(r.cfg.DCachePipe)
 
 	fwd := r.csb.Forward(r.csb.Tail(), in.Addr)
@@ -767,7 +766,7 @@ func (r *run) execLoad(idx int, t int64) (loadOutcome, int64) {
 	if fwd.Found {
 		if fwd.Poison != 0 {
 			// Forward from a poisoned store: the load is miss-dependent.
-			return r.poisonLoad(idx, fwd.Poison, 0), 0
+			return r.poisonLoad(idx, in, fwd.Poison, 0), 0
 		}
 		r.checkValue(in, fwd.Val)
 		return loadDone, t + pipe + int64(fwd.Hops)
@@ -792,14 +791,13 @@ func (r *run) execLoad(idx int, t int64) (loadOutcome, int64) {
 	if r.mode == modeNormal {
 		r.enterAdvance(idx)
 	}
-	return r.poisonLoad(idx, 0, acc.Done), 0
+	return r.poisonLoad(idx, in, 0, acc.Done), 0
 }
 
-// poisonLoad diverts a missing or poison-forwarded load into the slice
-// buffer. inherited is the poison from a forwarding store (0 for a real
-// miss returning at ret).
-func (r *run) poisonLoad(idx int, inherited uint8, ret int64) loadOutcome {
-	in := r.tr.At(idx)
+// poisonLoad diverts the missing or poison-forwarded load in, at trace
+// index idx, into the slice buffer. inherited is the poison from a
+// forwarding store (0 for a real miss returning at ret).
+func (r *run) poisonLoad(idx int, in *isa.Inst, inherited uint8, ret int64) loadOutcome {
 	var vec uint8
 	e := sliceEntry{idx: idx, seq: r.nextSeq(), ssn: r.csb.Tail()}
 	if inherited != 0 {
@@ -859,7 +857,7 @@ func (r *run) undoLoadPoison(inherited, vec uint8) {
 // sliceOut diverts a poisoned (miss-dependent) non-load-miss instruction
 // into the slice buffer.
 func (r *run) sliceOut() bool {
-	in := r.st.in
+	in := &r.st.in
 	if r.slice.Full() {
 		// Check capacity before touching the store buffer: a poisoned
 		// store inserted without a slice entry would never receive its
@@ -1054,7 +1052,8 @@ func (r *run) prefetchAhead(from int) {
 	clock := r.cycle
 	issued := 0
 	for j := from + 1; j < r.end && clock < horizon && issued < 256; j++ {
-		in := r.tr.At(j)
+		var in isa.Inst
+		r.tr.Decode(j, &in)
 		p := (in.Src1.Valid() && poison[in.Src1]) || (in.Src2.Valid() && poison[in.Src2])
 		if in.HasDst() {
 			poison[in.Dst] = p

@@ -36,19 +36,20 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 	var finish int64
 	var lastIssue int64
 	var mispredicts uint64
+	var in isa.Inst
 	for i := start; i < hi; i++ {
 		if i == meas {
 			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
-		in := tr.At(i)
-		earliest := front.Avail(in)
-		if r := board.SrcReady(in); r > earliest {
+		tr.Decode(i, &in)
+		earliest := front.Avail(&in)
+		if r := board.SrcReady(&in); r > earliest {
 			earliest = r
 		}
 		if earliest < lastIssue {
 			earliest = lastIssue // in-order issue
 		}
-		predTaken := front.Predict(in)
+		predTaken := front.Predict(&in)
 
 		if in.Op == isa.OpStore {
 			earliest = sb.FullUntil(earliest)
@@ -75,10 +76,10 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 			done = t + int64(in.Op.ExecLatency())
 		}
 
-		board.WriteDst(in, done, 0, uint64(i))
+		board.WriteDst(&in, done, 0, uint64(i))
 
 		if in.Op.IsCtrl() {
-			front.Train(in)
+			front.Train(&in)
 			if predTaken != in.Taken {
 				mispredicts++
 				front.Redirect(t + 1)

@@ -14,7 +14,7 @@ import (
 func tinyWorkload(insts []isa.Inst) *workload.Workload {
 	return &workload.Workload{
 		Name:  "tiny",
-		Trace: &isa.Trace{Name: "tiny", Insts: insts},
+		Trace: isa.NewTrace("tiny", insts),
 		Prewarm: func(h *mem.Hierarchy) {
 			for i := range insts {
 				h.ICache.Insert(insts[i].PC, false)

@@ -1,16 +1,13 @@
 // Package isa defines the small RISC-like instruction set used by the
 // simulator. Programs are represented as fully resolved dynamic traces:
-// every instruction record carries its operands, effective address, result
-// value and branch outcome. Timing models re-fetch instructions by trace
-// index, which makes checkpoint/restore (needed by Runahead, Multipass,
-// SLTP and iCFP) a matter of saving an index and a register snapshot.
+// every instruction carries its operands, effective address, result value
+// and branch outcome, stored packed (see Trace) and decoded on read.
+// Timing models re-fetch instructions by trace index, which makes
+// checkpoint/restore (needed by Runahead, Multipass, SLTP and iCFP) a
+// matter of saving an index and a register snapshot.
 package isa
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Op is an instruction opcode class. Classes matter only insofar as they
 // determine execution latency and issue-port requirements (Table 1 of the
@@ -104,13 +101,15 @@ func (r Reg) String() string {
 	}
 }
 
-// Inst is one dynamic instruction in a resolved trace.
+// Inst is one dynamic instruction in a resolved trace, decoded: a Trace
+// stores instructions packed (see Trace) and Trace.At returns them as
+// Inst values.
 //
 // The four 64-bit fields lead so the byte-wide ones pack into a single
-// tail word: a record is 40 bytes, not the 56 that interleaving them
-// would pad to, and traces run to millions of records
-// (TestInstRecordSize pins it). The codec and Trace.Checksum encode
-// field by field, so the layout never reaches their bytes.
+// tail word: a value is 40 bytes, not the 56 that interleaving them
+// would pad to, and every At copies one (TestInstRecordSize pins it).
+// The codec and Trace.Checksum encode field by field, so the layout
+// never reaches their bytes.
 type Inst struct {
 	PC     uint64 // instruction address (drives I$ and branch prediction)
 	Addr   uint64 // effective address for loads/stores
@@ -125,10 +124,10 @@ type Inst struct {
 }
 
 // HasDst reports whether the instruction writes a register.
-func (in *Inst) HasDst() bool { return in.Dst != RegNone }
+func (in Inst) HasDst() bool { return in.Dst != RegNone }
 
 // NextPC returns the address of the next dynamic instruction.
-func (in *Inst) NextPC() uint64 {
+func (in Inst) NextPC() uint64 {
 	if in.Op.IsCtrl() && in.Taken {
 		return in.Target
 	}
@@ -136,7 +135,7 @@ func (in *Inst) NextPC() uint64 {
 }
 
 // String renders the instruction for debugging and examples.
-func (in *Inst) String() string {
+func (in Inst) String() string {
 	switch in.Op {
 	case OpLoad:
 		return fmt.Sprintf("%#x: load [%#x] -> %s", in.PC, in.Addr, in.Dst)
@@ -147,46 +146,4 @@ func (in *Inst) String() string {
 	default:
 		return fmt.Sprintf("%#x: %s %s,%s -> %s", in.PC, in.Op, in.Src1, in.Src2, in.Dst)
 	}
-}
-
-// Trace is a resolved dynamic instruction stream. Index i is the i'th
-// dynamic instruction; timing models address the stream by index so that
-// checkpoint/restore and slice re-execution can re-fetch precisely.
-type Trace struct {
-	Insts []Inst
-	// Name labels the workload that produced the trace.
-	Name string
-}
-
-// Len returns the number of dynamic instructions.
-func (t *Trace) Len() int { return len(t.Insts) }
-
-// At returns the instruction at index i.
-func (t *Trace) At(i int) *Inst { return &t.Insts[i] }
-
-// Checksum returns a content hash over every field of every instruction.
-// Identical traces hash identically; tests use it to pin that timing
-// models never mutate a shared trace.
-func (t *Trace) Checksum() uint64 {
-	h := fnv.New64a()
-	var buf [40]byte
-	for i := range t.Insts {
-		in := &t.Insts[i]
-		binary.LittleEndian.PutUint64(buf[0:], in.PC)
-		buf[8] = uint8(in.Op)
-		buf[9] = uint8(in.Dst)
-		buf[10] = uint8(in.Src1)
-		buf[11] = uint8(in.Src2)
-		buf[12] = in.Size
-		if in.Taken {
-			buf[13] = 1
-		} else {
-			buf[13] = 0
-		}
-		binary.LittleEndian.PutUint64(buf[16:], in.Addr)
-		binary.LittleEndian.PutUint64(buf[24:], in.Val)
-		binary.LittleEndian.PutUint64(buf[32:], in.Target)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }

@@ -1,15 +1,16 @@
 package isa
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
 
-// TestInstRecordSize pins the instruction record at 40 bytes: four
-// 64-bit fields plus six byte-wide ones packed into one tail word.
-// Traces hold millions of records, so a field order that lets padding
-// back in (56 bytes) costs 40% more trace memory.
+// TestInstRecordSize pins the decoded instruction at 40 bytes: four
+// 64-bit fields plus six byte-wide ones packed into one tail word. Every
+// decode writes one, so a field order that lets padding back in (56
+// bytes) costs 40% more per instruction read.
 func TestInstRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(Inst{}); got != 40 {
 		t.Errorf("unsafe.Sizeof(Inst{}) = %d bytes, want 40", got)
@@ -123,12 +124,94 @@ func TestHasDst(t *testing.T) {
 }
 
 func TestTraceAccess(t *testing.T) {
-	tr := &Trace{Name: "t", Insts: []Inst{{PC: 4}, {PC: 8}}}
+	tr := NewTrace("t", []Inst{{PC: 4}, {PC: 8}})
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	if tr.At(1).PC != 8 {
 		t.Errorf("At(1).PC = %#x", tr.At(1).PC)
+	}
+}
+
+// randomInsts returns n instructions drawn to break every packing rule
+// at once: PCs from a small pool with random registers and sizes (so
+// static tuples repeat and differ), any opcode byte, Taken on any op,
+// Addrs on non-memory ops, and taken transfers whose target is mostly,
+// but not always, the next instruction's PC.
+func randomInsts(rng *rand.Rand, n int) []Inst {
+	insts := make([]Inst, n)
+	reg := func() Reg {
+		if rng.Intn(4) == 0 {
+			return RegNone
+		}
+		return Reg(rng.Intn(NumRegs))
+	}
+	for i := range insts {
+		in := &insts[i]
+		in.PC = 0x1000 + 4*uint64(rng.Intn(64))
+		in.Op = Op(rng.Intn(int(numOps) + 1))
+		in.Dst, in.Src1, in.Src2 = reg(), reg(), reg()
+		in.Size = uint8(rng.Intn(3) * 4)
+		in.Val = rng.Uint64() >> uint(rng.Intn(64))
+		in.Taken = rng.Intn(3) == 0
+		if in.Op.IsMem() || rng.Intn(10) == 0 {
+			in.Addr = rng.Uint64() >> uint(rng.Intn(64))
+		}
+	}
+	for i := range insts {
+		in := &insts[i]
+		switch r := rng.Intn(10); {
+		case in.Taken && in.Op.IsCtrl() && i+1 < n && r < 8:
+			in.Target = insts[i+1].PC
+		case r < 9:
+			in.Target = 0
+		default:
+			in.Target = rng.Uint64()
+		}
+	}
+	return insts
+}
+
+// TestTracePacksLossless pins that packing keeps every field of every
+// instruction, whatever breaks the static-table, Addr and Target rules,
+// across lengths around the 64-instruction Addr blocks and past an
+// Addr chunk, read back through At and Decode; and that a builder sized
+// too small grows rather than losing instructions.
+func TestTracePacksLossless(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 129, 3 * addrChunk} {
+		insts := randomInsts(rng, n)
+		small := NewBuilder("small", 1)
+		for i := range insts {
+			small.Append(&insts[i])
+		}
+		for _, tr := range []*Trace{NewTrace("exact", insts), small.Trace()} {
+			if tr.Len() != n {
+				t.Fatalf("%s n=%d: Len = %d", tr.Name, n, tr.Len())
+			}
+			var in Inst
+			for i, want := range insts {
+				tr.Decode(i, &in)
+				if got := tr.At(i); got != want || in != want {
+					t.Fatalf("%s n=%d instruction %d: At %+v, Decode %+v, want %+v",
+						tr.Name, n, i, got, in, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewBuilderNeverRegrows pins the builder's sizing contract: up to
+// the length it was built for, its per-instruction arrays keep the
+// capacity it gave them.
+func TestNewBuilderNeverRegrows(t *testing.T) {
+	insts := randomInsts(rand.New(rand.NewSource(2)), 5000)
+	b := NewBuilder("t", len(insts)+7)
+	for i := range insts {
+		b.Append(&insts[i])
+	}
+	if tr := b.Trace(); tr.Cap() != len(insts)+7 {
+		t.Fatalf("Cap = %d, want the %d the builder was sized for", tr.Cap(), len(insts)+7)
 	}
 }
 

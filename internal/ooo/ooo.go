@@ -127,20 +127,21 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 	var finish int64
 	var mispredicts uint64
 	pipe := int64(cfg.DCachePipe)
+	var in isa.Inst
 	for i := start; i < hi; i++ {
 		if i == meas {
 			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
-		in := tr.At(i)
+		tr.Decode(i, &in)
 		k := (i - start) % cfg.ROBEntries
 
 		// Dispatch: in order, limited by the front end and a free ROB
 		// entry (the instruction ROBEntries older must have committed).
-		dispatch := front.Avail(in)
+		dispatch := front.Avail(&in)
 		if prev := commitAt[k]; prev > dispatch {
 			dispatch = prev
 		}
-		predTaken := front.Predict(in)
+		predTaken := front.Predict(&in)
 
 		// Execute: when operands are ready and a port frees.
 		opsReady := dispatch
@@ -183,7 +184,7 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 		}
 
 		if in.Op.IsCtrl() {
-			front.Train(in)
+			front.Train(&in)
 			if predTaken != in.Taken {
 				mispredicts++
 				front.Redirect(done)

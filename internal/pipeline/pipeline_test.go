@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"icfp/internal/bpred"
@@ -200,10 +201,10 @@ func TestWarmupPopulatesStructures(t *testing.T) {
 	cfg := DefaultConfig()
 	h := mem.New(cfg.Hier)
 	p := bpred.New(cfg.Bpred)
-	tr := &isa.Trace{Insts: []isa.Inst{
+	tr := isa.NewTrace("warm", []isa.Inst{
 		{PC: 0x1000, Op: isa.OpLoad, Dst: isa.IntReg(1), Addr: 0x5000, Size: 8},
 		{PC: 0x1004, Op: isa.OpBranch, Src1: isa.IntReg(1), Taken: true, Target: 0x1000},
-	}}
+	})
 	WarmRange(h, p, tr, 0, 2)
 	if h.ProbeData(0x5000) != mem.LevelL1 {
 		t.Fatal("warmup must fill the D$")
@@ -213,6 +214,37 @@ func TestWarmupPopulatesStructures(t *testing.T) {
 	}
 	if tgt, ok := p.PredictTarget(0x1004); !ok || tgt != 0x1000 {
 		t.Fatal("warmup must train the BTB")
+	}
+}
+
+// TestWarmRangeTrainsAsPredictThenUpdate pins functional warming's
+// predictor state, counters included, to what predicting and then
+// training each conditional branch leaves.
+func TestWarmRangeTrainsAsPredictThenUpdate(t *testing.T) {
+	cfg := DefaultConfig()
+	var insts []isa.Inst
+	for i := range 3000 {
+		pc := 0x1000 + 4*uint64(i%40)
+		insts = append(insts, isa.Inst{PC: pc, Op: isa.OpBranch, Src1: isa.RegNone, Src2: isa.RegNone, Taken: i%3 != 0 && i%7 != 0})
+	}
+	for i := range insts[:len(insts)-1] {
+		if insts[i].Taken {
+			insts[i].Target = insts[i+1].PC
+		}
+	}
+	tr := isa.NewTrace("branches", insts)
+	got, want := bpred.New(cfg.Bpred), bpred.New(cfg.Bpred)
+	WarmRange(mem.New(cfg.Hier), got, tr, 0, tr.Len())
+	for _, in := range insts {
+		want.Predict(in.PC)
+		want.Update(in.PC, in.Taken)
+		if in.Taken {
+			want.UpdateTarget(in.PC, in.Target)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("warmed predictor differs from Predict then Update: lookups %d/%d, mispredicts %d/%d",
+			got.Lookups, want.Lookups, got.Mispredicts, want.Mispredicts)
 	}
 }
 

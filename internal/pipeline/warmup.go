@@ -29,8 +29,9 @@ func WarmRange(h *mem.Hierarchy, p *bpred.Predictor, tr *isa.Trace, lo, hi int) 
 	if lo > 0 && lo < hi {
 		line = h.ICache.LineAddr(tr.At(lo - 1).PC)
 	}
+	var in isa.Inst
 	for i := lo; i < hi; i++ {
-		in := tr.At(i)
+		tr.Decode(i, &in)
 		if l := h.ICache.LineAddr(in.PC); l != line {
 			line = l
 			if !h.ICache.Lookup(in.PC, false) {
@@ -48,8 +49,7 @@ func WarmRange(h *mem.Hierarchy, p *bpred.Predictor, tr *isa.Trace, lo, hi int) 
 				h.DCache.Insert(in.Addr, write)
 			}
 		case isa.OpBranch:
-			p.Predict(in.PC)
-			p.Update(in.PC, in.Taken)
+			p.PredictUpdate(in.PC, in.Taken)
 			if in.Taken {
 				p.UpdateTarget(in.PC, in.Target)
 			}

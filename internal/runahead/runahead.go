@@ -161,13 +161,14 @@ func (r *run) take(earliest int64, op isa.Op) int64 {
 // step processes one normal-mode instruction; on a triggering miss it
 // executes the whole advance episode inline before returning.
 func (r *run) step(i int) {
-	in := r.tr.At(i)
+	var in isa.Inst
+	r.tr.Decode(i, &in)
 	var g pipeline.Gate
-	g.Reset(r.front.Avail(in))
-	g.Require(r.board.SrcReady(in))
+	g.Reset(r.front.Avail(&in))
+	g.Require(r.board.SrcReady(&in))
 	g.Require(r.lastIssue)
 	earliest := g.At()
-	predTaken := r.front.Predict(in)
+	predTaken := r.front.Predict(&in)
 	if in.Op == isa.OpStore {
 		earliest = r.sb.FullUntil(earliest)
 	}
@@ -188,17 +189,17 @@ func (r *run) step(i int) {
 	case resHit && in.Op != isa.OpStore:
 		done = t + 1
 	case in.Op == isa.OpLoad:
-		done = r.load(i, t)
+		done = r.load(i, &in, t)
 	case in.Op == isa.OpStore:
 		r.sb.Insert(t, in.Addr, in.Val)
 		done = t + 1
 	default:
 		done = t + int64(in.Op.ExecLatency())
 	}
-	r.board.WriteDst(in, done, 0, uint64(i))
+	r.board.WriteDst(&in, done, 0, uint64(i))
 
 	if in.Op.IsCtrl() {
-		r.front.Train(in)
+		r.front.Train(&in)
 		if predTaken != in.Taken {
 			r.res.BranchMispredicts++
 			r.front.Redirect(t + 1)
@@ -209,10 +210,10 @@ func (r *run) step(i int) {
 	}
 }
 
-// load executes a normal-mode load at cycle t and triggers advance mode
-// when appropriate. It returns the load's completion cycle.
-func (r *run) load(i int, t int64) int64 {
-	in := r.tr.At(i)
+// load executes the normal-mode load in, at trace index i, at cycle t
+// and triggers advance mode when appropriate. It returns the load's
+// completion cycle.
+func (r *run) load(i int, in *isa.Inst, t int64) int64 {
 	pipe := int64(r.cfg.DCachePipe)
 	if _, ok := r.sb.Forward(t, in.Addr); ok {
 		return t + pipe
@@ -234,7 +235,8 @@ func (r *run) load(i int, t int64) int64 {
 func (r *run) advance(i int, detect, ret int64) {
 	r.res.Advances++
 	ckpt := pipeline.TakeCheckpoint(&r.board, i)
-	in := r.tr.At(i)
+	var in isa.Inst
+	r.tr.Decode(i, &in)
 	if in.HasDst() {
 		r.board.Poison[in.Dst] = 1
 	}
@@ -246,12 +248,13 @@ func (r *run) advance(i int, detect, ret int64) {
 	j := i + 1
 	diverged := false
 	for j < r.end && !diverged {
-		adv := r.tr.At(j)
+		var adv isa.Inst
+		r.tr.Decode(j, &adv)
 		var g pipeline.Gate
-		g.Reset(r.front.Avail(adv))
-		poison := r.board.SrcPoison(adv)
+		g.Reset(r.front.Avail(&adv))
+		poison := r.board.SrcPoison(&adv)
 		if poison == 0 {
-			g.Require(r.board.SrcReady(adv))
+			g.Require(r.board.SrcReady(&adv))
 		}
 		g.Require(last)
 		earliest := g.At()
@@ -262,7 +265,7 @@ func (r *run) advance(i int, detect, ret int64) {
 		last = t
 		r.res.AdvanceInsts++
 
-		predTaken := r.front.Predict(adv)
+		predTaken := r.front.Predict(&adv)
 		done := t + 1
 		switch {
 		case poison != 0:
@@ -301,12 +304,12 @@ func (r *run) advance(i int, detect, ret int64) {
 		}
 
 		if poison == 0 && adv.Op.IsCtrl() {
-			r.front.Train(adv)
+			r.front.Train(&adv)
 			if predTaken != adv.Taken {
 				r.front.Redirect(t + 1)
 			}
 		}
-		r.board.WriteDst(adv, done, poison, uint64(j))
+		r.board.WriteDst(&adv, done, poison, uint64(j))
 		if r.mp && poison == 0 && r.resLive < r.cfg.ResultBufEntries && !r.resMark[j] {
 			r.resMark[j] = true
 			r.resLive++

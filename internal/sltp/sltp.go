@@ -158,13 +158,14 @@ func (r *run) take(earliest int64, op isa.Op) int64 {
 // step processes the instruction at i in normal mode and returns the next
 // index (which rewinds on a squash).
 func (r *run) step(i int) int {
-	in := r.tr.At(i)
+	var in isa.Inst
+	r.tr.Decode(i, &in)
 	var g pipeline.Gate
-	g.Reset(r.front.Avail(in))
-	g.Require(r.board.SrcReady(in))
+	g.Reset(r.front.Avail(&in))
+	g.Require(r.board.SrcReady(&in))
 	g.Require(r.lastIssue)
 	earliest := g.At()
-	predTaken := r.front.Predict(in)
+	predTaken := r.front.Predict(&in)
 	if in.Op == isa.OpStore {
 		earliest = r.sb.FullUntil(earliest)
 	}
@@ -193,10 +194,10 @@ func (r *run) step(i int) int {
 	default:
 		done = t + int64(in.Op.ExecLatency())
 	}
-	r.board.WriteDst(in, done, 0, uint64(i))
+	r.board.WriteDst(&in, done, 0, uint64(i))
 
 	if in.Op.IsCtrl() {
-		r.front.Train(in)
+		r.front.Train(&in)
 		if predTaken != in.Taken {
 			r.res.BranchMispredicts++
 			r.front.Redirect(t + 1)
@@ -266,18 +267,21 @@ func (r *run) advance(i int, t, ret int64) int {
 	r.primRet = ret
 
 	pipe := int64(r.cfg.DCachePipe)
-	r.appendSlice(r.tr.At(i), i, true) // the triggering load
+	var trigger isa.Inst
+	r.tr.Decode(i, &trigger)
+	r.appendSlice(&trigger, i, true) // the triggering load
 
 	last := t + pipe
 	j := i + 1
 	halted := false
 	for j < r.end && !halted {
-		adv := r.tr.At(j)
+		var adv isa.Inst
+		r.tr.Decode(j, &adv)
 		var g pipeline.Gate
-		g.Reset(r.front.Avail(adv))
-		poisoned := r.board.SrcPoison(adv) != 0
+		g.Reset(r.front.Avail(&adv))
+		poisoned := r.board.SrcPoison(&adv) != 0
 		if !poisoned {
-			g.Require(r.board.SrcReady(adv))
+			g.Require(r.board.SrcReady(&adv))
 		}
 		g.Require(last)
 		earliest := g.At()
@@ -286,7 +290,7 @@ func (r *run) advance(i int, t, ret int64) int {
 		}
 		tt := r.take(earliest, adv.Op)
 		last = tt
-		predTaken := r.front.Predict(adv)
+		predTaken := r.front.Predict(&adv)
 
 		if poisoned {
 			switch {
@@ -304,7 +308,7 @@ func (r *run) advance(i int, t, ret int64) int {
 				r.res.AdvanceInsts++
 				j++
 			default:
-				if r.appendSlice(adv, j, !adv.Op.IsCtrl() || predTaken == adv.Taken) {
+				if r.appendSlice(&adv, j, !adv.Op.IsCtrl() || predTaken == adv.Taken) {
 					j++
 					if adv.Op.IsCtrl() && predTaken != adv.Taken {
 						halted = true // diverged; the rally will squash here
@@ -332,7 +336,7 @@ func (r *run) advance(i int, t, ret int64) int {
 					e := sliceEntry{idx: j, seq: r.nextSeq()}
 					e.srcs[0] = sliceSrc{kind: srcSlice, prod: sv.prod}
 					r.slice = append(r.slice, e)
-					r.board.WriteDst(adv, 0, 1, e.seq)
+					r.board.WriteDst(&adv, 0, 1, e.seq)
 					if adv.HasDst() {
 						r.lastWriter[adv.Dst] = len(r.slice) - 1
 					}
@@ -350,7 +354,7 @@ func (r *run) advance(i int, t, ret int64) int {
 					done = tt + pipe
 				case acc.Level == mem.LevelMem:
 					// Secondary L2 miss: poison and keep advancing.
-					if r.appendSlice(adv, j, true) {
+					if r.appendSlice(&adv, j, true) {
 						j++
 					} else {
 						halted = true
@@ -369,9 +373,9 @@ func (r *run) advance(i int, t, ret int64) int {
 		default:
 			done = tt + int64(adv.Op.ExecLatency())
 		}
-		r.board.WriteDst(adv, done, 0, r.nextSeq())
+		r.board.WriteDst(&adv, done, 0, r.nextSeq())
 		if adv.Op.IsCtrl() {
-			r.front.Train(adv)
+			r.front.Train(&adv)
 			if predTaken != adv.Taken {
 				r.res.BranchMispredicts++
 				r.front.Redirect(tt + 1)
@@ -411,7 +415,8 @@ func (r *run) rally(resume int, ret int64) int {
 		}
 		e := &r.slice[si]
 		r.res.RallyInsts++
-		in := r.tr.At(e.idx)
+		var in isa.Inst
+		r.tr.Decode(e.idx, &in)
 		for _, src := range e.srcs {
 			if src.kind == srcSlice && src.prod >= 0 {
 				if d := r.slice[src.prod].done; d > clock {
@@ -435,7 +440,7 @@ func (r *run) rally(resume int, ret int64) int {
 				}
 			}
 		case e.isCtrl:
-			r.front.Train(in)
+			r.front.Train(&in)
 			if !e.predOK {
 				return r.squash(clock)
 			}

@@ -66,8 +66,9 @@ func WriteTrace(w io.Writer, wl *Workload) error {
 	if err := writeU64(uint64(wl.Trace.Len())); err != nil {
 		return err
 	}
-	for i := 0; i < wl.Trace.Len(); i++ {
-		in := wl.Trace.At(i)
+	var in isa.Inst
+	for i := range wl.Trace.Len() {
+		wl.Trace.Decode(i, &in)
 		flags := uint64(in.Op)
 		if in.Taken {
 			flags |= 1 << 8
@@ -93,8 +94,9 @@ func seedWords(wl *Workload) []seedWord {
 	written := map[uint64]bool{}
 	seeded := map[uint64]bool{}
 	var out []seedWord
-	for i := 0; i < wl.Trace.Len(); i++ {
-		in := wl.Trace.At(i)
+	var in isa.Inst
+	for i := range wl.Trace.Len() {
+		wl.Trace.Decode(i, &in)
 		switch in.Op {
 		case isa.OpStore:
 			written[in.Addr] = true
@@ -159,12 +161,13 @@ func ReadTrace(r io.Reader) (*Workload, error) {
 	if n > maxTraceInsts {
 		return nil, fmt.Errorf("workload: implausible trace length %d", n)
 	}
-	// Grow in bounded chunks rather than trusting the length field with a
-	// single up-front allocation: a corrupt or hostile header can claim up
-	// to 2^28 instructions (multi-GB) while supplying only a few bytes, and
+	// Size the builder for at most chunk instructions, letting it grow
+	// as they arrive, rather than trusting the length field with a single
+	// up-front allocation: a corrupt or hostile header can claim up to
+	// 2^28 instructions (gigabytes) while supplying only a few bytes, and
 	// the allocation must stay proportional to data actually read.
 	const chunk = 1 << 16
-	insts := make([]isa.Inst, 0, min(n, chunk))
+	tb := isa.NewBuilder(string(name), int(min(n, chunk)))
 	for i := uint64(0); i < n; i++ {
 		var vals [5]uint64
 		for k := range vals {
@@ -188,12 +191,9 @@ func ReadTrace(r io.Reader) (*Workload, error) {
 		if err := checkInst(in); err != nil {
 			return nil, fmt.Errorf("workload: instruction %d: %w", i, err)
 		}
-		insts = append(insts, in)
+		tb.Append(&in)
 	}
-	return &Workload{
-		Name:  string(name),
-		Trace: &isa.Trace{Name: string(name), Insts: insts},
-	}, nil
+	return &Workload{Name: string(name), Trace: tb.Trace()}, nil
 }
 
 // checkInst rejects an opcode or register the simulator cannot index:

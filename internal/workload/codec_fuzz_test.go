@@ -44,8 +44,8 @@ func FuzzReadTrace(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for i, in := range wl.Trace.Insts {
-			if err := checkInst(in); err != nil {
+		for i := range wl.Trace.Len() {
+			if err := checkInst(wl.Trace.At(i)); err != nil {
 				t.Fatalf("accepted instruction %d: %v", i, err)
 			}
 		}

@@ -26,7 +26,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("length %d != %d", got.Trace.Len(), orig.Trace.Len())
 	}
 	for i := 0; i < orig.Trace.Len(); i++ {
-		a, b := *orig.Trace.At(i), *got.Trace.At(i)
+		a, b := orig.Trace.At(i), got.Trace.At(i)
 		if a != b {
 			t.Fatalf("instruction %d differs: %+v vs %+v", i, a, b)
 		}
@@ -120,7 +120,7 @@ func TestReadTraceRejectsBadOperands(t *testing.T) {
 		{"src2", isa.Inst{Op: isa.OpALU, Dst: isa.RegNone, Src1: isa.RegNone, Src2: 254}, "instruction 1: register 254 out of range"},
 	} {
 		var buf bytes.Buffer
-		wl := &Workload{Name: "bad", Trace: &isa.Trace{Insts: []isa.Inst{ok, tc.bad}}}
+		wl := &Workload{Name: "bad", Trace: isa.NewTrace("", []isa.Inst{ok, tc.bad})}
 		if err := WriteTrace(&buf, wl); err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestFuzzDeterministicIdentity(t *testing.T) {
 		t.Fatalf("trace lengths differ: %d vs %d", a.Trace.Len(), b.Trace.Len())
 	}
 	for i := 0; i < a.Trace.Len(); i++ {
-		if *a.Trace.At(i) != *b.Trace.At(i) {
+		if a.Trace.At(i) != b.Trace.At(i) {
 			t.Fatalf("traces diverge at %d", i)
 		}
 	}
@@ -50,7 +50,7 @@ func TestFuzzDeterministicIdentity(t *testing.T) {
 	same := a.Trace.Len() == c.Trace.Len()
 	if same {
 		for i := 0; i < a.Trace.Len(); i++ {
-			if *a.Trace.At(i) != *c.Trace.At(i) {
+			if a.Trace.At(i) != c.Trace.At(i) {
 				same = false
 				break
 			}

@@ -8,14 +8,15 @@ import (
 )
 
 // TestGenerateSingleAllocation pins the builder's one-allocation
-// contract: the trace backing is sized n+genSlack up front and never
-// regrows. A regrowth would show as a capacity different from the
-// preallocation (append doubles), so capacity equality is the witness.
+// contract: the trace's per-instruction arrays are sized n+genSlack up
+// front and never regrow. A regrowth would show as a capacity different
+// from the preallocation (append doubles), so capacity equality is the
+// witness. (Addrs go to fixed-size chunks, which never regrow.)
 func TestGenerateSingleAllocation(t *testing.T) {
 	for _, name := range AllSPECNames {
 		for _, n := range []int{1, 1000, 50_000} {
 			w := Generate(Profiles(name), n, DefaultSeed)
-			if got, want := cap(w.Trace.Insts), n+genSlack; got != want {
+			if got, want := w.Trace.Cap(), n+genSlack; got != want {
 				t.Fatalf("%s n=%d: trace backing cap %d, want the single preallocation %d (generation overran genSlack and regrew)",
 					name, n, got, want)
 			}
@@ -46,8 +47,9 @@ func TestGenerateRejectsBadN(t *testing.T) {
 
 // BenchmarkGenerate measures trace generation and reports bytes allocated
 // per generated instruction — the figure of merit for the one-allocation
-// builder (an isa.Inst is 40 bytes; the chase rings and the map of stored
-// words add a workload-fixed overhead on top).
+// builder (a packed instruction is about 15 bytes; the chase rings, the
+// map of stored words and the builder's indexes add a workload-fixed
+// overhead on top).
 func BenchmarkGenerate(b *testing.B) {
 	const n = 200_000
 	p := Profiles("mcf")
@@ -71,15 +73,15 @@ func BenchmarkGenerate(b *testing.B) {
 // field compared.
 func requireOracle(t *testing.T, p Profile, n int, seed int64) {
 	t.Helper()
-	got := Generate(p, n, seed).Trace.Insts
+	got := Generate(p, n, seed).Trace
 	want := oracleGenerate(p, n, seed)
-	if len(got) != len(want) {
-		t.Fatalf("%s n=%d seed=%d: %d instructions, oracle %d", p.Name, n, seed, len(got), len(want))
+	if got.Len() != len(want) {
+		t.Fatalf("%s n=%d seed=%d: %d instructions, oracle %d", p.Name, n, seed, got.Len(), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if in := got.At(i); in != want[i] {
 			t.Fatalf("%s n=%d seed=%d: instruction %d is\n  %+v\nthe oracle's is\n  %+v",
-				p.Name, n, seed, i, got[i], want[i])
+				p.Name, n, seed, i, in, want[i])
 		}
 	}
 }
@@ -137,8 +139,9 @@ func TestGenerateUnalignedPanics(t *testing.T) {
 }
 
 // TestGenerateCorpusAllocation pins what generating the fuzz corpus at
-// the fleet's length allocates. The traces alone are 27 MiB; while
-// generation still built a memory image, the total was 139 MiB.
+// the fleet's length allocates. The traces alone were 27 MiB unpacked
+// and are about 10 MiB packed; while generation still built a memory
+// image, the total was 139 MiB.
 func TestGenerateCorpusAllocation(t *testing.T) {
 	const limit = 64 << 20
 	var before, after runtime.MemStats

@@ -39,40 +39,42 @@ const (
 )
 
 type scnBuilder struct {
-	pc    uint64
-	insts []isa.Inst
-	mem   map[uint64]uint64 // words the scenario lays out; others read as zero
-	l2    []uint64          // lines to pre-warm into L2 only
+	pc  uint64
+	tr  *isa.Builder
+	mem map[uint64]uint64 // words the scenario lays out; others read as zero
+	l2  []uint64          // lines to pre-warm into L2 only
 }
 
-func newScn() *scnBuilder {
-	return &scnBuilder{pc: codeBase, mem: map[uint64]uint64{}}
+func newScn(sc Scenario) *scnBuilder {
+	// Every scenario is a few dozen instructions.
+	return &scnBuilder{pc: codeBase, tr: isa.NewBuilder(string(sc), 64), mem: map[uint64]uint64{}}
 }
 
 func (s *scnBuilder) next() uint64 { s.pc += 4; return s.pc - 4 }
 
 func (s *scnBuilder) load(dst, addrReg isa.Reg, addr uint64) {
-	s.insts = append(s.insts, isa.Inst{
+	s.tr.Append(&isa.Inst{
 		PC: s.next(), Op: isa.OpLoad, Dst: dst, Src1: addrReg,
 		Addr: addr, Size: 8, Val: s.mem[addr],
 	})
 }
 
 func (s *scnBuilder) alu(dst, s1, s2 isa.Reg) {
-	s.insts = append(s.insts, isa.Inst{PC: s.next(), Op: isa.OpALU, Dst: dst, Src1: s1, Src2: s2})
+	s.tr.Append(&isa.Inst{PC: s.next(), Op: isa.OpALU, Dst: dst, Src1: s1, Src2: s2})
 }
 
-func (s *scnBuilder) build(name string) *Workload {
+func (s *scnBuilder) build() *Workload {
 	l2only := append([]uint64(nil), s.l2...)
-	insts := s.insts
+	tr := s.tr.Trace()
 	return &Workload{
-		Name:  name,
-		Trace: &isa.Trace{Name: name, Insts: insts},
+		Name:  tr.Name,
+		Trace: tr,
 		Prewarm: func(h *mem.Hierarchy) {
 			// Code and hot data are fully warm.
-			for i := range insts {
-				h.ICache.Insert(insts[i].PC, false)
-				h.L2.Insert(insts[i].PC, false)
+			for i := range tr.Len() {
+				pc := tr.At(i).PC
+				h.ICache.Insert(pc, false)
+				h.L2.Insert(pc, false)
 			}
 			h.DCache.Insert(scnHot, false)
 			h.L2.Insert(scnHot, false)
@@ -107,7 +109,7 @@ func (s *scnBuilder) filler(n int, base isa.Reg) {
 // longer than the figure's sketches (tens of filler instructions) so that
 // pipelines have real work to overlap with the misses.
 func NewScenario(sc Scenario) *Workload {
-	s := newScn()
+	s := newScn(sc)
 	switch sc {
 	case ScenarioLoneL2:
 		// A: L2 miss; B depends on A; C..F independent.
@@ -174,5 +176,5 @@ func NewScenario(sc Scenario) *Workload {
 	default:
 		panic("workload: unknown scenario " + string(sc))
 	}
-	return s.build(string(sc))
+	return s.build()
 }

@@ -69,6 +69,9 @@ const (
 // 32 KB L1 so hot loads essentially always hit.
 const hotBytes = 8 << 10
 
+// writtenBits sizes the builder's filter of stored addresses (128 KiB).
+const writtenBits = 1 << 20
+
 // Profile parameterizes a synthetic benchmark. All fractions are of
 // dynamic instructions unless stated otherwise.
 type Profile struct {
@@ -116,15 +119,21 @@ type Profile struct {
 }
 
 // builder incrementally constructs a resolved trace. It keeps no memory
-// image: a load's value is the last word stored at its address (stored),
-// else the address's initial contents, which are a function of the
-// address — the hot region's fill pattern, a chase ring's next pointer,
-// or zero (see word).
+// image beyond the small hot region: a load's value is the last word
+// stored at its address (hot, else stored), else the address's initial
+// contents, which are a function of the address — a chase ring's next
+// pointer, or zero (see word).
 type builder struct {
 	rng    *rand.Rand
-	tr     []isa.Inst
+	tr     *isa.Builder
+	n      int // the trace's nominal length
 	vals   [isa.NumRegs]uint64
-	stored map[uint64]uint64 // every word a store has written, by address
+	hot    [hotBytes / 8]uint64 // the hot region's words, as last stored or filled
+	stored map[uint64]uint64    // every other word a store has written, by address
+	// written has bit (addr/8)%writtenBits set for every address in
+	// stored, so most loads of words never stored skip the map.
+	written *[writtenBits / 64]uint64
+	kinds   []int // an iteration's main-block load kinds
 
 	streamPtr uint64
 	far       chaseRing // far ring (memory misses)
@@ -191,28 +200,27 @@ func dataReg(i int, fp bool) isa.Reg {
 	return isa.IntReg(8 + i%16)
 }
 
-func newBuilder(seed int64, n int) *builder {
-	return &builder{
-		rng:    rand.New(rand.NewSource(seed)),
-		stored: make(map[uint64]uint64),
-		// One allocation for the whole trace: generation appends at most
-		// one iteration past n (bounded by genSlack), and growing a
-		// multi-hundred-kilo-instruction slice by doubling would copy the
-		// whole trace several times over.
-		tr: make([]isa.Inst, 0, n+genSlack),
+func newBuilder(name string, seed int64, n int) *builder {
+	b := &builder{
+		rng:     rand.New(rand.NewSource(seed)),
+		stored:  make(map[uint64]uint64),
+		written: new([writtenBits / 64]uint64),
+		n:       n,
+		// One allocation per trace array: generation appends at most one
+		// iteration past n (bounded by genSlack), and growing a
+		// multi-hundred-kilo-instruction array by doubling would copy it
+		// several times over.
+		tr: isa.NewBuilder(name, n+genSlack),
 	}
+	for k := range b.hot {
+		b.hot[k] = uint64(8*k) ^ 0xABCD // the hot region's fill
+	}
+	return b
 }
 
-// emit appends an instruction. A taken control transfer's target is the
-// instruction that dynamically follows it, so the previous instruction's
-// target is set here, as its successor arrives.
-func (b *builder) emit(in isa.Inst) {
-	if n := len(b.tr); n > 0 {
-		if prev := &b.tr[n-1]; prev.Taken && prev.Op.IsCtrl() {
-			prev.Target = in.PC
-		}
-	}
-	b.tr = append(b.tr, in)
+// emit appends an instruction.
+func (b *builder) emit(pc uint64, op isa.Op, dst, s1, s2 isa.Reg, size uint8, addr, val uint64, taken bool, target uint64) {
+	b.tr.AppendStatic(isa.Static{PC: pc, Op: op, Dst: dst, Src1: s1, Src2: s2, Size: size}, addr, val, taken, target)
 }
 
 // emitALU appends a 1-cycle integer op dst = f(src1, src2).
@@ -224,7 +232,7 @@ func (b *builder) emitALU(pc uint64, dst, s1, s2 isa.Reg) {
 	if dst.Valid() {
 		b.vals[dst] = v
 	}
-	b.emit(isa.Inst{PC: pc, Op: isa.OpALU, Dst: dst, Src1: s1, Src2: s2, Val: v})
+	b.emit(pc, isa.OpALU, dst, s1, s2, 0, 0, v, false, 0)
 }
 
 // emitOp appends a compute op of the given class.
@@ -236,7 +244,7 @@ func (b *builder) emitOp(pc uint64, op isa.Op, dst, s1, s2 isa.Reg) {
 	if dst.Valid() {
 		b.vals[dst] = v
 	}
-	b.emit(isa.Inst{PC: pc, Op: op, Dst: dst, Src1: s1, Src2: s2, Val: v})
+	b.emit(pc, op, dst, s1, s2, 0, 0, v, false, 0)
 }
 
 // emitLoad appends a load dst = mem[addr] whose address was produced by
@@ -246,15 +254,21 @@ func (b *builder) emitLoad(pc uint64, dst, addrReg isa.Reg, addr uint64) {
 	if dst.Valid() {
 		b.vals[dst] = v
 	}
-	b.emit(isa.Inst{PC: pc, Op: isa.OpLoad, Dst: dst, Src1: addrReg, Addr: addr, Size: 8, Val: v})
+	b.emit(pc, isa.OpLoad, dst, addrReg, 0, 8, addr, v, false, 0)
 }
 
 // emitStore appends a store mem[addr] = dataReg.
 func (b *builder) emitStore(pc uint64, addrReg, data isa.Reg, addr uint64) {
 	v := b.vals[data&63]
 	mustAlign(addr)
-	b.stored[addr] = v
-	b.emit(isa.Inst{PC: pc, Op: isa.OpStore, Src1: addrReg, Src2: data, Addr: addr, Size: 8, Val: v})
+	if off := addr - hotBase; off < hotBytes {
+		b.hot[off/8] = v
+	} else {
+		w := addr / 8 % writtenBits
+		b.written[w/64] |= 1 << (w % 64)
+		b.stored[addr] = v
+	}
+	b.emit(pc, isa.OpStore, 0, addrReg, data, 8, addr, v, false, 0)
 }
 
 // word returns the memory word at addr as the program so far has left
@@ -262,11 +276,13 @@ func (b *builder) emitStore(pc uint64, addrReg, data isa.Reg, addr uint64) {
 // so where they could overlap the later one wins.
 func (b *builder) word(addr uint64) uint64 {
 	mustAlign(addr)
-	if v, ok := b.stored[addr]; ok {
-		return v
-	}
 	if off := addr - hotBase; off < hotBytes {
-		return off ^ 0xABCD
+		return b.hot[off/8]
+	}
+	if w := addr / 8 % writtenBits; b.written[w/64]>>(w%64)&1 != 0 {
+		if v, ok := b.stored[addr]; ok {
+			return v
+		}
 	}
 	if v, ok := b.near.pointer(addr); ok {
 		return v
@@ -287,9 +303,10 @@ func mustAlign(addr uint64) {
 	}
 }
 
-// emitBranch appends a conditional branch.
+// emitBranch appends a conditional branch. A taken one's target must be
+// the PC of the instruction emitted next.
 func (b *builder) emitBranch(pc uint64, s1, s2 isa.Reg, taken bool, target uint64) {
-	b.emit(isa.Inst{PC: pc, Op: isa.OpBranch, Src1: s1, Src2: s2, Taken: taken, Target: target})
+	b.emit(pc, isa.OpBranch, 0, s1, s2, 0, 0, 0, taken, target)
 }
 
 // buildChase lays a pseudo-random ring of linked-list nodes over bytes of
@@ -345,7 +362,7 @@ func Generate(p Profile, n int, seed int64) *Workload {
 	if n < 1 || n > MaxInsts {
 		panic(fmt.Sprintf("workload: Generate n=%d out of range 1..%d", n, MaxInsts))
 	}
-	b := newBuilder(seed, n)
+	b := newBuilder(p.Name, seed, n)
 	b.streamPtr = streamBase
 	b.far = b.buildChase(chaseBase, p.ChaseBytes, regChase)
 	b.near = b.buildChase(chase2Base, p.Chase2Bytes, regChase2)
@@ -353,16 +370,12 @@ func Generate(p Profile, n int, seed int64) *Workload {
 	// The program is one big loop; every iteration walks the same static
 	// block sequence (stable PCs train the predictor and I$), with block
 	// contents drawn from the profile's mix.
-	for len(b.tr) < n {
+	for b.tr.Len() < n {
 		b.iteration(p)
-	}
-	// Terminate cleanly: final loop-back branch falls through.
-	if last := &b.tr[len(b.tr)-1]; last.Op == isa.OpBranch {
-		last.Taken = false
 	}
 	return &Workload{
 		Name:    p.Name,
-		Trace:   &isa.Trace{Name: p.Name, Insts: b.tr},
+		Trace:   b.tr.Trace(),
 		Prewarm: prewarmL2(p),
 	}
 }
@@ -461,7 +474,7 @@ func (b *builder) iteration(p Profile) {
 	if ilp < 1 {
 		ilp = 1
 	}
-	kinds := make([]int, 0, randLoads+stream+hot)
+	kinds := b.kinds[:0]
 	for r := 0; r < randLoads; r++ {
 		kinds = append(kinds, 0)
 	}
@@ -472,6 +485,7 @@ func (b *builder) iteration(p Profile) {
 		kinds = append(kinds, 2)
 	}
 	b.rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+	b.kinds = kinds
 
 	computeLeft := compute
 	for g := 0; g < len(kinds); g += ilp {
@@ -567,8 +581,8 @@ func (b *builder) iteration(p Profile) {
 		}
 	}
 
-	// Data-dependent branches. emit sets each taken one's target to the
-	// dynamically following instruction.
+	// Data-dependent branches. A taken one's target is the instruction
+	// that follows it: the next branch or the loop-back.
 	for k := 0; k < branches; k++ {
 		src := dataReg(di+k, p.FP)
 		if b.rng.Float64() < p.BranchOnLoad {
@@ -585,10 +599,16 @@ func (b *builder) iteration(p Profile) {
 		if b.rng.Float64() < p.BranchNoise {
 			taken = b.rng.Intn(2) == 0
 		}
-		b.emitBranch(next(), src, regZero, taken, 0)
+		pc := next()
+		var target uint64
+		if taken {
+			target = pc + 4
+		}
+		b.emitBranch(pc, src, regZero, taken, target)
 	}
 
-	// Loop-back branch (predictably taken).
+	// Loop-back branch (predictably taken). The last iteration's falls
+	// through, to terminate cleanly, and keeps its target.
 	lb := next()
-	b.emitBranch(lb, regIndex, regZero, true, codeBase)
+	b.emitBranch(lb, regIndex, regZero, b.tr.Len()+1 < b.n, codeBase)
 }

@@ -14,7 +14,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("same seed must give same length")
 	}
 	for i := 0; i < w1.Trace.Len(); i++ {
-		if *w1.Trace.At(i) != *w2.Trace.At(i) {
+		if w1.Trace.At(i) != w2.Trace.At(i) {
 			t.Fatalf("instruction %d differs between identical generations", i)
 		}
 	}
@@ -30,7 +30,7 @@ func TestGenerateSeedSensitivity(t *testing.T) {
 		n = w2.Trace.Len()
 	}
 	for i := 0; i < n; i++ {
-		if *w1.Trace.At(i) == *w2.Trace.At(i) {
+		if w1.Trace.At(i) == w2.Trace.At(i) {
 			same++
 		}
 	}
@@ -191,21 +191,16 @@ func TestScenariosBuild(t *testing.T) {
 func TestScenarioDependentChainAddresses(t *testing.T) {
 	w := NewScenario(ScenarioDependentL2)
 	// Find the two loads; the second's address must equal the first's value.
-	var first, second *isa.Inst
-	for i := 0; i < w.Trace.Len(); i++ {
-		in := w.Trace.At(i)
-		if in.Op == isa.OpLoad {
-			if first == nil {
-				first = in
-			} else {
-				second = in
-				break
-			}
+	var loads []isa.Inst
+	for i := 0; i < w.Trace.Len() && len(loads) < 2; i++ {
+		if in := w.Trace.At(i); in.Op == isa.OpLoad {
+			loads = append(loads, in)
 		}
 	}
-	if first == nil || second == nil {
+	if len(loads) < 2 {
 		t.Fatal("scenario must contain two loads")
 	}
+	first, second := loads[0], loads[1]
 	if first.Val != second.Addr {
 		t.Fatalf("dependent miss: first value %#x != second addr %#x", first.Val, second.Addr)
 	}
