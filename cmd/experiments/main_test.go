@@ -79,6 +79,21 @@ func TestParallelGolden(t *testing.T) {
 	}
 }
 
+// TestBenchScaleGolden pins -all at the sample sizes the benchmark's
+// paper-all workload renders (bench/workloads.go), where iCFP reaches
+// the long advance episodes and deep rally passes the tiny golden
+// rarely does.
+func TestBenchScaleGolden(t *testing.T) {
+	bin := buildBinary(t)
+	want, err := os.ReadFile("testdata/golden_all_bench.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(t, bin, "-all", "-n", "20000", "-warm", "7500"); !bytes.Equal(got, want) {
+		t.Error("-all output at bench scale differs from the committed golden (simulator behaviour changed? regenerate testdata/golden_all_bench.txt)")
+	}
+}
+
 // run runs the binary with args and returns its stdout, failing the
 // test on a non-zero exit.
 func run(t *testing.T, bin string, args ...string) []byte {

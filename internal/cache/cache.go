@@ -36,13 +36,30 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// line is one tag-array entry, packed into two words so an 8-way set
+// spans two host cache lines: key is the tag plus one (0 marks an
+// invalid line; only the all-ones address under 1-byte lines would wrap
+// to it), and meta holds the LRU stamp in its low bits with the dirty
+// and speculative (SLTP SRL mode) flags in the top two.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	spec  bool // written speculatively (SLTP SRL mode)
-	used  uint64
+	key  uint64
+	meta uint64
 }
+
+const (
+	dirtyBit  = uint64(1) << 63
+	specBit   = uint64(1) << 62
+	stampMask = specBit - 1
+)
+
+// valid reports whether the entry holds a line.
+func (l *line) valid() bool { return l.key != 0 }
+
+// stamp returns the entry's LRU stamp.
+func (l *line) stamp() uint64 { return l.meta & stampMask }
+
+// touch sets the entry's LRU stamp, keeping its flags.
+func (l *line) touch(clock uint64) { l.meta = l.meta&^stampMask | clock }
 
 // Cache is a set-associative tag array. Create with New.
 type Cache struct {
@@ -140,11 +157,14 @@ func (c *Cache) set(addr uint64) []line {
 	return c.lines[i : i+a : i+a]
 }
 
+// key returns the tag-array key of the line containing addr.
+func (c *Cache) key(addr uint64) uint64 { return addr>>c.lineShift + 1 }
+
 func (c *Cache) find(addr uint64) *line {
-	tag := addr >> c.lineShift
+	key := c.key(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].key == key {
 			return &set[i]
 		}
 	}
@@ -158,9 +178,9 @@ func (c *Cache) find(addr uint64) *line {
 func (c *Cache) Lookup(addr uint64, write bool) bool {
 	c.clock++
 	if l := c.find(addr); l != nil {
-		l.used = c.clock
+		l.touch(c.clock)
 		if write {
-			l.dirty = true
+			l.meta |= dirtyBit
 		}
 		c.Hits++
 		return true
@@ -213,40 +233,45 @@ func (c *Cache) InsertSpeculative(addr uint64) {
 // It reports whether the line was present.
 func (c *Cache) MarkSpeculative(addr uint64) bool {
 	if l := c.find(addr); l != nil {
-		l.spec = true
-		l.dirty = true
+		l.meta |= specBit | dirtyBit
 		return true
 	}
 	return false
 }
 
 func (c *Cache) insertLine(addr uint64, dirty, spec bool) (evicted uint64, dirtyEvict bool) {
-	tag := addr >> c.lineShift
+	key := c.key(addr)
 	set := c.set(addr)
 	c.clock++
+	var flags uint64
+	if dirty {
+		flags |= dirtyBit
+	}
+	if spec {
+		flags |= specBit
+	}
 	// Refill into an existing copy (MSHR merge already filled it).
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.clock
-			set[i].dirty = set[i].dirty || dirty
-			set[i].spec = set[i].spec || spec
+		if set[i].key == key {
+			set[i].touch(c.clock)
+			set[i].meta |= flags
 			return 0, false
 		}
 	}
 	vi := 0
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].valid() {
 			vi = i
 			goto fill
 		}
-		if set[i].used < set[vi].used {
+		if set[i].stamp() < set[vi].stamp() {
 			vi = i
 		}
 	}
 	// Evict set[vi], optionally into the victim buffer.
 	{
-		evLine := set[vi].tag << c.lineShift
-		evDirty := set[vi].dirty
+		evLine := (set[vi].key - 1) << c.lineShift
+		evDirty := set[vi].meta&dirtyBit != 0
 		if c.victimCap > 0 {
 			if old, ev := c.victimPush(victimLine{evLine, evDirty}); ev {
 				evicted, dirtyEvict = old.lineAddr, old.dirty
@@ -256,7 +281,7 @@ func (c *Cache) insertLine(addr uint64, dirty, spec bool) (evicted uint64, dirty
 		}
 	}
 fill:
-	set[vi] = line{tag: tag, valid: true, dirty: dirty, spec: spec, used: c.clock}
+	set[vi] = line{key: key, meta: flags | c.clock}
 	return evicted, dirtyEvict
 }
 
@@ -264,7 +289,7 @@ fill:
 // included). It reports whether a line was removed.
 func (c *Cache) Invalidate(addr uint64) bool {
 	if l := c.find(addr); l != nil {
-		l.valid = false
+		*l = line{}
 		return true
 	}
 	la := c.LineAddr(addr)
@@ -282,9 +307,8 @@ func (c *Cache) Invalidate(addr uint64) bool {
 func (c *Cache) FlushSpeculative() int {
 	n := 0
 	for i := range c.lines {
-		if l := &c.lines[i]; l.valid && l.spec {
-			l.valid = false
-			l.spec = false
+		if l := &c.lines[i]; l.valid() && l.meta&specBit != 0 {
+			*l = line{}
 			n++
 		}
 	}
@@ -296,8 +320,8 @@ func (c *Cache) FlushSpeculative() int {
 func (c *Cache) CommitSpeculative() int {
 	n := 0
 	for i := range c.lines {
-		if l := &c.lines[i]; l.valid && l.spec {
-			l.spec = false
+		if l := &c.lines[i]; l.valid() && l.meta&specBit != 0 {
+			l.meta &^= specBit
 			n++
 		}
 	}

@@ -1,11 +1,14 @@
 package registry_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"icfp/internal/exp"
+	"icfp/internal/exp/registry"
+	"icfp/internal/pipeline"
 	"icfp/internal/sim"
 	"icfp/internal/spec"
 	"icfp/internal/workload"
@@ -62,5 +65,45 @@ func TestHarnessJobMatchesNewOn(t *testing.T) {
 		if !reflect.DeepEqual(plain, onBase) {
 			t.Errorf("%s: New built %+v, NewOn(BaseConfig()) %+v", m.Label, plain, onBase)
 		}
+	}
+}
+
+// TestAllPlanKeysDistinctMachines pins that the -all plan simulates no
+// machine twice: no two plan keys may build the same effective machine,
+// meaning the same model (CFP flag included), resolved trigger and store
+// buffer (the spec's canonical spelling of them), configuration
+// (Machine.Config: the base with the overrides applied) and workload. A
+// spec that spells a default override explicitly would otherwise key a
+// second, identical run.
+func TestAllPlanKeysDistinctMachines(t *testing.T) {
+	type effective struct {
+		Machine  string // the canonical machine without its overrides
+		Cfg      pipeline.Config
+		Workload string
+	}
+	plan, err := registry.Plan(registry.DefaultNames(), registry.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]spec.Job, len(plan))
+	for _, j := range plan {
+		var resolved spec.Machine
+		if err := json.Unmarshal([]byte(j.Machine.Canonical()), &resolved); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := j.Machine.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolved.Overrides = nil
+		k, err := json.Marshal(effective{resolved.Canonical(), cfg, j.Workload.Canonical()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := seen[string(k)]; dup {
+			t.Errorf("plan keys %s and %s build the same machine on %s",
+				prev.Machine.Canonical(), j.Machine.Canonical(), j.Workload.Canonical())
+		}
+		seen[string(k)] = j
 	}
 }

@@ -86,30 +86,30 @@ type staged struct {
 }
 
 type run struct {
-	cfg     *pipeline.Config
-	sbMode  SBMode
-	ext     []ExternalStoreEvent
-	tr      *isa.Trace
-	end     int // window end (exclusive trace index); tr.Len() for full runs
-	meas    int // measurement start (trace index); == window start for full runs
-	hier    *mem.Hierarchy
-	front   *pipeline.Frontend
-	slots   *pipeline.SlotAlloc
-	board   pipeline.Scoreboard // RF0: main register file state
-	scratch pipeline.Scoreboard // RF1: rally scratch register file
-	csb     *ChainedStoreBuffer
-	slice   *sliceBuffer
-	sig     *Signature
+	cfg    *pipeline.Config
+	sbMode SBMode
+	ext    []ExternalStoreEvent
+	tr     *isa.Trace
+	end    int // window end (exclusive trace index); tr.Len() for full runs
+	meas   int // measurement start (trace index); == window start for full runs
+	hier   *mem.Hierarchy
+	front  *pipeline.Frontend
+	slots  *pipeline.SlotAlloc
+	board  pipeline.Scoreboard // RF0: main register file state
+	csb    *ChainedStoreBuffer
+	slice  *sliceBuffer
+	sig    *Signature
 
 	mode    mode
 	ckpt    pipeline.Checkpoint
 	ckptSSN uint64
 	seqCtr  uint64
 
-	// Poison-bit pool.
+	// Poison-bit pool. busyBits has bit b set while bitPending[b] > 0.
 	nBits      int
 	bitNext    int
 	bitPending [8]int
+	busyBits   uint8
 	pending    []pendingMiss
 	// pendingMin is the earliest return cycle in pending (meaningful only
 	// while pending is non-empty). It lets fireReturns and nextEvent skip
@@ -203,7 +203,7 @@ func (r *run) counters() pipeline.Result {
 	res := r.res
 	res.SBForwards = r.csb.Forwards
 	res.SBExtraHops = r.csb.MeanExtraHops()
-	res.SBHopsAtLeast = r.csb.Hops.FractionAtLeast(5)
+	res.SBHopsAtLeast = r.csb.HopHistogram().FractionAtLeast(5)
 	return res
 }
 
@@ -302,6 +302,7 @@ func (r *run) allocBit(ret int64) uint8 {
 	b := uint8(r.bitNext % r.nBits)
 	r.bitNext++
 	r.bitPending[b]++
+	r.busyBits |= 1 << b
 	if len(r.pending) == 0 || ret < r.pendingMin {
 		r.pendingMin = ret
 	}
@@ -317,7 +318,7 @@ func (r *run) fireReturns() {
 		newMin := int64(1)<<62 - 1
 		for _, p := range r.pending {
 			if p.cycle <= r.cycle {
-				r.bitPending[p.bit]--
+				r.releaseBit(p.bit)
 				r.passBits |= 1 << p.bit
 				if r.passActive {
 					r.retsDuring = true
@@ -383,19 +384,17 @@ func (r *run) endPass() {
 	r.recheckPass = true
 }
 
+// releaseBit retires one outstanding miss on poison bit b.
+func (r *run) releaseBit(b uint8) {
+	if r.bitPending[b]--; r.bitPending[b] == 0 {
+		r.busyBits &^= 1 << b
+	}
+}
+
 // waitingFreeBits returns the union of poison bits that (a) have no
 // outstanding miss and (b) appear on at least one active slice entry.
 func (r *run) waitingFreeBits() uint8 {
-	var free uint8
-	for b := 0; b < r.nBits; b++ {
-		if r.bitPending[b] == 0 {
-			free |= 1 << b
-		}
-	}
-	if free == 0 {
-		return 0 // every bit has an outstanding miss: skip the slice walk
-	}
-	return free & r.slice.ActivePoison()
+	return ^r.busyBits & r.slice.ActivePoison()
 }
 
 // ---- store drains ----
@@ -532,7 +531,7 @@ func (r *run) execSliceEntry(id uint64) bool {
 				r.rallyReadyAt = acc.Done
 			} else {
 				done = r.cycle + int64(r.cfg.DCachePipe)
-				r.sig.Insert(in.Addr)
+				r.sigInsert(in.Addr)
 			}
 		}
 	case isa.OpStore:
@@ -548,11 +547,11 @@ func (r *run) execSliceEntry(id uint64) bool {
 		done = r.cycle + int64(in.Op.ExecLatency())
 	}
 
-	// Writeback: scratch always; main register file only when this entry
-	// is still the architecturally last writer (sequence number gate).
+	// Writeback: the rally scratch register file (RF1) always takes the
+	// result, but nothing in this timing model reads it back, so it is
+	// not kept; the main register file takes it only when this entry is
+	// still the architecturally last writer (sequence number gate).
 	if in.HasDst() {
-		r.scratch.Ready[in.Dst] = done
-		r.scratch.Poison[in.Dst] = 0
 		if r.board.Seq[in.Dst] == m.seq {
 			r.board.Ready[in.Dst] = done
 			r.board.Poison[in.Dst] = 0
@@ -578,36 +577,11 @@ func (r *run) earliestReturn() int64 {
 
 // ---- tail ----
 
-// stage resolves front-end state for the next tail instruction.
-func (r *run) stage() bool {
-	if r.st.valid {
-		return true
-	}
-	if r.i >= r.end {
-		return false
-	}
-	if !r.crossed && r.i >= r.meas {
-		// First tail instruction of the measurement range: snapshot every
-		// counter the result reports as a difference. A later squash may
-		// rewind the cursor below meas; the latch stays set — replay work
-		// caused inside the measurement range is charged to it.
-		r.crossed = true
-		r.meter.Cross(r.finish, r.counters())
-	}
-	r.st.idx = r.i
-	r.tr.Decode(r.i, &r.st.in)
-	r.st.avail = r.front.Avail(&r.st.in)
-	r.st.predTaken = r.front.Predict(&r.st.in)
-	r.st.valid = true
-	r.i++
-	r.dirtyTail()
-	return true
-}
-
 // dirtyTail invalidates the cached earliest-issue cycle of the staged
 // tail instruction. Every state change that can move that cycle — a
-// scoreboard writeback, a mode transition, a checkpoint restore, a
-// restage — must call it; reads go through cachedTailEarliest.
+// scoreboard writeback, a mode transition, a checkpoint restore — must
+// call it; staging computes the cycle afresh, and other reads go through
+// cachedTailEarliest.
 func (r *run) dirtyTail() { r.stEarliestOK = false }
 
 // cachedTailEarliest returns tailEarliest(), recomputed only when
@@ -645,16 +619,37 @@ func (r *run) tailStep() bool {
 	if r.mode == modeAdvance && r.pendingBranches >= maxPendingBranches {
 		return false // confidence throttle: wait for rallies to resolve
 	}
-	if r.st.valid && r.stEarliestOK && r.stEarliest > r.cycle {
-		return false // staged and stalled: the common no-op cycle, no calls
-	}
 	progress := false
 	for {
-		if !r.stage() {
-			return progress
-		}
-		if r.cachedTailEarliest() > r.cycle {
-			return progress
+		if r.st.valid {
+			if r.cachedTailEarliest() > r.cycle {
+				return progress // staged and stalled: the common no-op cycle
+			}
+		} else {
+			// Stage the next instruction: resolve its front-end state
+			// exactly once, and its earliest issue cycle.
+			if r.i >= r.end {
+				return progress
+			}
+			if !r.crossed && r.i >= r.meas {
+				// First tail instruction of the measurement range:
+				// snapshot every counter the result reports as a
+				// difference. A later squash may rewind the cursor below
+				// meas; the latch stays set — replay work caused inside
+				// the measurement range is charged to it.
+				r.crossed = true
+				r.meter.Cross(r.finish, r.counters())
+			}
+			r.st.idx = r.i
+			r.tr.Decode(r.i, &r.st.in)
+			r.st.avail = r.front.Avail(&r.st.in)
+			r.st.predTaken = r.front.Predict(&r.st.in)
+			r.st.valid = true
+			r.i++
+			r.stEarliest, r.stEarliestOK = r.tailEarliest(), true
+			if r.stEarliest > r.cycle {
+				return progress
+			}
 		}
 		if r.stallSSN != 0 {
 			// SBLimited: a prior load is stalled on a colliding store.
@@ -774,7 +769,7 @@ func (r *run) execLoad(idx int, in *isa.Inst, t int64) (loadOutcome, int64) {
 
 	acc := r.hier.Data(t, in.Addr, false)
 	if acc.Done <= t+pipe+int64(r.cfg.FrontDepth) {
-		r.sig.Insert(in.Addr)
+		r.sigInsert(in.Addr)
 		d := acc.Done + pipe
 		if m := t + pipe; d < m {
 			d = m
@@ -807,21 +802,29 @@ func (r *run) poisonLoad(idx int, in *isa.Inst, inherited uint8, ret int64) load
 	}
 	e.poison = vec
 	r.captureSrcs(&e, in)
-	id, ok := r.slice.Append(e)
+	id, ok := r.slice.Append(&e)
 	if !ok {
 		r.undoLoadPoison(inherited, vec)
 		r.stallAdvance(idx, &r.res.SliceOverflows)
 		return loadStall
 	}
-	// The new entry may wait on an already-returned bit (poison inherited
-	// from a store whose miss came back): re-check the pass condition.
-	r.recheckPass = true
+	r.noteWaiting(vec)
 	r.board.WriteDst(in, r.cycle+1, vec, e.seq)
 	if in.HasDst() {
 		r.lastWriter[in.Dst] = id
 	}
 	r.res.AdvanceInsts++
 	return loadSliced
+}
+
+// noteWaiting records that a new slice entry waits on poison vec. A bit
+// of vec with no outstanding miss (poison inherited from a store whose
+// miss came back) may satisfy the pass-start condition, so fireReturns
+// must re-check it; bits still outstanding cannot.
+func (r *run) noteWaiting(vec uint8) {
+	if vec&^r.busyBits != 0 {
+		r.recheckPass = true
+	}
 }
 
 // undoLoadPoison rolls back a freshly allocated pending miss when the
@@ -831,9 +834,9 @@ func (r *run) undoLoadPoison(inherited, vec uint8) {
 	if inherited != 0 {
 		return
 	}
-	for b := 0; b < r.nBits; b++ {
+	for b := uint8(0); int(b) < r.nBits; b++ {
 		if vec == 1<<b {
-			r.bitPending[b]--
+			r.releaseBit(b)
 			break
 		}
 	}
@@ -887,13 +890,12 @@ func (r *run) sliceOut() bool {
 		r.pendingBranches++
 	}
 
-	id, ok := r.slice.Append(e)
+	id, ok := r.slice.Append(&e)
 	if !ok {
 		r.stallAdvance(r.st.idx, &r.res.SliceOverflows)
 		return false
 	}
-	// As in poisonLoad: the entry's poison bits may already be free.
-	r.recheckPass = true
+	r.noteWaiting(e.poison)
 	r.board.WriteDst(in, r.cycle+1, e.poison, e.seq)
 	if in.HasDst() {
 		r.lastWriter[in.Dst] = id
@@ -943,10 +945,7 @@ func (r *run) enterAdvance(idx int) {
 	r.ckpt = pipeline.TakeCheckpoint(&r.board, idx)
 	r.ckptSSN = r.csb.Tail()
 	r.seqCtr = 0
-	for k := range r.board.Seq {
-		r.board.Seq[k] = 0
-	}
-	r.scratch = pipeline.Scoreboard{}
+	r.board.Seq = [isa.NumRegs]uint64{}
 	r.dirtyTail() // tailEarliest gates on the mode
 }
 
@@ -989,9 +988,8 @@ func (r *run) squash(branchIdx int, branchSSN uint64) {
 	r.slice.Clear()
 	r.csb.SquashTo(branchSSN)
 	r.pending = r.pending[:0]
-	for b := range r.bitPending {
-		r.bitPending[b] = 0
-	}
+	r.bitPending = [8]int{}
+	r.busyBits = 0
 	r.passActive = false
 	r.passBits = 0
 	r.pendingBranches = 0
@@ -1005,6 +1003,16 @@ func (r *run) squash(branchIdx int, branchSSN uint64) {
 	r.lastIssue = restoreAt
 	r.mode = modeNormal
 	r.stallSSN = 0
+}
+
+// sigInsert records a load that took its value from the cache in the
+// §3.3 signature. Only externalStore probes the signature, so it is kept
+// up to date only while the window has external-store events left to
+// replay: once they are gone, its contents can never be observed.
+func (r *run) sigInsert(addr uint64) {
+	if len(r.ext) > 0 {
+		r.sig.Insert(addr)
+	}
 }
 
 // ExternalStore models a coherence probe from another processor (§3.3):

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"icfp/internal/inorder"
+	"icfp/internal/isa"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
 	"icfp/internal/workload"
@@ -233,5 +234,44 @@ func TestSignatureSquashOnVulnerableLoad(t *testing.T) {
 	r := m.Run(workload.SPEC("mcf", 120_000))
 	if r.Squashes == 0 {
 		t.Fatal("periodic conflicting external stores must cause squashes")
+	}
+}
+
+// TestLateExternalStoresUnobservable pins that keeping the §3.3 load
+// signature only while external-store events remain cannot be observed.
+// A run whose events all come after its last cycle keeps the signature
+// up to date throughout and never probes it; a run with no events never
+// touches it. Both must report the same Result. The events probe
+// addresses the run loads, so any event that fired early would squash.
+func TestLateExternalStoresUnobservable(t *testing.T) {
+	c, ok := workload.FuzzCorpusMember("all-d")
+	if !ok {
+		t.Fatal("corpus member all-d missing")
+	}
+	for _, tc := range []struct {
+		name string
+		w    func() *workload.Workload
+	}{
+		{"mcf", func() *workload.Workload { return workload.SPEC("mcf", 40_000) }},
+		{c.Label, func() *workload.Workload { return workload.Fuzz(c.Seed, c.Knobs, 20_000) }},
+	} {
+		cfg := pipeline.DefaultConfig()
+		cfg.WarmupInsts = 10_000
+		clean := New(cfg).Run(tc.w())
+
+		w := tc.w()
+		m := New(cfg)
+		var in isa.Inst
+		for i := cfg.WarmupInsts; i < w.Trace.Len() && len(m.ExternalStores) < 64; i++ {
+			if w.Trace.Decode(i, &in); in.Op == isa.OpLoad {
+				// A full run measures from cycle 0, so it ends at cycle
+				// clean.Cycles: every event falls after that.
+				m.ExternalStores = append(m.ExternalStores,
+					ExternalStoreEvent{Cycle: clean.Cycles + 1 + int64(len(m.ExternalStores)), Addr: in.Addr})
+			}
+		}
+		if got := m.Run(w); got != clean {
+			t.Errorf("%s: late external stores changed the result:\nnone: %+v\nlate: %+v", tc.name, clean, got)
+		}
 	}
 }

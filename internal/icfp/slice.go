@@ -1,5 +1,7 @@
 package icfp
 
+import "math/bits"
+
 // The slice buffer (§3.1, §3.4): a FIFO of miss-dependent instructions
 // and their miss-independent side inputs. Entries stay in place across
 // rally passes; executing un-poisons an entry in place, and re-poisoned
@@ -106,14 +108,13 @@ func (s *sliceBuffer) pos(i int) int {
 // countPoison adjusts the waiting counts for an active entry's poison
 // vector by delta (+1 on activation, -1 on deactivation or change).
 func (s *sliceBuffer) countPoison(p uint8, delta int) {
-	for b := 0; p != 0; b, p = b+1, p>>1 {
-		if p&1 != 0 {
-			s.waiting[b] += delta
-			if s.waiting[b] > 0 {
-				s.actMask |= 1 << b
-			} else {
-				s.actMask &^= 1 << b
-			}
+	for ; p != 0; p &= p - 1 {
+		b := bits.TrailingZeros8(p)
+		s.waiting[b] += delta
+		if s.waiting[b] > 0 {
+			s.actMask |= 1 << b
+		} else {
+			s.actMask &^= 1 << b
 		}
 	}
 }
@@ -133,7 +134,7 @@ func (s *sliceBuffer) Len() int { return s.n }
 func (s *sliceBuffer) End() uint64 { return s.head + uint64(s.n) }
 
 // Append adds an active entry and returns its id. ok is false when full.
-func (s *sliceBuffer) Append(e sliceEntry) (uint64, bool) {
+func (s *sliceBuffer) Append(e *sliceEntry) (uint64, bool) {
 	if s.Full() {
 		return 0, false
 	}

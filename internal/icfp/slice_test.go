@@ -5,22 +5,22 @@ import "testing"
 func TestSliceAppendAndCapacity(t *testing.T) {
 	s := newSliceBuffer(3)
 	for i := 0; i < 3; i++ {
-		if _, ok := s.Append(sliceEntry{idx: i}); !ok {
+		if _, ok := s.Append(&sliceEntry{idx: i}); !ok {
 			t.Fatalf("append %d failed", i)
 		}
 	}
 	if !s.Full() {
 		t.Fatal("must be full")
 	}
-	if _, ok := s.Append(sliceEntry{}); ok {
+	if _, ok := s.Append(&sliceEntry{}); ok {
 		t.Fatal("append into a full buffer must fail")
 	}
 }
 
 func TestSliceDeactivateReclaimsHead(t *testing.T) {
 	s := newSliceBuffer(3)
-	a, _ := s.Append(sliceEntry{idx: 1})
-	b, _ := s.Append(sliceEntry{idx: 2})
+	a, _ := s.Append(&sliceEntry{idx: 1})
+	b, _ := s.Append(&sliceEntry{idx: 2})
 	// Deactivating the middle entry does not reclaim (in-place sparsity).
 	s.Deactivate(b, 10)
 	if s.Len() != 2 {
@@ -46,8 +46,8 @@ func TestSliceDeactivateReclaimsHead(t *testing.T) {
 
 func TestSliceExecutedStates(t *testing.T) {
 	s := newSliceBuffer(4)
-	a, _ := s.Append(sliceEntry{idx: 1})
-	b, _ := s.Append(sliceEntry{idx: 2})
+	a, _ := s.Append(&sliceEntry{idx: 1})
+	b, _ := s.Append(&sliceEntry{idx: 2})
 	if _, ok := s.Executed(b); ok {
 		t.Fatal("active entry must not be executed")
 	}
@@ -60,7 +60,7 @@ func TestSliceExecutedStates(t *testing.T) {
 
 func TestSliceSetPoison(t *testing.T) {
 	s := newSliceBuffer(4)
-	a, _ := s.Append(sliceEntry{idx: 1, poison: 0b01})
+	a, _ := s.Append(&sliceEntry{idx: 1, poison: 0b01})
 	if got := s.ActivePoison(); got != 0b01 {
 		t.Fatalf("ActivePoison = %#b, want 0b01", got)
 	}
@@ -79,14 +79,14 @@ func TestSliceSetPoison(t *testing.T) {
 
 func TestSliceClear(t *testing.T) {
 	s := newSliceBuffer(4)
-	s.Append(sliceEntry{idx: 1})
-	s.Append(sliceEntry{idx: 2})
+	s.Append(&sliceEntry{idx: 1})
+	s.Append(&sliceEntry{idx: 2})
 	s.Clear()
 	if !s.Empty() || s.Len() != 0 {
 		t.Fatal("Clear must empty the buffer")
 	}
 	// Ids keep increasing monotonically after a clear.
-	id, _ := s.Append(sliceEntry{idx: 3})
+	id, _ := s.Append(&sliceEntry{idx: 3})
 	if id < 2 {
 		t.Fatalf("id %d reused after clear", id)
 	}

@@ -69,9 +69,12 @@ type ChainedStoreBuffer struct {
 	ssnTail     uint64 // SSN of the youngest inserted store
 	ssnComplete uint64 // SSN of the youngest store written to the cache
 
-	// Hops histogram: excess chain hops per forwarded-or-missed load
-	// (first access is free, §3.2).
-	Hops     *stats.Histogram
+	// hops is the histogram of excess chain hops per forwarded-or-missed
+	// load (first access is free, §3.2), less the lookups that found no
+	// live store: idle counts those zero-hop samples apart, so Forward's
+	// empty check stays small enough to inline. HopHistogram folds them.
+	hops     *stats.Histogram
+	idle     uint64
 	Forwards uint64
 }
 
@@ -87,7 +90,7 @@ func NewChainedStoreBuffer(entries, chainEntries int, mode SBMode) *ChainedStore
 		poison: make([]uint8, entries),
 		idx:    make([]int, entries),
 		chain:  make([]uint64, chainEntries),
-		Hops:   stats.NewHistogram(32),
+		hops:   stats.NewHistogram(32),
 	}
 }
 
@@ -173,6 +176,17 @@ type ForwardResult struct {
 // loadSSN is the buffer's Tail at the load's dispatch; rally loads pass
 // their recorded dispatch-time value so younger stores are skipped.
 func (b *ChainedStoreBuffer) Forward(loadSSN uint64, addr uint64) ForwardResult {
+	if b.ssnComplete >= b.ssnTail {
+		// No live store: every design's lookup ends at the cache, having
+		// read nothing but the free first access.
+		b.idle++
+		return ForwardResult{}
+	}
+	return b.lookup(loadSSN, addr)
+}
+
+// lookup is Forward over a buffer holding at least one live store.
+func (b *ChainedStoreBuffer) lookup(loadSSN uint64, addr uint64) ForwardResult {
 	switch b.mode {
 	case SBIdeal:
 		return b.forwardIdeal(loadSSN, addr)
@@ -193,21 +207,21 @@ func (b *ChainedStoreBuffer) forwardChained(loadSSN uint64, addr uint64) Forward
 		visits++
 		if b.addr[p] == addr && ssn <= loadSSN {
 			b.Forwards++
-			b.Hops.Add(visits - 1)
+			b.hops.Add(visits - 1)
 			return ForwardResult{Found: true, Val: b.val[p], Poison: b.poison[p], Hops: visits - 1}
 		}
 		ssn = b.link[p]
 	}
 	if visits > 0 {
-		b.Hops.Add(visits - 1)
+		b.hops.Add(visits - 1)
 	} else {
-		b.Hops.Add(0)
+		b.hops.Add(0)
 	}
 	return ForwardResult{Hops: max0(visits - 1)}
 }
 
 func (b *ChainedStoreBuffer) forwardIdeal(loadSSN uint64, addr uint64) ForwardResult {
-	b.Hops.Add(0)
+	b.hops.Add(0)
 	best := uint64(0)
 	hit := -1
 	for p := range b.ssn {
@@ -225,7 +239,7 @@ func (b *ChainedStoreBuffer) forwardIdeal(loadSSN uint64, addr uint64) ForwardRe
 
 func (b *ChainedStoreBuffer) forwardLimited(loadSSN uint64, addr uint64) ForwardResult {
 	ssn := b.chain[b.hash(addr)]
-	b.Hops.Add(0)
+	b.hops.Add(0)
 	if ssn <= b.ssnComplete {
 		return ForwardResult{} // chain empty: value comes from the cache
 	}
@@ -306,8 +320,16 @@ func (b *ChainedStoreBuffer) SquashTo(ssn uint64) {
 	}
 }
 
+// HopHistogram returns the histogram of excess chain hops per load
+// access so far.
+func (b *ChainedStoreBuffer) HopHistogram() *stats.Histogram {
+	b.hops.AddN(0, b.idle)
+	b.idle = 0
+	return b.hops
+}
+
 // MeanExtraHops returns the average excess chain hops per load access.
-func (b *ChainedStoreBuffer) MeanExtraHops() float64 { return b.Hops.Mean() }
+func (b *ChainedStoreBuffer) MeanExtraHops() float64 { return b.HopHistogram().Mean() }
 
 func max0(v int) int {
 	if v < 0 {

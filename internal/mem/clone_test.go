@@ -30,7 +30,7 @@ func TestHierarchyCloneIsolated(t *testing.T) {
 		t.Fatalf("original's D$ counters moved after clone accesses: hits %d->%d misses %d->%d",
 			origHits, h.DCache.Hits, origMisses, h.DCache.Misses)
 	}
-	if len(h.pending) != len(c.pending) && len(h.pending) == 0 {
+	if h.pending.n != c.pending.n && h.pending.n == 0 {
 		t.Fatal("original pending map aliased by clone")
 	}
 
@@ -104,9 +104,9 @@ func TestCopyCachesEqualsCloneCaches(t *testing.T) {
 	if dst.Config() != cfg || fresh.Config() != cfg {
 		t.Fatal("copies do not carry the requested configuration")
 	}
-	if dst.Stats != (Stats{}) || len(dst.pending) != 0 || len(dst.mshrs) != 0 || dst.busFree != 0 {
+	if dst.Stats != (Stats{}) || dst.pending.n != 0 || len(dst.mshrs) != 0 || dst.busFree != 0 {
 		t.Fatalf("recycled hierarchy kept timing state: stats %+v, %d fills, %d MSHRs, bus free at %d",
-			dst.Stats, len(dst.pending), len(dst.mshrs), dst.busFree)
+			dst.Stats, dst.pending.n, len(dst.mshrs), dst.busFree)
 	}
 	for _, base := range []uint64{0, 1 << 24, 1 << 26} {
 		a, b := walk(dst, base), walk(fresh, base)

@@ -5,7 +5,7 @@
 // The model is completion-time based rather than event-driven: an access at
 // cycle C immediately returns the cycle at which its data is available,
 // computed against per-resource busy-until clocks. Tag state is updated
-// eagerly; a map of in-flight line fills makes later accesses to a pending
+// eagerly; a table of in-flight line fills makes later accesses to a pending
 // line wait for the original fill (MSHR merging). This keeps the hierarchy
 // simple while modelling the contention that bounds the paper's achievable
 // MLP (one 128-byte line per 32 bus cycles against a 400-cycle latency
@@ -140,9 +140,9 @@ type Hierarchy struct {
 	DCache *cache.Cache
 	L2     *cache.Cache
 
-	busFree int64            // cycle at which the memory bus frees
-	pending map[uint64]int64 // in-flight L2-line fills: line -> completion
-	mshrs   []int64          // completion cycles of active MSHRs
+	busFree int64     // cycle at which the memory bus frees
+	pending fillTable // in-flight L2-line fills: line -> completion
+	mshrs   []int64   // completion cycles of active MSHRs
 	streams []streamBuf
 	// missedLines filters stream allocation: a stream is allocated only
 	// when line X misses and line X-1 missed recently (two consecutive
@@ -181,11 +181,10 @@ func (h *Hierarchy) reset(cfg Config) {
 	}
 	h.cfg = cfg
 	h.busFree, h.clock = 0, 0
-	if h.pending == nil {
-		h.pending = make(map[uint64]int64)
+	h.pending.reset()
+	if h.missedLines == nil {
 		h.missedLines = make(map[uint64]struct{})
 	} else {
-		clear(h.pending)
 		clear(h.missedLines)
 	}
 	h.mshrs = h.mshrs[:0]
@@ -217,21 +216,9 @@ func (h *Hierarchy) l2Line(addr uint64) uint64 {
 }
 
 // pendingDone returns the completion cycle of an in-flight fill covering
-// addr, or 0 if none. Stale entries are pruned opportunistically.
+// addr, or 0 if none. A stale entry is deleted when probed (fillTable).
 func (h *Hierarchy) pendingDone(cycle int64, addr uint64) int64 {
-	if len(h.pending) == 0 {
-		return 0 // no in-flight fills: skip the map probe on the hit path
-	}
-	line := h.l2Line(addr)
-	done, ok := h.pending[line]
-	if !ok {
-		return 0
-	}
-	if done <= cycle {
-		delete(h.pending, line)
-		return 0
-	}
-	return done
+	return h.pending.probe(h.l2Line(addr), cycle)
 }
 
 // allocMSHR reserves a miss slot, returning the earliest cycle the miss can
@@ -383,7 +370,7 @@ func (h *Hierarchy) l2Access(cycle int64, addr uint64, write bool) (int64, Level
 		}
 		h.insertL2(addr, write)
 		if ready > cycle {
-			h.pending[line] = done
+			h.pending.put(line, done)
 		}
 		return done, LevelStream
 	}
@@ -393,7 +380,7 @@ func (h *Hierarchy) l2Access(cycle int64, addr uint64, write bool) (int64, Level
 	if start > cycle { // MSHR stall pushed the request back
 		done = h.fetchFromMemory(start)
 	}
-	h.pending[line] = done
+	h.pending.put(line, done)
 	h.insertL2(addr, write)
 	h.allocStream(cycle, line)
 	return done, LevelMem

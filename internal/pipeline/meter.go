@@ -46,9 +46,10 @@ func (c Core) Run(w *workload.Workload) Result {
 // the detailed loop runs only inside the policy's measurement windows,
 // with functional warming in between. The zero policy is a full run.
 func (c Core) RunSampled(w *workload.Workload, pol SamplePolicy) Result {
+	m := new(Meter) // one per run: its MLP edge lists carry over between windows
 	return RunWindowed(w, c.cfg, pol,
 		func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, end int) Result {
-			m := newMeter(hier, meas, end, c.mlp)
+			m.reset(hier, meas, end, c.mlp)
 			finish, counters := c.loop.Window(w.Trace, hier, pred, m, start, meas, end)
 			return m.result(finish, counters)
 		})
@@ -71,14 +72,16 @@ type Meter struct {
 	hs0  mem.Stats
 }
 
-// newMeter returns the meter of the window [meas, end) on hier,
-// installing hier's miss observer when mlp is set.
-func newMeter(hier *mem.Hierarchy, meas, end int, mlp bool) *Meter {
-	m := &Meter{hier: hier, insts: int64(end - meas)}
+// reset makes m the meter of the window [meas, end) on hier, installing
+// hier's miss observer when mlp is set. The MLP trackers keep their
+// edge lists' capacity from earlier windows.
+func (m *Meter) reset(hier *mem.Hierarchy, meas, end int, mlp bool) {
+	m.dTrack.Reset()
+	m.l2Track.Reset()
+	*m = Meter{hier: hier, insts: int64(end - meas), dTrack: m.dTrack, l2Track: m.l2Track}
 	if mlp {
 		hier.MissObserver = m.observe
 	}
-	return m
 }
 
 func (m *Meter) observe(start, done int64, l2 bool) {

@@ -81,6 +81,13 @@ func TestScoreboard(t *testing.T) {
 	if b.AnyPoisoned() {
 		t.Fatal("ClearPoison failed")
 	}
+	for r := range b.Poison {
+		b.Poison[r] = 0b1000_0000
+		if !b.AnyPoisoned() {
+			t.Fatalf("poison on register %d not visible", r)
+		}
+		b.Poison[r] = 0
+	}
 }
 
 func TestCheckpointRestore(t *testing.T) {

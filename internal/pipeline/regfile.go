@@ -1,6 +1,10 @@
 package pipeline
 
-import "icfp/internal/isa"
+import (
+	"encoding/binary"
+
+	"icfp/internal/isa"
+)
 
 // Scoreboard tracks, for every architectural register: the cycle its
 // latest value becomes available (for stall-on-use scheduling), its poison
@@ -55,12 +59,16 @@ func (s *Scoreboard) ClearPoison() {
 	}
 }
 
-// AnyPoisoned reports whether any register is poisoned.
+// AnyPoisoned reports whether any register is poisoned. It reads the
+// poison vectors eight at a time.
 func (s *Scoreboard) AnyPoisoned() bool {
-	for _, p := range s.Poison {
-		if p != 0 {
-			return true
-		}
+	var acc uint64
+	p := s.Poison[:]
+	for ; len(p) >= 8; p = p[8:] {
+		acc |= binary.LittleEndian.Uint64(p)
 	}
-	return false
+	for _, v := range p {
+		acc |= uint64(v)
+	}
+	return acc != 0
 }

@@ -10,31 +10,35 @@ import "icfp/internal/isa"
 // Issue times must be requested in non-decreasing order; the allocator
 // advances an internal current cycle and resets counts on each new cycle.
 type SlotAlloc struct {
-	cfg   *Config
 	cycle int64
-	total int
-	ints  int
-	mems  int
+	total int    // slots used in cycle
+	used  [2]int // slots used in cycle, per port class (portClass)
+	width int
+	limit [2]int // ports per class
 }
 
-// NewSlotAlloc builds an allocator for cfg's port plan.
-func NewSlotAlloc(cfg *Config) *SlotAlloc { return &SlotAlloc{cfg: cfg, cycle: -1} }
+// NewSlotAlloc builds an allocator for cfg's port plan, which it reads
+// once.
+func NewSlotAlloc(cfg *Config) *SlotAlloc {
+	return &SlotAlloc{cycle: -1, width: cfg.Width, limit: [2]int{cfg.IntPorts, cfg.MemFPBrPorts}}
+}
+
+// memFPBrOps is the set of ops that issue on the shared
+// fp/load/store/branch port, one bit per op.
+const memFPBrOps = 1<<isa.OpLoad | 1<<isa.OpStore | 1<<isa.OpFAdd | 1<<isa.OpFMul |
+	1<<isa.OpBranch | 1<<isa.OpJump | 1<<isa.OpCall | 1<<isa.OpRet
+
+// portClass returns op's port class: 1 for the shared
+// fp/load/store/branch port, 0 for an integer port.
+func portClass(op isa.Op) int { return int(uint64(memFPBrOps) >> op & 1) }
 
 // IsMemFPBr reports whether op issues on the shared fp/load/store/branch
 // port (as opposed to an integer port).
-func IsMemFPBr(op isa.Op) bool {
-	switch op {
-	case isa.OpLoad, isa.OpStore, isa.OpFAdd, isa.OpFMul,
-		isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpRet:
-		return true
-	}
-	return false
-}
+func IsMemFPBr(op isa.Op) bool { return portClass(op) == 1 }
 
 func (s *SlotAlloc) advanceTo(cycle int64) {
 	if cycle > s.cycle {
-		s.cycle = cycle
-		s.total, s.ints, s.mems = 0, 0, 0
+		s.cycle, s.total, s.used[0], s.used[1] = cycle, 0, 0, 0
 	}
 }
 
@@ -83,31 +87,25 @@ func (s *SlotAlloc) Peek(earliest int64, op isa.Op) int64 {
 
 // TryTake allocates a slot only if one is free exactly at cycle; it
 // reports success. Cores use it when interleaving two streams (rally and
-// tail) in the same cycle.
+// tail) in the same cycle. It spells out fits and use so that it stays
+// small enough to inline into their per-cycle loops.
 func (s *SlotAlloc) TryTake(cycle int64, op isa.Op) bool {
 	s.advanceTo(cycle)
-	if s.cycle != cycle || !s.fits(op) {
+	c := portClass(op)
+	if s.cycle != cycle || s.total >= s.width || s.used[c] >= s.limit[c] {
 		return false
 	}
-	s.use(op)
+	s.total++
+	s.used[c]++
 	return true
 }
 
 func (s *SlotAlloc) fits(op isa.Op) bool {
-	if s.total >= s.cfg.Width {
-		return false
-	}
-	if IsMemFPBr(op) {
-		return s.mems < s.cfg.MemFPBrPorts
-	}
-	return s.ints < s.cfg.IntPorts
+	c := portClass(op)
+	return s.total < s.width && s.used[c] < s.limit[c]
 }
 
 func (s *SlotAlloc) use(op isa.Op) {
 	s.total++
-	if IsMemFPBr(op) {
-		s.mems++
-	} else {
-		s.ints++
-	}
+	s.used[portClass(op)]++
 }

@@ -12,21 +12,21 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // MLPTracker accumulates miss lifetime intervals and computes the average
 // number of outstanding misses over cycles where at least one miss is
 // outstanding — the MLP definition used by Table 2 of the paper.
 type MLPTracker struct {
-	starts []int64
-	ends   []int64
-	// MLP needs both edge lists sorted; the sorted copies are cached here
-	// and rebuilt only after an Add, so repeated MLP calls (and MLP calls
-	// on already-sorted recordings) don't re-copy and re-sort every time.
-	sortedStarts []int64
-	sortedEnds   []int64
-	sorted       bool
+	// The interval edges, each list sorted in place by MLP: the busy-time
+	// sweep needs only the two edge multisets, not which start pairs
+	// with which end.
+	starts, ends []int64
+	// missCycles is Σ(end − start) over the recorded intervals: the
+	// outstanding miss-cycles, which equal the sweep's Σ outstanding ×
+	// edge gap by construction.
+	missCycles int64
 }
 
 // Add records one miss outstanding over [start, end). Empty or inverted
@@ -37,7 +37,7 @@ func (t *MLPTracker) Add(start, end int64) {
 	}
 	t.starts = append(t.starts, start)
 	t.ends = append(t.ends, end)
-	t.sorted = false
+	t.missCycles += end - start
 }
 
 // Count returns the number of recorded misses.
@@ -49,16 +49,11 @@ func (t *MLPTracker) MLP() float64 {
 	if len(t.starts) == 0 {
 		return 0
 	}
-	if !t.sorted {
-		t.sortedStarts = append(t.sortedStarts[:0], t.starts...)
-		t.sortedEnds = append(t.sortedEnds[:0], t.ends...)
-		sort.Slice(t.sortedStarts, func(i, j int) bool { return t.sortedStarts[i] < t.sortedStarts[j] })
-		sort.Slice(t.sortedEnds, func(i, j int) bool { return t.sortedEnds[i] < t.sortedEnds[j] })
-		t.sorted = true
-	}
-	ss, es := t.sortedStarts, t.sortedEnds
+	ss, es := t.starts, t.ends
+	slices.Sort(ss)
+	slices.Sort(es)
 
-	var missCycles, busyCycles int64
+	var busyCycles int64
 	outstanding := 0
 	var lastEdge int64
 	si, ei := 0, 0
@@ -70,7 +65,6 @@ func (t *MLPTracker) MLP() float64 {
 			edge = es[ei]
 		}
 		if outstanding > 0 {
-			missCycles += int64(outstanding) * (edge - lastEdge)
 			busyCycles += edge - lastEdge
 		}
 		lastEdge = edge
@@ -85,16 +79,15 @@ func (t *MLPTracker) MLP() float64 {
 	if busyCycles == 0 {
 		return 0
 	}
-	return float64(missCycles) / float64(busyCycles)
+	return float64(t.missCycles) / float64(busyCycles)
 }
 
-// Reset discards all recorded intervals.
+// Reset discards all recorded intervals, keeping the edge lists'
+// capacity for the next recording.
 func (t *MLPTracker) Reset() {
 	t.starts = t.starts[:0]
 	t.ends = t.ends[:0]
-	t.sortedStarts = t.sortedStarts[:0]
-	t.sortedEnds = t.sortedEnds[:0]
-	t.sorted = false
+	t.missCycles = 0
 }
 
 // Histogram counts small non-negative integer samples (e.g. store-buffer
@@ -113,16 +106,19 @@ func NewHistogram(n int) *Histogram {
 }
 
 // Add records one sample.
-func (h *Histogram) Add(v int) {
+func (h *Histogram) Add(v int) { h.AddN(v, 1) }
+
+// AddN records n samples of value v.
+func (h *Histogram) AddN(v int, n uint64) {
 	if v < 0 {
 		v = 0
 	}
 	if v >= len(h.Buckets) {
 		v = len(h.Buckets) - 1
 	}
-	h.Buckets[v]++
-	h.total++
-	h.sum += uint64(v)
+	h.Buckets[v] += n
+	h.total += n
+	h.sum += uint64(v) * n
 }
 
 // Count returns the number of samples.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,22 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.FractionAtLeast(4) != 0 {
 		t.Fatal("FractionAtLeast beyond buckets must be 0")
+	}
+}
+
+// TestHistogramAddN pins that n samples recorded at once are n samples
+// recorded one by one, clamping included.
+func TestHistogramAddN(t *testing.T) {
+	one, many := NewHistogram(4), NewHistogram(4)
+	for _, v := range []int{0, 2, 9, -1} {
+		for range 3 {
+			one.Add(v)
+		}
+		many.AddN(v, 3)
+	}
+	many.AddN(1, 0)
+	if !reflect.DeepEqual(one, many) {
+		t.Fatalf("AddN histogram %+v, Add histogram %+v", many, one)
 	}
 }
 

@@ -34,7 +34,7 @@ var simRateRatios = map[string]float64{
 	"Runahead":  0.775,
 	"Multipass": 0.592,
 	"SLTP":      0.830,
-	"iCFP":      0.428,
+	"iCFP":      0.470,
 }
 
 const simRateSlack = 0.20
@@ -43,11 +43,11 @@ const simRateSlack = 0.20
 // BenchmarkSimRate workload, and simRateAllocSlack the fraction it may
 // grow. Allocation counts are deterministic, so the bound is exact.
 var simRateAllocs = map[string]float64{
-	"in-order":  70,
-	"Runahead":  81,
-	"Multipass": 83,
-	"SLTP":      82,
-	"iCFP":      88,
+	"in-order":  57,
+	"Runahead":  68,
+	"Multipass": 69,
+	"SLTP":      69,
+	"iCFP":      76,
 }
 
 const simRateAllocSlack = 0.20
