@@ -312,19 +312,30 @@ func validate(jobs []Job) error {
 // resulting CachedResults into a cache, and then Run locally entirely
 // from cache hits.
 func Plan(jobs []Job) ([]spec.Job, error) {
+	plan, _, err := PlanKeys(jobs)
+	return plan, err
+}
+
+// PlanKeys is Plan that also returns each entry's key, computed once
+// while deduplicating: keys[i] is KeyOf(plan[i]). Callers that look every
+// entry up by key (the expq daemon's store probe) need not encode the
+// specs again.
+func PlanKeys(jobs []Job) (plan []spec.Job, keys []Key, err error) {
 	if err := validate(jobs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	seen := make(map[Key]bool, len(jobs))
-	plan := make([]spec.Job, 0, len(jobs))
+	plan = make([]spec.Job, 0, len(jobs))
+	keys = make([]Key, 0, len(jobs))
 	for _, j := range jobs {
 		k := j.Key()
 		if !seen[k] {
 			seen[k] = true
 			plan = append(plan, j.Spec())
+			keys = append(keys, k)
 		}
 	}
-	return plan, nil
+	return plan, keys, nil
 }
 
 // Run executes the jobs on a worker pool and returns their results in job
@@ -554,7 +565,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		j := jobs[d.idx]
 		results[d.idx] = Result{Name: j.Name, Machine: j.Machine, Workload: j.Workload, R: d.e.res}
 	}
-	return &ResultSet{Results: results}, nil
+	return NewResultSet(results), nil
 }
 
 // genAheadHook, when set, runs in each generate-ahead helper between its

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"icfp/internal/exp"
+	"icfp/internal/pipeline"
 	"icfp/internal/sim"
 	"icfp/internal/spec"
 	"icfp/internal/workload"
@@ -140,6 +141,41 @@ func TestResultSetReductions(t *testing.T) {
 		}()
 		rs.MustGet("missing")
 	}()
+}
+
+// TestResultSetGetFirstMatch pins Get's lookup contract on every kind of
+// set: indexed (NewResultSet, ReadJSON) and literal ones answer alike,
+// with the first result of a duplicated name, and absence for an unknown
+// one.
+func TestResultSetGetFirstMatch(t *testing.T) {
+	results := []exp.Result{
+		{Name: "a", R: pipeline.Result{Cycles: 1}},
+		{Name: "b", R: pipeline.Result{Cycles: 2}},
+		{Name: "a", R: pipeline.Result{Cycles: 3}},
+	}
+	indexed := exp.NewResultSet(results)
+	var buf bytes.Buffer
+	if err := indexed.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := exp.ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, rs := range map[string]*exp.ResultSet{
+		"NewResultSet": indexed,
+		"ReadJSON":     decoded,
+		"literal":      {Results: results},
+	} {
+		for name, want := range map[string]int64{"a": 1, "b": 2} {
+			if r, ok := rs.Get(name); !ok || r.R.Cycles != want {
+				t.Errorf("%s: Get(%q) = cycles %d, ok %v; want the first match, cycles %d", label, name, r.R.Cycles, ok, want)
+			}
+		}
+		if _, ok := rs.Get("c"); ok {
+			t.Errorf("%s: Get of a missing name reported a result", label)
+		}
+	}
 }
 
 func TestJobNamesIndexResults(t *testing.T) {

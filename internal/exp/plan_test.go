@@ -29,9 +29,12 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 		planJob("c", spec.ModelICFP, workload.ScenarioLoneL2),
 		planJob("d", spec.ModelInOrder, workload.ScenarioChains),
 	}
-	plan, err := exp.Plan(jobs)
+	plan, keys, err := exp.PlanKeys(jobs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bare, err := exp.Plan(jobs); err != nil || !reflect.DeepEqual(bare, plan) {
+		t.Fatalf("Plan = %v (err %v), want PlanKeys' plan %v", bare, err, plan)
 	}
 	if len(plan) != 3 {
 		t.Fatalf("plan has %d entries, want 3: %v", len(plan), plan)
@@ -46,6 +49,9 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("plan keys = %v, want %v (first-appearance order)", got, want)
+	}
+	if !reflect.DeepEqual(keys, got) {
+		t.Errorf("PlanKeys keys = %v, want each entry's KeyOf %v", keys, got)
 	}
 	// Each entry is self-describing: rebuilding a job from it yields the
 	// same key.

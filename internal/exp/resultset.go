@@ -22,17 +22,46 @@ type Result struct {
 
 // ResultSet holds run results in deterministic (job submission) order and
 // provides the reductions the paper's figures are built from.
+//
+// Sets built by Run, NewResultSet or ReadJSON index their results by
+// name, so renderers, which call Get once per cell, look each up in O(1);
+// such a set's Results must not be modified afterwards. A set built as a
+// literal has no index and Get scans it.
 type ResultSet struct {
 	Results []Result `json:"results"`
+
+	byName map[string]int // name → index of its first result
+}
+
+// NewResultSet returns the set of results, indexed by name.
+func NewResultSet(results []Result) *ResultSet {
+	rs := &ResultSet{Results: results}
+	rs.index()
+	return rs
+}
+
+// index builds the name index, keeping the first result of each name.
+func (rs *ResultSet) index() {
+	rs.byName = make(map[string]int, len(rs.Results))
+	for i := range rs.Results {
+		if _, dup := rs.byName[rs.Results[i].Name]; !dup {
+			rs.byName[rs.Results[i].Name] = i
+		}
+	}
 }
 
 // Len returns the number of results.
 func (rs *ResultSet) Len() int { return len(rs.Results) }
 
-// Get returns the named result. The scan compares names in place:
-// ranging by value would copy every Result it passes, and renderers call
-// Get once per cell, so an n-job suite would copy O(n²) structs.
+// Get returns the first result of the given name.
 func (rs *ResultSet) Get(name string) (Result, bool) {
+	if rs.byName != nil {
+		i, ok := rs.byName[name]
+		if !ok {
+			return Result{}, false
+		}
+		return rs.Results[i], true
+	}
 	for i := range rs.Results {
 		if rs.Results[i].Name == name {
 			return rs.Results[i], true
@@ -102,5 +131,6 @@ func ReadJSON(r io.Reader) (*ResultSet, error) {
 	if err := json.NewDecoder(r).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("exp: decoding result set: %w", err)
 	}
+	rs.index()
 	return &rs, nil
 }

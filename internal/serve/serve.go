@@ -228,7 +228,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, j := range suite.Jobs {
 		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
 	}
-	plan, err := exp.Plan(jobs)
+	plan, keys, err := exp.PlanKeys(jobs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -246,7 +246,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ew := &eventWriter{w: w, f: flusher}
 
 	cache := exp.NewCache()
-	out, err := s.run(suite, plan, cache, ew)
+	out, err := s.run(suite, plan, keys, cache, ew)
 	if err != nil {
 		ew.send(Event{Event: "error", Error: err.Error()})
 		return
@@ -255,20 +255,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ew.send(Event{Event: "done", Jobs: len(plan)})
 }
 
-// run resolves the plan through store, in-flight table, and backend,
-// then renders the suite from the filled cache. All simulation results
-// land in cache; the returned bytes are the rendered report.
-func (s *Server) run(suite spec.Suite, plan []spec.Job, cache *exp.Cache, ew *eventWriter) ([]byte, error) {
+// run resolves the plan (keys[i] is plan[i]'s key) through store,
+// in-flight table, and backend, then renders the suite from the filled
+// cache. All simulation results land in cache; the returned bytes are
+// the rendered report.
+func (s *Server) run(suite spec.Suite, plan []spec.Job, keys []exp.Key, cache *exp.Cache, ew *eventWriter) ([]byte, error) {
 	var mine []planned   // this submission simulates these
 	var shared []*flight // another submission is simulating these
-	storeHits := 0
-	for _, sj := range plan {
-		k := exp.KeyOf(sj)
+	// Store hits, merged into cache in one call.
+	hits := make([]exp.CachedResult, 0, len(plan))
+	for i, sj := range plan {
+		k := keys[i]
 		if rec, ok, err := s.cfg.Store.Get(k); err != nil {
 			return nil, err
 		} else if ok {
-			cache.AddResults([]exp.CachedResult{rec})
-			storeHits++
+			hits = append(hits, rec)
 			continue
 		}
 		s.mu.Lock()
@@ -282,6 +283,8 @@ func (s *Server) run(suite spec.Suite, plan []spec.Job, cache *exp.Cache, ew *ev
 		}
 		s.mu.Unlock()
 	}
+	cache.AddResults(hits)
+	storeHits := len(hits)
 	ew.send(Event{Event: "plan", Jobs: len(plan), StoreHits: storeHits, Attached: len(shared), Dispatched: len(mine)})
 
 	total := len(plan)

@@ -83,9 +83,11 @@ type intRange struct {
 
 // ranges lists the override knobs with their accepted ranges. The caps
 // are generous engineering bounds, not paper values: they exist so a
-// spec arriving over the network cannot demand absurd allocations.
-func (o *Overrides) ranges() []intRange {
-	return []intRange{
+// spec arriving over the network cannot demand absurd allocations. The
+// list is an array, returned by value, so validating allocates nothing:
+// every submitted job is validated several times on its way through.
+func (o *Overrides) ranges() [15]intRange {
+	return [...]intRange{
 		{"width", o.Width, 1, 8},
 		{"l2_hit_lat", o.L2HitLat, 1, 10_000},
 		{"mem_lat", o.MemLat, 1, 1_000_000},

@@ -259,6 +259,31 @@ func TestValidateActionableErrors(t *testing.T) {
 	}
 }
 
+// TestOverridesValidateAllocFree pins that range-checking a fully-set
+// Overrides allocates nothing: every job of a submitted suite is
+// validated three times on its way through the expq daemon.
+func TestOverridesValidateAllocFree(t *testing.T) {
+	var o spec.Overrides
+	v := reflect.ValueOf(&o).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch f.Type().Elem().Kind() {
+		case reflect.Int:
+			f.Set(reflect.ValueOf(spec.Int(1))) // inside every knob's range
+		case reflect.Bool:
+			f.Set(reflect.ValueOf(spec.Bool(true)))
+		default:
+			t.Fatalf("override field %s has unhandled type %s", v.Type().Field(i).Name, f.Type())
+		}
+	}
+	if err := o.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { o.Validate() }); got != 0 {
+		t.Errorf("Overrides.Validate: %.0f allocs per call, want 0", got)
+	}
+}
+
 func TestUnmarshalSuiteStrict(t *testing.T) {
 	good := `{
   "name": "mini",

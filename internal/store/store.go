@@ -18,17 +18,23 @@
 // while a byte-level result difference is a *ConflictError* (a
 // determinism violation, never to be papered over). The store is
 // bounded: with a positive MaxBytes, least-recently-accessed records are
-// evicted after each Put (Get refreshes a record's access time), so a
-// long-lived daemon's disk footprint stays under the knob.
+// evicted after each Put, so a long-lived daemon's disk footprint stays
+// under the knob.
 //
 // The in-memory index keeps each record's decoded result once this
-// process has read or written it, so repeat lookups (every resubmitted
-// suite) are answered without reading or decoding the file again. The
-// bound covers those copies too: a decoded result is smaller than its
-// indented on-disk record, and evicting a record drops its copy. A
-// record that fails to decode is moved aside as damaged and its key
-// reads as a miss, so one bad file costs one re-simulation rather than
-// failing its key forever.
+// process has read or written it, keyed by the record's exp.Key, so a
+// repeat lookup (every resubmitted suite) is one map lookup: no hashing,
+// no path, no system call. The bound covers those copies too: a decoded
+// result is smaller than its indented on-disk record, and evicting a
+// record drops its copy. A record that fails to decode is moved aside as
+// damaged and its key reads as a miss, so one bad file costs one
+// re-simulation rather than failing its key forever.
+//
+// Access times: the in-memory LRU clock eviction runs on is exact (every
+// Get stamps it), while a record file's mtime — the clock Open reads
+// back — is refreshed at most once per touchInterval. A restarted
+// process therefore recovers the LRU order to within that interval, and
+// a resubmission answered from memory writes nothing to disk.
 package store
 
 import (
@@ -80,13 +86,35 @@ type Options struct {
 	MaxBytes int64
 }
 
+// touchInterval is how far a record file's mtime may lag the in-memory
+// access time: a hit rewrites the mtime only when the stamp this process
+// last wrote or read for it is at least this old.
+const touchInterval = time.Minute
+
+// now is the store's clock; tests swap it (export_test.go).
+var now = time.Now
+
 // recMeta is the in-memory index entry of one on-disk record.
 type recMeta struct {
-	size   int64
-	access time.Time
+	hash string
+	size int64
+	// access is the LRU clock: the last Get or Put in this process, or
+	// the file's mtime at Open. stamp is the file's mtime as this process
+	// last read or wrote it (zero when unknown).
+	access, stamp time.Time
 	// res is the record's decoded result once this process has read or
 	// written it, nil before. It leaves the index with the entry.
 	res *exp.CachedResult
+}
+
+// due reports whether a hit at t must refresh the file's mtime, taking t
+// as the new stamp if so; the caller holds mu.
+func (m *recMeta) due(t time.Time) bool {
+	if t.Sub(m.stamp) < touchInterval {
+		return false
+	}
+	m.stamp = t
+	return true
 }
 
 // Store is one on-disk result store. It is safe for concurrent use by
@@ -98,9 +126,12 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	mu    sync.Mutex
-	recs  map[string]recMeta // hash → size, last access, decoded result
-	bytes int64
+	mu   sync.Mutex
+	recs map[string]*recMeta // hash → size, access times, decoded result
+	// decoded indexes the entries holding a decoded result by key: the
+	// whole cost of a repeat Get.
+	decoded map[exp.Key]*recMeta
+	bytes   int64
 	// drops counts index entries removed (evicted, found gone, or
 	// quarantined). A result read or written outside mu is kept as the
 	// entry's decoded copy only if no drop ran meanwhile: that drop may
@@ -119,7 +150,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, maxBytes: opts.MaxBytes, recs: make(map[string]recMeta)}
+	s := &Store{dir: dir, maxBytes: opts.MaxBytes, recs: make(map[string]*recMeta), decoded: make(map[exp.Key]*recMeta)}
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
@@ -193,7 +224,8 @@ func (s *Store) scan() error {
 			if err != nil {
 				continue // raced with another process's eviction
 			}
-			s.recs[name[:len(name)-len(".json")]] = recMeta{size: info.Size(), access: info.ModTime()}
+			hash := name[:len(name)-len(".json")]
+			s.recs[hash] = &recMeta{hash: hash, size: info.Size(), access: info.ModTime(), stamp: info.ModTime()}
 			s.bytes += info.Size()
 		}
 	}
@@ -218,34 +250,38 @@ func (s *Store) Bytes() int64 {
 }
 
 // Get returns the persisted result for k, if the store has one, and
-// refreshes the record's access time in memory and on disk (the LRU
-// clock eviction runs on). The first Get of a record in this process
-// reads and decodes its file and keeps the decoded result in the index;
-// later Gets answer from that copy without touching the file's
-// contents. A record another process evicted therefore still answers
-// here if this process decoded it before — the same bytes the file
-// held, since simulations are deterministic — while one this process
-// never read reads as a plain miss. A record whose file does not decode
-// is quarantined (renamed to *.corrupt, counted in
+// stamps the record's in-memory access time (the LRU clock eviction
+// runs on). The first Get of a record in this process reads and decodes
+// its file and keeps the decoded result in the index; later Gets answer
+// from that copy with one map lookup. The record file's mtime is
+// refreshed only when this process's stamp of it is touchInterval old,
+// so repeat hits touch no file at all. A record another process evicted
+// therefore still answers here if this process decoded it before — the
+// same bytes the file held, since simulations are deterministic — while
+// one this process never read reads as a plain miss. A record whose file
+// does not decode is quarantined (renamed to *.corrupt, counted in
 // expq_store_corrupt_total) and reads as a miss, so its key simulates
 // again; a record of another schema version, or one holding another
 // key, is an error.
 func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
-	hash := HashKey(k)
-	path := s.pathFor(hash)
+	t := now()
 	s.mu.Lock()
-	if m, ok := s.recs[hash]; ok && m.res != nil {
-		m.access = time.Now()
-		s.recs[hash] = m
+	if m, ok := s.decoded[k]; ok {
+		m.access = t
 		res := *m.res
+		touch := m.due(t)
 		s.mu.Unlock()
-		os.Chtimes(path, m.access, m.access) // best effort: a failed bump only ages the record early
+		if touch {
+			s.touch(m.hash, t)
+		}
 		s.hits.Inc()
 		return res, true, nil
 	}
 	drops := s.drops
 	s.mu.Unlock()
 
+	hash := HashKey(k)
+	path := s.pathFor(hash)
 	rec, size, err := readRecord(path)
 	switch {
 	case errors.Is(err, errCorrupt):
@@ -265,13 +301,20 @@ func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
 		return exp.CachedResult{}, false, fmt.Errorf("store: %s holds (%s | %s), wanted (%s | %s) — hash collision or corrupted record",
 			path, rec.Machine, rec.Workload, k.Machine, k.Workload)
 	}
-	now := time.Now()
-	os.Chtimes(path, now, now) // best effort, as above
 	s.mu.Lock()
-	s.indexLocked(hash, size, now, &rec.CachedResult, drops)
+	touch := s.indexLocked(hash, size, t, &rec.CachedResult, drops).due(t)
 	s.mu.Unlock()
+	if touch {
+		s.touch(hash, t)
+	}
 	s.hits.Inc()
 	return rec.CachedResult, true, nil
+}
+
+// touch sets a record file's mtime to t. It is best effort: a failed
+// touch only ages the record early after a restart.
+func (s *Store) touch(hash string, t time.Time) {
+	os.Chtimes(s.pathFor(hash), t, t)
 }
 
 // errCorrupt marks a record file that is not a decodable record.
@@ -309,16 +352,34 @@ func (s *Store) quarantine(hash, path string) uint64 {
 
 // indexLocked records one record this process just read or wrote,
 // keeping res as its decoded copy unless an entry was dropped since the
-// caller read drops (see Store.drops); the caller holds mu.
-func (s *Store) indexLocked(hash string, size int64, access time.Time, res *exp.CachedResult, drops uint64) {
-	if old, ok := s.recs[hash]; ok {
-		s.bytes -= old.size
+// caller read drops (see Store.drops), and returns its entry. An entry
+// already indexed keeps its file stamp; the caller holds mu.
+func (s *Store) indexLocked(hash string, size int64, access time.Time, res *exp.CachedResult, drops uint64) *recMeta {
+	m, ok := s.recs[hash]
+	if ok {
+		s.bytes -= m.size
+		s.forgetLocked(m)
+	} else {
+		m = &recMeta{hash: hash}
+		s.recs[hash] = m
 	}
 	if s.drops != drops {
 		res = nil
 	}
-	s.recs[hash] = recMeta{size: size, access: access, res: res}
+	m.size, m.access, m.res = size, access, res
+	if res != nil {
+		s.decoded[exp.Key{Machine: res.Machine, Workload: res.Workload}] = m
+	}
 	s.bytes += size
+	return m
+}
+
+// forgetLocked removes m's decoded copy from the key index; the caller
+// holds mu.
+func (s *Store) forgetLocked(m *recMeta) {
+	if m.res != nil {
+		delete(s.decoded, exp.Key{Machine: m.res.Machine, Workload: m.res.Workload})
+	}
 }
 
 // resultBytes is the comparable identity of a stored result: its JSON
@@ -354,7 +415,7 @@ func (s *Store) Put(r exp.CachedResult) error {
 			return &ConflictError{Path: path, Machine: r.Machine, Workload: r.Workload}
 		}
 		s.mu.Lock()
-		s.indexLocked(hash, size, time.Now(), &existing.CachedResult, drops)
+		s.indexLocked(hash, size, now(), &existing.CachedResult, drops)
 		s.mu.Unlock()
 		return nil
 	case errors.Is(err, errCorrupt):
@@ -372,9 +433,10 @@ func (s *Store) Put(r exp.CachedResult) error {
 		return err
 	}
 	s.puts.Inc()
+	t := now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.indexLocked(hash, int64(len(data)), time.Now(), &r, drops)
+	s.indexLocked(hash, int64(len(data)), t, &r, drops).stamp = t
 	s.evictLocked()
 	return nil
 }
@@ -443,6 +505,7 @@ func (s *Store) dropLocked(hash string) {
 	if m, ok := s.recs[hash]; ok {
 		s.bytes -= m.size
 		delete(s.recs, hash)
+		s.forgetLocked(m)
 		s.drops++
 	}
 }

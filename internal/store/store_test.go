@@ -924,3 +924,196 @@ func TestEvictionRacesFirstReads(t *testing.T) {
 		}
 	}
 }
+
+// setMtime sets the record file of k to mtime t and returns the file's
+// path.
+func setMtime(t *testing.T, dir string, k exp.Key, at time.Time) string {
+	t.Helper()
+	path := recordPath(dir, k)
+	if err := os.Chtimes(path, at, at); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// mtime returns the modification time of the file at path.
+func mtime(t *testing.T, path string) time.Time {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.ModTime()
+}
+
+// TestHitsInsideIntervalWriteNothing pins that hits answered inside the
+// touch interval leave the record file alone: repeated in-memory hits,
+// and the first read after a reopen of a record touched less than an
+// interval ago, keep its mtime exactly.
+func TestHitsInsideIntervalWriteNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rec("m", "w", 1)
+	if err := s.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-store.TouchInterval / 2).Truncate(time.Second)
+	path := setMtime(t, dir, key(r), old)
+	for i := 0; i < 5; i++ {
+		if _, ok, err := s.Get(key(r)); err != nil || !ok {
+			t.Fatalf("Get %d: ok=%v err=%v", i, ok, err)
+		}
+		if got := mtime(t, path); !got.Equal(old) {
+			t.Fatalf("in-memory hit %d rewrote the mtime: %v, want %v", i, got, old)
+		}
+	}
+
+	s2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, err := s2.Get(key(r)); err != nil || !ok {
+			t.Fatalf("Get %d after reopening: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if got := mtime(t, path); !got.Equal(old) {
+		t.Errorf("hits after reopening rewrote an mtime younger than the interval: %v, want %v", got, old)
+	}
+}
+
+// TestHitAfterIntervalRefreshesMtime pins the other half of the policy:
+// the first hit once the file's stamp is an interval old sets the mtime
+// to the hit's time, and later hits inside the new interval leave it.
+func TestHitAfterIntervalRefreshesMtime(t *testing.T) {
+	clock := time.Now()
+	defer store.SetClock(func() time.Time { return clock })()
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rec("m", "w", 1)
+	if err := s.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	path := setMtime(t, dir, key(r), clock.Add(-time.Hour))
+
+	clock = clock.Add(store.TouchInterval)
+	if _, ok, err := s.Get(key(r)); err != nil || !ok {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	// Filesystems may store coarser timestamps than the clock's.
+	refreshed := mtime(t, path)
+	if d := clock.Sub(refreshed); d < 0 || d > 2*time.Second {
+		t.Fatalf("hit after the interval left mtime %v, want about %v", refreshed, clock)
+	}
+
+	clock = clock.Add(store.TouchInterval - time.Second)
+	if _, ok, err := s.Get(key(r)); err != nil || !ok {
+		t.Fatalf("second Get: ok=%v err=%v", ok, err)
+	}
+	if got := mtime(t, path); !got.Equal(refreshed) {
+		t.Errorf("hit inside the new interval rewrote the mtime: %v, want %v", got, refreshed)
+	}
+}
+
+// TestEvictionLRUAfterReopen pins that the LRU order eviction runs on
+// survives a restart through the refreshed mtimes: the oldest-written
+// record, hit again an interval later, outlives the stalest one when a
+// reopened bounded store evicts.
+func TestEvictionLRUAfterReopen(t *testing.T) {
+	clock := time.Now()
+	defer store.SetClock(func() time.Time { return clock })()
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []exp.CachedResult
+	for i := 0; i < 3; i++ {
+		r := rec("m", fmt.Sprintf("w%d", i), int64(i+1))
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+		// Written oldest first, hours apart, whatever the filesystem's
+		// timestamp granularity.
+		setMtime(t, dir, key(r), clock.Add(time.Duration(i-3)*time.Hour))
+		rs = append(rs, r)
+	}
+	recBytes := s.Bytes() / 3
+
+	clock = clock.Add(store.TouchInterval)
+	if _, ok, err := s.Get(key(rs[0])); err != nil || !ok {
+		t.Fatalf("refresh Get: ok=%v err=%v", ok, err)
+	}
+
+	s2, err := store.Open(dir, store.Options{MaxBytes: recBytes*3 + recBytes/2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3 := rec("m", "w3", 4)
+	if err := s2.Put(r3); err != nil {
+		t.Fatal(err)
+	}
+	wantAlive := map[int]bool{0: true, 1: false, 2: true, 3: true}
+	for i, r := range append(rs, r3) {
+		_, ok, err := s2.Get(key(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != wantAlive[i] {
+			t.Errorf("after reopening, record w%d alive=%v, want %v (eviction must take the stalest mtime)", i, ok, wantAlive[i])
+		}
+	}
+}
+
+// storeGetHitAllocs is the allocations of one Get answered from memory.
+// The count is deterministic, so the bound is exact.
+const storeGetHitAllocs = 0
+
+// TestStoreGetHitAllocs pins what a repeat hit costs the allocator: the
+// key index lookup and the result copy allocate nothing.
+func TestStoreGetHitAllocs(t *testing.T) {
+	clock := time.Now()
+	defer store.SetClock(func() time.Time { return clock })()
+	s, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Instrument(obs.NewRegistry())
+	r := rec(`{"model":"icfp"}`, `{"spec":"mcf","n":20000}`, 1)
+	if err := s.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	k := key(r)
+	got := testing.AllocsPerRun(100, func() {
+		if _, ok, err := s.Get(k); err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	})
+	if got != storeGetHitAllocs {
+		t.Errorf("%.0f allocs per in-memory hit, want %d", got, storeGetHitAllocs)
+	}
+}
+
+func BenchmarkStoreGetHit(b *testing.B) {
+	s, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rec(`{"model":"icfp"}`, `{"spec":"mcf","n":20000}`, 1)
+	if err := s.Put(r); err != nil {
+		b.Fatal(err)
+	}
+	k := key(r)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok, err := s.Get(k); err != nil || !ok {
+			b.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	}
+}
