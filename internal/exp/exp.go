@@ -565,7 +565,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		j := jobs[d.idx]
 		results[d.idx] = Result{Name: j.Name, Machine: j.Machine, Workload: j.Workload, R: d.e.res}
 	}
-	return NewResultSet(results), nil
+	return &ResultSet{Results: results}, nil
 }
 
 // genAheadHook, when set, runs in each generate-ahead helper between its

@@ -247,7 +247,7 @@ func Run(names []string, p Params, opts ...exp.Option) (map[string]*exp.ResultSe
 	out := make(map[string]*exp.ResultSet, len(selected))
 	off := 0
 	for i, e := range selected {
-		out[e.Name] = exp.NewResultSet(rs.Results[off : off+counts[i] : off+counts[i]])
+		out[e.Name] = &exp.ResultSet{Results: rs.Results[off : off+counts[i] : off+counts[i]]}
 		off += counts[i]
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"icfp/internal/pipeline"
 	"icfp/internal/spec"
@@ -23,31 +24,14 @@ type Result struct {
 // ResultSet holds run results in deterministic (job submission) order and
 // provides the reductions the paper's figures are built from.
 //
-// Sets built by Run, NewResultSet or ReadJSON index their results by
-// name, so renderers, which call Get once per cell, look each up in O(1);
-// such a set's Results must not be modified afterwards. A set built as a
-// literal has no index and Get scans it.
+// The first Get indexes the results by name, so renderers, which call Get
+// once per cell, look each up in O(1); Results must not be modified once
+// Get has been called.
 type ResultSet struct {
 	Results []Result `json:"results"`
 
-	byName map[string]int // name → index of its first result
-}
-
-// NewResultSet returns the set of results, indexed by name.
-func NewResultSet(results []Result) *ResultSet {
-	rs := &ResultSet{Results: results}
-	rs.index()
-	return rs
-}
-
-// index builds the name index, keeping the first result of each name.
-func (rs *ResultSet) index() {
-	rs.byName = make(map[string]int, len(rs.Results))
-	for i := range rs.Results {
-		if _, dup := rs.byName[rs.Results[i].Name]; !dup {
-			rs.byName[rs.Results[i].Name] = i
-		}
-	}
+	indexOnce sync.Once
+	byName    map[string]int // name → index of its first result
 }
 
 // Len returns the number of results.
@@ -55,19 +39,19 @@ func (rs *ResultSet) Len() int { return len(rs.Results) }
 
 // Get returns the first result of the given name.
 func (rs *ResultSet) Get(name string) (Result, bool) {
-	if rs.byName != nil {
-		i, ok := rs.byName[name]
-		if !ok {
-			return Result{}, false
+	rs.indexOnce.Do(func() {
+		rs.byName = make(map[string]int, len(rs.Results))
+		for i := range rs.Results {
+			if _, dup := rs.byName[rs.Results[i].Name]; !dup {
+				rs.byName[rs.Results[i].Name] = i
+			}
 		}
-		return rs.Results[i], true
+	})
+	i, ok := rs.byName[name]
+	if !ok {
+		return Result{}, false
 	}
-	for i := range rs.Results {
-		if rs.Results[i].Name == name {
-			return rs.Results[i], true
-		}
-	}
-	return Result{}, false
+	return rs.Results[i], true
 }
 
 // MustGet returns the named result and panics if it is absent — the
@@ -131,6 +115,5 @@ func ReadJSON(r io.Reader) (*ResultSet, error) {
 	if err := json.NewDecoder(r).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("exp: decoding result set: %w", err)
 	}
-	rs.index()
 	return &rs, nil
 }
