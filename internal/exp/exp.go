@@ -312,30 +312,55 @@ func validate(jobs []Job) error {
 // resulting CachedResults into a cache, and then Run locally entirely
 // from cache hits.
 func Plan(jobs []Job) ([]spec.Job, error) {
-	plan, _, err := PlanKeys(jobs)
+	plan, _, _, err := PlanKeys(jobs)
 	return plan, err
 }
 
 // PlanKeys is Plan that also returns each entry's key, computed once
-// while deduplicating: keys[i] is KeyOf(plan[i]). Callers that look every
-// entry up by key (the expq daemon's store probe) need not encode the
-// specs again.
-func PlanKeys(jobs []Job) (plan []spec.Job, keys []Key, err error) {
+// while deduplicating, and each job's entry: keys[i] is KeyOf(plan[i]),
+// and plan[at[j]] is jobs[j]'s simulation. Callers that look every entry
+// up by key and render from the entries' results (the expq daemon, with
+// Collect) need not encode the specs again.
+func PlanKeys(jobs []Job) (plan []spec.Job, keys []Key, at []int, err error) {
 	if err := validate(jobs); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	seen := make(map[Key]bool, len(jobs))
+	plan, keys, at = PlanValidated(jobs)
+	return plan, keys, at, nil
+}
+
+// PlanValidated is PlanKeys for jobs that have validated already — the
+// jobs of a suite spec.UnmarshalSuite returned — without validating them
+// again.
+func PlanValidated(jobs []Job) (plan []spec.Job, keys []Key, at []int) {
+	index := make(map[Key]int, len(jobs))
 	plan = make([]spec.Job, 0, len(jobs))
 	keys = make([]Key, 0, len(jobs))
-	for _, j := range jobs {
-		k := j.Key()
-		if !seen[k] {
-			seen[k] = true
-			plan = append(plan, j.Spec())
+	at = make([]int, len(jobs))
+	for j, job := range jobs {
+		k := job.Key()
+		i, ok := index[k]
+		if !ok {
+			i = len(plan)
+			index[k] = i
+			plan = append(plan, job.Spec())
 			keys = append(keys, k)
 		}
+		at[j] = i
 	}
-	return plan, keys, nil
+	return plan, keys, at
+}
+
+// Collect returns the jobs' results in job order from their plan's: res[i]
+// is the result of plan entry i, and at is what PlanKeys returned with
+// the plan. It neither validates nor keys anything, and simulates
+// nothing.
+func Collect(jobs []Job, at []int, res []pipeline.Result) *ResultSet {
+	results := make([]Result, len(jobs))
+	for j, job := range jobs {
+		results[j] = Result{Name: job.Name, Machine: job.Machine, Workload: job.Workload, R: res[at[j]]}
+	}
+	return &ResultSet{Results: results}
 }
 
 // Run executes the jobs on a worker pool and returns their results in job

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"icfp/internal/exp"
+	"icfp/internal/pipeline"
 	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
@@ -29,9 +30,15 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 		planJob("c", spec.ModelICFP, workload.ScenarioLoneL2),
 		planJob("d", spec.ModelInOrder, workload.ScenarioChains),
 	}
-	plan, keys, err := exp.PlanKeys(jobs)
+	plan, keys, at, err := exp.PlanKeys(jobs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if vplan, vkeys, vat := exp.PlanValidated(jobs); !reflect.DeepEqual(vplan, plan) || !reflect.DeepEqual(vkeys, keys) || !reflect.DeepEqual(vat, at) {
+		t.Errorf("PlanValidated = %v %v %v, want PlanKeys' %v %v %v", vplan, vkeys, vat, plan, keys, at)
+	}
+	if want := []int{0, 0, 1, 2}; !reflect.DeepEqual(at, want) {
+		t.Errorf("PlanKeys at = %v, want %v", at, want)
 	}
 	if bare, err := exp.Plan(jobs); err != nil || !reflect.DeepEqual(bare, plan) {
 		t.Fatalf("Plan = %v (err %v), want PlanKeys' plan %v", bare, err, plan)
@@ -60,6 +67,32 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 		if rebuilt.Key() != got[i] {
 			t.Errorf("plan entry %d does not round-trip through its spec", i)
 		}
+	}
+}
+
+// TestCollectMatchesRun pins that a result set assembled from the plan's
+// results is the one Run returns for the same jobs.
+func TestCollectMatchesRun(t *testing.T) {
+	jobs := []exp.Job{
+		planJob("a", spec.ModelInOrder, workload.ScenarioLoneL2),
+		planJob("b", spec.ModelICFP, workload.ScenarioLoneL2),
+		planJob("c", spec.ModelInOrder, workload.ScenarioLoneL2), // same key as a
+	}
+	c := exp.NewCache()
+	rs, err := exp.Run(jobs, exp.WithCache(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, keys, at, err := exp.PlanKeys(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]pipeline.Result, len(plan))
+	for i, k := range keys {
+		res[i], _ = c.Lookup(k)
+	}
+	if got := exp.Collect(jobs, at, res); !reflect.DeepEqual(got.Results, rs.Results) {
+		t.Errorf("Collect = %+v\nwant Run's %+v", got.Results, rs.Results)
 	}
 }
 

@@ -191,8 +191,8 @@ func (b *suiteBuilder) done() (spec.Suite, error) {
 	return b.s, nil
 }
 
-// suiteJobs converts a suite's declarative jobs into harness jobs.
-func suiteJobs(s spec.Suite) []exp.Job {
+// SuiteJobs converts a suite's declarative jobs into harness jobs.
+func SuiteJobs(s spec.Suite) []exp.Job {
 	jobs := make([]exp.Job, len(s.Jobs))
 	for i, j := range s.Jobs {
 		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
@@ -222,7 +222,7 @@ func collect(names []string, p Params) (selected []Experiment, jobs []exp.Job, c
 			return nil, nil, nil, err
 		}
 		counts[i] = len(s.Jobs)
-		jobs = append(jobs, suiteJobs(s)...)
+		jobs = append(jobs, SuiteJobs(s)...)
 	}
 	return selected, jobs, counts, nil
 }
@@ -272,17 +272,17 @@ func Report(w io.Writer, names []string, p Params, opts ...exp.Option) (map[stri
 
 // ReportSuite runs one suite — built-in (Describe) or user-authored
 // (spec.UnmarshalSuite) — and renders it to w according to its Render
-// declaration. A described builtin suite renders byte-identically to
-// running the experiment directly.
+// declaration (RenderSuite). A described builtin suite renders
+// byte-identically to running the experiment directly.
 func ReportSuite(w io.Writer, s spec.Suite, opts ...exp.Option) (*exp.ResultSet, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rs, err := exp.Run(suiteJobs(s), opts...)
+	rs, err := exp.Run(SuiteJobs(s), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("registry: suite %q: %w", s.Name, err)
 	}
-	if err := renderSuite(w, s, rs); err != nil {
+	if err := RenderSuite(w, s, rs); err != nil {
 		return nil, err
 	}
 	return rs, nil

@@ -9,10 +9,13 @@ import (
 	"icfp/internal/spec"
 )
 
-// renderSuite renders a completed suite to w according to its Render
-// declaration. A nil render defaults to the plain results table. The
-// suite must already have validated.
-func renderSuite(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
+// RenderSuite renders a completed suite to w according to its Render
+// declaration, from its results in job order. A nil render defaults to
+// the plain results table. The suite must already have validated:
+// RenderSuite neither validates nor simulates, so a caller that holds the
+// results (the expq daemon, through exp.Collect) renders exactly as
+// ReportSuite does.
+func RenderSuite(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 	kind := spec.RenderTable
 	if s.Render != nil {
 		kind = s.Render.Kind

@@ -42,6 +42,7 @@ import (
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
+	"icfp/internal/pipeline"
 	"icfp/internal/spec"
 	"icfp/internal/store"
 )
@@ -198,11 +199,14 @@ func (ew *eventWriter) send(e Event) {
 	}
 }
 
-// planned is one distinct simulation of a submission, tagged with how
-// it resolved.
+// planned is one distinct simulation of a submission: its spec, key and
+// index in the plan, and the flight it waits on when another submission
+// is simulating it.
 type planned struct {
 	sj spec.Job
 	k  exp.Key
+	i  int
+	f  *flight
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -224,15 +228,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	jobs := make([]exp.Job, len(suite.Jobs))
-	for i, j := range suite.Jobs {
-		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
-	}
-	plan, keys, err := exp.PlanKeys(jobs)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	// The suite validated on decode: plan it without validating again.
+	jobs := registry.SuiteJobs(suite)
+	plan, keys, at := exp.PlanValidated(jobs)
 
 	s.submissions.Inc()
 	s.clients.Add(1)
@@ -245,46 +243,49 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	ew := &eventWriter{w: w, f: flusher}
 
-	cache := exp.NewCache()
-	out, err := s.run(suite, plan, keys, cache, ew)
+	res, err := s.run(plan, keys, ew)
 	if err != nil {
 		ew.send(Event{Event: "error", Error: err.Error()})
 		return
 	}
-	ew.send(Event{Event: "output", Data: string(out)})
+	// Every plan entry has its result: rendering simulates nothing, and
+	// the bytes match a local run of the same suite by construction
+	// (same renderer, same results).
+	var out bytes.Buffer
+	if err := registry.RenderSuite(&out, suite, exp.Collect(jobs, at, res)); err != nil {
+		ew.send(Event{Event: "error", Error: err.Error()})
+		return
+	}
+	ew.send(Event{Event: "output", Data: out.String()})
 	ew.send(Event{Event: "done", Jobs: len(plan)})
 }
 
 // run resolves the plan (keys[i] is plan[i]'s key) through store,
-// in-flight table, and backend, then renders the suite from the filled
-// cache. All simulation results land in cache; the returned bytes are
-// the rendered report.
-func (s *Server) run(suite spec.Suite, plan []spec.Job, keys []exp.Key, cache *exp.Cache, ew *eventWriter) ([]byte, error) {
+// in-flight table, and backend, and returns each entry's result.
+func (s *Server) run(plan []spec.Job, keys []exp.Key, ew *eventWriter) ([]pipeline.Result, error) {
+	res := make([]pipeline.Result, len(plan))
 	var mine []planned   // this submission simulates these
-	var shared []*flight // another submission is simulating these
-	// Store hits, merged into cache in one call.
-	hits := make([]exp.CachedResult, 0, len(plan))
-	for i, sj := range plan {
-		k := keys[i]
+	var shared []planned // another submission is simulating these
+	storeHits := 0
+	for i, k := range keys {
 		if rec, ok, err := s.cfg.Store.Get(k); err != nil {
 			return nil, err
 		} else if ok {
-			hits = append(hits, rec)
+			res[i] = rec.R
+			storeHits++
 			continue
 		}
 		s.mu.Lock()
 		if f, ok := s.inflight[k]; ok {
-			shared = append(shared, f)
+			shared = append(shared, planned{k: k, i: i, f: f})
 			s.attached.Inc()
 		} else {
 			f := &flight{done: make(chan struct{})}
 			s.inflight[k] = f
-			mine = append(mine, planned{sj: sj, k: k})
+			mine = append(mine, planned{sj: plan[i], k: k, i: i})
 		}
 		s.mu.Unlock()
 	}
-	cache.AddResults(hits)
-	storeHits := len(hits)
 	ew.send(Event{Event: "plan", Jobs: len(plan), StoreHits: storeHits, Attached: len(shared), Dispatched: len(mine)})
 
 	total := len(plan)
@@ -298,39 +299,38 @@ func (s *Server) run(suite spec.Suite, plan []spec.Job, keys []exp.Key, cache *e
 		ew.send(Event{Event: "job", Machine: k.Machine, Workload: k.Workload, Done: n, Total: total})
 	}
 
-	if err := s.dispatch(mine, cache, progress); err != nil {
-		return nil, err
+	if len(mine) > 0 {
+		cache := exp.NewCache()
+		if err := s.dispatch(mine, cache, progress); err != nil {
+			return nil, err
+		}
+		for _, p := range mine {
+			r, ok := cache.Lookup(p.k)
+			if !ok {
+				return nil, fmt.Errorf("serve: job (%s | %s) has no result", p.k.Machine, p.k.Workload)
+			}
+			res[p.i] = r
+		}
 	}
-	// Results simulated by other submissions: wait and merge. The
+	// Results simulated by other submissions: wait and take them. The
 	// claimant persisted each before publishing, so a flight resolving
 	// cleanly is durable.
-	for _, f := range shared {
-		<-f.done
-		if f.err != nil {
-			return nil, fmt.Errorf("serve: shared in-flight job failed: %w", f.err)
+	for _, p := range shared {
+		<-p.f.done
+		if p.f.err != nil {
+			return nil, fmt.Errorf("serve: shared in-flight job failed: %w", p.f.err)
 		}
-		cache.AddResults([]exp.CachedResult{f.res})
-		progress(exp.Key{Machine: f.res.Machine, Workload: f.res.Workload})
+		res[p.i] = p.f.res.R
+		progress(p.k)
 	}
-
-	// Every key is now a cache hit: rendering simulates nothing, and the
-	// bytes match a local run of the same suite by construction (same
-	// renderer, same results).
-	var buf bytes.Buffer
-	if _, err := registry.ReportSuite(&buf, suite, exp.WithCache(cache), exp.Parallelism(1)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return res, nil
 }
 
 // dispatch runs this submission's share of the plan on the backend,
-// persisting and publishing each result as it merges. On any error the
-// unpublished flights are failed and removed so a later submission can
-// retry the keys.
+// persisting and publishing each result as it merges into cache. On any
+// error the unpublished flights are failed and removed so a later
+// submission can retry the keys.
 func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Key)) (err error) {
-	if len(mine) == 0 {
-		return nil
-	}
 	s.dispatched.Add(int64(len(mine)))
 
 	published := make(map[exp.Key]bool, len(mine))

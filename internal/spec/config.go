@@ -1,10 +1,7 @@
 package spec
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
 
 	"icfp/internal/pipeline"
@@ -77,40 +74,47 @@ func Bool(v bool) *bool { return &v }
 // intRange is one validated integer knob.
 type intRange struct {
 	name     string
-	val      *int
 	min, max int
 }
 
-// ranges lists the override knobs with their accepted ranges. The caps
-// are generous engineering bounds, not paper values: they exist so a
-// spec arriving over the network cannot demand absurd allocations. The
-// list is an array, returned by value, so validating allocates nothing:
-// every submitted job is validated several times on its way through.
-func (o *Overrides) ranges() [15]intRange {
-	return [...]intRange{
-		{"width", o.Width, 1, 8},
-		{"l2_hit_lat", o.L2HitLat, 1, 10_000},
-		{"mem_lat", o.MemLat, 1, 1_000_000},
-		{"num_mshrs", o.NumMSHRs, 1, 4096},
-		{"stream_bufs", o.StreamBufs, 0, 256},
-		{"store_buf_entries", o.StoreBufEntries, 1, 1 << 16},
-		{"slice_entries", o.SliceEntries, 1, 1 << 16},
-		{"chained_sb_entries", o.ChainedSBEntries, 1, 1 << 16},
-		{"chain_table_entries", o.ChainTableEntries, 1, 1 << 20},
-		{"poison_bits", o.PoisonBits, 1, 8},
-		{"runahead_cache", o.RunaheadCache, 1, 1 << 20},
-		{"srl_entries", o.SRLEntries, 1, 1 << 16},
-		{"result_buf_entries", o.ResultBufEntries, 1, 1 << 16},
-		{"rob_entries", o.ROBEntries, 1, 4096},
-		{"warmup", o.Warmup, 0, maxInsts},
+// intRanges lists the integer override knobs, in the order ints returns
+// them, with their accepted ranges. The caps are generous engineering
+// bounds, not paper values: they exist so a spec arriving over the
+// network cannot demand absurd allocations.
+var intRanges = [...]intRange{
+	{"width", 1, 8},
+	{"l2_hit_lat", 1, 10_000},
+	{"mem_lat", 1, 1_000_000},
+	{"num_mshrs", 1, 4096},
+	{"stream_bufs", 0, 256},
+	{"store_buf_entries", 1, 1 << 16},
+	{"slice_entries", 1, 1 << 16},
+	{"chained_sb_entries", 1, 1 << 16},
+	{"chain_table_entries", 1, 1 << 20},
+	{"poison_bits", 1, 8},
+	{"runahead_cache", 1, 1 << 20},
+	{"srl_entries", 1, 1 << 16},
+	{"result_buf_entries", 1, 1 << 16},
+	{"rob_entries", 1, 4096},
+	{"warmup", 0, maxInsts},
+}
+
+// ints returns the integer override fields in intRanges' order. The list
+// is an array, returned by value, so validating allocates nothing.
+func (o *Overrides) ints() [len(intRanges)]*int {
+	return [...]*int{
+		o.Width, o.L2HitLat, o.MemLat, o.NumMSHRs, o.StreamBufs,
+		o.StoreBufEntries, o.SliceEntries, o.ChainedSBEntries, o.ChainTableEntries,
+		o.PoisonBits, o.RunaheadCache, o.SRLEntries, o.ResultBufEntries, o.ROBEntries,
+		o.Warmup,
 	}
 }
 
 // Validate range-checks every set override.
 func (o *Overrides) Validate() error {
-	for _, r := range o.ranges() {
-		if r.val != nil && (*r.val < r.min || *r.val > r.max) {
-			return fmt.Errorf("spec: override %s=%d out of range %d..%d", r.name, *r.val, r.min, r.max)
+	for i, v := range o.ints() {
+		if r := &intRanges[i]; v != nil && (*v < r.min || *v > r.max) {
+			return fmt.Errorf("spec: override %s=%d out of range %d..%d", r.name, *v, r.min, r.max)
 		}
 	}
 	return nil
@@ -245,18 +249,4 @@ func normalize(o *Overrides) *Overrides {
 		return nil
 	}
 	return &cp
-}
-
-// strictUnmarshal decodes JSON rejecting unknown fields (anywhere in the
-// document, including nested objects) and trailing garbage.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(new(any)); err != io.EOF {
-		return fmt.Errorf("trailing data after the JSON document")
-	}
-	return nil
 }

@@ -1,8 +1,10 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // canonicalOracle is the reference canonical encoder: compact JSON with
@@ -31,3 +33,29 @@ func canonicalOracle(v any) string {
 func OracleMachine(m Machine) string { return canonicalOracle(m.collapsed()) }
 
 func OracleWorkload(w Workload) string { return canonicalOracle(w.collapsed()) }
+
+// strictUnmarshal is the reference strict decode: encoding/json's
+// reflective Decoder rejecting unknown fields (anywhere in the document,
+// including nested objects), then trailing data. decodeSuite must accept
+// exactly what it accepts and build DeepEqual values.
+func strictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(any)); err != io.EOF {
+		return fmt.Errorf("trailing data after the JSON document")
+	}
+	return nil
+}
+
+// DecodeSuite and OracleDecodeSuite give the external tests the direct
+// decoder and the oracle, both without UnmarshalSuite's validation.
+func DecodeSuite(data []byte) (Suite, error) { return decodeSuite(data) }
+
+func OracleDecodeSuite(data []byte) (Suite, error) {
+	var s Suite
+	err := strictUnmarshal(data, &s)
+	return s, err
+}

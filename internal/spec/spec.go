@@ -17,7 +17,10 @@
 // Decoding is strict by design: unknown fields and out-of-range values
 // are rejected with actionable errors (UnmarshalSuite, Validate), so a
 // typo'd knob fails loudly instead of silently simulating the default
-// machine.
+// machine. Like the canonical encoders, the suite decoder is written by
+// hand for the schema (one pass, no reflection); encoding/json's strict
+// reflective decode is its test oracle, and the two accept the same
+// documents and build the same values.
 package spec
 
 import (
@@ -550,10 +553,14 @@ func (s Suite) Marshal() ([]byte, error) {
 
 // UnmarshalSuite parses and validates a suite. Decoding is strict:
 // unknown fields anywhere in the document (a typo'd "trigerr") and
-// trailing garbage are errors, and the parsed suite must validate.
+// trailing garbage are errors, and the parsed suite must validate. The
+// document is read in one pass without reflection, and it is accepted
+// and decoded exactly as encoding/json's Decoder with
+// DisallowUnknownFields would (keys also match case-insensitively, a
+// repeated key decodes again over the earlier value).
 func UnmarshalSuite(data []byte) (Suite, error) {
-	var s Suite
-	if err := strictUnmarshal(data, &s); err != nil {
+	s, err := decodeSuite(data)
+	if err != nil {
 		return Suite{}, fmt.Errorf("spec: decoding suite: %w", err)
 	}
 	if err := s.Validate(); err != nil {
