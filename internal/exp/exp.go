@@ -312,26 +312,20 @@ func validate(jobs []Job) error {
 // resulting CachedResults into a cache, and then Run locally entirely
 // from cache hits.
 func Plan(jobs []Job) ([]spec.Job, error) {
-	plan, _, _, err := PlanKeys(jobs)
-	return plan, err
-}
-
-// PlanKeys is Plan that also returns each entry's key, computed once
-// while deduplicating, and each job's entry: keys[i] is KeyOf(plan[i]),
-// and plan[at[j]] is jobs[j]'s simulation. Callers that look every entry
-// up by key and render from the entries' results (the expq daemon, with
-// Collect) need not encode the specs again.
-func PlanKeys(jobs []Job) (plan []spec.Job, keys []Key, at []int, err error) {
 	if err := validate(jobs); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	plan, keys, at = PlanValidated(jobs)
-	return plan, keys, at, nil
+	plan, _, _ := PlanValidated(jobs)
+	return plan, nil
 }
 
-// PlanValidated is PlanKeys for jobs that have validated already — the
-// jobs of a suite spec.UnmarshalSuite returned — without validating them
-// again.
+// PlanValidated is Plan for jobs that have validated already — the jobs
+// of a suite spec.UnmarshalSuite returned — without validating them
+// again. It also returns each entry's key, computed once while
+// deduplicating, and each job's entry: keys[i] is KeyOf(plan[i]), and
+// plan[at[j]] is jobs[j]'s simulation. A caller that looks every entry
+// up by key and renders from the entries' results (the expq daemon, with
+// Collect) encodes each spec once.
 func PlanValidated(jobs []Job) (plan []spec.Job, keys []Key, at []int) {
 	index := make(map[Key]int, len(jobs))
 	plan = make([]spec.Job, 0, len(jobs))
@@ -352,8 +346,8 @@ func PlanValidated(jobs []Job) (plan []spec.Job, keys []Key, at []int) {
 }
 
 // Collect returns the jobs' results in job order from their plan's: res[i]
-// is the result of plan entry i, and at is what PlanKeys returned with
-// the plan. It neither validates nor keys anything, and simulates
+// is the result of plan entry i, and at is what PlanValidated returned
+// with the plan. It neither validates nor keys anything, and simulates
 // nothing.
 func Collect(jobs []Job, at []int, res []pipeline.Result) *ResultSet {
 	results := make([]Result, len(jobs))

@@ -30,18 +30,12 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 		planJob("c", spec.ModelICFP, workload.ScenarioLoneL2),
 		planJob("d", spec.ModelInOrder, workload.ScenarioChains),
 	}
-	plan, keys, at, err := exp.PlanKeys(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vplan, vkeys, vat := exp.PlanValidated(jobs); !reflect.DeepEqual(vplan, plan) || !reflect.DeepEqual(vkeys, keys) || !reflect.DeepEqual(vat, at) {
-		t.Errorf("PlanValidated = %v %v %v, want PlanKeys' %v %v %v", vplan, vkeys, vat, plan, keys, at)
+	plan, keys, at := exp.PlanValidated(jobs)
+	if bare, err := exp.Plan(jobs); err != nil || !reflect.DeepEqual(bare, plan) {
+		t.Fatalf("Plan = %v (err %v), want PlanValidated's plan %v", bare, err, plan)
 	}
 	if want := []int{0, 0, 1, 2}; !reflect.DeepEqual(at, want) {
-		t.Errorf("PlanKeys at = %v, want %v", at, want)
-	}
-	if bare, err := exp.Plan(jobs); err != nil || !reflect.DeepEqual(bare, plan) {
-		t.Fatalf("Plan = %v (err %v), want PlanKeys' plan %v", bare, err, plan)
+		t.Errorf("PlanValidated at = %v, want %v", at, want)
 	}
 	if len(plan) != 3 {
 		t.Fatalf("plan has %d entries, want 3: %v", len(plan), plan)
@@ -58,7 +52,7 @@ func TestPlanDeduplicatesKeys(t *testing.T) {
 		t.Errorf("plan keys = %v, want %v (first-appearance order)", got, want)
 	}
 	if !reflect.DeepEqual(keys, got) {
-		t.Errorf("PlanKeys keys = %v, want each entry's KeyOf %v", keys, got)
+		t.Errorf("PlanValidated keys = %v, want each entry's KeyOf %v", keys, got)
 	}
 	// Each entry is self-describing: rebuilding a job from it yields the
 	// same key.
@@ -83,10 +77,7 @@ func TestCollectMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, keys, at, err := exp.PlanKeys(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, keys, at := exp.PlanValidated(jobs)
 	res := make([]pipeline.Result, len(plan))
 	for i, k := range keys {
 		res[i], _ = c.Lookup(k)

@@ -95,8 +95,8 @@ var (
 )
 
 func (d *decoder) suite(s *Suite) {
-	for first := true; ; first = false {
-		switch d.member(suiteKeys, first) {
+	for k := d.member(suiteKeys, -1); k >= 0; k = d.member(suiteKeys, k) {
+		switch k {
 		case 0:
 			d.str(&s.Name)
 		case 1:
@@ -111,23 +111,19 @@ func (d *decoder) suite(s *Suite) {
 			}
 		case 5:
 			d.jobs(&s.Jobs)
-		default:
-			return
 		}
 	}
 }
 
 func (d *decoder) render(r *Render) {
-	for first := true; ; first = false {
-		switch d.member(renderKeys, first) {
+	for k := d.member(renderKeys, -1); k >= 0; k = d.member(renderKeys, k) {
+		switch k {
 		case 0:
 			d.enum(&r.Kind, renderKinds)
 		case 1:
 			d.str(&r.Baseline)
 		case 2:
 			d.str(&r.Builtin)
-		default:
-			return
 		}
 	}
 }
@@ -178,8 +174,8 @@ func (d *decoder) jobs(p *[]Job) {
 }
 
 func (d *decoder) job(j *Job) {
-	for first := true; ; first = false {
-		switch d.member(jobKeys, first) {
+	for k := d.member(jobKeys, -1); k >= 0; k = d.member(jobKeys, k) {
+		switch k {
 		case 0:
 			d.str(&j.Name)
 		case 1:
@@ -190,15 +186,13 @@ func (d *decoder) job(j *Job) {
 			if d.object() {
 				d.workload(&j.Workload)
 			}
-		default:
-			return
 		}
 	}
 }
 
 func (d *decoder) machine(m *Machine) {
-	for first := true; ; first = false {
-		switch d.member(machineKeys, first) {
+	for k := d.member(machineKeys, -1); k >= 0; k = d.member(machineKeys, k) {
+		switch k {
 		case 0:
 			d.enum(&m.Model, Models)
 		case 1:
@@ -211,15 +205,13 @@ func (d *decoder) machine(m *Machine) {
 			if open(d, &m.Overrides, &d.overrides) {
 				d.overridesObj(m.Overrides)
 			}
-		default:
-			return
 		}
 	}
 }
 
 func (d *decoder) overridesObj(o *Overrides) {
-	for first := true; ; first = false {
-		switch d.member(overridesKeys, first) {
+	for k := d.member(overridesKeys, -1); k >= 0; k = d.member(overridesKeys, k) {
+		switch k {
 		case 0:
 			d.intPtr(&o.Width)
 		case 1:
@@ -256,15 +248,13 @@ func (d *decoder) overridesObj(o *Overrides) {
 			d.boolPtr(&o.NonBlockingRally)
 		case 17:
 			d.intPtr(&o.Warmup)
-		default:
-			return
 		}
 	}
 }
 
 func (d *decoder) workload(w *Workload) {
-	for first := true; ; first = false {
-		switch d.member(workloadKeys, first) {
+	for k := d.member(workloadKeys, -1); k >= 0; k = d.member(workloadKeys, k) {
+		switch k {
 		case 0:
 			d.str(&w.SPEC)
 		case 1:
@@ -279,15 +269,13 @@ func (d *decoder) workload(w *Workload) {
 			if open(d, &w.Sampling, nil) {
 				d.sampling(w.Sampling)
 			}
-		default:
-			return
 		}
 	}
 }
 
 func (d *decoder) fuzz(f *Fuzz) {
-	for first := true; ; first = false {
-		switch d.member(fuzzKeys, first) {
+	for k := d.member(fuzzKeys, -1); k >= 0; k = d.member(fuzzKeys, k) {
+		switch k {
 		case 0:
 			d.int64(&f.Seed)
 		case 1:
@@ -298,15 +286,13 @@ func (d *decoder) fuzz(f *Fuzz) {
 			d.int(&f.MissCluster)
 		case 4:
 			d.int(&f.RallyStarve)
-		default:
-			return
 		}
 	}
 }
 
 func (d *decoder) sampling(s *Sampling) {
-	for first := true; ; first = false {
-		switch d.member(samplingKeys, first) {
+	for k := d.member(samplingKeys, -1); k >= 0; k = d.member(samplingKeys, k) {
+		switch k {
 		case 0:
 			d.enum(&s.Mode, SamplingModes)
 		case 1:
@@ -319,8 +305,6 @@ func (d *decoder) sampling(s *Sampling) {
 			d.int(&s.Ramp)
 		case 5:
 			d.int64(&s.Seed)
-		default:
-			return
 		}
 	}
 }
@@ -362,12 +346,13 @@ func open[T any](d *decoder, p **T, from *slab[T]) bool {
 	return true
 }
 
-// member advances to the next member of the object being decoded (first:
-// just past its opening brace) and returns the index of its key in keys,
-// the value being next; it returns -1 past the closing brace or on error.
-// A key that matches no field exactly or under bytes.EqualFold is an
-// error: decoding is strict.
-func (d *decoder) member(keys []string, first bool) int {
+// member advances to the next member of the object being decoded and
+// returns the index of its key in keys, the value being next; it returns
+// -1 past the closing brace or on error. prev is the index the previous
+// member matched, or -1 just past the opening brace. A key that matches
+// no field exactly or under bytes.EqualFold is an error: decoding is
+// strict.
+func (d *decoder) member(keys []string, prev int) int {
 	if d.err != nil {
 		return -1
 	}
@@ -377,7 +362,7 @@ func (d *decoder) member(keys []string, first bool) int {
 		d.pos++
 		return -1
 	}
-	if !first {
+	if prev >= 0 {
 		if c != ',' {
 			d.syntax("',' or '}' after an object member")
 			return -1
@@ -396,7 +381,7 @@ func (d *decoder) member(keys []string, first bool) int {
 	if key == nil {
 		key = d.data[sp.start:sp.end]
 	}
-	k := match(keys, key)
+	k := match(keys, key, prev+1)
 	if k < 0 {
 		d.fail("unknown field %q (offset %d)", key, d.pos)
 		return -1
@@ -414,8 +399,13 @@ func (d *decoder) member(keys []string, first bool) int {
 }
 
 // match returns the index of key in keys: an exact match first, else the
-// first key equal under bytes.EqualFold, else -1.
-func match(keys []string, key []byte) int {
+// first key equal under bytes.EqualFold, else -1. Members usually come in
+// the order of keys (Suite.Marshal writes them so), so keys[next] is
+// tried first.
+func match(keys []string, key []byte, next int) int {
+	if next < len(keys) && string(key) == keys[next] {
+		return next
+	}
 	for i, name := range keys {
 		if string(key) == name {
 			return i
@@ -703,22 +693,18 @@ func (d *decoder) unescape(start int) []byte {
 			case 't':
 				b = append(b, '\t')
 			case 'u':
-				r := d.hex4(d.pos + 2)
+				r := d.u4(d.pos)
 				if r < 0 {
+					d.pos += 2
 					d.syntax("four hex digits after \\u")
 					return nil
 				}
 				d.pos += 6
+				// A surrogate joins the \u escape after it into a pair, or
+				// else stands for U+FFFD alone.
 				if utf16.IsSurrogate(r) {
-					if r2 := d.hex4(d.pos + 2); d.peek() == '\\' && d.pos+1 < len(d.data) && d.data[d.pos+1] == 'u' && r2 >= 0 {
-						if pair := utf16.DecodeRune(r, r2); pair != utf8.RuneError {
-							d.pos += 6
-							r = pair
-						} else {
-							r = utf8.RuneError
-						}
-					} else {
-						r = utf8.RuneError
+					if r = utf16.DecodeRune(r, d.u4(d.pos)); r != utf8.RuneError {
+						d.pos += 6
 					}
 				}
 				b = utf8.AppendRune(b, r)
@@ -735,13 +721,14 @@ func (d *decoder) unescape(start int) []byte {
 	return nil
 }
 
-// hex4 returns the value of the four hex digits at data[i:], or -1.
-func (d *decoder) hex4(i int) rune {
-	if i+4 > len(d.data) {
+// u4 returns the value of the escape \uXXXX at data[i:], or -1 if none
+// is there.
+func (d *decoder) u4(i int) rune {
+	if i+6 > len(d.data) || d.data[i] != '\\' || d.data[i+1] != 'u' {
 		return -1
 	}
 	var r rune
-	for _, c := range d.data[i : i+4] {
+	for _, c := range d.data[i+2 : i+6] {
 		switch {
 		case '0' <= c && c <= '9':
 			c -= '0'

@@ -227,6 +227,9 @@ const (
 // TestUnmarshalSuiteAllocs pins the decode's allocations: a few per
 // document, not a few per job.
 func TestUnmarshalSuiteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
 	docs, jobs := describedDocs(t)
 	got := testing.AllocsPerRun(5, func() {
 		for _, doc := range docs {
