@@ -299,18 +299,16 @@ func (s *Server) run(plan []spec.Job, keys []exp.Key, ew *eventWriter) ([]pipeli
 		ew.send(Event{Event: "job", Machine: k.Machine, Workload: k.Workload, Done: n, Total: total})
 	}
 
-	if len(mine) > 0 {
-		cache := exp.NewCache()
-		if err := s.dispatch(mine, cache, progress); err != nil {
-			return nil, err
+	cache := exp.NewCache()
+	if err := s.dispatch(mine, cache, progress); err != nil {
+		return nil, err
+	}
+	for _, p := range mine {
+		r, ok := cache.Lookup(p.k)
+		if !ok {
+			return nil, fmt.Errorf("serve: job (%s | %s) has no result", p.k.Machine, p.k.Workload)
 		}
-		for _, p := range mine {
-			r, ok := cache.Lookup(p.k)
-			if !ok {
-				return nil, fmt.Errorf("serve: job (%s | %s) has no result", p.k.Machine, p.k.Workload)
-			}
-			res[p.i] = r
-		}
+		res[p.i] = r
 	}
 	// Results simulated by other submissions: wait and take them. The
 	// claimant persisted each before publishing, so a flight resolving
@@ -331,6 +329,9 @@ func (s *Server) run(plan []spec.Job, keys []exp.Key, ew *eventWriter) ([]pipeli
 // error the unpublished flights are failed and removed so a later
 // submission can retry the keys.
 func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Key)) (err error) {
+	if len(mine) == 0 {
+		return nil
+	}
 	s.dispatched.Add(int64(len(mine)))
 
 	published := make(map[exp.Key]bool, len(mine))
