@@ -28,14 +28,8 @@ func decodeSuite(data []byte) (Suite, error) {
 	d := decoder{data: data, text: string(data)}
 	var s Suite
 	d.ws()
-	switch d.peek() {
-	case '{':
-		d.pos++
+	if d.object() { // null leaves the zero suite, as encoding/json does
 		d.suite(&s)
-	case 'n':
-		d.null() // the zero suite, as encoding/json leaves it
-	default:
-		d.mismatch("suite object")
 	}
 	d.ws()
 	if d.err == nil && d.pos < len(d.data) {
@@ -153,14 +147,8 @@ func (d *decoder) jobs(p *[]Job) {
 		if i >= len(s) {
 			s = s[:i+1]
 		}
-		switch d.peek() {
-		case '{':
-			d.pos++
+		if d.object() {
 			d.job(&s[i])
-		case 'n':
-			d.null()
-		default:
-			d.mismatch("job object")
 		}
 		i++
 	}
