@@ -22,8 +22,8 @@ import (
 // decode in oracle_test.go is its test oracle (FuzzSuiteDecode).
 //
 // Decoded strings are substrings of one copy of data, enum values are the
-// package constants, and the pointer fields come from slabs, so a document
-// costs a handful of allocations however many jobs it holds.
+// package constants, and the per-job override pointers come from slabs,
+// so a document costs a handful of allocations however many jobs it holds.
 func decodeSuite(data []byte) (Suite, error) {
 	d := decoder{data: data, text: string(data)}
 	var s Suite
