@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,24 +27,38 @@ func build(t *testing.T, dir, name string) string {
 	return bin
 }
 
-// fleetArgs is the run every test here renders: two small experiments
-// at test-scale sample sizes.
-var fleetArgs = []string{"-run", "fig8,hops", "-n", "2000", "-warm", "1000"}
+// runArgs is the run every test here renders: two small experiments at
+// test-scale sample sizes.
+var runArgs = []string{"-fig8", "-hops", "-n", "2000", "-warm", "1000"}
 
-// addrRE pulls the bound listener address out of the coordinator's
-// "accepting elastic workers" log line.
-var addrRE = regexp.MustCompile(`msg="accepting elastic workers" addr=(\S+)`)
+// syncBuffer is a log buffer one goroutine fills while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
 
-// coordinator starts an expd coordinator on a free loopback port and
-// returns the bound worker address, the stdout buffer, a channel that
-// delivers its exit error, and its stderr log so far (for failure
-// reports).
-func coordinator(ctx context.Context, t *testing.T, bin string, extra ...string) (addr string, stdout *bytes.Buffer, exited <-chan error, log *bytes.Buffer) {
+func (b *syncBuffer) line(s string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fmt.Fprintln(&b.buf, s)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// endpointRE pulls a bound listener address out of the daemon's log.
+var endpointRE = regexp.MustCompile(`msg="(metrics endpoint up|accepting elastic workers|submissions endpoint up)" addr=(\S+)`)
+
+// daemon starts an expq daemon with its submission, worker and metrics
+// listeners on free loopback ports, and returns their addresses keyed
+// by the log message that announced each, plus the daemon's log.
+func daemon(ctx context.Context, t *testing.T, bin string, args ...string) (addrs map[string]string, log *syncBuffer) {
 	t.Helper()
-	args := append(append([]string{"-accept-workers", "127.0.0.1:0"}, fleetArgs...), extra...)
+	args = append([]string{"-listen", "127.0.0.1:0", "-accept-workers", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, args...)
 	cmd := exec.CommandContext(ctx, bin, args...)
-	stdout, log = &bytes.Buffer{}, &bytes.Buffer{}
-	cmd.Stdout = stdout
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -48,93 +66,143 @@ func coordinator(ctx context.Context, t *testing.T, bin string, extra ...string)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(stderr)
-	for sc.Scan() {
-		fmt.Fprintln(log, sc.Text())
-		if m := addrRE.FindStringSubmatch(sc.Text()); m != nil {
-			addr = m[1]
-			break
-		}
-	}
-	if addr == "" {
+	t.Cleanup(func() {
+		cmd.Process.Kill()
 		cmd.Wait()
-		t.Fatalf("coordinator never reported its worker address:\n%s", log)
-	}
-	done := make(chan error, 1)
-	go func() {
-		// Drain the rest of the log so the coordinator never blocks on
-		// a full stderr pipe, then reap it.
-		for sc.Scan() {
-			fmt.Fprintln(log, sc.Text())
+	})
+	log = &syncBuffer{}
+	addrs = make(map[string]string)
+	sc := bufio.NewScanner(stderr)
+	for len(addrs) < 3 && sc.Scan() {
+		log.line(sc.Text())
+		if m := endpointRE.FindStringSubmatch(sc.Text()); m != nil {
+			addrs[m[1]] = m[2]
 		}
-		done <- cmd.Wait()
+	}
+	if len(addrs) < 3 {
+		t.Fatalf("daemon never reported its three endpoints:\n%s", log)
+	}
+	// Drain the rest of the log so the daemon never blocks on a full
+	// stderr pipe.
+	go func() {
+		for sc.Scan() {
+			log.line(sc.Text())
+		}
 	}()
-	return addr, stdout, done, log
+	return addrs, log
+}
+
+// scrape reads the named counters off a /metrics endpoint.
+func scrape(t *testing.T, addr string, names ...string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]int64, len(names))
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		for _, name := range names {
+			if len(f) == 2 && f[0] == name {
+				v, err := strconv.ParseInt(f[1], 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				got[name] = v
+			}
+		}
+	}
+	return got
 }
 
 // TestJoinFleetMatchesInProcess is the CLI-level acceptance pin for the
-// one fleet topology: a coordinator on a loopback port and two
-// `expd join` worker processes render byte-identically to `experiments`
-// run in a single process. A second coordinator against the same -store
-// then finishes with no workers at all — every planned key a store hit
-// — and renders the same bytes again.
+// one fleet topology: an expq daemon accepting workers on a loopback
+// port and two `expd join` worker processes serve `experiments -server`
+// byte-identically to `experiments` run in a single process. The same
+// submission again is then answered entirely from the daemon's store —
+// every planned key a store hit, nothing dispatched — with the same
+// bytes.
 func TestJoinFleetMatchesInProcess(t *testing.T) {
 	dir := t.TempDir()
 	expd := build(t, dir, "expd")
-	want, err := exec.Command(build(t, dir, "experiments"), "-fig8", "-hops", "-n", "2000", "-warm", "1000").Output()
+	experiments := build(t, dir, "experiments")
+	want, err := exec.Command(experiments, runArgs...).Output()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	storeDir := filepath.Join(dir, "store")
 
-	addr, out, exited, log := coordinator(ctx, t, expd, "-store", storeDir)
-	var joins []*exec.Cmd
+	addrs, log := daemon(ctx, t, build(t, dir, "expq"), "-store", filepath.Join(dir, "store"))
 	for i := 0; i < 2; i++ {
-		j := exec.CommandContext(ctx, expd, "join", addr, "-retry", "0", "-name", fmt.Sprintf("w%d", i))
-		j.Stderr = &bytes.Buffer{}
+		// Workers redial between the daemon's fleet rounds, one per
+		// submitted experiment.
+		j := exec.CommandContext(ctx, expd, "join", addrs["accepting elastic workers"], "-retry", "100ms", "-name", fmt.Sprintf("w%d", i))
 		if err := j.Start(); err != nil {
 			t.Fatal(err)
 		}
-		joins = append(joins, j)
+		t.Cleanup(func() {
+			j.Process.Kill()
+			j.Wait()
+		})
 	}
-	if err := <-exited; err != nil {
-		t.Fatalf("fleet coordinator: %v\n%s", err, log)
+	submit := func() []byte {
+		t.Helper()
+		args := append(runArgs, "-server", "http://"+addrs["submissions endpoint up"])
+		out, err := exec.CommandContext(ctx, experiments, args...).Output()
+		if err != nil {
+			t.Fatalf("experiments -server: %v\n%s", err, log)
+		}
+		return out
 	}
-	// A worker whose dial lost the race with the end of the run exits
-	// with an error; either way, no worker outlives the test.
-	for _, j := range joins {
-		j.Process.Kill()
-		j.Wait()
-	}
-	t.Logf("%d workers joined", strings.Count(log.String(), `msg="worker joined"`))
-	if !bytes.Equal(out.Bytes(), want) {
+	counters := []string{"expq_dispatched_jobs_total", "expq_store_hits_total"}
+	metrics := addrs["metrics endpoint up"]
+
+	if out := submit(); !bytes.Equal(out, want) {
 		t.Errorf("fleet output differs from the in-process run:\n--- fleet ---\n%s\n--- in-process ---\n%s", out, want)
 	}
+	t.Logf("%d worker joins", strings.Count(log.String(), `msg="worker joined"`))
+	first := scrape(t, metrics, counters...)
+	if first["expq_dispatched_jobs_total"] == 0 {
+		t.Errorf("first submission dispatched nothing:\n%s", log)
+	}
 
-	_, out, exited, log = coordinator(ctx, t, expd, "-store", storeDir)
-	if err := <-exited; err != nil {
-		t.Fatalf("store-only coordinator: %v\n%s", err, log)
-	}
-	m := regexp.MustCompile(`msg="store open" .* planned=(\d+) hits=(\d+)`).FindStringSubmatch(log.String())
-	if m == nil || m[1] != m[2] || m[1] == "0" {
-		t.Errorf("rerun was not answered entirely from the store:\n%s", log)
-	}
-	if strings.Contains(log.String(), `msg="dispatch started"`) {
-		t.Errorf("rerun dispatched work:\n%s", log)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
+	before := len(log.String())
+	if out := submit(); !bytes.Equal(out, want) {
 		t.Errorf("store-only output differs from the in-process run:\n--- store ---\n%s\n--- in-process ---\n%s", out, want)
+	}
+	rerun := log.String()[before:]
+	planned := 0
+	for _, m := range regexp.MustCompile(`msg="submission accepted" jobs=(\d+)`).FindAllStringSubmatch(rerun, -1) {
+		n, _ := strconv.Atoi(m[1])
+		planned += n
+	}
+	second := scrape(t, metrics, counters...)
+	if hits := second["expq_store_hits_total"] - first["expq_store_hits_total"]; planned == 0 || hits != int64(planned) {
+		t.Errorf("rerun was not answered entirely from the store: %d hits for %d planned jobs:\n%s", hits, planned, rerun)
+	}
+	if second["expq_dispatched_jobs_total"] != first["expq_dispatched_jobs_total"] || strings.Contains(rerun, `msg="dispatch started"`) {
+		t.Errorf("rerun dispatched work:\n%s", rerun)
 	}
 }
 
-// TestAcceptWorkersRequired pins the coordinator's one fleet shape: with
-// no -accept-workers there is no way to get workers, so the invocation
-// is a usage error.
+// TestAcceptWorkersRequired pins that expd has no coordinator role left:
+// accepting workers is expq's job (expq -accept-workers), so expd run
+// without `join` is a usage error that names it.
 func TestAcceptWorkersRequired(t *testing.T) {
-	err := exec.Command(build(t, t.TempDir(), "expd"), fleetArgs...).Run()
+	cmd := exec.Command(build(t, t.TempDir(), "expd"), "-accept-workers", "127.0.0.1:0", "-run", "fig8")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Errorf("expd without -accept-workers: err = %v, want exit code 2", err)
+		t.Errorf("expd without join: err = %v, want exit code 2", err)
+	}
+	if !strings.Contains(stderr.String(), "expq -accept-workers") {
+		t.Errorf("usage does not name expq -accept-workers:\n%s", stderr.String())
 	}
 }

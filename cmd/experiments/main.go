@@ -49,8 +49,9 @@
 // once and shared read-only across all machines; the output is
 // byte-identical at every parallelism setting. -json FILE additionally
 // exports every result set as machine-readable JSON. To spread a run
-// over several processes or hosts, use cmd/expd: a coordinator plus any
-// number of `expd join` workers renders the same bytes.
+// over several processes or hosts, submit it with -server to an expq
+// daemon started with -accept-workers, whose fleet is any number of
+// `expd join` workers: the output is the same bytes.
 //
 // -server URL submits the selected experiments (or the -spec suite) to
 // a running expq simulation daemon instead of simulating locally: the
@@ -63,7 +64,7 @@
 // docs/OPERATIONS.md, "Running expq".
 //
 // -store DIR keeps results in a persistent result store (internal/store,
-// the same one expq and expd use): every planned simulation the store
+// the same one expq uses): every planned simulation the store
 // already holds is answered from it, and every new result is written to
 // it atomically the moment it completes — so re-running (or running a
 // different selection that shares work) skips simulations already on
@@ -283,7 +284,7 @@ func main() {
 			plan, err = registry.Plan(names, p)
 		}
 		if err == nil {
-			persist, err = cliutil.UseStore("experiments", *flagStore, cache, plan, obs.NewLogger(os.Stderr))
+			persist, err = cliutil.UseStore(*flagStore, cache, plan, obs.NewLogger(os.Stderr))
 		}
 		if err != nil {
 			fail(err)

@@ -25,14 +25,14 @@
 // running for another client are joined, not re-simulated), and only
 // then the compute backend. Completed work persists across daemon
 // restarts in the -store directory; -store-max-bytes bounds it with
-// LRU-by-access eviction. -import-cache migrates a legacy `-cache-file`
-// snapshot into the store once at startup.
+// LRU-by-access eviction.
 //
-// Transport security mirrors expd: -tls-cert/-tls-key arm both the
-// HTTP listener and the worker listener, -token guards submissions
-// (bearer token) and worker registration (preamble). -metrics-addr
-// serves the expq_* store/service series plus the dist_* dispatch
-// series on /metrics.
+// Transport security: -tls-cert/-tls-key arm both the HTTP listener
+// and the worker listener, -token guards submissions (bearer token)
+// and worker registration (preamble), and the workers' `expd join`
+// takes the matching -tls-ca and -token. -metrics-addr serves the
+// expq_* store/service series plus the dist_* dispatch series on
+// /metrics.
 package main
 
 import (
@@ -73,7 +73,6 @@ func daemonMain(args []string) {
 		listen    = fs.String("listen", ":9800", "HTTP address for suite submissions")
 		storeDir  = fs.String("store", "", "persistent result store directory (required)")
 		maxBytes  = fs.Int64("store-max-bytes", 0, "evict least-recently-accessed results past this store size (0 = unbounded)")
-		importC   = fs.String("import-cache", "", "one-shot migration: import this -cache-file snapshot into the store at startup")
 		accept    = fs.String("accept-workers", "", "TCP address to accept elastic expd join workers on (empty = simulate in-process)")
 		local     = fs.Int("local", 0, "in-process simulation pool size when no worker fleet is configured (0 = GOMAXPROCS)")
 		parallel  = fs.Int("parallel", 0, "per-worker pool size (0 = each worker's GOMAXPROCS)")
@@ -111,13 +110,6 @@ func daemonMain(args []string) {
 	}
 	st.Instrument(reg)
 	log.Info("store open", "dir", *storeDir, "records", st.Len(), "bytes", st.Bytes())
-	if *importC != "" {
-		n, err := st.ImportSnapshot(*importC)
-		if err != nil {
-			fatal(fmt.Errorf("importing %s: %w", *importC, err))
-		}
-		log.Info("cache snapshot imported", "path", *importC, "new_records", n)
-	}
 
 	var join chan dist.Worker
 	if *accept != "" {
@@ -129,9 +121,7 @@ func daemonMain(args []string) {
 		log.Info("accepting elastic workers", obs.KeyAddr, ln.Addr().String(),
 			"tls", sec.CertFile != "", "token_auth", sec.Token != "")
 		join = make(chan dist.Worker)
-		// The daemon outlives every submission: the accept loop never
-		// stands down, and workers redial between coordinator rounds.
-		go cliutil.AcceptWorkers(ln, *sec, join, nil, log)
+		go cliutil.AcceptWorkers(ln, *sec, join, log)
 	}
 
 	srv, err := serve.New(serve.Config{

@@ -1,8 +1,7 @@
 // Package cliutil holds the result-store, worker-intake, and
-// transport-security plumbing shared by the experiment CLIs
-// (cmd/experiments, cmd/expd, cmd/expq), so the -store semantics, the
-// accept loop, and the TLS/token flag vocabulary each live in exactly
-// one place.
+// transport-security plumbing of the experiment CLIs: the -store
+// semantics of cmd/experiments, the accept loop of cmd/expq's fleet,
+// and the TLS/token flag vocabulary that cmd/expq and cmd/expd share.
 package cliutil
 
 import (
@@ -37,15 +36,15 @@ func SecurityFlags(fs *flag.FlagSet) *dist.Security {
 	return sec
 }
 
-// UseStore opens the result store at dir, preloads cache with every job
-// of plan the store already holds — those are neither simulated nor
-// dispatched — and returns the hook that persists each result as it
-// completes (exp.OnRun locally, dist.Options.OnMerge on a fleet). A
-// failed write ends the process with exit status 1 at once; every result
-// written before it stays in the store, so a rerun resumes from there.
+// UseStore opens the result store at dir (cmd/experiments -store),
+// preloads cache with every job of plan the store already holds — those
+// are not simulated again — and returns the exp.OnRun hook that persists
+// each result as it completes. A failed write ends the process with exit
+// status 1 at once; every result written before it stays in the store,
+// so a rerun resumes from there.
 // Each record is written atomically as it lands, which is also why an
 // interrupted or killed run needs no checkpoint of its own.
-func UseStore(prog, dir string, cache *exp.Cache, plan []spec.Job, log *slog.Logger) (func(exp.Key), error) {
+func UseStore(dir string, cache *exp.Cache, plan []spec.Job, log *slog.Logger) (func(exp.Key), error) {
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return nil, err
@@ -57,7 +56,7 @@ func UseStore(prog, dir string, cache *exp.Cache, plan []spec.Job, log *slog.Log
 	log.Info("store open", "dir", dir, "records", st.Len(), "planned", len(plan), "hits", hits)
 	return func(k exp.Key) {
 		if _, _, err := st.PutCached(cache, k); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 	}, nil
@@ -74,14 +73,12 @@ const (
 // AcceptWorkers feeds registering dialers (expd join) into join until
 // the listener closes. Each candidate is authenticated, then its
 // register frame validated, off the accept loop so one slow dialer
-// cannot block the next. With a non-nil done (a single run's
-// coordinator), a worker whose handshake finishes after done closes is
-// closed instead of parked on the never-again-read join channel; a
-// long-lived daemon passes nil. Transient accept errors are logged and
-// retried after a short backoff, so one EMFILE does not end worker
-// intake for the process's life; the loop gives up, and logs it, after
-// acceptMaxFailures consecutive failures.
-func AcceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, done <-chan struct{}, log *slog.Logger) {
+// cannot block the next. The daemon outlives every fleet round, so a
+// registered worker waits on join for the next one. Transient accept
+// errors are logged and retried after a short backoff, so one EMFILE
+// does not end worker intake for the process's life; the loop gives up,
+// and logs it, after acceptMaxFailures consecutive failures.
+func AcceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, log *slog.Logger) {
 	failures := 0
 	for {
 		conn, err := ln.Accept()
@@ -111,11 +108,7 @@ func AcceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, 
 				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
 				return
 			}
-			select {
-			case join <- w:
-			case <-done:
-				w.RW.Close()
-			}
+			join <- w
 		}(conn)
 	}
 }

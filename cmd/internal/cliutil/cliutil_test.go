@@ -47,7 +47,7 @@ func TestAcceptWorkersSurvivesTransientError(t *testing.T) {
 	join := make(chan dist.Worker)
 	loopDone := make(chan struct{})
 	go func() {
-		AcceptWorkers(ln, dist.Security{}, join, nil, obs.TestLogger(t))
+		AcceptWorkers(ln, dist.Security{}, join, obs.TestLogger(t))
 		close(loopDone)
 	}()
 	go dist.Register(workerEnd, "after-emfile")
@@ -78,7 +78,7 @@ func TestAcceptWorkersGivesUp(t *testing.T) {
 	}
 	loopDone := make(chan struct{})
 	go func() {
-		AcceptWorkers(ln, dist.Security{}, make(chan dist.Worker), nil, obs.TestLogger(t))
+		AcceptWorkers(ln, dist.Security{}, make(chan dist.Worker), obs.TestLogger(t))
 		close(loopDone)
 	}()
 	select {

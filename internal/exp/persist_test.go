@@ -1,7 +1,6 @@
 package exp_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -47,62 +46,29 @@ func persistJobs() []exp.Job {
 	}
 }
 
-// runSnapshot runs jobs on a fresh cache and encodes its entries as a
-// current-schema cache snapshot (the input of expq -import-cache).
-func runSnapshot(t *testing.T, jobs []exp.Job) (*exp.Cache, []byte) {
+// runCache runs jobs on a fresh cache and returns it.
+func runCache(t *testing.T, jobs []exp.Job) *exp.Cache {
 	t.Helper()
 	c := exp.NewCache()
 	if _, err := exp.Run(jobs, exp.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(map[string]any{"version": store.SnapshotVersion, "entries": c.Snapshot()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, b
-}
-
-// loadFails pins that loading the snapshot data is refused whole: an
-// error, and nothing imported.
-func loadFails(t *testing.T, data []byte) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "cache.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(filepath.Join(t.TempDir(), "store"), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := st.ImportSnapshot(path); err == nil || st.Len() != 0 {
-		t.Errorf("load = %d records, err %v; want an error and none", n, err)
-	}
-}
-
-// TestLoadCacheFileRejectsGarbage pins that a cache snapshot file that
-// is not JSON is refused on load.
-func TestLoadCacheFileRejectsGarbage(t *testing.T) {
-	loadFails(t, []byte("not json"))
-}
-
-// TestLoadCacheFileRejectsTruncated pins that a snapshot cut off
-// mid-write is refused whole rather than partially loaded.
-func TestLoadCacheFileRejectsTruncated(t *testing.T) {
-	_, full := runSnapshot(t, persistJobs()[:1])
-	if _, err := store.ReadSnapshot(bytes.NewReader(full[:len(full)/2])); err == nil {
-		t.Fatal("ReadSnapshot accepted a truncated snapshot")
-	}
-	loadFails(t, full[:len(full)/2])
+	return c
 }
 
 // TestSnapshotRoundTripsCurrentVersion pins the cache's half of the
-// snapshot format: Cache.Snapshot entries, keyed by canonical specs,
-// read back through the current-version reader, and AddResults of them
-// pre-fills a fresh cache so a rerun simulates nothing.
+// persisted format: Cache.Snapshot entries, keyed by canonical specs,
+// survive a JSON round trip (the layout of store records and dist
+// result frames), and AddResults of them pre-fills a fresh cache so a
+// rerun simulates nothing.
 func TestSnapshotRoundTripsCurrentVersion(t *testing.T) {
-	c, data := runSnapshot(t, persistJobs())
-	entries, err := store.ReadSnapshot(bytes.NewReader(data))
+	c := runCache(t, persistJobs())
+	data, err := json.Marshal(c.Snapshot())
 	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []exp.CachedResult
+	if err := json.Unmarshal(data, &entries); err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 2 {
@@ -130,7 +96,7 @@ func TestSnapshotRoundTripsCurrentVersion(t *testing.T) {
 // path) fails for every user, including root; the store's own tests
 // cover a read-only directory.
 func TestSaveCacheFileErrorNamesPath(t *testing.T) {
-	c, _ := runSnapshot(t, persistJobs()[:1])
+	c := runCache(t, persistJobs()[:1])
 	e := c.Snapshot()[0]
 	t.Run("missing dir", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "store")

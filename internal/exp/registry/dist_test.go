@@ -39,6 +39,22 @@ func pipeWorkers(t *testing.T, n int) []dist.Worker {
 	return workers
 }
 
+// fleetReport is a fleet run of the named experiments as expq's
+// coordinator makes one: plan the deduplicated jobs, dispatch them to
+// the workers (one-wide pools) with dist.Run, then render every
+// experiment from the warm cache, which simulates nothing.
+func fleetReport(w io.Writer, names []string, p registry.Params, workers []dist.Worker, cache *exp.Cache, opts dist.Options) (map[string]*exp.ResultSet, error) {
+	plan, err := registry.Plan(names, p)
+	if err != nil {
+		return nil, err
+	}
+	opts.Parallel = 1
+	if err := dist.Run(plan, workers, cache, opts); err != nil {
+		return nil, err
+	}
+	return registry.Report(w, names, p, exp.WithCache(cache), exp.Parallelism(1))
+}
+
 // TestDistributedReportMatchesLocal is the cross-process determinism
 // guarantee at the registry level: a report assembled from results that
 // were simulated on dist workers and merged through the JSON protocol is
@@ -55,7 +71,7 @@ func TestDistributedReportMatchesLocal(t *testing.T) {
 
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	sets, err := registry.ReportDistributed(&distributed, names, p, pipeWorkers(t, 3), 1, cache, dist.Options{Log: obs.TestLogger(t)})
+	sets, err := fleetReport(&distributed, names, p, pipeWorkers(t, 3), cache, dist.Options{Log: obs.TestLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +97,11 @@ func TestDistributedReportWarmCache(t *testing.T) {
 	p := tinyParams()
 	cache := exp.NewCache()
 	var first bytes.Buffer
-	if _, err := registry.ReportDistributed(&first, names, p, pipeWorkers(t, 2), 1, cache, dist.Options{}); err != nil {
+	if _, err := fleetReport(&first, names, p, pipeWorkers(t, 2), cache, dist.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if _, err := registry.ReportDistributed(&second, names, p, nil, 1, cache, dist.Options{}); err != nil {
+	if _, err := fleetReport(&second, names, p, nil, cache, dist.Options{}); err != nil {
 		t.Fatalf("warm-cache distributed run must need no workers: %v", err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -133,11 +149,10 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedReportUnknownExperiment pins the coordinator-side error
-// path before any dispatch.
+// TestDistributedReportUnknownExperiment pins the planning error path,
+// which a fleet run meets before any dispatch.
 func TestDistributedReportUnknownExperiment(t *testing.T) {
-	var out bytes.Buffer
-	_, err := registry.ReportDistributed(&out, []string{"nope"}, tinyParams(), nil, 1, nil, dist.Options{})
+	_, err := registry.Plan([]string{"nope"}, tinyParams())
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("err = %v, want unknown-experiment", err)
 	}
@@ -198,8 +213,8 @@ func TestElasticTLSFleetMatchesGolden(t *testing.T) {
 	acceptSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
 	dialSec := dist.Security{CAFile: certFile, Token: "fleet-secret"}
 
-	// The coordinator's -accept-workers listener, exactly as cmd/expd
-	// wires it: authenticate, read the register frame, feed the fleet.
+	// The coordinator's -accept-workers listener, as cmd/expq wires it:
+	// authenticate, read the register frame, feed the fleet.
 	ln, err := acceptSec.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +282,7 @@ func TestElasticTLSFleetMatchesGolden(t *testing.T) {
 	var out bytes.Buffer
 	cache := exp.NewCache()
 	opts := dist.Options{Join: join, Log: obs.TestLogger(t)}
-	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), nil, 1, cache, opts); err != nil {
+	if _, err := fleetReport(&out, registry.DefaultNames(), tinyParams(), nil, cache, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), golden) {
@@ -383,7 +398,7 @@ func TestChaosFleetMatchesGolden(t *testing.T) {
 		Metrics:      reg,
 		Log:          obs.TestLogger(t),
 	}
-	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), workers, 1, cache, opts); err != nil {
+	if _, err := fleetReport(&out, registry.DefaultNames(), tinyParams(), workers, cache, opts); err != nil {
 		t.Fatalf("chaos run must still succeed: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), golden) {

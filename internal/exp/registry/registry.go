@@ -202,7 +202,7 @@ func SuiteJobs(s spec.Suite) []exp.Job {
 
 // collect resolves the experiment names (deduplicated, order-preserving)
 // into suites and gathers their combined job list with per-experiment
-// counts — the shared front half of Run and of distributed planning.
+// counts — the shared front half of Run and Plan.
 func collect(names []string, p Params) (selected []Experiment, jobs []exp.Job, counts []int, err error) {
 	picked := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -225,6 +225,22 @@ func collect(names []string, p Params) (selected []Experiment, jobs []exp.Job, c
 		jobs = append(jobs, SuiteJobs(s)...)
 	}
 	return selected, jobs, counts, nil
+}
+
+// Plan returns the deduplicated simulation jobs of the named
+// experiments, in first-appearance order: exactly the keys a Report of
+// them needs. Store-backed runs look these keys up before a run, so
+// stored results are not simulated again.
+func Plan(names []string, p Params) ([]spec.Job, error) {
+	_, jobs, _, err := collect(names, p)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := exp.Plan(jobs)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return plan, nil
 }
 
 // Run executes the named experiments and returns their result sets

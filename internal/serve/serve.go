@@ -48,8 +48,10 @@ import (
 )
 
 // maxSuiteBytes bounds one submitted suite document. Generously above
-// any real suite (the full -all set is a few kilobytes) while keeping a
-// hostile client from streaming gigabytes into memory.
+// any real suite (the -all experiments' documents average 31 KB; the
+// largest, fig6 with 750 jobs, is about 200 KB) while keeping a hostile client from streaming
+// gigabytes into memory; spec.MaxSuiteJobs bounds what decoding it may
+// cost.
 const maxSuiteBytes = 8 << 20
 
 // Config assembles a Server.
@@ -130,8 +132,8 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the service's HTTP routes: POST /submit and GET
 // /healthz. Metrics stay on the separate obs handler (cmd/expq's
-// -metrics-addr), mirroring the expd split between control and
-// observation planes.
+// -metrics-addr), which keeps the control and observation planes
+// apart.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", s.handleSubmit)

@@ -2,8 +2,11 @@ package serve_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +249,47 @@ func TestSubmitRejectsGarbage(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /submit = %d, want 405", resp.StatusCode)
+	}
+}
+
+// hostileSuiteAlloc bounds the bytes the daemon allocates to refuse a
+// suite of more than spec.MaxSuiteJobs jobs, whatever its size: the
+// decoder stops at the first job past the bound. (Refusing one job past
+// it allocates 28.5 MB on amd64, mostly the job array grown to the
+// bound.)
+const hostileSuiteAlloc = 48 << 20
+
+// TestSubmitBoundsJobs pins what a hostile suite costs the daemon:
+// documents of empty jobs, one past spec.MaxSuiteJobs and four times
+// it, are refused with a 400 that names the bound, and refusing either
+// allocates at most hostileSuiteAlloc bytes. Decoding every job before
+// validation rejected the suite cost about ninety times the document's
+// size: 71 MB for the larger one, against 32 MB with the bound.
+func TestSubmitBoundsJobs(t *testing.T) {
+	_, hs, _ := localServer(t, nil)
+	for _, n := range []int{spec.MaxSuiteJobs + 1, 4 * spec.MaxSuiteJobs} {
+		body := `{"jobs":[` + strings.Repeat(`{},`, n-1) + `{}]}`
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(hs.URL+"/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), fmt.Sprint(spec.MaxSuiteJobs)) {
+			t.Errorf("%d jobs: status %d, %q; want 400 naming the %d-job bound", n, resp.StatusCode, msg, spec.MaxSuiteJobs)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("refusing %d jobs in %d bytes allocated %.1f MB", n, len(body), float64(alloc)/1e6)
+		if alloc > hostileSuiteAlloc {
+			t.Errorf("refusing %d jobs allocated %d bytes, want at most %d", n, alloc, hostileSuiteAlloc)
+		}
 	}
 }
 

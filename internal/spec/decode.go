@@ -125,7 +125,8 @@ func (d *decoder) render(r *Render) {
 // jobs decodes the suite's job array the way encoding/json decodes into a
 // slice: element i decodes into the existing element i, the slice grows
 // (keeping what lies past its length) or is cut to the array's length, and
-// an empty array leaves a new empty slice.
+// an empty array leaves a new empty slice. An array of more than
+// MaxSuiteJobs elements fails at the first element past the bound.
 func (d *decoder) jobs(p *[]Job) {
 	switch d.peek() {
 	case 'n':
@@ -141,6 +142,10 @@ func (d *decoder) jobs(p *[]Job) {
 	s := *p
 	i := 0
 	for first := true; d.element(first); first = false {
+		if i == MaxSuiteJobs {
+			d.fail("jobs array holds more than %d jobs", MaxSuiteJobs)
+			return
+		}
 		if i >= cap(s) {
 			s = slices.Grow(s, max(cap(s), 8))
 		}

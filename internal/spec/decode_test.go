@@ -162,6 +162,26 @@ var decodeCorners = []struct {
 	{"missing comma", `{"name":"x" "n":1}`, false},
 	{"bad literal", `{"render":nul}`, false},
 	{"literal prefix", `{"render":nullx}`, false},
+
+	// Every jobs array is bounded, a repeated key's included.
+	{"jobs past the bound, then none", `{"jobs":[` + strings.Repeat(`{},`, spec.MaxSuiteJobs) + `{}],"jobs":[]}`, false},
+}
+
+// TestDecodeSuiteJobBound pins where the jobs bound falls: an array of
+// MaxSuiteJobs elements decodes, one more fails while decoding, and the
+// oracle agrees on both.
+func TestDecodeSuiteJobBound(t *testing.T) {
+	for _, n := range []int{spec.MaxSuiteJobs, spec.MaxSuiteJobs + 1} {
+		doc := []byte(`{"jobs":[` + strings.Repeat(`{},`, n-1) + `{}]}`)
+		accepted := agreesWithOracle(t, doc)
+		if want := n <= spec.MaxSuiteJobs; accepted != want {
+			t.Errorf("%d jobs: accepted = %v, want %v", n, accepted, want)
+		}
+	}
+	s := spec.Suite{Name: "big", Jobs: make([]spec.Job, spec.MaxSuiteJobs+1)}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("Validate of %d jobs: %v, want the jobs bound", len(s.Jobs), err)
+	}
 }
 
 // TestDecodeSuiteCornerCases pins the direct decoder to encoding/json on

@@ -55,7 +55,29 @@ func strictUnmarshal(data []byte, v any) error {
 func DecodeSuite(data []byte) (Suite, error) { return decodeSuite(data) }
 
 func OracleDecodeSuite(data []byte) (Suite, error) {
-	var s Suite
-	err := strictUnmarshal(data, &s)
+	var o struct {
+		Suite
+		Jobs oracleJobs `json:"jobs"` // hides Suite.Jobs
+	}
+	err := strictUnmarshal(data, &o)
+	s := o.Suite
+	s.Jobs = o.Jobs
 	return s, err
+}
+
+// oracleJobs is a suite's job array as the oracle decodes it: refused
+// when it holds more than MaxSuiteJobs elements, the bound decodeSuite
+// applies to every jobs array (a repeated "jobs" key included), and
+// otherwise encoding/json's strict decode of a []Job.
+type oracleJobs []Job
+
+func (j *oracleJobs) UnmarshalJSON(data []byte) error {
+	var elems []json.RawMessage
+	if err := json.Unmarshal(data, &elems); err != nil {
+		return err
+	}
+	if len(elems) > MaxSuiteJobs {
+		return fmt.Errorf("jobs array holds more than %d jobs", MaxSuiteJobs)
+	}
+	return strictUnmarshal(data, (*[]Job)(j))
 }

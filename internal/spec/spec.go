@@ -236,6 +236,14 @@ type Render struct {
 	Builtin string `json:"builtin,omitempty"`
 }
 
+// MaxSuiteJobs bounds the jobs of one suite, far above any real one
+// (the largest described suite, fig6, holds 750). A job decodes from as
+// little as three bytes ("{},") into a 136-byte Job, so without the
+// bound a submitted document of empty jobs would cost the decoder about
+// a hundred times its size in memory; the decoder fails as soon as a
+// jobs array passes it, and Validate enforces it on every suite.
+const MaxSuiteJobs = 1 << 16
+
 // Suite is a named list of jobs plus how to render their results — the
 // unit a user authors, `-describe` emits, and `-spec` runs.
 type Suite struct {
@@ -515,6 +523,9 @@ func (r Render) Validate() error {
 func (s Suite) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("spec: suite has no name")
+	}
+	if len(s.Jobs) > MaxSuiteJobs {
+		return fmt.Errorf("spec: suite %q has %d jobs; want at most %d", s.Name, len(s.Jobs), MaxSuiteJobs)
 	}
 	if s.N < 0 || s.N > maxInsts || s.Warm < 0 || s.Warm > maxInsts {
 		return fmt.Errorf("spec: suite %q has n=%d, warm=%d; want 0..%d each", s.Name, s.N, s.Warm, maxInsts)

@@ -6,8 +6,7 @@ import (
 )
 
 // Preload adds every job of plan the store holds to cache, returning how
-// many hit. Preloaded keys are neither simulated nor dispatched by a run
-// on that cache, and their recorded wall times seed the dist cost model.
+// many hit. A run on that cache does not simulate preloaded keys again.
 func (s *Store) Preload(cache *exp.Cache, plan []spec.Job) (int, error) {
 	hits := 0
 	for _, sj := range plan {

@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -245,100 +244,37 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestImportSnapshot pins the one-shot migration from -cache-file: a v2
-// snapshot imports completely, re-import is a no-op, and a legacy
-// unversioned snapshot is a loud SnapshotVersionError, not a partial
-// import.
-func TestImportSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "cache.json")
-	data, err := json.Marshal(map[string]any{"version": store.SnapshotVersion, "entries": []exp.CachedResult{rec("m1", "w1", 1), rec("m2", "w2", 2)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snap, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.ImportSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || s.Len() != 2 {
-		t.Errorf("import wrote %d records (store has %d), want 2", n, s.Len())
-	}
-	n, err = s.ImportSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("re-import wrote %d new records, want 0 (first-writer-wins)", n)
-	}
-
-	legacy := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(legacy, []byte(`{"entries":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var vErr *store.SnapshotVersionError
-	if _, err := s.ImportSnapshot(legacy); !errors.As(err, &vErr) {
-		t.Errorf("legacy snapshot import returned %v, want SnapshotVersionError", err)
-	}
-}
-
-// TestSnapshotVersionMismatch pins the snapshot schema-versioning
-// contract: a pre-spec (unversioned, fingerprint-keyed) snapshot and a
-// future-versioned one both surface as SnapshotVersionError, so an
-// import names the schema problem instead of reporting corruption.
-func TestSnapshotVersionMismatch(t *testing.T) {
-	legacy := []byte(`{
-  "entries": [
-    {"machine": "iCFP", "config": "00f0ba41cafe0000", "workload": "spec:mcf:n=3000", "result": {"name": "mcf", "cycles": 123}}
-  ]
-}`)
-	_, err := store.ReadSnapshot(bytes.NewReader(legacy))
-	var verr *store.SnapshotVersionError
-	if !errors.As(err, &verr) {
-		t.Fatalf("legacy snapshot: err = %v, want SnapshotVersionError", err)
-	}
-	if verr.Got != 0 || verr.Want != store.SnapshotVersion {
-		t.Errorf("legacy snapshot error = %+v, want got 0, want %d", verr, store.SnapshotVersion)
-	}
-
-	future := []byte(`{"version": 99, "entries": []}`)
-	_, err = store.ReadSnapshot(bytes.NewReader(future))
-	if !errors.As(err, &verr) || verr.Got != 99 {
-		t.Fatalf("future snapshot: err = %v, want SnapshotVersionError{Got: 99}", err)
-	}
-}
-
-// TestLegacyV2SnapshotLoads pins schema compatibility: a v2 cache file
-// written before sampling existed (its results lack the additive
-// SampleIntervals/SampleCPICI95 fields) still loads, and the new fields
-// read zero — exactly the "additive fields only within a version" rule
-// docs/ARCHITECTURE.md commits to.
-func TestLegacyV2SnapshotLoads(t *testing.T) {
-	mkey := spec.Machine{Model: spec.ModelInOrder}.Canonical()
-	wkey := spec.SPECWorkload("mcf", 1000).Canonical()
+// TestRecordWithoutSamplingFieldsLoads pins schema compatibility: a
+// record written before sampling existed (its result lacks the additive
+// SampleIntervals/SampleCPICI95 fields) still loads under the same
+// RecordVersion, and the new fields read zero — exactly the "additive
+// fields only within a version" rule docs/ARCHITECTURE.md commits to.
+func TestRecordWithoutSamplingFieldsLoads(t *testing.T) {
+	sj := spec.Job{Machine: spec.Machine{Model: spec.ModelInOrder}, Workload: spec.SPECWorkload("mcf", 1000)}
+	k := exp.KeyOf(sj)
 	legacy := fmt.Sprintf(
-		`{"version":2,"entries":[{"machine":%q,"workload":%q,"result":{"Name":"mcf","Cycles":2000,"Insts":1000},"elapsed_ns":7}]}`,
-		mkey, wkey)
-
-	entries, err := store.ReadSnapshot(bytes.NewReader([]byte(legacy)))
-	if err != nil {
+		`{"version":%d,"machine":%q,"workload":%q,"result":{"Name":"mcf","Cycles":2000,"Insts":1000},"elapsed_ns":7}`,
+		store.RecordVersion, k.Machine, k.Workload)
+	dir := t.TempDir()
+	path := recordPath(dir, k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("loaded %d entries, want 1", len(entries))
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	c := exp.NewCache()
-	c.AddResults(entries)
-	r, ok := c.Lookup(exp.Key{Machine: mkey, Workload: wkey})
+	if hits, err := s.Preload(c, []spec.Job{sj}); err != nil || hits != 1 {
+		t.Fatalf("preloading the legacy record: %d hits, err %v; want 1", hits, err)
+	}
+	r, ok := c.Lookup(k)
 	if !ok {
-		t.Fatal("legacy entry not reachable under its canonical key")
+		t.Fatal("legacy record not reachable under its canonical key")
 	}
 	if r.Cycles != 2000 || r.Insts != 1000 {
 		t.Fatalf("legacy result corrupted: %+v", r)
