@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -21,9 +23,10 @@ const (
 	// job that kills every worker that touches it is not. Clean goodbyes
 	// do not count against it.
 	DefaultMaxAttempts = 3
-	// maxBatchJobs bounds a cost-sized batch: even a queue of thousands
-	// of near-free keys stays stealable in bounded pieces.
-	maxBatchJobs = 64
+	// defaultPoolWidth is the pool width batches are filled to when
+	// Options.Parallel leaves each worker its own GOMAXPROCS, which the
+	// coordinator cannot see: it assumes a generously wide host.
+	defaultPoolWidth = 16
 )
 
 // Options configure a coordinator run.
@@ -31,14 +34,10 @@ type Options struct {
 	// Parallel is each worker's internal pool size (values below 1 mean
 	// the worker's GOMAXPROCS).
 	Parallel int
-	// BatchSize fixes the number of jobs per dispatched batch. Zero (the
-	// default, and what every command uses) enables cost-aware sizing:
-	// batches are assembled at dispatch time from per-key cost estimates
-	// — statically seeded from each spec's workload length and model
-	// class, refined online from the wall times workers report — so
-	// cheap keys ride in large batches and known-expensive stragglers
-	// ship alone. A fixed size lets tests build exact one-batch fault
-	// scenarios.
+	// BatchSize fixes the number of jobs per dispatched batch, so tests
+	// can build exact one-batch fault scenarios. Zero (the default, and
+	// what every command uses) batches whole workload groups; see
+	// takeBatchLocked.
 	BatchSize int
 	// MaxAttempts caps dispatch attempts per job (default
 	// DefaultMaxAttempts). Clean goodbyes do not count.
@@ -78,8 +77,8 @@ type Options struct {
 	Log *slog.Logger
 	// Metrics, when set, receives the coordinator's dispatch telemetry:
 	// queue depth, in-flight jobs, fleet size, per-worker batch and
-	// result counters, requeues, retirements, and the cost-model
-	// calibration ratio. A nil registry costs one nil check per event.
+	// result counters, requeues and retirements. A nil registry costs
+	// one nil check per event.
 	Metrics *obs.Registry
 	// Spans, when set, collects one obs.Span per merged result, labeled
 	// with the worker that simulated it — the distributed half of the
@@ -156,17 +155,22 @@ func (m *distMetrics) syncLocked(d *dispatcher) {
 }
 
 // pjob is one plan job moving through the dispatcher: its spec, its
-// cache key, and how many dispatches have failed on it.
+// cache key, its workload group, and how many dispatches have failed
+// on it.
 type pjob struct {
-	sj       spec.Job
-	key      exp.Key
+	sj  spec.Job
+	key exp.Key
+	// group is the arena identity of the job's workload (its base
+	// canonical encoding): jobs sharing it share one trace generation
+	// on whichever worker runs them together.
+	group    string
 	attempts int
 }
 
 // dispatcher is the coordinator's shared state: the ready queue, the
-// in-flight count, fleet membership, and the cost model. One mutex
-// guards all of it; worker goroutines block on cond while the queue is
-// empty but work is still in flight (a crash or goodbye may requeue).
+// in-flight count, and fleet membership. One mutex guards all of it;
+// worker goroutines block on cond while the queue is empty but work is
+// still in flight (a crash or goodbye may requeue).
 type dispatcher struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -190,7 +194,6 @@ type dispatcher struct {
 	met *distMetrics
 
 	transports []io.Closer // every admitted transport, closed when the run ends
-	model      *costModel
 	cache      *exp.Cache
 	opts       *Options
 	wg         sync.WaitGroup
@@ -200,8 +203,9 @@ type dispatcher struct {
 // merges every completed result into cache. Jobs whose key the cache
 // already has (preloaded from a result store) are not dispatched at all.
 // Dispatch is work-stealing — idle workers pull the next batch, so shard
-// sizes adapt to worker speed — and, by default, cost-aware (see
-// Options.BatchSize). The fleet is elastic: workers arriving on
+// sizes adapt to worker speed — and, by default, workload-affine: a
+// batch carries whole workload groups, so each trace is generated on one
+// worker (see takeBatchLocked). The fleet is elastic: workers arriving on
 // Options.Join enter the loop mid-run, a worker that sends goodbye
 // leaves cleanly (streamed results kept, unfinished remainder requeued,
 // no attempt counted), and a worker whose transport fails mid-batch has
@@ -217,36 +221,39 @@ func Run(plan []spec.Job, workers []Worker, cache *exp.Cache, opts Options) erro
 	d := &dispatcher{
 		done:     make(chan struct{}),
 		joinable: opts.Join != nil,
-		model:    newCostModel(),
 		cache:    cache,
 		opts:     &opts,
 		met:      newDistMetrics(opts.Metrics),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	opts.Metrics.GaugeFunc("dist_cost_model_ratio", "online static-units to wall-ns calibration of the dispatch cost model",
-		func() float64 { return d.model.calibration() })
 
-	var missing []spec.Job
+	first := make(map[string]int) // group -> rank of its first appearance
 	for _, sj := range plan {
-		if _, ok := cache.Lookup(exp.KeyOf(sj)); !ok {
-			missing = append(missing, sj)
+		k := exp.KeyOf(sj)
+		if _, ok := cache.Lookup(k); ok {
+			continue
 		}
+		g := sj.Workload.Base().Canonical()
+		if _, ok := first[g]; !ok {
+			first[g] = len(first)
+		}
+		d.ready = append(d.ready, &pjob{sj: sj, key: k, group: g})
 	}
-	if len(missing) == 0 {
+	missing := len(d.ready)
+	if missing == 0 {
 		CloseAll(workers)
 		return nil
 	}
 	if len(workers) == 0 && opts.Join == nil {
-		return fmt.Errorf("dist: %d jobs to simulate but no workers", len(missing))
+		return fmt.Errorf("dist: %d jobs to simulate but no workers", missing)
 	}
-	d.model.seedFromCache(cache, plan)
-	for _, sj := range missing {
-		d.ready = append(d.ready, &pjob{sj: sj, key: exp.KeyOf(sj)})
-	}
+	// Workload-major, each group in plan order: takeBatchLocked cuts
+	// batches at group boundaries.
+	slices.SortStableFunc(d.ready, func(a, b *pjob) int { return cmp.Compare(first[a.group], first[b.group]) })
 	d.mu.Lock()
 	d.met.syncLocked(d)
 	d.mu.Unlock()
-	opts.event("dispatch started", obs.KeyJobs, len(missing), obs.KeyWorkers, len(workers), obs.KeyElastic, opts.Join != nil)
+	opts.event("dispatch started", obs.KeyJobs, missing, obs.KeyWorkers, len(workers), obs.KeyElastic, opts.Join != nil)
 
 	for _, w := range workers {
 		d.admit(w)
@@ -397,9 +404,8 @@ func (d *dispatcher) closeTransports() {
 }
 
 // next blocks until there is a batch to dispatch, returning nil when the
-// run is over. The returned jobs are moved from ready to in-flight; the
-// requesting worker's name sizes the batch to its measured speed.
-func (d *dispatcher) next(worker string) []*pjob {
+// run is over. The returned jobs are moved from ready to in-flight.
+func (d *dispatcher) next() []*pjob {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -407,7 +413,7 @@ func (d *dispatcher) next(worker string) []*pjob {
 			return nil
 		}
 		if len(d.ready) > 0 {
-			batch := d.takeBatchLocked(worker)
+			batch := d.takeBatchLocked()
 			d.inflight += len(batch)
 			d.batches++
 			d.met.batches.Inc()
@@ -429,8 +435,8 @@ func (d *dispatcher) next(worker string) []*pjob {
 // endBatch accounts a dispatched batch concluding (batch_done read, or
 // its error path entered) and completes the run when it was the last
 // loose end. Completion deliberately waits for every batch to conclude —
-// not merely for every job to merge — so the trailing cost-report and
-// batch_done frames are consumed before Run tears the transports down
+// not merely for every job to merge — so the trailing batch_done frame
+// is consumed before Run tears the transports down
 // and a clean run stays log-silent on both sides.
 func (d *dispatcher) endBatch() {
 	d.mu.Lock()
@@ -442,22 +448,32 @@ func (d *dispatcher) endBatch() {
 	}
 }
 
-// takeBatchLocked forms the next batch from the head of the ready queue.
-// With a fixed Options.BatchSize it takes exactly that many jobs; in
-// cost-aware mode the cost model sizes it (costModel.sizeBatch). The
-// floor keeps a worker's pool saturated by its own batch — the
-// coordinator cannot see a GOMAXPROCS-width pool, so it assumes a
-// generously wide host; stealing evens out the rest.
-func (d *dispatcher) takeBatchLocked(worker string) []*pjob {
-	n := len(d.ready)
+// takeBatchLocked forms the next batch from the head of the ready queue,
+// which Run orders workload-major. It takes whole workload groups until
+// the batch fills the worker's pool (Options.Parallel, or
+// defaultPoolWidth): a worker keeps one arena per connection, so a
+// group dispatched together generates its trace once. A group is split
+// only past the guided self-scheduling share ceil(len(ready)/active)
+// (Polychronopoulos & Kuck, IEEE TC 1987), never below the pool width,
+// so a plan with fewer workloads than workers still spreads across the
+// fleet. A fixed Options.BatchSize takes exactly that many jobs.
+func (d *dispatcher) takeBatchLocked() []*pjob {
+	var n int
 	if d.opts.BatchSize > 0 {
-		n = min(n, d.opts.BatchSize)
+		n = min(len(d.ready), d.opts.BatchSize)
 	} else {
-		floor := d.opts.Parallel
-		if floor < 1 {
-			floor = 16
+		width := d.opts.Parallel
+		if width < 1 {
+			width = defaultPoolWidth
 		}
-		n = d.model.sizeBatch(d.ready, worker, d.active, floor, maxBatchJobs)
+		active := max(d.active, 1)
+		limit := min(len(d.ready), max(width, (len(d.ready)+active-1)/active))
+		for n < limit && n < width {
+			g := d.ready[n].group
+			for n < limit && d.ready[n].group == g {
+				n++
+			}
+		}
 	}
 	batch := d.ready[:n]
 	d.ready = d.ready[n:]
@@ -600,10 +616,8 @@ func (d *dispatcher) runWorker(w Worker) {
 		go d.beat(conn, stop)
 	}
 	batchCount := d.met.reg.Counter("dist_worker_batches_total", "batches dispatched per worker", "worker", w.Name)
-	d.met.reg.GaugeFunc("dist_worker_speed", "measured throughput relative to the fleet-average calibration (1 until measured)",
-		func() float64 { return d.model.speed(w.Name) }, "worker", w.Name)
 	for {
-		batch := d.next(w.Name)
+		batch := d.next()
 		if batch == nil {
 			d.retire(w, "")
 			return
@@ -680,7 +694,7 @@ func initWorker(w Worker, conn *coordConn, opts *Options) error {
 }
 
 // runBatch dispatches one batch, merging its streamed results into the
-// cache and its cost reports into the model, until batch_done. On a
+// cache, until batch_done. On a
 // transport failure or goodbye it returns the jobs still owed, in
 // dispatch order, for requeueing; worker-reported errors come back as
 // fatalError.
@@ -721,10 +735,6 @@ func (d *dispatcher) runBatch(w Worker, conn *coordConn, batch []*pjob) (owed []
 			}
 			d.cache.AddResults([]exp.CachedResult{*m.Result})
 			k := exp.Key{Machine: m.Result.Machine, Workload: m.Result.Workload}
-			if m.Result.ElapsedNS > 0 {
-				d.model.observe(k, float64(m.Result.ElapsedNS))
-				d.model.observeWorker(w.Name, k, float64(m.Result.ElapsedNS))
-			}
 			if _, ok := remaining[k]; ok {
 				delete(remaining, k)
 				d.merged()
@@ -742,12 +752,6 @@ func (d *dispatcher) runBatch(w Worker, conn *coordConn, batch []*pjob) (owed []
 						ElapsedNS: m.Result.ElapsedNS,
 					})
 				}
-			}
-		case TypeCostReport:
-			for _, kc := range m.Costs {
-				kk := exp.Key{Machine: kc.Machine, Workload: kc.Workload}
-				d.model.observe(kk, float64(kc.ElapsedNS))
-				d.model.observeWorker(w.Name, kk, float64(kc.ElapsedNS))
 			}
 		case TypeGoodbye:
 			return still(), errGoodbye

@@ -83,7 +83,6 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Type: dist.TypeReady},
 		{Type: dist.TypeBatch, BatchID: 1, Jobs: []spec.Job{job.Spec()}},
 		{Type: dist.TypeResult, Result: &exp.CachedResult{Machine: job.Key().Machine, Workload: job.Key().Workload, R: pipeline.Result{Cycles: 42}, ElapsedNS: 1234}},
-		{Type: dist.TypeCostReport, Costs: []dist.KeyCost{{Machine: job.Key().Machine, Workload: job.Key().Workload, ElapsedNS: 1234}}},
 		{Type: dist.TypeBatchDone, BatchID: 1},
 		{Type: dist.TypeGoodbye},
 		{Type: dist.TypeError, Err: "boom"},
@@ -162,6 +161,70 @@ func TestRunMergesAllResults(t *testing.T) {
 	}
 	if cache.Simulations() != 0 {
 		t.Errorf("coordinator simulated %d times; all simulation must happen on workers", cache.Simulations())
+	}
+}
+
+// TestWorkloadGroupsStayOnOneWorker pins workload-affine dispatch: with
+// batches filled to the pool width by whole workload groups, every
+// workload's keys are simulated by one worker, which generates its
+// trace once, and the merged cache still equals a local run. The plan
+// is machine-major, so the coordinator's workload-major ordering is what
+// keeps each group together.
+func TestWorkloadGroupsStayOnOneWorker(t *testing.T) {
+	var jobs []exp.Job
+	for _, pm := range sim.PaperMachines()[:3] {
+		m := pm.Machine
+		m.Overrides = &spec.Overrides{Warmup: spec.Int(0)}
+		for _, sc := range workload.AllScenarios {
+			jobs = append(jobs, exp.Job{Name: fmt.Sprintf("%s/%s", pm.Label, sc), Machine: m, Workload: spec.ScenarioWorkload(sc)})
+		}
+	}
+	want := localResults(t, jobs)
+	plan, err := exp.Plan(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan) != 18 {
+		t.Fatalf("plan has %d keys, want 6 workloads x 3 machines", len(plan))
+	}
+
+	var mu sync.Mutex
+	ranOn := map[string]map[string]int{} // workload -> worker -> simulations
+	var workers []dist.Worker
+	for i := range 2 {
+		name := fmt.Sprintf("w%d", i)
+		w, _ := startWorker(t, name, dist.OnSimulate(func(k exp.Key) {
+			mu.Lock()
+			defer mu.Unlock()
+			if ranOn[k.Workload] == nil {
+				ranOn[k.Workload] = map[string]int{}
+			}
+			ranOn[k.Workload][name]++
+		}))
+		workers = append(workers, w)
+	}
+	cache := exp.NewCache()
+	if err := dist.Run(plan, workers, cache, dist.Options{Parallel: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ranOn) != len(workload.AllScenarios) {
+		t.Errorf("simulated %d workloads, want %d", len(ranOn), len(workload.AllScenarios))
+	}
+	for wl, by := range ranOn {
+		if len(by) != 1 {
+			t.Errorf("workload %s simulated on %d workers (%v), want one", wl, len(by), by)
+		}
+		for _, n := range by {
+			if n != 3 {
+				t.Errorf("workload %s: %d simulations, want its 3 machines once each", wl, n)
+			}
+		}
+	}
+	for _, sj := range plan {
+		k := exp.KeyOf(sj)
+		if res, ok := cache.Lookup(k); !ok || res != want[k] {
+			t.Errorf("%v: merged (%+v, %v), want the local result %+v", k, res, ok, want[k])
+		}
 	}
 }
 
@@ -506,14 +569,6 @@ func TestWorkerAnswersRedispatchFromCache(t *testing.T) {
 			if m.Type == dist.TypeBatchDone {
 				break
 			}
-			if m.Type == dist.TypeCostReport {
-				// Only fresh simulations report costs; a batch answered
-				// entirely from the worker's cache stays silent.
-				if batch == 2 {
-					t.Errorf("cache-served batch sent a cost report: %+v", m.Costs)
-				}
-				continue
-			}
 			if m.Type != dist.TypeResult {
 				t.Fatalf("unexpected %q frame", m.Type)
 			}
@@ -688,21 +743,26 @@ func TestAcceptWorkerRejectsSkewAndGarbage(t *testing.T) {
 		return errc
 	}
 
-	coordEnd, workerEnd := dist.Pipe()
-	errc := accept(coordEnd)
-	if err := dist.WriteMessage(workerEnd, &dist.Message{Type: dist.TypeRegister, Proto: 2, Name: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	if m, rerr := dist.ReadMessage(workerEnd); rerr != nil || m.Type != dist.TypeError ||
-		!strings.Contains(m.Err, "v2") || !strings.Contains(m.Err, fmt.Sprintf("v%d", dist.ProtoVersion)) {
-		t.Errorf("skewed joiner got (%+v, %v), want an error frame naming both versions", m, rerr)
-	}
-	if err := <-errc; err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", dist.ProtoVersion)) {
-		t.Errorf("v2 register accepted or badly reported: %v", err)
+	// v2, and the version just before this one (a v4 worker still sends
+	// the cost_report frame v5 dropped).
+	for _, old := range []int{2, dist.ProtoVersion - 1} {
+		coordEnd, workerEnd := dist.Pipe()
+		errc := accept(coordEnd)
+		if err := dist.WriteMessage(workerEnd, &dist.Message{Type: dist.TypeRegister, Proto: old, Name: "old"}); err != nil {
+			t.Fatal(err)
+		}
+		v := fmt.Sprintf("v%d", old)
+		if m, rerr := dist.ReadMessage(workerEnd); rerr != nil || m.Type != dist.TypeError ||
+			!strings.Contains(m.Err, v) || !strings.Contains(m.Err, fmt.Sprintf("v%d", dist.ProtoVersion)) {
+			t.Errorf("skewed joiner got (%+v, %v), want an error frame naming both versions", m, rerr)
+		}
+		if err := <-errc; err == nil || !strings.Contains(err.Error(), v) || !strings.Contains(err.Error(), fmt.Sprintf("v%d", dist.ProtoVersion)) {
+			t.Errorf("%s register accepted or badly reported: %v", v, err)
+		}
 	}
 
 	c2, w2 := dist.Pipe()
-	errc = accept(c2)
+	errc := accept(c2)
 	if err := dist.WriteMessage(w2, &dist.Message{Type: dist.TypeReady}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,12 @@
 // joining workers) interoperate as long as they speak the same spec
 // vocabulary.
 //
-// Protocol v3 makes fleets elastic and dispatch cost-aware. Workers may
-// dial a long-lived coordinator and announce themselves with a register
-// frame (Register/AcceptWorker), join a run already in flight
-// (Options.Join), and leave it cleanly with a goodbye frame — everything
-// they streamed back before leaving is kept, and only their unfinished
-// remainder is redispatched. Batches are sized at dispatch time by a
-// per-key cost model: a static estimate derived from each spec (workload
-// length × model class) refined online by the observed wall times that
-// workers stream back in cost-report frames, so cheap keys ride in large
-// batches while known-expensive stragglers ship alone.
+// Protocol v3 makes fleets elastic. Workers may dial a long-lived
+// coordinator and announce themselves with a register frame
+// (Register/AcceptWorker), join a run already in flight (Options.Join),
+// and leave it cleanly with a goodbye frame — everything they streamed
+// back before leaving is kept, and only their unfinished remainder is
+// redispatched.
 //
 // Protocol v4 adds coordinator heartbeats: the init frame announces an
 // interval and the coordinator beacons on it, so an idle worker whose
@@ -38,7 +34,9 @@
 // also instrumented end to end (internal/obs): Options.Metrics exposes
 // queue depth, per-worker batch counters, requeues and retirements on
 // the coordinator; WithMetrics does the same for a serving worker,
-// including a last-heartbeat-age gauge. The full frame catalog lives in
+// including a last-heartbeat-age gauge. Protocol v5 drops v3's
+// cost-report frame: batches are cut at workload boundaries, which
+// needs no wall-time feedback. The full frame catalog lives in
 // docs/ARCHITECTURE.md.
 package dist
 
@@ -58,11 +56,11 @@ import (
 // the elastic-fleet frames (register, goodbye) and per-key cost reports;
 // version 4 added coordinator liveness heartbeats (the init frame
 // announces the interval, heartbeat frames keep idle connections
-// provably alive). Coordinator and workers must match exactly: results
-// are only portable between compatible simulators, so version skew is a
-// handshake error — reported with both versions named — not something
-// to paper over.
-const ProtoVersion = 4
+// provably alive); version 5 removed the cost reports. Coordinator and
+// workers must match exactly: results are only portable between
+// compatible simulators, so version skew is a handshake error —
+// reported with both versions named — not something to paper over.
+const ProtoVersion = 5
 
 // maxFrame bounds one protocol frame. The largest real frames are batch
 // messages (a few spec jobs) and single results — far below this; the
@@ -89,11 +87,6 @@ const (
 	// TypeResult is worker → coordinator: one completed simulation,
 	// streamed as soon as it finishes (not held until the batch ends).
 	TypeResult = "result"
-	// TypeCostReport is worker → coordinator: the observed wall times of
-	// the batch's freshly simulated keys, sent just before batch_done.
-	// Purely advisory — it feeds the coordinator's dispatch-time cost
-	// model and never affects results.
-	TypeCostReport = "cost_report"
 	// TypeBatchDone is worker → coordinator: every job of the identified
 	// batch has been simulated and its result sent.
 	TypeBatchDone = "batch_done"
@@ -114,14 +107,6 @@ const (
 	// context; the receiver aborts the run.
 	TypeError = "error"
 )
-
-// KeyCost is one cost-report entry: the canonical key of a simulation
-// this worker actually ran in the reported batch, and how long it took.
-type KeyCost struct {
-	Machine   string `json:"machine"`
-	Workload  string `json:"workload"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
 
 // Message is one protocol frame. Type selects which of the remaining
 // fields are meaningful.
@@ -147,9 +132,6 @@ type Message struct {
 
 	// Result.
 	Result *exp.CachedResult `json:"result,omitempty"`
-
-	// CostReport.
-	Costs []KeyCost `json:"costs,omitempty"`
 
 	// Error.
 	Err string `json:"err,omitempty"`

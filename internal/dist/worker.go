@@ -156,9 +156,7 @@ func (c *workerConn) goodbye() error {
 // for the lifetime of the connection, so a job re-dispatched after a
 // coordinator-side retry is answered from cache rather than
 // re-simulated; completed results are streamed back the moment each
-// simulation finishes, each carrying its wall time, and every batch ends
-// with a cost report of the freshly simulated keys — the feedstock of
-// the coordinator's dispatch-time batch sizing.
+// simulation finishes, each carrying its wall time.
 func Serve(rw io.ReadWriter, opts ...ServeOption) error {
 	var so serveOptions
 	for _, opt := range opts {
@@ -277,7 +275,6 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 	}
 
 	var sendErr error
-	var costs []KeyCost
 	sent := make(map[exp.Key]bool, len(batch))
 	send := func(k exp.Key) {
 		if sendErr != nil {
@@ -296,9 +293,6 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 	hook := func(k exp.Key) {
 		if so.onRun != nil {
 			so.onRun(k)
-		}
-		if elapsed, ok := cache.Elapsed(k); ok && elapsed > 0 {
-			costs = append(costs, KeyCost{Machine: k.Machine, Workload: k.Workload, ElapsedNS: int64(elapsed)})
 		}
 		send(k)
 	}
@@ -330,11 +324,6 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 	}
 	if sendErr != nil {
 		return sendErr
-	}
-	if len(costs) > 0 {
-		if err := conn.send(&Message{Type: TypeCostReport, Costs: costs}); err != nil {
-			return err
-		}
 	}
 	return conn.send(&Message{Type: TypeBatchDone, BatchID: m.BatchID})
 }

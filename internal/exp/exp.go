@@ -142,7 +142,7 @@ func (c *Cache) claim(k Key) (*entry, bool) {
 }
 
 // finish publishes the result of a claimed entry, recording how long the
-// simulation took (the raw material of dispatch-time cost models).
+// simulation took (the width of its timeline span).
 func (c *Cache) finish(k Key, e *entry, res pipeline.Result, elapsed time.Duration) {
 	c.mu.Lock()
 	c.runs[k]++

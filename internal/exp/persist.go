@@ -16,8 +16,8 @@ import (
 //
 // ElapsedNS records the simulation's wall time. Unlike the result it is
 // not deterministic — it describes the machine that ran the simulation,
-// not the simulation — and exists only to seed dispatch-time cost models
-// (internal/dist): zero means "unmeasured" and is always safe. The field
+// not the simulation — and only sizes timeline spans (a fleet run's
+// -run-summary): zero means "unmeasured" and is always safe. The field
 // is additive and optional, so readers old and new interchange freely
 // (see the versioning rules in docs/ARCHITECTURE.md).
 type CachedResult struct {

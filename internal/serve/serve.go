@@ -344,7 +344,7 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 	complete := func(k exp.Key) {
 		rec, ok, perr := s.cfg.Store.PutCached(cache, k)
 		if !ok {
-			return // foreign key (cost report echo); nothing to publish
+			return // no completed result for k; nothing to publish
 		}
 		pubMu.Lock()
 		if published[k] {

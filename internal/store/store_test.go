@@ -129,7 +129,7 @@ func TestPreloadAndPersist(t *testing.T) {
 	}
 	for _, r := range second.Snapshot() {
 		// Keys are canonical spec encodings, not labels or hashes, and
-		// wall times survive for the dist cost model.
+		// wall times survive the round trip.
 		if !strings.Contains(r.Machine, `"model"`) || r.ElapsedNS <= 0 {
 			t.Errorf("preloaded entry %s: not a canonical key or no elapsed time (%d ns)", r.Machine, r.ElapsedNS)
 		}
