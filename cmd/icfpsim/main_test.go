@@ -72,11 +72,11 @@ func TestBadInputsExitWithSpecError(t *testing.T) {
 // TestValidRunOutput pins one run's statistics byte for byte.
 func TestValidRunOutput(t *testing.T) {
 	const want = `iCFP on mcf:
-  cycles              198953
+  cycles              198954
   instructions         20022   (IPC 0.101)
   D$ miss/KI            94.8   L2 miss/KI 27.1
   D$ MLP                1.26   L2 MLP     1.13
-  mispredicts            342
+  mispredicts            343
   advances               429   advance insts 18824
   rally passes          1531   rally/KI 517
   squashes               101   slice/SB overflows 0/0

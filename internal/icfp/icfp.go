@@ -215,7 +215,9 @@ func (r *run) counters() pipeline.Result {
 // cycle is measurable against the in-order baseline.
 func (r *run) loop() {
 	n := r.end
-	for r.i < n || !r.slice.Empty() || len(r.pending) > 0 {
+	// Staging moves r.i past an instruction before it issues, so a staged
+	// instruction keeps the loop running as much as an unstaged one.
+	for r.i < n || r.st.valid || !r.slice.Empty() || len(r.pending) > 0 {
 		if r.cycle > watchdogCycles {
 			panic("icfp: simulation exceeded the watchdog cycle bound (deadlock?)")
 		}

@@ -29,7 +29,7 @@ var sampledErrPct = map[string]float64{
 	"Runahead":  0.7207,
 	"Multipass": 0.3710,
 	"SLTP":      4.449,
-	"iCFP":      1.113,
+	"iCFP":      1.127,
 }
 
 // sampledSetup returns the sampled runs' workload and the registry's
