@@ -57,10 +57,12 @@ func NewWithOptions(cfg pipeline.Config, trig pipeline.AdvanceTrigger, sb SBMode
 const watchdogCycles = int64(1) << 36
 
 // strictCycles (test-only) forces the cycle loop to step one cycle at a
-// time instead of skipping ahead to the next known event. Simulated
-// behaviour must be byte-identical either way — the equivalence tests in
-// strict_test.go pin that — so the flag exists purely to exercise the
-// skip-ahead logic against the trivially correct strict loop.
+// time instead of skipping ahead to the next known event, and to run
+// normal mode through the cycle loop too instead of instruction by
+// instruction (run.normal). Simulated behaviour must be byte-identical
+// either way — the equivalence tests in strict_test.go pin that — so the
+// flag exists purely to exercise the skip-ahead logic and the normal-mode
+// path against the trivially correct strict loop.
 var strictCycles = false
 
 type mode int
@@ -78,11 +80,9 @@ type pendingMiss struct {
 // staged is the next tail instruction, decoded and with its front-end
 // state resolved exactly once.
 type staged struct {
-	idx       int
-	in        isa.Inst
-	avail     int64
-	predTaken bool
-	valid     bool
+	pipeline.Staged
+	idx   int
+	valid bool
 }
 
 type run struct {
@@ -212,12 +212,19 @@ func (r *run) counters() pipeline.Result {
 // guarded by the cheapest possible "could it do anything this cycle?"
 // check inline: the loop body runs a couple hundred thousand times per
 // simulated workload, so even a no-op function call per subsystem per
-// cycle is measurable against the in-order baseline.
+// cycle is measurable against the in-order baseline. While only the
+// tail can act, the loop hands the cycle to normal, which issues
+// instruction by instruction instead.
 func (r *run) loop() {
 	n := r.end
 	// Staging moves r.i past an instruction before it issues, so a staged
 	// instruction keeps the loop running as much as an unstaged one.
 	for r.i < n || r.st.valid || !r.slice.Empty() || len(r.pending) > 0 {
+		if r.mode == modeNormal && len(r.pending) == 0 && !r.passActive && r.stallSSN == 0 &&
+			r.slice.Empty() && !strictCycles {
+			r.normal()
+			continue
+		}
 		if r.cycle > watchdogCycles {
 			panic("icfp: simulation exceeded the watchdog cycle bound (deadlock?)")
 		}
@@ -249,6 +256,60 @@ func (r *run) loop() {
 	}
 	if r.cycle > r.finish {
 		r.finish = r.cycle
+	}
+}
+
+// normal runs normal mode the way the in-order baseline does: each
+// instruction is gated by the shared normal-mode step, jumped to its
+// issue cycle with SlotAlloc.Take, and executed by issueTail. It starts
+// at the top of the cycle loop's iteration for r.cycle, with nothing
+// but the tail able to act: normal mode, no slice entry, no pending
+// miss, no rally pass and no SBLimited stall. It leaves r.cycle at the
+// top of the next iteration the loop runs.
+//
+// Of the loop's other work, only two things happen in normal mode, and
+// normal catches both up to each instruction's issue cycle t before the
+// instruction acts: the chained store buffer drains one store per cycle
+// (always drainable: drainLimit is the tail), and external-store events
+// are popped (a probe outside advance mode cannot squash, but
+// len(r.ext) gates sigInsert).
+func (r *run) normal() {
+	drainAt := r.cycle    // the first cycle whose drain has not run
+	r.recheckPass = false // what fireReturns does with an empty slice
+	for {
+		if !r.st.valid {
+			if r.i >= r.end {
+				r.cycle++ // the loop's last iteration issued at r.cycle
+				return
+			}
+			r.stage()
+		}
+		t := r.slots.Take(max(r.cachedTailEarliest(), r.cycle), r.st.In.Op)
+		for len(r.ext) > 0 && r.ext[0].Cycle <= t {
+			r.ext = r.ext[1:]
+		}
+		for ; drainAt <= t && r.csb.ssnComplete < r.csb.ssnTail; drainAt++ {
+			addr, ok := r.csb.DrainNext(r.csb.Tail())
+			if !ok {
+				break
+			}
+			r.hier.Data(drainAt, addr, true)
+		}
+		drainAt = t + 1
+		r.cycle = t
+		if !r.issueTail() {
+			r.cycle++ // a structural stall: the loop retries next cycle
+			return
+		}
+		if r.mode == modeAdvance || !r.slice.Empty() {
+			// A load missed and entered advance mode (or forwarded from a
+			// poisoned store and went to the slice buffer): the rest of
+			// this cycle's tail issue is the loop's, as is what follows.
+			r.tailStep()
+			r.maybeExitAdvance()
+			r.cycle++
+			return
+		}
 	}
 }
 
@@ -598,15 +659,15 @@ func (r *run) cachedTailEarliest() int64 {
 	return r.stEarliest
 }
 
-// tailEarliest computes the staged instruction's earliest issue cycle.
+// tailEarliest computes the staged instruction's earliest issue cycle:
+// the shared normal-mode gate, except that an advance-mode instruction
+// with a poisoned source does not wait for its sources (it goes to the
+// slice buffer).
 func (r *run) tailEarliest() int64 {
-	var g pipeline.Gate
-	g.Reset(r.st.avail)
-	if r.mode == modeNormal || r.board.SrcPoison(&r.st.in) == 0 {
-		g.Require(r.board.SrcReady(&r.st.in))
+	if r.mode == modeNormal || r.board.SrcPoison(&r.st.In) == 0 {
+		return r.st.Earliest(&r.board, r.lastIssue)
 	}
-	g.Require(r.lastIssue)
-	return g.At()
+	return max(r.st.Avail, r.lastIssue)
 }
 
 // tailStep issues tail instructions into this cycle's remaining slots.
@@ -628,27 +689,10 @@ func (r *run) tailStep() bool {
 				return progress // staged and stalled: the common no-op cycle
 			}
 		} else {
-			// Stage the next instruction: resolve its front-end state
-			// exactly once, and its earliest issue cycle.
 			if r.i >= r.end {
 				return progress
 			}
-			if !r.crossed && r.i >= r.meas {
-				// First tail instruction of the measurement range:
-				// snapshot every counter the result reports as a
-				// difference. A later squash may rewind the cursor below
-				// meas; the latch stays set — replay work caused inside
-				// the measurement range is charged to it.
-				r.crossed = true
-				r.meter.Cross(r.finish, r.counters())
-			}
-			r.st.idx = r.i
-			r.tr.Decode(r.i, &r.st.in)
-			r.st.avail = r.front.Avail(&r.st.in)
-			r.st.predTaken = r.front.Predict(&r.st.in)
-			r.st.valid = true
-			r.i++
-			r.stEarliest, r.stEarliestOK = r.tailEarliest(), true
+			r.stage()
 			if r.stEarliest > r.cycle {
 				return progress
 			}
@@ -660,7 +704,7 @@ func (r *run) tailStep() bool {
 			}
 			r.stallSSN = 0
 		}
-		if !r.slots.TryTake(r.cycle, r.st.in.Op) {
+		if !r.slots.TryTake(r.cycle, r.st.In.Op) {
 			return progress
 		}
 		if !r.issueTail() {
@@ -670,11 +714,30 @@ func (r *run) tailStep() bool {
 	}
 }
 
+// stage stages the next tail instruction: its front-end state resolved
+// exactly once, and its earliest issue cycle.
+func (r *run) stage() {
+	if !r.crossed && r.i >= r.meas {
+		// First tail instruction of the measurement range: snapshot
+		// every counter the result reports as a difference. A later
+		// squash may rewind the cursor below meas; the latch stays set —
+		// replay work caused inside the measurement range is charged to
+		// it.
+		r.crossed = true
+		r.meter.Cross(r.finish, r.counters())
+	}
+	r.st.idx = r.i
+	r.st.Stage(r.front, r.tr, r.i)
+	r.st.valid = true
+	r.i++
+	r.stEarliest, r.stEarliestOK = r.tailEarliest(), true
+}
+
 // issueTail processes the staged instruction at the current cycle. It
 // returns false if the instruction could not issue after all (structural
 // stall) and must retry.
 func (r *run) issueTail() bool {
-	in := &r.st.in
+	in := &r.st.In
 	idx := r.st.idx
 	t := r.cycle
 
@@ -710,14 +773,9 @@ func (r *run) issueTail() bool {
 		done = t + int64(in.Op.ExecLatency())
 	}
 
-	seq := r.nextSeq()
-	r.board.WriteDst(in, done, 0, seq)
-	if in.Op.IsCtrl() {
-		r.front.Train(in)
-		if r.st.predTaken != in.Taken {
-			r.res.BranchMispredicts++
-			r.front.Redirect(t + 1)
-		}
+	r.board.WriteDst(in, done, 0, r.nextSeq())
+	if r.st.Resolve(r.front, t) {
+		r.res.BranchMispredicts++
 	}
 	if r.mode == modeAdvance {
 		r.res.AdvanceInsts++
@@ -862,7 +920,7 @@ func (r *run) undoLoadPoison(inherited, vec uint8) {
 // sliceOut diverts a poisoned (miss-dependent) non-load-miss instruction
 // into the slice buffer.
 func (r *run) sliceOut() bool {
-	in := &r.st.in
+	in := &r.st.In
 	if r.slice.Full() {
 		// Check capacity before touching the store buffer: a poisoned
 		// store inserted without a slice entry would never receive its
@@ -888,7 +946,7 @@ func (r *run) sliceOut() bool {
 		}
 		e.storeSSN = ssn
 	case isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpRet:
-		e.predOK = r.st.predTaken == in.Taken
+		e.predOK = r.st.PredTaken == in.Taken
 		r.pendingBranches++
 	}
 

@@ -1,10 +1,11 @@
 package icfp
 
 // Strict-vs-skip-ahead equivalence over the committed adversarial
-// corpus: the same store-pressure, branch-chain, miss-cluster and
-// rally-starvation members the cross-model oracle (internal/diffcheck)
-// gates are also strict-stepped here, so a skip-ahead divergence on a
-// corpus pathology fails in the package that owns the bug.
+// corpus: every store-pressure, branch-chain, miss-cluster and
+// rally-starvation member the cross-model oracle (internal/diffcheck)
+// gates is also strict-stepped here, so a skip-ahead or normal-mode
+// divergence on a corpus pathology fails in the package that owns the
+// bug.
 
 import (
 	"testing"
@@ -13,27 +14,21 @@ import (
 	"icfp/internal/workload"
 )
 
-// fuzzSampleLabels picks one corpus member per pathology axis plus the
-// everything-at-once member.
-var fuzzSampleLabels = []string{"sb-extreme", "bl-noisy", "mc-extreme", "rs-extreme", "all-d"}
-
 func TestStrictEquivalenceFuzzCorpus(t *testing.T) {
-	for _, label := range fuzzSampleLabels {
-		c, ok := workload.FuzzCorpusMember(label)
-		if !ok {
-			t.Fatalf("corpus member %q missing (corpus edited instead of appended?)", label)
-		}
+	for _, c := range workload.FuzzCorpus() {
 		tc := strictCase{
 			name: c.Label, cfg: pipeline.DefaultConfig,
 			sb: SBChained, trig: pipeline.TriggerAll,
 			w: func() *workload.Workload { return workload.Fuzz(c.Seed, c.Knobs, 6000) },
 		}
 		t.Run(c.Label, func(t *testing.T) {
-			want := runOnce(tc, true)
-			got := runOnce(tc, false)
-			if got != want {
-				t.Errorf("skip-ahead diverged from strict stepping on %s:\nstrict: %+v\nskip:   %+v",
-					c.Name(), want, got)
+			for _, pol := range []pipeline.SamplePolicy{{}, rampedWindows} {
+				want := runPolicy(tc, true, pol)
+				got := runPolicy(tc, false, pol)
+				if got != want {
+					t.Errorf("skip-ahead diverged from strict stepping on %s (sampling %+v):\nstrict: %+v\nskip:   %+v",
+						c.Name(), pol, want, got)
+				}
 			}
 		})
 	}

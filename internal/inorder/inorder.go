@@ -25,7 +25,9 @@ func New(cfg pipeline.Config) *Machine {
 	return m
 }
 
-// Window is the in-order pipeline's window loop (pipeline.WindowLoop).
+// Window is the in-order pipeline's window loop (pipeline.WindowLoop):
+// the shared normal-mode issue step (pipeline.Staged) for every
+// instruction, with the in-order store buffer's loads and stores.
 func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
 	front := pipeline.NewFrontend(&cfg, hier, pred)
@@ -36,21 +38,14 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 	var finish int64
 	var lastIssue int64
 	var mispredicts uint64
-	var in isa.Inst
+	var st pipeline.Staged
+	in := &st.In
 	for i := start; i < hi; i++ {
 		if i == meas {
 			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
-		tr.Decode(i, &in)
-		earliest := front.Avail(&in)
-		if r := board.SrcReady(&in); r > earliest {
-			earliest = r
-		}
-		if earliest < lastIssue {
-			earliest = lastIssue // in-order issue
-		}
-		predTaken := front.Predict(&in)
-
+		st.Stage(front, tr, i)
+		earliest := st.Earliest(&board, lastIssue)
 		if in.Op == isa.OpStore {
 			earliest = sb.FullUntil(earliest)
 		}
@@ -75,15 +70,9 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 		default:
 			done = t + int64(in.Op.ExecLatency())
 		}
-
-		board.WriteDst(&in, done, 0, uint64(i))
-
-		if in.Op.IsCtrl() {
-			front.Train(&in)
-			if predTaken != in.Taken {
-				mispredicts++
-				front.Redirect(t + 1)
-			}
+		board.WriteDst(in, done, 0, uint64(i))
+		if st.Resolve(front, t) {
+			mispredicts++
 		}
 		if done > finish {
 			finish = done

@@ -49,7 +49,7 @@ func (o Op) Valid() bool { return o < numOps }
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 
 // IsCtrl reports whether the op is a control transfer.
-func (o Op) IsCtrl() bool { return o == OpBranch || o == OpJump || o == OpCall || o == OpRet }
+func (o Op) IsCtrl() bool { return o >= OpBranch && o <= OpRet }
 
 // ExecLatency returns the execution latency in cycles for non-memory ops.
 // Loads and stores derive their latency from the memory hierarchy instead.

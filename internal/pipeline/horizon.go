@@ -62,11 +62,12 @@ func (h *Horizon) Next() int64 {
 // anything can change?" and jumps there, an instruction-driven core asks
 // "what is the LATEST readiness constraint on the next instruction?" and
 // issues there directly — the degenerate, strongest form of skip-ahead,
-// since no stalled cycle is ever visited at all. Runahead, Multipass and
-// SLTP accumulate front-end availability, source readiness and in-order
-// issue ordering through a Gate; iCFP's tail uses one for the same
-// computation inside its cycle loop. See docs/ARCHITECTURE.md, "The
-// cycle loop contract".
+// since no stalled cycle is ever visited at all. The normal-mode issue
+// step (Staged.Earliest) gates on front-end availability, source
+// readiness and in-order issue ordering; Runahead's and SLTP's advance
+// walks accumulate the same constraints through a Gate, leaving out the
+// readiness of poisoned sources. See docs/ARCHITECTURE.md, "The cycle
+// loop contract".
 type Gate struct {
 	at int64
 }

@@ -161,14 +161,10 @@ func (r *run) take(earliest int64, op isa.Op) int64 {
 // step processes one normal-mode instruction; on a triggering miss it
 // executes the whole advance episode inline before returning.
 func (r *run) step(i int) {
-	var in isa.Inst
-	r.tr.Decode(i, &in)
-	var g pipeline.Gate
-	g.Reset(r.front.Avail(&in))
-	g.Require(r.board.SrcReady(&in))
-	g.Require(r.lastIssue)
-	earliest := g.At()
-	predTaken := r.front.Predict(&in)
+	var st pipeline.Staged
+	st.Stage(r.front, r.tr, i)
+	in := &st.In
+	earliest := st.Earliest(&r.board, r.lastIssue)
 	if in.Op == isa.OpStore {
 		earliest = r.sb.FullUntil(earliest)
 	}
@@ -189,21 +185,16 @@ func (r *run) step(i int) {
 	case resHit && in.Op != isa.OpStore:
 		done = t + 1
 	case in.Op == isa.OpLoad:
-		done = r.load(i, &in, t)
+		done = r.load(i, in, t)
 	case in.Op == isa.OpStore:
 		r.sb.Insert(t, in.Addr, in.Val)
 		done = t + 1
 	default:
 		done = t + int64(in.Op.ExecLatency())
 	}
-	r.board.WriteDst(&in, done, 0, uint64(i))
-
-	if in.Op.IsCtrl() {
-		r.front.Train(&in)
-		if predTaken != in.Taken {
-			r.res.BranchMispredicts++
-			r.front.Redirect(t + 1)
-		}
+	r.board.WriteDst(in, done, 0, uint64(i))
+	if st.Resolve(r.front, t) {
+		r.res.BranchMispredicts++
 	}
 	if done > r.finish {
 		r.finish = done

@@ -158,14 +158,10 @@ func (r *run) take(earliest int64, op isa.Op) int64 {
 // step processes the instruction at i in normal mode and returns the next
 // index (which rewinds on a squash).
 func (r *run) step(i int) int {
-	var in isa.Inst
-	r.tr.Decode(i, &in)
-	var g pipeline.Gate
-	g.Reset(r.front.Avail(&in))
-	g.Require(r.board.SrcReady(&in))
-	g.Require(r.lastIssue)
-	earliest := g.At()
-	predTaken := r.front.Predict(&in)
+	var st pipeline.Staged
+	st.Stage(r.front, r.tr, i)
+	in := &st.In
+	earliest := st.Earliest(&r.board, r.lastIssue)
 	if in.Op == isa.OpStore {
 		earliest = r.sb.FullUntil(earliest)
 	}
@@ -194,14 +190,9 @@ func (r *run) step(i int) int {
 	default:
 		done = t + int64(in.Op.ExecLatency())
 	}
-	r.board.WriteDst(&in, done, 0, uint64(i))
-
-	if in.Op.IsCtrl() {
-		r.front.Train(&in)
-		if predTaken != in.Taken {
-			r.res.BranchMispredicts++
-			r.front.Redirect(t + 1)
-		}
+	r.board.WriteDst(in, done, 0, uint64(i))
+	if st.Resolve(r.front, t) {
+		r.res.BranchMispredicts++
 	}
 	if done > r.finish {
 		r.finish = done

@@ -34,7 +34,7 @@ var simRateRatios = map[string]float64{
 	"Runahead":  0.775,
 	"Multipass": 0.592,
 	"SLTP":      0.830,
-	"iCFP":      0.470,
+	"iCFP":      0.567,
 }
 
 const simRateSlack = 0.20
