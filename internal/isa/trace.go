@@ -63,10 +63,14 @@ type Static struct {
 	Size uint8
 }
 
-// key packs s's fields other than the PC.
-func (s *Static) key() uint64 {
-	return uint64(s.Op) | uint64(s.Dst)<<8 | uint64(s.Src1)<<16 | uint64(s.Src2)<<24 | uint64(s.Size)<<32
+// StaticKey packs a Static's fields other than the PC into the key
+// Builder.AppendStatic takes.
+func StaticKey(op Op, dst, src1, src2 Reg, size uint8) uint64 {
+	return uint64(op) | uint64(dst)<<8 | uint64(src1)<<16 | uint64(src2)<<24 | uint64(size)<<32
 }
+
+// key packs s's fields other than the PC.
+func (s *Static) key() uint64 { return StaticKey(s.Op, s.Dst, s.Src1, s.Src2, s.Size) }
 
 // addrBlock locates the Addrs of 64 consecutive instructions: bit k of
 // mask is set when instruction 64*blk+k carries one, and base is the
@@ -228,22 +232,27 @@ func (b *Builder) Len() int { return b.n }
 
 // Append adds *in as the trace's next instruction.
 func (b *Builder) Append(in *Inst) {
-	b.AppendStatic(Static{in.PC, in.Op, in.Dst, in.Src1, in.Src2, in.Size}, in.Addr, in.Val, in.Taken, in.Target)
+	b.AppendStatic(in.PC, StaticKey(in.Op, in.Dst, in.Src1, in.Src2, in.Size), in.Addr, in.Val, in.Taken, in.Target)
 }
 
-// AppendStatic adds the instruction with static part s and the given
-// dynamic fields as the trace's next. It is Append for a producer that
-// has the fields in hand: they arrive in registers, where Append reads
-// back an Inst the producer has just written to memory.
-func (b *Builder) AppendStatic(s Static, addr, val uint64, taken bool, target uint64) {
+// AppendStatic adds the instruction with PC pc, static key key
+// (StaticKey) and the given dynamic fields as the trace's next. It is
+// Append for a producer that has the fields in hand: they arrive in
+// registers, where Append reads back an Inst the producer has just
+// written to memory. The static part comes packed because as a Static it
+// would not fit the argument registers: it would be spilled to the stack
+// field by field and read back as one word by the key, a store-forwarding
+// stall on every instruction.
+func (b *Builder) AppendStatic(pc, key, addr, val uint64, taken bool, target uint64) {
+	op := Op(key)
 	i := b.n
 	if i == len(b.t.dyn) {
 		b.grow()
 	}
 	if i > 0 {
-		b.settle(s.PC, true)
+		b.settle(pc, true)
 	}
-	d := b.index(s.PC, s.key())
+	d := b.index(pc, key)
 	if taken {
 		d |= takenBit
 	}
@@ -251,7 +260,7 @@ func (b *Builder) AppendStatic(s Static, addr, val uint64, taken bool, target ui
 	if i&63 == 0 {
 		b.t.blocks[i>>6].base = uint32(o)
 	}
-	if s.Op.IsMem() || addr != 0 {
+	if op.IsMem() || addr != 0 {
 		d |= addrBit
 		b.t.blocks[i>>6].mask |= 1 << (i & 63)
 		if o == b.addrOK {
@@ -263,7 +272,7 @@ func (b *Builder) AppendStatic(s Static, addr, val uint64, taken bool, target ui
 	b.t.dyn[i] = d
 	b.t.val[i] = val
 	b.n = i + 1
-	b.target, b.takenCtrl = target, taken && s.Op.IsCtrl()
+	b.target, b.takenCtrl = target, taken && op.IsCtrl()
 }
 
 // grow doubles the per-instruction arrays: the builder was sized short.
@@ -314,8 +323,7 @@ func (b *Builder) settle(next uint64, hasNext bool) {
 }
 
 // index returns the static index of the Static with the given PC and
-// key, adding it if it is new. It takes the key, not the Static, so the
-// Static stays in registers. A program mostly repeats its paths, so the
+// key, adding it if it is new. A program mostly repeats its paths, so the
 // static added after the last instruction's is checked before the
 // lookup is probed.
 func (b *Builder) index(pc, key uint64) uint32 {

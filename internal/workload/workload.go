@@ -220,7 +220,7 @@ func newBuilder(name string, seed int64, n int) *builder {
 
 // emit appends an instruction.
 func (b *builder) emit(pc uint64, op isa.Op, dst, s1, s2 isa.Reg, size uint8, addr, val uint64, taken bool, target uint64) {
-	b.tr.AppendStatic(isa.Static{PC: pc, Op: op, Dst: dst, Src1: s1, Src2: s2, Size: size}, addr, val, taken, target)
+	b.tr.AppendStatic(pc, isa.StaticKey(op, dst, s1, s2, size), addr, val, taken, target)
 }
 
 // emitALU appends a 1-cycle integer op dst = f(src1, src2).
