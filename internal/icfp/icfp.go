@@ -730,7 +730,12 @@ func (r *run) stage() {
 	r.st.Stage(r.front, r.tr, r.i)
 	r.st.valid = true
 	r.i++
-	r.stEarliest, r.stEarliestOK = r.tailEarliest(), true
+	if r.mode == modeNormal {
+		r.stEarliest = r.st.Earliest(&r.board, r.lastIssue)
+	} else {
+		r.stEarliest = r.tailEarliest()
+	}
+	r.stEarliestOK = true
 }
 
 // issueTail processes the staged instruction at the current cycle. It

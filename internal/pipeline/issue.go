@@ -20,11 +20,12 @@ type Staged struct {
 
 // Stage decodes trace index i into s and resolves its front-end state:
 // once per instruction, in program order, since both front-end calls
-// advance fetch state.
+// advance fetch state. Only control instructions are predicted
+// (Frontend.Predict leaves any other alone).
 func (s *Staged) Stage(f *Frontend, tr *isa.Trace, i int) {
 	tr.Decode(i, &s.In)
 	s.Avail = f.Avail(&s.In)
-	s.PredTaken = f.Predict(&s.In)
+	s.PredTaken = s.In.Op.IsCtrl() && f.Predict(&s.In)
 }
 
 // Earliest returns the first cycle s may issue: once the front end
