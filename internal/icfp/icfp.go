@@ -730,7 +730,7 @@ func (r *run) stage() {
 	r.st.Stage(r.front, r.tr, r.i)
 	r.st.valid = true
 	r.i++
-	if r.mode == modeNormal {
+	if r.mode == modeNormal { // tailEarliest's common case, inlined
 		r.stEarliest = r.st.Earliest(&r.board, r.lastIssue)
 	} else {
 		r.stEarliest = r.tailEarliest()
