@@ -274,8 +274,7 @@ func (r *run) loop() {
 // are popped (a probe outside advance mode cannot squash, but
 // len(r.ext) gates sigInsert).
 func (r *run) normal() {
-	drainAt := r.cycle    // the first cycle whose drain has not run
-	r.recheckPass = false // what fireReturns does with an empty slice
+	drainAt := r.cycle // the first cycle whose drain has not run
 	for {
 		if !r.st.valid {
 			if r.i >= r.end {
@@ -301,10 +300,9 @@ func (r *run) normal() {
 			r.cycle++ // a structural stall: the loop retries next cycle
 			return
 		}
-		if r.mode == modeAdvance || !r.slice.Empty() {
-			// A load missed and entered advance mode (or forwarded from a
-			// poisoned store and went to the slice buffer): the rest of
-			// this cycle's tail issue is the loop's, as is what follows.
+		if r.mode == modeAdvance {
+			// A load missed and entered advance mode: the rest of this
+			// cycle's tail issue is the loop's, as is what follows.
 			r.tailStep()
 			r.maybeExitAdvance()
 			r.cycle++
@@ -730,12 +728,7 @@ func (r *run) stage() {
 	r.st.Stage(r.front, r.tr, r.i)
 	r.st.valid = true
 	r.i++
-	if r.mode == modeNormal { // tailEarliest's common case, inlined
-		r.stEarliest = r.st.Earliest(&r.board, r.lastIssue)
-	} else {
-		r.stEarliest = r.tailEarliest()
-	}
-	r.stEarliestOK = true
+	r.stEarliest, r.stEarliestOK = r.tailEarliest(), true
 }
 
 // issueTail processes the staged instruction at the current cycle. It
