@@ -48,7 +48,8 @@ func (o Op) Valid() bool { return o < numOps }
 // IsMem reports whether the op accesses data memory.
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 
-// IsCtrl reports whether the op is a control transfer.
+// IsCtrl reports whether the op is a control transfer: OpBranch through
+// OpRet, which the opcode list keeps adjacent.
 func (o Op) IsCtrl() bool { return o >= OpBranch && o <= OpRet }
 
 // ExecLatency returns the execution latency in cycles for non-memory ops.
