@@ -42,12 +42,14 @@ func TestStalledHeaderIsDisconnected(t *testing.T) {
 	go hs.Serve(ln)
 	defer hs.Close()
 
+	// The server's header timer can start when it accepts the connection,
+	// before Dial returns, so the clock starts before Dial.
+	start := time.Now()
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
 	if _, err := io.WriteString(c, "POST /submit HTTP/1.1\r\nHost: expq\r\nContent-Type: app"); err != nil {
 		t.Fatal(err)
 	}

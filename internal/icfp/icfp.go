@@ -836,7 +836,7 @@ func (r *run) execLoad(idx int, in *isa.Inst, t int64) (loadOutcome, int64) {
 	}
 
 	// A real miss.
-	if !r.triggered(acc.Level) {
+	if !r.cfg.Trigger.Fires(acc.Level, r.mode == modeAdvance) {
 		// Configured not to advance under this miss level: behave like
 		// the in-order baseline (stall on use).
 		return loadDone, acc.Done + pipe
@@ -979,21 +979,6 @@ func (r *run) captureSrcs(e *sliceEntry, in *isa.Inst) {
 }
 
 // ---- mode transitions ----
-
-func (r *run) triggered(level mem.Level) bool {
-	switch r.cfg.Trigger {
-	case pipeline.TriggerL2Only:
-		return level == mem.LevelMem
-	case pipeline.TriggerPrimaryD1:
-		if r.mode == modeAdvance {
-			return level == mem.LevelMem
-		}
-		return level != mem.LevelL1
-	case pipeline.TriggerAll:
-		return level != mem.LevelL1
-	}
-	return false
-}
 
 // enterAdvance checkpoints the register file and transitions to advance
 // mode. Unlike Runahead, nothing is flushed: the pipeline keeps flowing.

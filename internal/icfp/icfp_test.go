@@ -295,27 +295,3 @@ func TestNoAdvanceIsInOrderShortWindow(t *testing.T) {
 		t.Errorf("16 eon instructions: iCFP-L2 %d cycles, in-order %d, want both 26", ic.Cycles, io.Cycles)
 	}
 }
-
-// TestNoAdvanceIsInOrder runs every SPEC profile under iCFP advancing
-// only on L2 misses: each run that never advances (and so never leaves
-// normal mode) must take exactly the in-order baseline's cycles.
-func TestNoAdvanceIsInOrder(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
-	cfg.WarmupInsts = 7_500
-	checked := 0
-	for _, name := range workload.AllSPECNames {
-		w := workload.SPEC(name, 20_000)
-		ic := NewWithOptions(cfg, pipeline.TriggerL2Only, SBChained).Run(w)
-		if ic.Advances != 0 {
-			continue
-		}
-		checked++
-		if io := inorder.New(cfg).Run(w); ic.Cycles != io.Cycles {
-			t.Errorf("%s: iCFP-L2 without advance took %d cycles, in-order %d", name, ic.Cycles, io.Cycles)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("every profile advanced: the test compared nothing")
-	}
-	t.Logf("%d of %d profiles ran without advance", checked, len(workload.AllSPECNames))
-}

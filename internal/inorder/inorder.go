@@ -26,58 +26,17 @@ func New(cfg pipeline.Config) *Machine {
 }
 
 // Window is the in-order pipeline's window loop (pipeline.WindowLoop):
-// the shared normal-mode issue step (pipeline.Staged) for every
-// instruction, with the in-order store buffer's loads and stores.
+// pipeline.InOrder's step for every instruction, retiring the misses it
+// hands back at once, since the baseline never advances.
 func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
-	cfg := m.cfg
-	front := pipeline.NewFrontend(&cfg, hier, pred)
-	slots := pipeline.NewSlotAlloc(&cfg)
-	sb := pipeline.NewStoreBuffer(cfg.StoreBufEntries, hier)
-	var board pipeline.Scoreboard
-
-	var finish int64
-	var lastIssue int64
-	var mispredicts uint64
-	var st pipeline.Staged
-	in := &st.In
+	p := pipeline.NewInOrder(&m.cfg, tr, hier, pred)
 	for i := start; i < hi; i++ {
 		if i == meas {
-			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
+			meter.Cross(p.Finish, p.Res)
 		}
-		st.Stage(front, tr, i)
-		earliest := st.Earliest(&board, lastIssue)
-		if in.Op == isa.OpStore {
-			earliest = sb.FullUntil(earliest)
-		}
-		t := slots.Take(earliest, in.Op)
-		lastIssue = t
-
-		var done int64
-		switch in.Op {
-		case isa.OpLoad:
-			if _, ok := sb.Forward(t, in.Addr); ok {
-				done = t + int64(cfg.DCachePipe)
-			} else {
-				r := hier.Data(t, in.Addr, false)
-				done = r.Done + int64(cfg.DCachePipe)
-				if hit := t + int64(cfg.DCachePipe); done < hit {
-					done = hit
-				}
-			}
-		case isa.OpStore:
-			sb.Insert(t, in.Addr, in.Val)
-			done = t + 1
-		default:
-			done = t + int64(in.Op.ExecLatency())
-		}
-		board.WriteDst(in, done, 0, uint64(i))
-		if st.Resolve(front, t) {
-			mispredicts++
-		}
-		if done > finish {
-			finish = done
+		if _, done, miss := p.Step(i, false); miss {
+			p.Retire(i, p.LastIssue, done)
 		}
 	}
-
-	return finish, pipeline.Result{BranchMispredicts: mispredicts}
+	return p.Finish, p.Res
 }

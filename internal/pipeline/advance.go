@@ -1,6 +1,9 @@
 package pipeline
 
-import "icfp/internal/isa"
+import (
+	"icfp/internal/isa"
+	"icfp/internal/mem"
+)
 
 // AdvanceTrigger selects which load misses push a machine from normal
 // execution into advance mode (Figures 5 and 6 sweep this):
@@ -18,6 +21,27 @@ const (
 	// cache misses (iCFP's configuration).
 	TriggerAll
 )
+
+// Fires reports whether a load miss serviced at level triggers advance
+// mode: from normal mode it starts an episode, and while advancing
+// (iCFP only) it is poisoned and sliced rather than waited out. Under
+// TriggerPrimaryD1 only the first miss of an episode may be a data
+// cache miss; later ones must leave the L2. An unknown trigger never
+// fires.
+func (t AdvanceTrigger) Fires(level mem.Level, advancing bool) bool {
+	switch t {
+	case TriggerL2Only:
+		return level == mem.LevelMem
+	case TriggerPrimaryD1:
+		if advancing {
+			return level == mem.LevelMem
+		}
+		return level != mem.LevelL1
+	case TriggerAll:
+		return level != mem.LevelL1
+	}
+	return false
+}
 
 // String names the trigger for experiment output.
 func (t AdvanceTrigger) String() string {

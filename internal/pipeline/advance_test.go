@@ -9,6 +9,8 @@ package pipeline
 import (
 	"math/rand"
 	"testing"
+
+	"icfp/internal/mem"
 )
 
 // refCache is the obvious FIFO-evicting forwarding cache.
@@ -117,5 +119,27 @@ func TestRunaheadCacheEpochWrap(t *testing.T) {
 	rc.Put(0x3000, 11, 2)
 	if v, p, ok := rc.Get(0x3000); !ok || v != 11 || p != 2 {
 		t.Fatalf("post-wrap Put/Get = (%d,%d,%v), want (11,2,true)", v, p, ok)
+	}
+}
+
+// TestAdvanceTriggerFires pins the trigger table: which miss levels
+// start an episode from normal mode, and which an advancing iCFP
+// poisons instead of waiting out.
+func TestAdvanceTriggerFires(t *testing.T) {
+	levels := []mem.Level{mem.LevelL1, mem.LevelL2, mem.LevelStream, mem.LevelMem}
+	want := map[AdvanceTrigger][2][4]bool{ // [advancing][level]
+		TriggerL2Only:     {{false, false, false, true}, {false, false, false, true}},
+		TriggerPrimaryD1:  {{false, true, true, true}, {false, false, false, true}},
+		TriggerAll:        {{false, true, true, true}, {false, true, true, true}},
+		AdvanceTrigger(9): {},
+	}
+	for trig, byMode := range want {
+		for a, advancing := range []bool{false, true} {
+			for k, level := range levels {
+				if got := trig.Fires(level, advancing); got != byMode[a][k] {
+					t.Errorf("%v.Fires(%v, advancing %v) = %v, want %v", trig, level, advancing, got, byMode[a][k])
+				}
+			}
+		}
 	}
 }

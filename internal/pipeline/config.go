@@ -3,8 +3,10 @@
 // Table 1 machine configuration, the front-end fetch/prediction model, the
 // per-cycle issue-slot allocator, the register scoreboard with poison
 // vectors and last-writer sequence numbers, the conventional
-// associative store buffer, and the measured-window path (Core, Meter,
-// interval sampling and shared warm state) every model runs through.
+// associative store buffer, the in-order pipeline step over them
+// (InOrder) that the store-buffer models share in normal mode, and the
+// measured-window path (Core, Meter, interval sampling and shared warm
+// state) every model runs through.
 package pipeline
 
 import (

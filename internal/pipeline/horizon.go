@@ -56,31 +56,3 @@ func (h *Horizon) Next() int64 {
 	}
 	return h.next
 }
-
-// Gate is the Horizon's dual, for instruction-driven cores: where a
-// cycle-driven core asks "what is the EARLIEST future cycle at which
-// anything can change?" and jumps there, an instruction-driven core asks
-// "what is the LATEST readiness constraint on the next instruction?" and
-// issues there directly — the degenerate, strongest form of skip-ahead,
-// since no stalled cycle is ever visited at all. The normal-mode issue
-// step (Staged.Earliest) gates on front-end availability, source
-// readiness and in-order issue ordering; Runahead's and SLTP's advance
-// walks accumulate the same constraints through a Gate, leaving out the
-// readiness of poisoned sources. See docs/ARCHITECTURE.md, "The cycle
-// loop contract".
-type Gate struct {
-	at int64
-}
-
-// Reset starts a new constraint set with a floor cycle.
-func (g *Gate) Reset(c int64) { g.at = c }
-
-// Require adds a readiness constraint: issue cannot happen before c.
-func (g *Gate) Require(c int64) {
-	if c > g.at {
-		g.at = c
-	}
-}
-
-// At returns the earliest cycle satisfying every constraint so far.
-func (g *Gate) At() int64 { return g.at }

@@ -42,9 +42,19 @@ func (s *SlotAlloc) advanceTo(cycle int64) {
 	}
 }
 
+// StrictTake (test-only) makes Take walk one cycle at a time
+// (takeStrict) instead of jumping straight to the next fitting cycle.
+// Simulated behaviour must be identical either way: the strict
+// equivalence suites of the instruction-driven cores set it to check
+// the jump against the trivially correct walk.
+var StrictTake = false
+
 // Take allocates a slot for op at the earliest cycle >= earliest and
 // returns that cycle.
 func (s *SlotAlloc) Take(earliest int64, op isa.Op) int64 {
+	if StrictTake {
+		return s.takeStrict(earliest, op)
+	}
 	s.advanceTo(earliest)
 	for !s.fits(op) {
 		s.advanceTo(s.cycle + 1)
@@ -53,12 +63,12 @@ func (s *SlotAlloc) Take(earliest int64, op isa.Op) int64 {
 	return s.cycle
 }
 
-// TakeStrict is Take without the skip: it steps the allocator one cycle
+// takeStrict is Take without the skip: it steps the allocator one cycle
 // at a time from the current cycle until op fits. The result and end
-// state are identical to Take's — the strict-vs-skip-ahead equivalence
-// tests use it to pin that the jump in advanceTo never changes what a
-// core observes.
-func (s *SlotAlloc) TakeStrict(earliest int64, op isa.Op) int64 {
+// state are identical to Take's: under StrictTake, the
+// strict-vs-skip-ahead equivalence tests pin that the jump in advanceTo
+// never changes what a core observes.
+func (s *SlotAlloc) takeStrict(earliest int64, op isa.Op) int64 {
 	c := s.cycle
 	if c < 0 {
 		c = 0

@@ -59,26 +59,13 @@ func newMachine(cfg pipeline.Config, multipass bool) *Machine {
 	return m
 }
 
-// strictCycles (test-only) forces slot allocation to step one cycle at a
-// time (SlotAlloc.TakeStrict) instead of jumping straight to the next
-// fitting cycle. Simulated behaviour must be identical either way — the
-// equivalence tests in strict_test.go pin that — so the flag exists
-// purely to exercise the skip-ahead against the trivially correct strict
-// walk.
-var strictCycles = false
-
-// run bundles per-window state.
+// run bundles per-window state: the in-order pipeline of normal mode
+// plus the advance-mode structures.
 type run struct {
-	cfg   *pipeline.Config
-	mp    bool
-	tr    *isa.Trace
-	end   int // window end (exclusive trace index); tr.Len() for full runs
-	hier  *mem.Hierarchy
-	front *pipeline.Frontend
-	slots *pipeline.SlotAlloc
-	sb    *pipeline.StoreBuffer
-	board pipeline.Scoreboard
-	rc    *pipeline.RunaheadCache
+	pipeline.InOrder
+	mp  bool
+	end int // window end (exclusive trace index); tr.Len() for full runs
+	rc  *pipeline.RunaheadCache
 
 	// Multipass result buffer: resMark[j] is set while trace index j holds
 	// a result computed during an advance pass that remains valid, and
@@ -89,12 +76,6 @@ type run struct {
 	// pass loop allocates nothing.
 	resMark []bool
 	resLive int
-
-	lastIssue  int64
-	finish     int64
-	lastDetect int64
-
-	res pipeline.Result
 }
 
 // Window is the window loop (pipeline.WindowLoop). An advance episode
@@ -103,11 +84,7 @@ type run struct {
 // by one episode.
 func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
-	r := &run{cfg: &cfg, mp: m.multipass, tr: tr, end: hi}
-	r.hier = hier
-	r.front = pipeline.NewFrontend(&cfg, r.hier, pred)
-	r.slots = pipeline.NewSlotAlloc(&cfg)
-	r.sb = pipeline.NewStoreBuffer(cfg.StoreBufEntries, r.hier)
+	r := &run{InOrder: pipeline.NewInOrder(&cfg, tr, hier, pred), mp: m.multipass, end: hi}
 	if m.rc == nil {
 		m.rc = pipeline.NewRunaheadCache(cfg.RunaheadCache)
 	}
@@ -115,17 +92,19 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 	m.rc.Evictions = 0
 	r.rc = m.rc
 	if m.multipass {
-		if len(m.resMark) < r.tr.Len() {
-			m.resMark = make([]bool, r.tr.Len())
+		if len(m.resMark) < tr.Len() {
+			m.resMark = make([]bool, tr.Len())
 		}
 		r.resMark = m.resMark
 	}
 
 	for i := start; i < hi; i++ {
 		if i == meas {
-			meter.Cross(r.finish, r.res)
+			meter.Cross(r.Finish, r.Res)
 		}
-		r.step(i)
+		if acc, done, miss := r.Step(i, r.reuse(i)); miss {
+			r.miss(i, acc, done)
+		}
 	}
 	if r.mp && r.resLive != 0 {
 		// The normal-mode cursor passes every marked index, so the mark
@@ -135,135 +114,64 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 		clear(r.resMark)
 	}
 
-	return r.finish, r.res
+	return r.Finish, r.Res
 }
 
-// triggered reports whether a load serviced at level enters advance mode.
-func (r *run) triggered(level mem.Level) bool {
-	switch r.cfg.Trigger {
-	case pipeline.TriggerL2Only:
-		return level == mem.LevelMem
-	case pipeline.TriggerPrimaryD1, pipeline.TriggerAll:
-		return level != mem.LevelL1
+// reuse reports whether the instruction at trace index i has its result
+// in the Multipass result buffer, computed during an advance pass, and
+// consumes it: reusing it breaks the dependence.
+func (r *run) reuse(i int) bool {
+	if !r.mp || !r.resMark[i] {
+		return false
 	}
-	return false
+	r.resMark[i] = false
+	r.resLive--
+	return true
 }
 
-// take allocates an issue slot, via the strict cycle walk when the
-// equivalence tests ask for it.
-func (r *run) take(earliest int64, op isa.Op) int64 {
-	if strictCycles {
-		return r.slots.TakeStrict(earliest, op)
+// miss handles the normal-mode load at trace index i that missed the L1
+// (access acc, completing at done): a triggering miss runs the whole
+// advance episode inline, and then the load retires.
+func (r *run) miss(i int, acc mem.Result, done int64) {
+	t := r.LastIssue
+	if r.Cfg.Trigger.Fires(acc.Level, false) && acc.Done > t+int64(r.Cfg.FrontDepth) {
+		r.advance(i, t+int64(r.Cfg.DCachePipe), done)
 	}
-	return r.slots.Take(earliest, op)
-}
-
-// step processes one normal-mode instruction; on a triggering miss it
-// executes the whole advance episode inline before returning.
-func (r *run) step(i int) {
-	var st pipeline.Staged
-	st.Stage(r.front, r.tr, i)
-	in := &st.In
-	earliest := st.Earliest(&r.board, r.lastIssue)
-	if in.Op == isa.OpStore {
-		earliest = r.sb.FullUntil(earliest)
-	}
-	t := r.take(earliest, in.Op)
-	r.lastIssue = t
-
-	resHit := false
-	if r.mp && r.resMark[i] {
-		// Multipass: this instruction's result was computed during an
-		// advance pass; reuse it to break the dependence.
-		r.resMark[i] = false
-		r.resLive--
-		resHit = true
-	}
-
-	var done int64
-	switch {
-	case resHit && in.Op != isa.OpStore:
-		done = t + 1
-	case in.Op == isa.OpLoad:
-		done = r.load(i, in, t)
-	case in.Op == isa.OpStore:
-		r.sb.Insert(t, in.Addr, in.Val)
-		done = t + 1
-	default:
-		done = t + int64(in.Op.ExecLatency())
-	}
-	r.board.WriteDst(in, done, 0, uint64(i))
-	if st.Resolve(r.front, t) {
-		r.res.BranchMispredicts++
-	}
-	if done > r.finish {
-		r.finish = done
-	}
-}
-
-// load executes the normal-mode load in, at trace index i, at cycle t
-// and triggers advance mode when appropriate. It returns the load's
-// completion cycle.
-func (r *run) load(i int, in *isa.Inst, t int64) int64 {
-	pipe := int64(r.cfg.DCachePipe)
-	if _, ok := r.sb.Forward(t, in.Addr); ok {
-		return t + pipe
-	}
-	acc := r.hier.Data(t, in.Addr, false)
-	done := acc.Done + pipe
-	if hit := t + pipe; done < hit {
-		done = hit
-	}
-	if r.triggered(acc.Level) && done > t+pipe+int64(r.cfg.FrontDepth) {
-		r.advance(i, t+pipe, done)
-	}
-	return done
+	r.Retire(i, t, done)
 }
 
 // advance runs one advance episode: checkpoint at the triggering load
 // (index i, miss detected at detect, data returning at ret), speculate
 // past it, then restore.
 func (r *run) advance(i int, detect, ret int64) {
-	r.res.Advances++
-	ckpt := pipeline.TakeCheckpoint(&r.board, i)
-	var in isa.Inst
-	r.tr.Decode(i, &in)
-	if in.HasDst() {
-		r.board.Poison[in.Dst] = 1
+	r.Res.Advances++
+	ckpt := pipeline.TakeCheckpoint(&r.Board, i)
+	if in := &r.St.In; in.HasDst() {
+		r.Board.Poison[in.Dst] = 1
 	}
 	// The transition discards younger in-flight instructions (§5.1):
 	// instruction supply restarts from the miss point.
-	r.front.Flush(detect)
+	r.Front.Flush(detect)
 
 	last := detect
 	j := i + 1
 	diverged := false
 	for j < r.end && !diverged {
 		var adv isa.Inst
-		r.tr.Decode(j, &adv)
-		var g pipeline.Gate
-		g.Reset(r.front.Avail(&adv))
-		poison := r.board.SrcPoison(&adv)
-		if poison == 0 {
-			g.Require(r.board.SrcReady(&adv))
-		}
-		g.Require(last)
-		earliest := g.At()
-		if r.slots.Peek(earliest, adv.Op) >= ret {
+		t, poison, predTaken, ok := r.IssueAdvance(j, &adv, last, ret)
+		if !ok {
 			break // the triggering miss is back; stop advancing
 		}
-		t := r.take(earliest, adv.Op)
 		last = t
-		r.res.AdvanceInsts++
+		r.Res.AdvanceInsts++
 
-		predTaken := r.front.Predict(&adv)
 		done := t + 1
 		switch {
 		case poison != 0:
 			// Miss-dependent: skipped, poison propagates.
 			switch {
-			case adv.Op == isa.OpStore && adv.Src1.Valid() && r.board.Poison[adv.Src1] != 0:
-				r.res.PoisonAddrObs++ // unknown address: nothing to record
+			case adv.Op == isa.OpStore && adv.Src1.Valid() && r.Board.Poison[adv.Src1] != 0:
+				r.Res.PoisonAddrObs++ // unknown address: nothing to record
 			case adv.Op == isa.OpStore:
 				r.rc.Put(adv.Addr, 0, poison)
 			case adv.Op.IsCtrl() && predTaken != adv.Taken:
@@ -272,17 +180,17 @@ func (r *run) advance(i int, detect, ret int64) {
 				diverged = true
 			}
 		case adv.Op == isa.OpLoad:
-			done = t + int64(r.cfg.DCachePipe)
+			done = t + int64(r.Cfg.DCachePipe)
 			if _, lp, hit := r.rc.Get(adv.Addr); hit {
 				poison = lp // forward from an advance store
-			} else if _, ok := r.sb.Forward(t, adv.Addr); !ok {
-				acc := r.hier.Data(t, adv.Addr, false)
+			} else if _, ok := r.SB.Forward(t, adv.Addr); !ok {
+				acc := r.Hier.Data(t, adv.Addr, false)
 				switch {
 				case acc.Level == mem.LevelL1:
 					// hit: done already set
-				case acc.Level == mem.LevelL2 && r.cfg.BlockSecondaryD1:
+				case acc.Level == mem.LevelL2 && r.Cfg.BlockSecondaryD1:
 					// D$-blocking: wait the secondary miss out.
-					done = acc.Done + int64(r.cfg.DCachePipe)
+					done = acc.Done + int64(r.Cfg.DCachePipe)
 					last = acc.Done
 				default:
 					poison = 1 // D$-nb: poison the output, keep advancing
@@ -295,13 +203,13 @@ func (r *run) advance(i int, detect, ret int64) {
 		}
 
 		if poison == 0 && adv.Op.IsCtrl() {
-			r.front.Train(&adv)
+			r.Front.Train(&adv)
 			if predTaken != adv.Taken {
-				r.front.Redirect(t + 1)
+				r.Front.Redirect(t + 1)
 			}
 		}
-		r.board.WriteDst(&adv, done, poison, uint64(j))
-		if r.mp && poison == 0 && r.resLive < r.cfg.ResultBufEntries && !r.resMark[j] {
+		r.Board.WriteDst(&adv, done, poison, uint64(j))
+		if r.mp && poison == 0 && r.resLive < r.Cfg.ResultBufEntries && !r.resMark[j] {
 			r.resMark[j] = true
 			r.resLive++
 		}
@@ -309,12 +217,12 @@ func (r *run) advance(i int, detect, ret int64) {
 	}
 
 	// Miss returned: restore the checkpoint and re-execute from i+1.
-	ckpt.Restore(&r.board, ret)
-	r.front.Flush(ret)
+	ckpt.Restore(&r.Board, ret)
+	r.Front.Flush(ret)
 	r.rc.Clear()
-	r.lastIssue = ret
+	r.LastIssue = ret
 	// Everything advanced past the checkpoint re-executes (Multipass
 	// merely re-executes it faster via the result buffer).
-	r.res.RallyInsts += uint64(j - (i + 1))
-	r.res.RallyPasses++
+	r.Res.RallyInsts += uint64(j - (i + 1))
+	r.Res.RallyPasses++
 }

@@ -1,12 +1,13 @@
 package runahead
 
 // Strict-vs-skip-ahead equivalence: Runahead and Multipass are
-// instruction-driven — they jump each instruction straight to its gated
-// issue cycle (pipeline.Gate + SlotAlloc.Take) instead of stepping a
-// cycle loop. strictCycles replaces the jump with SlotAlloc.TakeStrict,
-// a one-cycle-at-a-time walk, and these tests require the full Result
-// struct to match between the two, on adversarial store-buffer pressure
-// and branch-on-load-chain workloads.
+// instruction-driven — they jump each instruction, in normal and advance
+// mode, straight to its gated issue cycle (pipeline.InOrder's Issue and
+// IssueAdvance, through SlotAlloc.Take) instead of stepping a cycle
+// loop. pipeline.StrictTake replaces the jump with a one-cycle-at-a-time
+// walk, and these tests require the full Result struct to match between
+// the two, on adversarial store-buffer pressure and branch-on-load-chain
+// workloads.
 
 import (
 	"testing"
@@ -69,9 +70,9 @@ func strictCases() []strictCase {
 }
 
 func runOnce(tc strictCase, strict bool) pipeline.Result {
-	prev := strictCycles
-	strictCycles = strict
-	defer func() { strictCycles = prev }()
+	prev := pipeline.StrictTake
+	pipeline.StrictTake = strict
+	defer func() { pipeline.StrictTake = prev }()
 	cfg := tc.cfg()
 	cfg.WarmupInsts = 500
 	m := New(cfg)

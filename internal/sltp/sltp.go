@@ -82,21 +82,17 @@ type specVal struct {
 	prod   int
 }
 
-// strictCycles (test-only) forces slot allocation to step one cycle at a
-// time (SlotAlloc.TakeStrict) instead of jumping straight to the next
-// fitting cycle. Simulated behaviour must be identical either way — the
-// equivalence tests in strict_test.go pin that.
-var strictCycles = false
+// triggerLat is how many cycles past its issue a normal-mode load's L2
+// miss must take to return before it triggers advance mode. It is the
+// default L2 hit latency (mem.DefaultConfig's L2HitLat) as a constant,
+// so it does not follow a configured L2HitLat.
+const triggerLat = 20
 
+// run bundles per-window state: the in-order pipeline of normal mode
+// plus the advance and rally structures.
 type run struct {
-	cfg   *pipeline.Config
-	tr    *isa.Trace
-	end   int // window end (exclusive trace index); tr.Len() for full runs
-	hier  *mem.Hierarchy
-	front *pipeline.Frontend
-	slots *pipeline.SlotAlloc
-	sb    *pipeline.StoreBuffer
-	board pipeline.Scoreboard
+	pipeline.InOrder
+	end int // window end (exclusive trace index); tr.Len() for full runs
 
 	slice      []sliceEntry
 	srl        []srlEntry
@@ -106,16 +102,11 @@ type run struct {
 	ckpt    pipeline.Checkpoint
 	seqCtr  uint64
 	primRet int64
-
-	lastIssue int64
-	finish    int64
-
-	res pipeline.Result
 }
 
-// Window is the window loop (pipeline.WindowLoop). step can both
-// jump forward past an episode and rewind on a squash, so the
-// measurement crossing is latched the first time the loop reaches meas.
+// Window is the window loop (pipeline.WindowLoop). An advance episode
+// can both jump forward and rewind on a squash, so the measurement
+// crossing is latched the first time the loop reaches meas.
 func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predictor, meter *pipeline.Meter, start, meas, hi int) (int64, pipeline.Result) {
 	cfg := m.cfg
 	if m.slice == nil {
@@ -123,80 +114,40 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 		m.srl = make([]srlEntry, 0, cfg.SRLEntries)
 		m.spec = make(map[uint64]specVal, cfg.SRLEntries)
 	}
-	r := &run{cfg: &cfg, tr: tr, end: hi, slice: m.slice[:0], srl: m.srl[:0], spec: m.spec}
+	r := &run{InOrder: pipeline.NewInOrder(&cfg, tr, hier, pred), end: hi, slice: m.slice[:0], srl: m.srl[:0], spec: m.spec}
 	clear(r.spec)
 	defer func() {
 		// Episode scratch may have grown (the SRL is unbounded by design);
 		// hand the larger backing back to the Machine for the next window.
 		m.slice, m.srl = r.slice[:0], r.srl[:0]
 	}()
-	r.hier = hier
-	r.front = pipeline.NewFrontend(&cfg, r.hier, pred)
-	r.slots = pipeline.NewSlotAlloc(&cfg)
-	r.sb = pipeline.NewStoreBuffer(cfg.StoreBufEntries, r.hier)
 
 	crossed := false
 	for i := start; i < hi; {
 		if !crossed && i >= meas {
 			crossed = true
-			meter.Cross(r.finish, r.res)
+			meter.Cross(r.Finish, r.Res)
 		}
-		i = r.step(i)
+		if acc, done, miss := r.Step(i, false); miss {
+			i = r.miss(i, acc, done)
+		} else {
+			i++
+		}
 	}
-	return r.finish, r.res
+	return r.Finish, r.Res
 }
 
-// take allocates an issue slot, via the strict cycle walk when the
-// equivalence tests ask for it.
-func (r *run) take(earliest int64, op isa.Op) int64 {
-	if strictCycles {
-		return r.slots.TakeStrict(earliest, op)
+// miss handles the normal-mode load at trace index i that missed the L1
+// (access acc, completing at done) and returns the next index. A
+// triggering miss is not retired: the load enters the slice, and the
+// advance episode and its rally run inline; the next index is where the
+// rally resumes, which rewinds on a squash.
+func (r *run) miss(i int, acc mem.Result, done int64) int {
+	t := r.LastIssue
+	if r.Cfg.Trigger.Fires(acc.Level, false) && acc.Done > t+triggerLat {
+		return r.advance(i, t, acc.Done)
 	}
-	return r.slots.Take(earliest, op)
-}
-
-// step processes the instruction at i in normal mode and returns the next
-// index (which rewinds on a squash).
-func (r *run) step(i int) int {
-	var st pipeline.Staged
-	st.Stage(r.front, r.tr, i)
-	in := &st.In
-	earliest := st.Earliest(&r.board, r.lastIssue)
-	if in.Op == isa.OpStore {
-		earliest = r.sb.FullUntil(earliest)
-	}
-	t := r.take(earliest, in.Op)
-	r.lastIssue = t
-
-	var done int64
-	switch in.Op {
-	case isa.OpLoad:
-		if _, ok := r.sb.Forward(t, in.Addr); ok {
-			done = t + int64(r.cfg.DCachePipe)
-			break
-		}
-		acc := r.hier.Data(t, in.Addr, false)
-		done = acc.Done + int64(r.cfg.DCachePipe)
-		if h := t + int64(r.cfg.DCachePipe); done < h {
-			done = h
-		}
-		if acc.Level == mem.LevelMem && acc.Done > t+20 {
-			// Trigger: enter advance mode under this L2 miss.
-			return r.advance(i, t, acc.Done)
-		}
-	case isa.OpStore:
-		r.sb.Insert(t, in.Addr, in.Val)
-		done = t + 1
-	default:
-		done = t + int64(in.Op.ExecLatency())
-	}
-	r.board.WriteDst(in, done, 0, uint64(i))
-	if st.Resolve(r.front, t) {
-		r.res.BranchMispredicts++
-	}
-	if done > r.finish {
-		r.finish = done
-	}
+	r.Retire(i, t, done)
 	return i + 1
 }
 
@@ -213,7 +164,7 @@ func (r *run) captureSrcs(e *sliceEntry, in *isa.Inst) {
 		switch {
 		case !s.Valid():
 			e.srcs[k] = sliceSrc{kind: srcNone}
-		case r.board.Poison[s] != 0:
+		case r.Board.Poison[s] != 0:
 			e.srcs[k] = sliceSrc{kind: srcSlice, prod: r.lastWriter[s]}
 		default:
 			e.srcs[k] = sliceSrc{kind: srcCaptured}
@@ -224,18 +175,18 @@ func (r *run) captureSrcs(e *sliceEntry, in *isa.Inst) {
 // appendSlice diverts a miss-dependent instruction into the slice buffer,
 // poisoning its destination. It reports false when the buffer is full.
 func (r *run) appendSlice(in *isa.Inst, idx int, predOK bool) bool {
-	if len(r.slice) >= r.cfg.SliceEntries {
-		r.res.SliceOverflows++
+	if len(r.slice) >= r.Cfg.SliceEntries {
+		r.Res.SliceOverflows++
 		return false
 	}
 	e := sliceEntry{idx: idx, seq: r.nextSeq(), isCtrl: in.Op.IsCtrl(), predOK: predOK}
 	r.captureSrcs(&e, in)
 	r.slice = append(r.slice, e)
-	r.board.WriteDst(in, 0, 1, e.seq)
+	r.Board.WriteDst(in, 0, 1, e.seq)
 	if in.HasDst() {
 		r.lastWriter[in.Dst] = len(r.slice) - 1
 	}
-	r.res.AdvanceInsts++
+	r.Res.AdvanceInsts++
 	return true
 }
 
@@ -243,10 +194,10 @@ func (r *run) appendSlice(in *isa.Inst, idx int, predOK bool) bool {
 // (index i, issued at t, miss returning at ret), followed by the blocking
 // rally. It returns the index at which normal execution resumes.
 func (r *run) advance(i int, t, ret int64) int {
-	r.res.Advances++
-	r.ckpt = pipeline.TakeCheckpoint(&r.board, i)
-	for k := range r.board.Seq {
-		r.board.Seq[k] = 0
+	r.Res.Advances++
+	r.ckpt = pipeline.TakeCheckpoint(&r.Board, i)
+	for k := range r.Board.Seq {
+		r.Board.Seq[k] = 0
 	}
 	r.seqCtr = 0
 	r.slice = r.slice[:0]
@@ -257,38 +208,26 @@ func (r *run) advance(i int, t, ret int64) int {
 	}
 	r.primRet = ret
 
-	pipe := int64(r.cfg.DCachePipe)
-	var trigger isa.Inst
-	r.tr.Decode(i, &trigger)
-	r.appendSlice(&trigger, i, true) // the triggering load
+	pipe := int64(r.Cfg.DCachePipe)
+	r.appendSlice(&r.St.In, i, true) // the triggering load
 
 	last := t + pipe
 	j := i + 1
 	halted := false
 	for j < r.end && !halted {
 		var adv isa.Inst
-		r.tr.Decode(j, &adv)
-		var g pipeline.Gate
-		g.Reset(r.front.Avail(&adv))
-		poisoned := r.board.SrcPoison(&adv) != 0
-		if !poisoned {
-			g.Require(r.board.SrcReady(&adv))
-		}
-		g.Require(last)
-		earliest := g.At()
-		if r.slots.Peek(earliest, adv.Op) >= ret {
+		tt, poison, predTaken, ok := r.IssueAdvance(j, &adv, last, ret)
+		if !ok {
 			break // the triggering miss is back: rally
 		}
-		tt := r.take(earliest, adv.Op)
 		last = tt
-		predTaken := r.front.Predict(&adv)
 
-		if poisoned {
+		if poison != 0 {
 			switch {
-			case adv.Op == isa.OpStore && adv.Src1.Valid() && r.board.Poison[adv.Src1] != 0:
+			case adv.Op == isa.OpStore && adv.Src1.Valid() && r.Board.Poison[adv.Src1] != 0:
 				// Poisoned store address: the SRL cannot hold it usefully;
 				// advance halts until the rally (the store retries after).
-				r.res.PoisonAddrObs++
+				r.Res.PoisonAddrObs++
 				halted = true
 			case adv.Op == isa.OpStore:
 				r.srl = append(r.srl, srlEntry{
@@ -296,7 +235,7 @@ func (r *run) advance(i int, t, ret int64) int {
 					seq: r.nextSeq(), prodIdx: r.lastWriter[adv.Src2],
 				})
 				r.spec[adv.Addr] = specVal{poison: true, prod: r.lastWriter[adv.Src2]}
-				r.res.AdvanceInsts++
+				r.Res.AdvanceInsts++
 				j++
 			default:
 				if r.appendSlice(&adv, j, !adv.Op.IsCtrl() || predTaken == adv.Taken) {
@@ -319,27 +258,27 @@ func (r *run) advance(i int, t, ret int64) int {
 				if sv.poison {
 					// Idealized memory dependence prediction: the load is
 					// recognized as miss-dependent via the poisoned store.
-					if len(r.slice) >= r.cfg.SliceEntries {
-						r.res.SliceOverflows++
+					if len(r.slice) >= r.Cfg.SliceEntries {
+						r.Res.SliceOverflows++
 						halted = true
 						continue
 					}
 					e := sliceEntry{idx: j, seq: r.nextSeq()}
 					e.srcs[0] = sliceSrc{kind: srcSlice, prod: sv.prod}
 					r.slice = append(r.slice, e)
-					r.board.WriteDst(&adv, 0, 1, e.seq)
+					r.Board.WriteDst(&adv, 0, 1, e.seq)
 					if adv.HasDst() {
 						r.lastWriter[adv.Dst] = len(r.slice) - 1
 					}
-					r.res.AdvanceInsts++
+					r.Res.AdvanceInsts++
 					j++
 					continue
 				}
 				done = tt + pipe
-			} else if _, ok := r.sb.Forward(tt, adv.Addr); ok {
+			} else if _, ok := r.SB.Forward(tt, adv.Addr); ok {
 				done = tt + pipe
 			} else {
-				acc := r.hier.Data(tt, adv.Addr, false)
+				acc := r.Hier.Data(tt, adv.Addr, false)
 				switch {
 				case acc.Done <= tt+pipe:
 					done = tt + pipe
@@ -360,22 +299,22 @@ func (r *run) advance(i int, t, ret int64) int {
 		case isa.OpStore:
 			r.srl = append(r.srl, srlEntry{addr: adv.Addr, val: adv.Val, seq: r.nextSeq(), prodIdx: -1})
 			r.spec[adv.Addr] = specVal{val: adv.Val, prod: -1}
-			r.hier.DCache.InsertSpeculative(adv.Addr)
+			r.Hier.DCache.InsertSpeculative(adv.Addr)
 		default:
 			done = tt + int64(adv.Op.ExecLatency())
 		}
-		r.board.WriteDst(&adv, done, 0, r.nextSeq())
+		r.Board.WriteDst(&adv, done, 0, r.nextSeq())
 		if adv.Op.IsCtrl() {
-			r.front.Train(&adv)
+			r.Front.Train(&adv)
 			if predTaken != adv.Taken {
-				r.res.BranchMispredicts++
-				r.front.Redirect(tt + 1)
+				r.Res.BranchMispredicts++
+				r.Front.Redirect(tt + 1)
 			}
 		}
-		if done > r.finish {
-			r.finish = done
+		if done > r.Finish {
+			r.Finish = done
 		}
-		r.res.AdvanceInsts++
+		r.Res.AdvanceInsts++
 		j++
 	}
 
@@ -387,11 +326,11 @@ func (r *run) advance(i int, t, ret int64) int {
 // program order, stalling on every miss. The tail stays stalled
 // throughout. It returns the resume index (the checkpoint on a squash).
 func (r *run) rally(resume int, ret int64) int {
-	r.res.RallyPasses++
-	r.hier.DCache.FlushSpeculative()
+	r.Res.RallyPasses++
+	r.Hier.DCache.FlushSpeculative()
 
 	clock := ret
-	pipe := int64(r.cfg.DCachePipe)
+	pipe := int64(r.Cfg.DCachePipe)
 	si, gi := 0, 0
 	for si < len(r.slice) || gi < len(r.srl) {
 		// Program-order merge of slice re-execution and SRL drain.
@@ -400,14 +339,14 @@ func (r *run) rally(resume int, ret int64) int {
 		clock++
 		if !doSlice {
 			s := &r.srl[gi]
-			r.hier.Data(clock, s.addr, true)
+			r.Hier.Data(clock, s.addr, true)
 			gi++
 			continue
 		}
 		e := &r.slice[si]
-		r.res.RallyInsts++
+		r.Res.RallyInsts++
 		var in isa.Inst
-		r.tr.Decode(e.idx, &in)
+		r.Tr.Decode(e.idx, &in)
 		for _, src := range e.srcs {
 			if src.kind == srcSlice && src.prod >= 0 {
 				if d := r.slice[src.prod].done; d > clock {
@@ -421,7 +360,7 @@ func (r *run) rally(resume int, ret int64) int {
 			if sv, ok := r.spec[in.Addr]; ok && sv.prod >= 0 {
 				done = clock + pipe // forwarded from a rallied store
 			} else {
-				acc := r.hier.Data(clock, in.Addr, false)
+				acc := r.Hier.Data(clock, in.Addr, false)
 				done = acc.Done + pipe
 				if h := clock + pipe; done < h {
 					done = h
@@ -431,7 +370,7 @@ func (r *run) rally(resume int, ret int64) int {
 				}
 			}
 		case e.isCtrl:
-			r.front.Train(&in)
+			r.Front.Train(&in)
 			if !e.predOK {
 				return r.squash(clock)
 			}
@@ -442,22 +381,22 @@ func (r *run) rally(resume int, ret int64) int {
 		}
 		e.done = done
 		e.ran = true
-		if in.HasDst() && r.board.Seq[in.Dst] == e.seq {
-			r.board.Ready[in.Dst] = done
-			r.board.Poison[in.Dst] = 0
+		if in.HasDst() && r.Board.Seq[in.Dst] == e.seq {
+			r.Board.Ready[in.Dst] = done
+			r.Board.Poison[in.Dst] = 0
 		}
-		if done > r.finish {
-			r.finish = done
+		if done > r.Finish {
+			r.Finish = done
 		}
 		si++
 	}
 
 	// Rally complete: reconcile and resume the tail.
-	r.board.ClearPoison()
-	r.front.Stall(clock)
-	r.lastIssue = clock
-	if clock > r.finish {
-		r.finish = clock
+	r.Board.ClearPoison()
+	r.Front.Stall(clock)
+	r.LastIssue = clock
+	if clock > r.Finish {
+		r.Finish = clock
 	}
 	return resume
 }
@@ -465,11 +404,11 @@ func (r *run) rally(resume int, ret int64) int {
 // squash recovers from a mispredicted poisoned branch found during the
 // rally: restore the checkpoint and re-execute from there.
 func (r *run) squash(clock int64) int {
-	r.res.Squashes++
-	r.res.BranchMispredicts++
-	r.ckpt.Restore(&r.board, clock+int64(r.cfg.FrontDepth))
-	r.hier.DCache.FlushSpeculative()
-	r.front.Flush(clock)
-	r.lastIssue = clock
+	r.Res.Squashes++
+	r.Res.BranchMispredicts++
+	r.ckpt.Restore(&r.Board, clock+int64(r.Cfg.FrontDepth))
+	r.Hier.DCache.FlushSpeculative()
+	r.Front.Flush(clock)
+	r.LastIssue = clock
 	return r.ckpt.Index
 }

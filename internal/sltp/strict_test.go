@@ -1,9 +1,10 @@
 package sltp
 
 // Strict-vs-skip-ahead equivalence for SLTP, mirroring the runahead and
-// icfp variants: strictCycles swaps SlotAlloc.Take's jump for the
-// one-cycle-at-a-time TakeStrict walk, and the full Result struct must
-// be unchanged on store-pressure and branch-on-load-chain workloads.
+// icfp variants: pipeline.StrictTake swaps SlotAlloc.Take's jump, in
+// normal and advance mode, for a one-cycle-at-a-time walk, and the full
+// Result struct must be unchanged on store-pressure and
+// branch-on-load-chain workloads.
 
 import (
 	"testing"
@@ -50,9 +51,9 @@ func strictCases() []strictCase {
 }
 
 func runOnce(tc strictCase, strict bool) pipeline.Result {
-	prev := strictCycles
-	strictCycles = strict
-	defer func() { strictCycles = prev }()
+	prev := pipeline.StrictTake
+	pipeline.StrictTake = strict
+	defer func() { pipeline.StrictTake = prev }()
 	cfg := tc.cfg()
 	cfg.WarmupInsts = 500
 	return New(cfg).Run(tc.w())
