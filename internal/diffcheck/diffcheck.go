@@ -200,14 +200,15 @@ func CheckAll(cases []workload.FuzzCase, o Options) ([]Report, error) {
 	reports := make([]Report, 0, len(cases))
 	for i, c := range cases {
 		rep := Report{Scenario: c.Name()}
-		for _, res := range rs.Results[i*perScenario : (i+1)*perScenario] {
-			label := res.Name[len(c.Name())+1:]
+		for j := i * perScenario; j < (i+1)*perScenario; j++ {
+			name, r := rs.At(j)
+			label := name[len(c.Name())+1:]
 			st := Stat{
 				Model:     label,
-				Cycles:    res.R.Cycles,
-				Insts:     res.R.Insts,
-				Intervals: res.R.SampleIntervals,
-				CPICI95:   res.R.SampleCPICI95,
+				Cycles:    r.Cycles,
+				Insts:     r.Insts,
+				Intervals: r.SampleIntervals,
+				CPICI95:   r.SampleCPICI95,
 			}
 			if o.Perturb != "" && (label == o.Perturb || label == o.Perturb+"/sampled") {
 				st.Cycles *= 7

@@ -81,7 +81,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Type: dist.TypeRegister, Proto: dist.ProtoVersion, Name: "hostB:4242"},
 		{Type: dist.TypeInit, Proto: dist.ProtoVersion, Parallel: 2},
 		{Type: dist.TypeReady},
-		{Type: dist.TypeBatch, BatchID: 1, Jobs: []spec.Job{job.Spec()}},
+		{Type: dist.TypeBatch, BatchID: 1, Jobs: []spec.Job{{Machine: job.Machine, Workload: job.Workload}}},
 		{Type: dist.TypeResult, Result: &exp.CachedResult{Machine: job.Key().Machine, Workload: job.Key().Workload, R: pipeline.Result{Cycles: 42}, ElapsedNS: 1234}},
 		{Type: dist.TypeBatchDone, BatchID: 1},
 		{Type: dist.TypeGoodbye},

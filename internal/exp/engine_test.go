@@ -104,7 +104,7 @@ func TestRunMemoizesEqualKeys(t *testing.T) {
 	}
 	if rs.MustGet("a").Cycles != 100 || rs.MustGet("b").Cycles != 100 ||
 		rs.MustGet("c").Cycles != 200 || rs.MustGet("d").Cycles != 300 {
-		t.Errorf("wrong results: %+v", rs.Results)
+		t.Errorf("wrong results: %+v", rs.Results())
 	}
 }
 

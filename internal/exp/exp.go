@@ -37,38 +37,19 @@ import (
 type Runner = spec.Runner
 
 // Job is one named simulation: a declared machine run over a declared
-// workload. Job names index the ResultSet and must be unique within one
-// Run call; distinct jobs may share a cache key (equal canonical machine
-// and workload specs), in which case the simulation happens once.
-type Job struct {
-	Name     string // result name, unique within a Run
-	Machine  spec.Machine
-	Workload spec.Workload
-}
+// workload. It is the suite's own job type, so a decoded suite's jobs run
+// and render as they are. Job names index the ResultSet and must be
+// unique within one Run call; distinct jobs may share a cache key (equal
+// canonical machine and workload specs), in which case the simulation
+// happens once.
+type Job = spec.Job
 
 // Key is the memoization key of a simulation: the canonical encodings of
-// its machine and workload specs. Equal keys construct identical
-// simulations by the spec package's contract.
-type Key struct {
-	Machine  string
-	Workload string
-}
-
-// Key returns the job's memoization key.
-func (j Job) Key() Key {
-	return Key{Machine: j.Machine.Canonical(), Workload: j.Workload.Canonical()}
-}
-
-// Spec returns the job's identity as a self-describing spec.Job (the
-// name is dropped: plan entries are identity, not presentation).
-func (j Job) Spec() spec.Job {
-	return spec.Job{Machine: j.Machine, Workload: j.Workload}
-}
+// its machine and workload specs (spec.Job.Key).
+type Key = spec.Key
 
 // KeyOf returns the memoization key of a self-describing spec job.
-func KeyOf(sj spec.Job) Key {
-	return Key{Machine: sj.Machine.Canonical(), Workload: sj.Workload.Canonical()}
-}
+func KeyOf(sj spec.Job) Key { return sj.Key() }
 
 // newRunner builds a job's machine; engine tests swap it to inject
 // synthetic runners (see engine_test.go).
@@ -296,7 +277,7 @@ func validate(jobs []Job) error {
 			return fmt.Errorf("exp: duplicate job name %q", j.Name)
 		}
 		seen[j.Name] = true
-		if err := (spec.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}).Validate(); err != nil {
+		if err := j.Validate(); err != nil {
 			return fmt.Errorf("exp: %w", err)
 		}
 	}
@@ -315,46 +296,38 @@ func Plan(jobs []Job) ([]spec.Job, error) {
 	if err := validate(jobs); err != nil {
 		return nil, err
 	}
-	plan, _, _ := PlanValidated(jobs)
+	first, _, _ := PlanValidated(jobs)
+	plan := make([]spec.Job, len(first))
+	for i, j := range first {
+		plan[i] = spec.Job{Machine: jobs[j].Machine, Workload: jobs[j].Workload}
+	}
 	return plan, nil
 }
 
 // PlanValidated is Plan for jobs that have validated already — the jobs
 // of a suite spec.UnmarshalSuite returned — without validating them
-// again. It also returns each entry's key, computed once while
-// deduplicating, and each job's entry: keys[i] is KeyOf(plan[i]), and
-// plan[at[j]] is jobs[j]'s simulation. A caller that looks every entry
-// up by key and renders from the entries' results (the expq daemon, with
-// Collect) encodes each spec once.
-func PlanValidated(jobs []Job) (plan []spec.Job, keys []Key, at []int) {
+// again, and without copying them. Plan entry i is the simulation of
+// jobs[first[i]], the first job to name it; keys[i] is its key, computed
+// once while deduplicating; and at[j] is jobs[j]'s entry. A caller that
+// looks every entry up by key and renders from the entries' results (the
+// expq daemon, with Collect) encodes each spec once.
+func PlanValidated(jobs []Job) (first []int, keys []Key, at []int) {
 	index := make(map[Key]int, len(jobs))
-	plan = make([]spec.Job, 0, len(jobs))
+	first = make([]int, 0, len(jobs))
 	keys = make([]Key, 0, len(jobs))
 	at = make([]int, len(jobs))
-	for j, job := range jobs {
-		k := job.Key()
+	for j := range jobs {
+		k := jobs[j].Key()
 		i, ok := index[k]
 		if !ok {
-			i = len(plan)
+			i = len(first)
 			index[k] = i
-			plan = append(plan, job.Spec())
+			first = append(first, j)
 			keys = append(keys, k)
 		}
 		at[j] = i
 	}
-	return plan, keys, at
-}
-
-// Collect returns the jobs' results in job order from their plan's: res[i]
-// is the result of plan entry i, and at is what PlanValidated returned
-// with the plan. It neither validates nor keys anything, and simulates
-// nothing.
-func Collect(jobs []Job, at []int, res []pipeline.Result) *ResultSet {
-	results := make([]Result, len(jobs))
-	for j, job := range jobs {
-		results[j] = Result{Name: job.Name, Machine: job.Machine, Workload: job.Workload, R: res[at[j]]}
-	}
-	return &ResultSet{Results: results}
+	return first, keys, at
 }
 
 // Run executes the jobs on a worker pool and returns their results in job
@@ -456,7 +429,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		}
 	}
 	work := make(chan int)
-	results := make([]Result, len(jobs))
+	results := make([]pipeline.Result, len(jobs))
 	// Jobs whose key is claimed by a still-running simulation are parked
 	// here instead of blocking a pool slot; they are resolved after the
 	// pool drains, by which point every claimant has finished.
@@ -525,7 +498,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 						continue
 					}
 				}
-				results[i] = Result{Name: j.Name, Machine: j.Machine, Workload: j.Workload, R: e.res}
+				results[i] = e.res
 			}
 		}()
 	}
@@ -581,10 +554,9 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	}
 	for _, d := range deferred {
 		<-d.e.done
-		j := jobs[d.idx]
-		results[d.idx] = Result{Name: j.Name, Machine: j.Machine, Workload: j.Workload, R: d.e.res}
+		results[d.idx] = d.e.res
 	}
-	return &ResultSet{Results: results}, nil
+	return Collect(jobs, nil, results), nil
 }
 
 // genAheadHook, when set, runs in each generate-ahead helper between its

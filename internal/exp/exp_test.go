@@ -144,18 +144,17 @@ func TestResultSetReductions(t *testing.T) {
 	}()
 }
 
-// TestResultSetGetFirstMatch pins Get's lookup contract: literal and
+// TestResultSetGetFirstMatch pins Get's lookup contract: collected and
 // decoded sets answer alike, with the first result of a duplicated name,
 // and absence for an unknown one. The first Get builds the index, and
 // concurrent first calls must not race (go test -race).
 func TestResultSetGetFirstMatch(t *testing.T) {
-	results := []exp.Result{
-		{Name: "a", R: pipeline.Result{Cycles: 1}},
-		{Name: "b", R: pipeline.Result{Cycles: 2}},
-		{Name: "a", R: pipeline.Result{Cycles: 3}},
-	}
+	collected := exp.Collect(
+		[]exp.Job{{Name: "a"}, {Name: "b"}, {Name: "a"}},
+		nil,
+		[]pipeline.Result{{Cycles: 1}, {Cycles: 2}, {Cycles: 3}})
 	var buf bytes.Buffer
-	if err := (&exp.ResultSet{Results: results}).WriteJSON(&buf); err != nil {
+	if err := collected.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := exp.ReadJSON(&buf)
@@ -163,7 +162,7 @@ func TestResultSetGetFirstMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, rs := range map[string]*exp.ResultSet{
-		"literal":  {Results: results},
+		"Collect":  collected,
 		"ReadJSON": decoded,
 	} {
 		var wg sync.WaitGroup
@@ -194,12 +193,13 @@ func TestJobNamesIndexResults(t *testing.T) {
 	if rs.Len() != len(jobs) {
 		t.Fatalf("results = %d, want %d", rs.Len(), len(jobs))
 	}
+	results := rs.Results()
 	for i, j := range jobs {
-		if rs.Results[i].Name != j.Name {
-			t.Fatalf("result %d is %q, want job order preserved (%q)", i, rs.Results[i].Name, j.Name)
+		if results[i].Name != j.Name {
+			t.Fatalf("result %d is %q, want job order preserved (%q)", i, results[i].Name, j.Name)
 		}
-		if !reflect.DeepEqual(rs.Results[i].Workload, j.Workload) {
-			t.Fatalf("result %d workload %+v, want %+v", i, rs.Results[i].Workload, j.Workload)
+		if !reflect.DeepEqual(results[i].Workload, j.Workload) {
+			t.Fatalf("result %d workload %+v, want %+v", i, results[i].Workload, j.Workload)
 		}
 	}
 }

@@ -124,11 +124,7 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	if _, err := registry.ReportSuite(&local, s, exp.Parallelism(1)); err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]exp.Job, len(s.Jobs))
-	for i, j := range s.Jobs {
-		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
-	}
-	plan, err := exp.Plan(jobs)
+	plan, err := exp.Plan(s.Jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,15 +191,6 @@ func (b *suiteBuilder) done() (spec.Suite, error) {
 	return b.s, nil
 }
 
-// SuiteJobs converts a suite's declarative jobs into harness jobs.
-func SuiteJobs(s spec.Suite) []exp.Job {
-	jobs := make([]exp.Job, len(s.Jobs))
-	for i, j := range s.Jobs {
-		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
-	}
-	return jobs
-}
-
 // collect resolves the experiment names (deduplicated, order-preserving)
 // into suites and gathers their combined job list with per-experiment
 // counts — the shared front half of Run and Plan.
@@ -222,7 +213,7 @@ func collect(names []string, p Params) (selected []Experiment, jobs []exp.Job, c
 			return nil, nil, nil, err
 		}
 		counts[i] = len(s.Jobs)
-		jobs = append(jobs, SuiteJobs(s)...)
+		jobs = append(jobs, s.Jobs...)
 	}
 	return selected, jobs, counts, nil
 }
@@ -263,7 +254,7 @@ func Run(names []string, p Params, opts ...exp.Option) (map[string]*exp.ResultSe
 	out := make(map[string]*exp.ResultSet, len(selected))
 	off := 0
 	for i, e := range selected {
-		out[e.Name] = &exp.ResultSet{Results: rs.Results[off : off+counts[i] : off+counts[i]]}
+		out[e.Name] = rs.Slice(off, off+counts[i])
 		off += counts[i]
 	}
 	return out, nil
@@ -294,7 +285,7 @@ func ReportSuite(w io.Writer, s spec.Suite, opts ...exp.Option) (*exp.ResultSet,
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rs, err := exp.Run(SuiteJobs(s), opts...)
+	rs, err := exp.Run(s.Jobs, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("registry: suite %q: %w", s.Name, err)
 	}

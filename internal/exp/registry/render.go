@@ -61,11 +61,12 @@ func renderBuiltin(w io.Writer, s spec.Suite, rs *exp.ResultSet) (err error) {
 func renderTable(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 	fmt.Fprintf(w, "== suite %s ==\n", s.Name)
 	fmt.Fprintf(w, "%-32s %12s %10s %6s\n", "job", "cycles", "insts", "IPC")
-	for _, r := range rs.Results {
-		fmt.Fprintf(w, "%-32s %12d %10d %6.3f", r.Name, r.R.Cycles, r.R.Insts, r.R.IPC())
-		if r.R.SampleIntervals > 0 && r.R.CPI() > 0 {
+	for j := range rs.Len() {
+		name, r := rs.At(j)
+		fmt.Fprintf(w, "%-32s %12d %10d %6.3f", name, r.Cycles, r.Insts, r.IPC())
+		if r.SampleIntervals > 0 && r.CPI() > 0 {
 			// IPC = 1/CPI, so the relative half-width carries over.
-			fmt.Fprintf(w, "±%.3f (%d windows)", r.R.IPC()*r.R.SampleCPICI95/r.R.CPI(), r.R.SampleIntervals)
+			fmt.Fprintf(w, "±%.3f (%d windows)", r.IPC()*r.SampleCPICI95/r.CPI(), r.SampleIntervals)
 		}
 		fmt.Fprintln(w)
 	}
@@ -73,20 +74,18 @@ func renderTable(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 	return nil
 }
 
-// ciSuffix returns the "±h" tail for a speedup cell when either run was
-// sampled (h is the 95% half-width in percentage points), and "" for
-// full runs — so full-mode tables format exactly as they always have.
-func ciSuffix(rs *exp.ResultSet, test, base string) string {
-	if _, ci := rs.SpeedupCI95(test, base); ci > 0 {
-		return fmt.Sprintf("±%.1f", ci)
-	}
-	return ""
-}
-
 // spCell formats the percent speedup of test over base as a table cell
-// using the given verb (e.g. "%+7.1f%%"), with the ciSuffix tail.
+// using the given verb (e.g. "%+7.1f%%"). When either run was sampled
+// the cell ends in "±h", the 95% half-width in percentage points; full
+// runs carry none, so full-mode tables format exactly as they always
+// have.
 func spCell(rs *exp.ResultSet, format, test, base string) string {
-	return fmt.Sprintf(format, rs.Speedup(test, base)) + ciSuffix(rs, test, base)
+	sp, ci := rs.SpeedupCI95(test, base)
+	cell := fmt.Sprintf(format, sp)
+	if ci > 0 {
+		cell += fmt.Sprintf("±%.1f", ci)
+	}
+	return cell
 }
 
 // baseline returns the render's baseline name segment (default "base").
@@ -120,18 +119,19 @@ func renderSpeedup(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 	base := baseline(s)
 	fmt.Fprintf(w, "== suite %s: %% speedup over %q ==\n", s.Name, base)
 	var pairs [][2]string
-	for _, r := range rs.Results {
-		group, seg := splitLast(r.Name)
+	for j := range rs.Len() {
+		name, _ := rs.At(j)
+		group, seg := splitLast(name)
 		if seg == base {
 			continue
 		}
 		bname := joinGroup(group, base)
 		if _, ok := rs.Get(bname); !ok {
 			return fmt.Errorf("registry: suite %q: job %q has no baseline %q (rename the baseline job or set render.baseline)",
-				s.Name, r.Name, bname)
+				s.Name, name, bname)
 		}
-		fmt.Fprintf(w, "%-32s %+7.1f%%%s\n", r.Name, rs.Speedup(r.Name, bname), ciSuffix(rs, r.Name, bname))
-		pairs = append(pairs, [2]string{r.Name, bname})
+		fmt.Fprintf(w, "%-32s %s\n", name, spCell(rs, "%+7.1f%%", name, bname))
+		pairs = append(pairs, [2]string{name, bname})
 	}
 	if len(pairs) == 0 {
 		return fmt.Errorf("registry: suite %q: no jobs to compare against baseline %q", s.Name, base)
@@ -147,10 +147,11 @@ func renderSweep(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 	var rows, cols []string
 	seenRow := map[string]bool{}
 	seenCol := map[string]bool{}
-	for _, r := range rs.Results {
-		row, col := splitLast(r.Name)
+	for j := range rs.Len() {
+		name, _ := rs.At(j)
+		row, col := splitLast(name)
 		if row == "" {
-			return fmt.Errorf("registry: suite %q: sweep render needs \"row/col\" job names; %q has no \"/\"", s.Name, r.Name)
+			return fmt.Errorf("registry: suite %q: sweep render needs \"row/col\" job names; %q has no \"/\"", s.Name, name)
 		}
 		if !seenCol[col] {
 			seenCol[col] = true
@@ -181,7 +182,7 @@ func renderSweep(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 			if _, ok := rs.Get(bname); !ok {
 				return fmt.Errorf("registry: suite %q: sweep baseline %q is missing", s.Name, bname)
 			}
-			fmt.Fprintf(w, " %+7.1f%%%s", rs.Speedup(test, bname), ciSuffix(rs, test, bname))
+			fmt.Fprintf(w, " %s", spCell(rs, "%+7.1f%%", test, bname))
 		}
 		fmt.Fprintln(w)
 	}

@@ -9,16 +9,6 @@ import (
 	"icfp/internal/spec"
 )
 
-// suiteExpJobs converts a suite's declarative jobs to harness jobs, the
-// same conversion ReportSuite performs.
-func suiteExpJobs(s spec.Suite) []exp.Job {
-	jobs := make([]exp.Job, len(s.Jobs))
-	for i, j := range s.Jobs {
-		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
-	}
-	return jobs
-}
-
 // TestEveryExperimentRoundTripsAsSpec is the property pin for the spec
 // redesign: for every registry experiment, Marshal → Unmarshal → Marshal
 // is byte-identical, and the rebuilt suite produces exactly the same
@@ -47,11 +37,11 @@ func TestEveryExperimentRoundTripsAsSpec(t *testing.T) {
 			t.Errorf("%s: Marshal -> Unmarshal -> Marshal changed bytes", name)
 		}
 
-		direct, err := exp.Plan(suiteExpJobs(s))
+		direct, err := exp.Plan(s.Jobs)
 		if err != nil {
 			t.Fatalf("%s: planning the described suite: %v", name, err)
 		}
-		rebuilt, err := exp.Plan(suiteExpJobs(back))
+		rebuilt, err := exp.Plan(back.Jobs)
 		if err != nil {
 			t.Fatalf("%s: planning the round-tripped suite: %v", name, err)
 		}

@@ -21,10 +21,14 @@
 // Completed simulations are persisted before waiters are released, so a
 // result is never announced and then lost to a crash.
 //
-// Responses stream as NDJSON (one JSON event per line, flushed as they
-// happen): `plan` (how the submission resolved), `job` (one result
-// merged), `output` (the rendered report), `done` or `error`. The wire
-// format is plain chunked HTTP — curl works.
+// Responses stream as NDJSON, one JSON event per line: `plan` (how the
+// submission resolved), `job` (one result merged), `output` (the
+// rendered report), `done` or `error`. An event is flushed to the client
+// when the next one waits on a simulation: the `plan` event of a
+// submission that dispatched or attached jobs, and every `job` event.
+// The rest go out together when the reply ends, so a submission answered
+// wholly from the store is one write. The wire format is plain HTTP,
+// chunked once a reply outgrows the server's buffer — curl works.
 package serve
 
 import (
@@ -32,6 +36,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -49,8 +54,10 @@ import (
 
 // maxSuiteBytes bounds one submitted suite document. Generously above
 // any real suite (the -all experiments' documents average 31 KB; the
-// largest, fig6 with 750 jobs, is about 200 KB) while keeping a hostile client from streaming
-// gigabytes into memory; spec.MaxSuiteJobs bounds what decoding it may
+// largest, fig6 with 750 jobs, is about 200 KB) while keeping a hostile
+// client from streaming gigabytes into memory: a longer declared length
+// is refused before the body is read, and a body of unknown length is
+// cut off at the bound. spec.MaxSuiteJobs bounds what decoding it may
 // cost.
 const maxSuiteBytes = 8 << 20
 
@@ -183,32 +190,42 @@ type Event struct {
 // eventWriter serializes NDJSON events onto one response: job events
 // arrive from concurrent merge callbacks.
 type eventWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-	f  http.Flusher
+	mu  sync.Mutex
+	enc *json.Encoder
+	f   http.Flusher
 }
 
-func (ew *eventWriter) send(e Event) {
+// send encodes e onto the response. flush pushes it, and whatever is
+// still buffered before it, to the client now; the caller asks for that
+// when the next event waits on a simulation.
+func (ew *eventWriter) send(e Event, flush bool) {
 	ew.mu.Lock()
 	defer ew.mu.Unlock()
-	b, err := json.Marshal(e)
-	if err != nil {
-		return // events are plain data; this cannot happen
-	}
-	ew.w.Write(append(b, '\n'))
-	if ew.f != nil {
+	ew.enc.Encode(e) // events are plain data; only the write can fail, and then the client is gone
+	if flush && ew.f != nil {
 		ew.f.Flush()
 	}
 }
 
-// planned is one distinct simulation of a submission: its spec, key and
-// index in the plan, and the flight it waits on when another submission
-// is simulating it.
+// planned is one distinct simulation of a submission: the job that
+// names it, its key and index in the plan, and the flight it waits on
+// when another submission is simulating it.
 type planned struct {
-	sj spec.Job
+	sj *spec.Job
 	k  exp.Key
 	i  int
 	f  *flight
+}
+
+// readBody reads a request body of declared length n (negative when
+// unknown, as for a chunked body) into one buffer.
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return io.ReadAll(body)
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(body, b)
+	return b, err
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -220,9 +237,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing or wrong bearer token", http.StatusUnauthorized)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSuiteBytes))
+	if r.ContentLength > maxSuiteBytes {
+		http.Error(w, fmt.Sprintf("suite of %d bytes; the limit is %d", r.ContentLength, maxSuiteBytes), http.StatusRequestEntityTooLarge)
+		return
+	}
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxSuiteBytes), r.ContentLength)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("reading suite: %v", err), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("reading suite: %v", err), code)
 		return
 	}
 	suite, err := spec.UnmarshalSuite(body)
@@ -231,41 +257,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The suite validated on decode: plan it without validating again.
-	jobs := registry.SuiteJobs(suite)
-	plan, keys, at := exp.PlanValidated(jobs)
+	first, keys, at := exp.PlanValidated(suite.Jobs)
 
 	s.submissions.Inc()
 	s.clients.Add(1)
 	defer s.clients.Add(-1)
 	if s.cfg.Log != nil {
-		s.cfg.Log.Info("submission accepted", obs.KeyJobs, len(plan), "suite", suite.Name)
+		s.cfg.Log.Info("submission accepted", obs.KeyJobs, len(keys), "suite", suite.Name)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	ew := &eventWriter{w: w, f: flusher}
+	ew := &eventWriter{enc: json.NewEncoder(w), f: flusher}
 
-	res, err := s.run(plan, keys, ew)
+	res, err := s.run(suite.Jobs, first, keys, ew)
 	if err != nil {
-		ew.send(Event{Event: "error", Error: err.Error()})
+		ew.send(Event{Event: "error", Error: err.Error()}, false)
 		return
 	}
 	// Every plan entry has its result: rendering simulates nothing, and
 	// the bytes match a local run of the same suite by construction
 	// (same renderer, same results).
 	var out bytes.Buffer
-	if err := registry.RenderSuite(&out, suite, exp.Collect(jobs, at, res)); err != nil {
-		ew.send(Event{Event: "error", Error: err.Error()})
+	if err := registry.RenderSuite(&out, suite, exp.Collect(suite.Jobs, at, res)); err != nil {
+		ew.send(Event{Event: "error", Error: err.Error()}, false)
 		return
 	}
-	ew.send(Event{Event: "output", Data: out.String()})
-	ew.send(Event{Event: "done", Jobs: len(plan)})
+	ew.send(Event{Event: "output", Data: out.String()}, false)
+	ew.send(Event{Event: "done", Jobs: len(keys)}, false)
 }
 
-// run resolves the plan (keys[i] is plan[i]'s key) through store,
-// in-flight table, and backend, and returns each entry's result.
-func (s *Server) run(plan []spec.Job, keys []exp.Key, ew *eventWriter) ([]pipeline.Result, error) {
-	res := make([]pipeline.Result, len(plan))
+// run resolves the plan through store, in-flight table, and backend, and
+// returns each entry's result: entry i is the simulation of
+// jobs[first[i]], and keys[i] is its key.
+func (s *Server) run(jobs []spec.Job, first []int, keys []exp.Key, ew *eventWriter) ([]pipeline.Result, error) {
+	res := make([]pipeline.Result, len(keys))
 	var mine []planned   // this submission simulates these
 	var shared []planned // another submission is simulating these
 	storeHits := 0
@@ -284,13 +310,16 @@ func (s *Server) run(plan []spec.Job, keys []exp.Key, ew *eventWriter) ([]pipeli
 		} else {
 			f := &flight{done: make(chan struct{})}
 			s.inflight[k] = f
-			mine = append(mine, planned{sj: plan[i], k: k, i: i})
+			mine = append(mine, planned{sj: &jobs[first[i]], k: k, i: i})
 		}
 		s.mu.Unlock()
 	}
-	ew.send(Event{Event: "plan", Jobs: len(plan), StoreHits: storeHits, Attached: len(shared), Dispatched: len(mine)})
+	// Unless every entry was a store hit, the next event waits on a
+	// simulation: flush the plan so the client sees it first.
+	waits := len(mine)+len(shared) > 0
+	ew.send(Event{Event: "plan", Jobs: len(keys), StoreHits: storeHits, Attached: len(shared), Dispatched: len(mine)}, waits)
 
-	total := len(plan)
+	total := len(keys)
 	var doneMu sync.Mutex
 	done := storeHits
 	progress := func(k exp.Key) {
@@ -298,7 +327,7 @@ func (s *Server) run(plan []spec.Job, keys []exp.Key, ew *eventWriter) ([]pipeli
 		done++
 		n := done
 		doneMu.Unlock()
-		ew.send(Event{Event: "job", Machine: k.Machine, Workload: k.Workload, Done: n, Total: total})
+		ew.send(Event{Event: "job", Machine: k.Machine, Workload: k.Workload, Done: n, Total: total}, true)
 	}
 
 	cache := exp.NewCache()
@@ -399,7 +428,7 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 	if s.cfg.Join != nil {
 		plan := make([]spec.Job, len(mine))
 		for i, p := range mine {
-			plan[i] = p.sj
+			plan[i] = spec.Job{Machine: p.sj.Machine, Workload: p.sj.Workload}
 		}
 		s.dispatchMu.Lock()
 		defer s.dispatchMu.Unlock()

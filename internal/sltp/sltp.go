@@ -82,12 +82,6 @@ type specVal struct {
 	prod   int
 }
 
-// triggerLat is how many cycles past its issue a normal-mode load's L2
-// miss must take to return before it triggers advance mode. It is the
-// default L2 hit latency (mem.DefaultConfig's L2HitLat) as a constant,
-// so it does not follow a configured L2HitLat.
-const triggerLat = 20
-
 // run bundles per-window state: the in-order pipeline of normal mode
 // plus the advance and rally structures.
 type run struct {
@@ -144,11 +138,18 @@ func (m *Machine) Window(tr *isa.Trace, hier *mem.Hierarchy, pred *bpred.Predict
 // rally resumes, which rewinds on a squash.
 func (r *run) miss(i int, acc mem.Result, done int64) int {
 	t := r.LastIssue
-	if r.Cfg.Trigger.Fires(acc.Level, false) && acc.Done > t+triggerLat {
+	if r.triggers(acc) {
 		return r.advance(i, t, acc.Done)
 	}
 	r.Retire(i, t, done)
 	return i + 1
+}
+
+// triggers reports whether a normal-mode load access starts an advance
+// episode: it must miss the L2 and take longer to return, counted from
+// the load's issue, than a configured L2 hit would.
+func (r *run) triggers(acc mem.Result) bool {
+	return r.Cfg.Trigger.Fires(acc.Level, false) && acc.Done > r.LastIssue+int64(r.Cfg.Hier.L2HitLat)
 }
 
 func (r *run) nextSeq() uint64 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"icfp/internal/inorder"
+	"icfp/internal/mem"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
 	"icfp/internal/workload"
@@ -103,5 +104,31 @@ func TestDeterminism(t *testing.T) {
 	b := New(cfg).Run(workload.SPEC("equake", 120_000))
 	if a.Cycles != b.Cycles {
 		t.Fatalf("non-deterministic: %d vs %d", a.Cycles, b.Cycles)
+	}
+}
+
+// TestTriggerFollowsL2HitLat pins that the advance trigger's latency
+// threshold is the configured L2 hit latency: an L2 miss returning 30
+// cycles after issue starts an episode at the default 20-cycle L2 and
+// not at a 40-cycle one, and an L2 hit never does.
+func TestTriggerFollowsL2HitLat(t *testing.T) {
+	miss := mem.Result{Done: 130, Level: mem.LevelMem}
+	for _, tc := range []struct {
+		l2Lat int
+		acc   mem.Result
+		want  bool
+	}{
+		{20, miss, true},
+		{29, miss, true},
+		{30, miss, false},
+		{40, miss, false},
+		{5, mem.Result{Done: 130, Level: mem.LevelL2}, false},
+	} {
+		cfg := New(pipeline.DefaultConfig()).cfg
+		cfg.Hier.L2HitLat = tc.l2Lat
+		r := &run{InOrder: pipeline.InOrder{Cfg: &cfg, LastIssue: 100}}
+		if got := r.triggers(tc.acc); got != tc.want {
+			t.Errorf("l2_hit_lat %d, access %+v issued at 100: triggers = %v, want %v", tc.l2Lat, tc.acc, got, tc.want)
+		}
 	}
 }

@@ -209,6 +209,19 @@ type Job struct {
 	Workload Workload `json:"workload"`
 }
 
+// Key is the cache identity of a simulation: the canonical encodings of
+// its machine and workload specs. Equal keys construct identical
+// simulations; the name of a job is not part of it.
+type Key struct {
+	Machine  string
+	Workload string
+}
+
+// Key returns the job's cache identity.
+func (j Job) Key() Key {
+	return Key{Machine: j.Machine.Canonical(), Workload: j.Workload.Canonical()}
+}
+
 // Render kinds.
 const (
 	// RenderTable prints one row per job: cycles, instructions, IPC.

@@ -123,7 +123,9 @@ func TestPreloadAndPersist(t *testing.T) {
 		t.Errorf("warm run: %d store hits, %d simulations; want 2 and 0", hits, second.Simulations())
 	}
 	for i := range jobs {
-		if rs1.Results[i].R != rs2.Results[i].R {
+		_, r1 := rs1.At(i)
+		_, r2 := rs2.At(i)
+		if *r1 != *r2 {
 			t.Errorf("job %d: result changed across the store round trip", i)
 		}
 	}
