@@ -26,8 +26,8 @@
 // shared secret before any protocol frame is processed. Leave both
 // unset only on loopback or a trusted network.
 //
-// Observability: -metrics-addr serves /metrics (Prometheus text, or
-// JSON via ?format=json) and /healthz over plain HTTP — bind it to
+// Observability: -metrics-addr serves /metrics (Prometheus text) and
+// /healthz over plain HTTP — bind it to
 // loopback or an internal interface. The worker tracks the daemon's
 // protocol-v4 heartbeats, so an idle worker detects a vanished daemon
 // fast. See the Monitoring section of docs/OPERATIONS.md for the metric

@@ -15,10 +15,10 @@
 // -accept-workers, expq simulates in-process (-local bounds the pool) —
 // the single-host service shape.
 //
-// Submit a suite and print the rendered report:
+// Submit a suite and print the rendered report with cmd/experiments:
 //
-//	experiments -describe fig8 | expq submit -server http://host:9800 -
-//	experiments -all -server http://host:9800        (same, per experiment)
+//	experiments -describe fig8 | experiments -spec - -server http://host:9800
+//	experiments -all -server http://host:9800        (per experiment)
 //
 // Every submitted job resolves through the store (a prior completion by
 // any client is a hit), then the in-flight table (identical jobs
@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -55,18 +54,9 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "submit" {
-		submitMain(os.Args[2:])
-		return
-	}
-	daemonMain(os.Args[1:])
-}
-
-func daemonMain(args []string) {
 	fs := flag.NewFlagSet("expq", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expq -listen :9800 -store DIR [-accept-workers :9801] [flags]   (daemon)")
-		fmt.Fprintln(os.Stderr, "       expq submit -server URL [suite.json | -]                        (client)")
+		fmt.Fprintln(os.Stderr, "usage: expq -listen :9800 -store DIR [-accept-workers :9801] [flags]")
 		fs.PrintDefaults()
 	}
 	var (
@@ -82,11 +72,15 @@ func daemonMain(args []string) {
 		metrics   = fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = telemetry off)")
 	)
 	sec := cliutil.SecurityFlags(fs)
-	fs.Parse(args)
+	fs.Parse(os.Args[1:])
 
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "expq:", err)
 		os.Exit(1)
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "expq: unexpected argument %q (submit suites with experiments -spec FILE -server URL)\n", fs.Arg(0))
+		os.Exit(2)
 	}
 	if *storeDir == "" {
 		fs.Usage()
@@ -183,65 +177,4 @@ func backendName(accept string) string {
 		return "local"
 	}
 	return "fleet"
-}
-
-func submitMain(args []string) {
-	fs := flag.NewFlagSet("expq submit", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expq submit -server URL [-token secret] [-tls-ca ca.pem] [suite.json | -]")
-		fmt.Fprintln(os.Stderr, "Submits a -spec suite document to a running expq daemon and prints the rendered report.")
-		fs.PrintDefaults()
-	}
-	var (
-		server     = fs.String("server", "", "expq daemon base URL, e.g. http://host:9800")
-		token      = fs.String("token", "", "bearer token (the daemon's -token)")
-		caFile     = fs.String("tls-ca", "", "CA certificate file to verify an https daemon against")
-		serverName = fs.String("tls-server-name", "", "expected TLS server name when it differs from the URL host")
-		quiet      = fs.Bool("q", false, "suppress per-job progress on stderr")
-	)
-	fs.Parse(args)
-	fatal := func(err error) {
-		fmt.Fprintln(os.Stderr, "expq submit:", err)
-		os.Exit(1)
-	}
-	if *server == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	path := fs.Arg(0)
-	if path == "" {
-		path = "-"
-	}
-	var suite []byte
-	var err error
-	if path == "-" {
-		suite, err = io.ReadAll(os.Stdin)
-	} else {
-		suite, err = os.ReadFile(path)
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	c, err := serve.NewClient(*server, *token, *caFile, *serverName)
-	if err != nil {
-		fatal(err)
-	}
-	onEvent := func(e serve.Event) {
-		if *quiet {
-			return
-		}
-		switch e.Event {
-		case "plan":
-			fmt.Fprintf(os.Stderr, "expq submit: %d jobs (%d store hits, %d shared, %d dispatched)\n",
-				e.Jobs, e.StoreHits, e.Attached, e.Dispatched)
-		case "job":
-			fmt.Fprintf(os.Stderr, "expq submit: %d/%d done\n", e.Done, e.Total)
-		}
-	}
-	out, err := c.Submit(suite, onEvent)
-	if err != nil {
-		fatal(err)
-	}
-	os.Stdout.Write(out)
 }

@@ -100,7 +100,6 @@ func run() error {
 		Perturb:     *flagPerturb,
 		Parallelism: *flagPar,
 		Cache:       exp.NewCache(),
-		Arena:       exp.NewArena(),
 	}
 
 	corpus := workload.FuzzCorpus()

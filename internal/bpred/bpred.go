@@ -269,11 +269,3 @@ func (p *Predictor) Pop() (ret uint64, ok bool) {
 	p.rasTop--
 	return p.ras[p.rasTop], true
 }
-
-// MispredictRate returns the fraction of mispredicted direction lookups.
-func (p *Predictor) MispredictRate() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Lookups)
-}

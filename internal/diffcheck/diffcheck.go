@@ -103,10 +103,9 @@ type Options struct {
 	// at least one invariant; cmd/fuzzgate -perturb and CI assert that
 	// it is.
 	Perturb string
-	// Cache and Arena, when non-nil, are shared with the exp harness so
-	// corpus runs memoize against earlier work.
+	// Cache, when non-nil, is shared with the exp harness so corpus
+	// runs memoize against earlier work.
 	Cache *exp.Cache
-	Arena *exp.Arena
 	// Parallelism is forwarded to exp.Run (0 means GOMAXPROCS).
 	Parallelism int
 }
@@ -187,9 +186,6 @@ func CheckAll(cases []workload.FuzzCase, o Options) ([]Report, error) {
 	opts := []exp.Option{exp.Parallelism(o.Parallelism)}
 	if o.Cache != nil {
 		opts = append(opts, exp.WithCache(o.Cache))
-	}
-	if o.Arena != nil {
-		opts = append(opts, exp.WithArena(o.Arena))
 	}
 	rs, err := exp.Run(jobs, opts...)
 	if err != nil {

@@ -65,7 +65,6 @@ func TestPerturbedModelIsCaught(t *testing.T) {
 func TestSharedCacheMemoizes(t *testing.T) {
 	o := opts()
 	o.Cache = exp.NewCache()
-	o.Arena = exp.NewArena()
 	if _, err := CheckAll(sample(), o); err != nil {
 		t.Fatal(err)
 	}

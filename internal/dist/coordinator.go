@@ -52,7 +52,7 @@ type Options struct {
 	// Zero disables the timeout.
 	FrameTimeout time.Duration
 	// Join delivers workers that join the fleet mid-run (elastic mode:
-	// cmd/expd -accept-workers feeds registered dialers through here). A
+	// cmd/expq -accept-workers feeds registered dialers through here). A
 	// joined worker is handshaken and enters the work-stealing loop
 	// immediately. With Join set, a run whose last worker dies waits for
 	// the next join instead of failing — the operator decides when to
@@ -80,10 +80,6 @@ type Options struct {
 	// result counters, requeues and retirements. A nil registry costs
 	// one nil check per event.
 	Metrics *obs.Registry
-	// Spans, when set, collects one obs.Span per merged result, labeled
-	// with the worker that simulated it — the distributed half of the
-	// -run-summary timeline.
-	Spans *obs.SpanLog
 	// OnMerge, when set, is called after each result lands in the cache
 	// (so a Lookup from inside the hook succeeds). Calls may arrive
 	// concurrently from different workers' dispatch loops; the hook is
@@ -451,8 +447,9 @@ func (d *dispatcher) endBatch() {
 // takeBatchLocked forms the next batch from the head of the ready queue,
 // which Run orders workload-major. It takes whole workload groups until
 // the batch fills the worker's pool (Options.Parallel, or
-// defaultPoolWidth): a worker keeps one arena per connection, so a
-// group dispatched together generates its trace once. A group is split
+// defaultPoolWidth): a worker runs each batch on one arena, so a group
+// dispatched together generates its trace once, and a group split
+// across batches is generated once per batch. A group is split
 // only past the guided self-scheduling share ceil(len(ready)/active)
 // (Polychronopoulos & Kuck, IEEE TC 1987), never below the pool width,
 // so a plan with fewer workloads than workers still spreads across the
@@ -741,16 +738,6 @@ func (d *dispatcher) runBatch(w Worker, conn *coordConn, batch []*pjob) (owed []
 				resultCount.Inc()
 				if d.opts.OnMerge != nil {
 					d.opts.OnMerge(k)
-				}
-				if d.opts.Spans != nil {
-					// Width is the worker's own measurement; placement is
-					// coordinator-clock, anchored at the merge instant.
-					end := time.Now()
-					d.opts.Spans.Add(obs.Span{
-						Machine: k.Machine, Workload: k.Workload, Worker: w.Name,
-						Start: end.Add(-time.Duration(m.Result.ElapsedNS)), End: end,
-						ElapsedNS: m.Result.ElapsedNS,
-					})
 				}
 			}
 		case TypeGoodbye:

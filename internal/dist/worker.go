@@ -152,11 +152,13 @@ func (c *workerConn) goodbye() error {
 // occurs. Batches are self-describing — each job carries its full
 // machine and workload spec — so the worker needs no prior knowledge of
 // the coordinator's job set; it validates each spec strictly and reports
-// invalid ones as fatal errors. The worker keeps its own cache and arena
-// for the lifetime of the connection, so a job re-dispatched after a
+// invalid ones as fatal errors. The worker keeps its own cache for the
+// lifetime of the connection, so a job re-dispatched after a
 // coordinator-side retry is answered from cache rather than
-// re-simulated; completed results are streamed back the moment each
-// simulation finishes, each carrying its wall time.
+// re-simulated. Each batch runs on exp.Run's own arena, which frees a
+// workload once the batch's last job over it is done. Completed results
+// are streamed back the moment each simulation finishes, each carrying
+// its wall time.
 func Serve(rw io.ReadWriter, opts ...ServeOption) error {
 	var so serveOptions
 	for _, opt := range opts {
@@ -204,7 +206,6 @@ func Serve(rw io.ReadWriter, opts ...ServeOption) error {
 		func() float64 { return time.Since(time.Unix(0, lastBeat.Load())).Seconds() })
 
 	cache := exp.NewCache()
-	arena := exp.NewArena()
 	cache.Instrument(so.reg)
 	deadline, canDeadline := rw.(readDeadliner)
 	for {
@@ -236,7 +237,7 @@ func Serve(rw io.ReadWriter, opts ...ServeOption) error {
 		case TypeHeartbeat:
 			// Liveness only; the timestamp above is the whole point.
 		case TypeBatch:
-			if err := serveBatch(conn, m, cache, arena, parallel, &so); err != nil {
+			if err := serveBatch(conn, m, cache, parallel, &so); err != nil {
 				return err
 			}
 		case TypeError:
@@ -257,7 +258,7 @@ func (c *workerConn) hasLeft() bool {
 // results. Results are sent from the pool's completion hook, so the
 // coordinator can merge (and checkpoint) them while the rest of the
 // batch is still running.
-func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena, parallel int, so *serveOptions) error {
+func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, parallel int, so *serveOptions) error {
 	batch := make([]exp.Job, 0, len(m.Jobs))
 	seen := make(map[exp.Key]bool, len(m.Jobs))
 	for _, sj := range m.Jobs {
@@ -297,7 +298,7 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 		send(k)
 	}
 	runOpts := []exp.Option{
-		exp.WithCache(cache), exp.WithArena(arena), exp.Parallelism(parallel),
+		exp.WithCache(cache), exp.Parallelism(parallel),
 		exp.OnRun(hook),
 	}
 	if so.leave != nil {

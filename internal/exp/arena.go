@@ -19,14 +19,13 @@ import (
 // evaluation CPU-bound on simulation rather than on generation.
 //
 // An Arena built with NewArena retains every workload it generates for
-// its own lifetime: that is what lets a long-lived caller (a dist
-// worker, whose batches revisit the same workloads) pass one to many Run
-// calls through WithArena. The private arena Run builds when given none
-// instead drops each workload as soon as the run's last job over it is
-// done, so a run's memory grows with its parallelism, not its plan.
+// its own lifetime (benchmarks use one to time generation alone). The
+// private arena each Run builds instead drops each workload as soon as
+// the run's last job over it is done, so a run's memory grows with its
+// parallelism, not its plan.
 //
-// An Arena may be shared by concurrent Run calls: the first claimant of a
-// key generates, everyone else waits for its result.
+// An Arena is safe for concurrent use: the first claimant of a key
+// generates, everyone else waits for its result.
 type Arena struct {
 	mu      sync.Mutex
 	entries map[string]*arenaEntry
@@ -81,8 +80,8 @@ func (a *Arena) get(key string, w spec.Workload) *workload.Workload {
 
 // release drops the workload under key, so its trace, memory image and
 // warmed-state checkpoints are freed once the last simulation holding
-// it returns. Only Run's private arena releases: the caller guarantees
-// no one will Get the key again.
+// it returns. Only Run releases, from its private arena, once no job of
+// the run will get the key again.
 func (a *Arena) release(key string) {
 	a.mu.Lock()
 	delete(a.entries, key)

@@ -184,8 +184,8 @@ func TestRunSharedCacheAcrossRuns(t *testing.T) {
 		t.Errorf("cache.Simulations() = %d, want 1", cache.Simulations())
 	}
 	k := Job{Name: "a", Machine: stubMachine(1), Workload: stubWorkload(1)}.Key()
-	if cache.SimulationsFor(k) != 1 {
-		t.Errorf("SimulationsFor(%v) = %d, want 1", k, cache.SimulationsFor(k))
+	if _, ok := cache.Lookup(k); !ok {
+		t.Errorf("cache holds no result for %v, the one key simulated", k)
 	}
 }
 
@@ -216,11 +216,11 @@ func TestRunSharesWorkloadsWithinRun(t *testing.T) {
 		j := Job{Name: fmt.Sprintf("j/%d", i), Machine: stubMachine(i), Workload: wl}
 		jobs = append(jobs, s.add(j, witnessRunner{mu: &mu, seen: &seen}))
 	}
-	arena := NewArena()
-	if _, err := Run(jobs, Parallelism(2), WithArena(arena)); err != nil {
+	arenas := captureArenas(t)
+	if _, err := Run(jobs, Parallelism(2)); err != nil {
 		t.Fatal(err)
 	}
-	if arena.Generations() != 1 {
+	if arena := arenas()[0]; arena.Generations() != 1 {
 		t.Errorf("4 jobs over one workload spec generated %d workloads, want 1", arena.Generations())
 	}
 	if len(seen) != 4 {

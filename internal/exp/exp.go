@@ -165,14 +165,6 @@ func (c *Cache) Simulations() int {
 	return n
 }
 
-// SimulationsFor returns how many times the key was actually simulated —
-// at most once per cache, by construction.
-func (c *Cache) SimulationsFor(k Key) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs[k]
-}
-
 // Lookup returns the completed result for k, if the cache has one.
 // In-flight entries read as absent: Lookup never blocks on a simulation
 // another claimant is still running.
@@ -202,7 +194,6 @@ func (c *Cache) Elapsed(k Key) (time.Duration, bool) {
 type options struct {
 	parallelism int
 	cache       *Cache
-	arena       *Arena
 	onRun       func(Key)
 	cancel      <-chan struct{}
 	spans       *obs.SpanLog
@@ -225,15 +216,6 @@ func WithCache(c *Cache) Option {
 	return func(o *options) { o.cache = c }
 }
 
-// WithArena routes the run through a shared workload arena, so workloads
-// already generated — by this run or any earlier one sharing the arena —
-// are reused instead of regenerated. Without this option each Run call
-// owns a private arena (workloads are still generated only once per key
-// within the run).
-func WithArena(a *Arena) Option {
-	return func(o *options) { o.arena = a }
-}
-
 // OnRun installs a hook invoked once per actual simulation (never for
 // cache hits), after the simulation completes. Calls may arrive from any
 // worker but never concurrently.
@@ -242,8 +224,8 @@ func OnRun(f func(Key)) Option {
 }
 
 // WithSpans records one obs.Span per actual simulation (never for cache
-// hits) into l, labeled with the pool worker that ran it — the local
-// half of the -run-summary timeline. A nil log records nothing.
+// hits) into l, labeled with the pool worker that ran it — the
+// -run-summary timeline. A nil log records nothing.
 func WithSpans(l *obs.SpanLog) Option {
 	return func(o *options) { o.spans = l }
 }
@@ -337,19 +319,19 @@ func PlanValidated(jobs []Job) (first []int, keys []Key, at []int) {
 // anything.
 //
 // Jobs are dispatched workload-major: grouped by workload, groups in
-// order of first appearance. Without WithArena, Run drops each workload
-// once its last job is done with it (simulated, parked behind another
-// claimant, answered from the cache, or skipped on cancel), so the run
-// holds about one workload per pool worker, however many the plan names.
+// order of first appearance. Each Run owns a private arena: it generates
+// each workload once and drops it once its last job is done with it
+// (simulated, parked behind another claimant, answered from the cache,
+// or skipped on cancel), so the run holds about one workload per pool
+// worker, however many the plan names.
 //
 // With two or more workers, Run also generates ahead: once a worker has
 // taken a group's first job, a helper goroutine generates the next
 // group's workload, unless every job of that group is already complete
 // in the cache. A workload-major pool otherwise meets each workload with
 // all its workers at once, and all but one would wait out the
-// generation. The helper pins its group like a job, so a private arena
-// holds at most one workload per worker plus the one being generated
-// ahead.
+// generation. The helper pins its group like a job, so the arena holds
+// at most one workload per worker plus the one being generated ahead.
 func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	o := options{}
 	for _, opt := range opts {
@@ -365,10 +347,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	if o.cache == nil {
 		o.cache = NewCache()
 	}
-	ownArena := o.arena == nil
-	if ownArena {
-		o.arena = privateArena()
-	}
+	arena := privateArena()
 
 	if err := validate(jobs); err != nil {
 		return nil, err
@@ -397,17 +376,14 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 	}
 	// left counts each workload's jobs (and generate-ahead helpers) not
 	// yet done with it; the one that takes it to zero releases the
-	// workload from a private arena.
-	var left []atomic.Int32
-	if ownArena {
-		left = make([]atomic.Int32, groups)
-		for _, g := range group {
-			left[g].Add(1)
-		}
+	// workload from the arena.
+	left := make([]atomic.Int32, groups)
+	for _, g := range group {
+		left[g].Add(1)
 	}
 	done := func(i int) {
-		if left != nil && left[group[i]].Add(-1) == 0 {
-			o.arena.release(wkeys[i])
+		if left[group[i]].Add(-1) == 0 {
+			arena.release(wkeys[i])
 		}
 	}
 
@@ -460,7 +436,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 						panic(fmt.Sprintf("exp: job %q: %v", j.Name, err))
 					}
 					start := time.Now()
-					wk := o.arena.get(wkeys[i], j.Workload)
+					wk := arena.get(wkeys[i], j.Workload)
 					var res pipeline.Result
 					if pol := j.Workload.Sampling; pol.Live() {
 						// Every machine a spec can name implements sampled
@@ -520,15 +496,13 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 			<-helper
 		}
 		i := grp[0]
-		if left != nil {
-			left[g].Add(1)
-		}
+		left[g].Add(1)
 		helper = make(chan struct{})
 		helpers.Add(1)
 		go func(returned chan struct{}) {
 			defer helpers.Done()
 			defer close(returned)
-			o.arena.get(wkeys[i], jobs[i].Workload)
+			arena.get(wkeys[i], jobs[i].Workload)
 			if genAheadHook != nil {
 				genAheadHook()
 			}
@@ -563,8 +537,8 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 // generation and unpinning its group; tests use it to delay helpers.
 var genAheadHook func()
 
-// privateArena builds the arena a Run without WithArena owns; engine
-// tests swap it to watch how many workloads the run holds.
+// privateArena builds the arena each Run owns; engine tests swap it to
+// watch how many workloads the run holds.
 var privateArena = NewArena
 
 // workloadMajor returns the dispatch order of jobs with the given arena

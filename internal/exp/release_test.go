@@ -144,32 +144,6 @@ func TestGenerateAheadBoundedUnderSlowHelpers(t *testing.T) {
 	}
 }
 
-// TestSharedArenaRetainsWorkloads pins the other half of the contract:
-// an arena passed in with WithArena keeps every workload, so a caller
-// whose later runs revisit them (a dist worker's batches) never
-// regenerates.
-func TestSharedArenaRetainsWorkloads(t *testing.T) {
-	var s stubs
-	s.install(t)
-	arenas := captureArenas(t)
-	a := NewArena()
-	jobs := machineMajor(&s, 3, 8)
-	for range 2 {
-		if _, err := Run(jobs, Parallelism(2), WithArena(a)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.live(); got != 8 {
-		t.Errorf("shared arena holds %d workloads after the runs, want all 8", got)
-	}
-	if got := a.Generations(); got != 8 {
-		t.Errorf("shared arena generated %d times over two runs, want 8", got)
-	}
-	if n := len(arenas()); n != 0 {
-		t.Errorf("Run built %d private arenas despite WithArena", n)
-	}
-}
-
 // closingRunner closes a channel (once) when it runs.
 type closingRunner struct {
 	once *sync.Once

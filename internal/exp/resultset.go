@@ -167,35 +167,9 @@ func (rs *ResultSet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(resultsJSON{Results: rs.Results()})
 }
 
-// UnmarshalJSON decodes what MarshalJSON encoded, into a set not yet
-// looked up by name.
-func (rs *ResultSet) UnmarshalJSON(b []byte) error {
-	var d resultsJSON
-	if err := json.Unmarshal(b, &d); err != nil {
-		return err
-	}
-	jobs := make([]Job, len(d.Results))
-	res := make([]pipeline.Result, len(d.Results))
-	for j, r := range d.Results {
-		jobs[j] = Job{Name: r.Name, Machine: r.Machine, Workload: r.Workload}
-		res[j] = r.R
-	}
-	rs.jobs, rs.res, rs.at = jobs, res, nil
-	return nil
-}
-
 // WriteJSON writes the result set as indented JSON.
 func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rs)
-}
-
-// ReadJSON parses a result set previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*ResultSet, error) {
-	rs := new(ResultSet)
-	if err := json.NewDecoder(r).Decode(rs); err != nil {
-		return nil, fmt.Errorf("exp: decoding result set: %w", err)
-	}
-	return rs, nil
 }

@@ -57,7 +57,7 @@ func TestSampledRunAllModels(t *testing.T) {
 	swl.Sampling = &spec.Sampling{Mode: spec.ModeSampled, Interval: 1_000, Period: 7_000}
 
 	cache := exp.NewCache()
-	arena := exp.NewArena()
+	arenas := exp.CaptureArenas(t)
 	var jobs []exp.Job
 	for _, m := range spec.Models {
 		mach := spec.Machine{Model: m, Overrides: warm}
@@ -65,10 +65,11 @@ func TestSampledRunAllModels(t *testing.T) {
 			exp.Job{Name: m + "/full", Machine: mach, Workload: wl},
 			exp.Job{Name: m + "/sampled", Machine: mach, Workload: swl})
 	}
-	rs, err := exp.Run(jobs, exp.WithCache(cache), exp.WithArena(arena))
+	rs, err := exp.Run(jobs, exp.WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
+	arena := arenas()[0]
 	if got := cache.Simulations(); got != 2*len(spec.Models) {
 		t.Fatalf("simulated %d, want %d (sampled and full are distinct identities)", got, 2*len(spec.Models))
 	}
@@ -187,12 +188,13 @@ func TestWarmStateSharedAcrossTimingConfigs(t *testing.T) {
 		a := spec.Machine{Model: m, Overrides: &spec.Overrides{Warmup: spec.Int(2_000)}}
 		b := spec.Machine{Model: m, Overrides: &spec.Overrides{Warmup: spec.Int(2_000),
 			L2HitLat: spec.Int(35), MemLat: spec.Int(250), NumMSHRs: spec.Int(8), StreamBufs: spec.Int(2)}}
-		arena := exp.NewArena()
+		arenas := exp.CaptureArenas(t)
 		shared, err := exp.Run([]exp.Job{{Name: "a", Machine: a, Workload: wl}, {Name: "b", Machine: b, Workload: wl}},
-			exp.WithArena(arena), exp.Parallelism(1))
+			exp.Parallelism(1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		arena := arenas()[0]
 		direct, err := exp.Run([]exp.Job{{Name: "b", Machine: b, Workload: wl}})
 		if err != nil {
 			t.Fatal(err)

@@ -56,15 +56,6 @@ func NewWithOptions(cfg pipeline.Config, trig pipeline.AdvanceTrigger, sb SBMode
 // scheduling deadlock rather than a slow workload.
 const watchdogCycles = int64(1) << 36
 
-// strictCycles (test-only) forces the cycle loop to step one cycle at a
-// time instead of skipping ahead to the next known event, and to run
-// normal mode through the cycle loop too instead of instruction by
-// instruction (run.normal). Simulated behaviour must be byte-identical
-// either way — the equivalence tests in strict_test.go pin that — so the
-// flag exists purely to exercise the skip-ahead logic and the normal-mode
-// path against the trivially correct strict loop.
-var strictCycles = false
-
 type mode int
 
 const (
@@ -214,14 +205,15 @@ func (r *run) counters() pipeline.Result {
 // simulated workload, so even a no-op function call per subsystem per
 // cycle is measurable against the in-order baseline. While only the
 // tail can act, the loop hands the cycle to normal, which issues
-// instruction by instruction instead.
+// instruction by instruction instead; the test-only pipeline.Strict
+// keeps normal mode in the loop and steps it one cycle at a time.
 func (r *run) loop() {
 	n := r.end
 	// Staging moves r.i past an instruction before it issues, so a staged
 	// instruction keeps the loop running as much as an unstaged one.
 	for r.i < n || r.st.valid || !r.slice.Empty() || len(r.pending) > 0 {
 		if r.mode == modeNormal && len(r.pending) == 0 && !r.passActive && r.stallSSN == 0 &&
-			r.slice.Empty() && !strictCycles {
+			r.slice.Empty() && !pipeline.Strict {
 			r.normal()
 			continue
 		}
@@ -315,7 +307,7 @@ func (r *run) normal() {
 // the pipeline.Horizon contract: every subsystem that can make progress
 // contributes its next known event cycle.
 func (r *run) nextEvent() int64 {
-	if strictCycles {
+	if pipeline.Strict {
 		return r.cycle + 1
 	}
 	var h pipeline.Horizon

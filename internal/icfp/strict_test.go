@@ -6,7 +6,9 @@ package icfp
 // means a state change escaped the pipeline.Horizon contract (an event
 // that fired without a covering Observe), so these tests run the exact
 // same machine twice and require the full Result struct to match —
-// cycles, advance/rally counts, forwarding stats, everything.
+// cycles, advance/rally counts, forwarding stats, everything. The strict
+// run sets pipeline.Strict, the one switch the runahead and sltp suites
+// flip too.
 
 import (
 	"testing"
@@ -111,9 +113,9 @@ func runOnce(tc strictCase, strict bool) pipeline.Result {
 // runPolicy runs tc under the sampling policy pol, strict-stepped or
 // not.
 func runPolicy(tc strictCase, strict bool, pol pipeline.SamplePolicy) pipeline.Result {
-	prev := strictCycles
-	strictCycles = strict
-	defer func() { strictCycles = prev }()
+	prev := pipeline.Strict
+	pipeline.Strict = strict
+	defer func() { pipeline.Strict = prev }()
 	cfg := tc.cfg()
 	cfg.WarmupInsts = 500
 	m := NewWithOptions(cfg, tc.trig, tc.sb)
@@ -136,9 +138,9 @@ func TestStrictEquivalence(t *testing.T) {
 // stream, the one skip-ahead source that arrives from outside the core.
 func TestStrictEquivalenceExternalStores(t *testing.T) {
 	run := func(strict bool) pipeline.Result {
-		prev := strictCycles
-		strictCycles = strict
-		defer func() { strictCycles = prev }()
+		prev := pipeline.Strict
+		pipeline.Strict = strict
+		defer func() { pipeline.Strict = prev }()
 		cfg := pipeline.DefaultConfig()
 		cfg.WarmupInsts = 500
 		m := New(cfg)
@@ -199,9 +201,9 @@ func TestStrictEquivalenceExternalStoresNormalMode(t *testing.T) {
 		}
 	}
 	run := func(strict bool) pipeline.Result {
-		prev := strictCycles
-		strictCycles = strict
-		defer func() { strictCycles = prev }()
+		prev := pipeline.Strict
+		pipeline.Strict = strict
+		defer func() { pipeline.Strict = prev }()
 		m := NewWithOptions(cfg, pipeline.TriggerL2Only, SBChained)
 		m.ExternalStores = events
 		return m.Run(w)

@@ -127,14 +127,6 @@ type Inst struct {
 // HasDst reports whether the instruction writes a register.
 func (in Inst) HasDst() bool { return in.Dst != RegNone }
 
-// NextPC returns the address of the next dynamic instruction.
-func (in Inst) NextPC() uint64 {
-	if in.Op.IsCtrl() && in.Taken {
-		return in.Target
-	}
-	return in.PC + 4
-}
-
 // String renders the instruction for debugging and examples.
 func (in Inst) String() string {
 	switch in.Op {

@@ -100,21 +100,6 @@ func TestRegPartition(t *testing.T) {
 	}
 }
 
-func TestNextPC(t *testing.T) {
-	in := Inst{PC: 0x1000, Op: OpALU}
-	if in.NextPC() != 0x1004 {
-		t.Errorf("sequential NextPC = %#x", in.NextPC())
-	}
-	br := Inst{PC: 0x1000, Op: OpBranch, Taken: true, Target: 0x2000}
-	if br.NextPC() != 0x2000 {
-		t.Errorf("taken branch NextPC = %#x", br.NextPC())
-	}
-	nt := Inst{PC: 0x1000, Op: OpBranch, Taken: false, Target: 0x2000}
-	if nt.NextPC() != 0x1004 {
-		t.Errorf("not-taken branch NextPC = %#x", nt.NextPC())
-	}
-}
-
 func TestHasDst(t *testing.T) {
 	with := Inst{Dst: IntReg(1)}
 	without := Inst{Dst: RegNone}

@@ -430,19 +430,6 @@ func (h *Hierarchy) Prefetch(cycle int64, addr uint64) Result {
 	return Result{Done: done, Level: lvl}
 }
 
-// ProbeData reports the level that would service addr, without changing
-// any state. Policy code (e.g. Runahead's advance-trigger selection) uses
-// it to classify a miss before committing to a mode transition.
-func (h *Hierarchy) ProbeData(addr uint64) Level {
-	if h.DCache.Probe(addr) {
-		return LevelL1
-	}
-	if h.L2.Probe(addr) {
-		return LevelL2
-	}
-	return LevelMem
-}
-
 // Inst performs an instruction fetch access for the line containing addr.
 func (h *Hierarchy) Inst(cycle int64, addr uint64) Result {
 	if h.ICache.Lookup(addr, false) {

@@ -174,18 +174,18 @@ func TestInstPath(t *testing.T) {
 
 func TestProbeDataNonPerturbing(t *testing.T) {
 	h := New(testConfig())
-	if h.ProbeData(0x5000) != LevelMem {
-		t.Fatal("cold probe must report mem")
+	if h.DCache.Probe(0x5000) || h.L2.Probe(0x5000) {
+		t.Fatal("cold probe must find the line in neither cache")
 	}
 	if h.Stats.DemandDataAccesses != 0 {
 		t.Fatal("probe must not count as access")
 	}
 	h.Data(0, 0x5000, false)
-	if h.ProbeData(0x5000) != LevelL1 {
-		t.Fatal("probe after fill must report L1")
+	if !h.DCache.Probe(0x5000) {
+		t.Fatal("probe after fill must find the line in L1")
 	}
-	if h.ProbeData(0x5040) != LevelL2 {
-		t.Fatal("sibling L1 line must report L2")
+	if h.DCache.Probe(0x5040) || !h.L2.Probe(0x5040) {
+		t.Fatal("sibling L1 line must be in L2 only")
 	}
 }
 
@@ -228,7 +228,7 @@ func TestPrefetchWarmsCache(t *testing.T) {
 	if h.Stats.DemandDataAccesses != 0 {
 		t.Fatal("prefetch must not count as demand access")
 	}
-	if h.ProbeData(0x9000) != LevelL1 {
+	if !h.DCache.Probe(0x9000) {
 		t.Fatal("prefetch must install the line")
 	}
 }

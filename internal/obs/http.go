@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 )
 
 // Handler returns the embeddable telemetry mux:
 //
-//   - /metrics renders the registry in Prometheus text format, or as
-//     JSON with ?format=json (or an Accept: application/json header).
+//   - /metrics renders the registry in Prometheus text format.
 //   - /healthz returns 200 "ok", or 503 with the error text when the
 //     optional healthz func reports one — the liveness contract scrape
 //     targets and load balancers expect.
@@ -20,13 +18,6 @@ import (
 func (r *Registry) Handler(healthz func() error) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		asJSON := req.URL.Query().Get("format") == "json" ||
-			strings.Contains(req.Header.Get("Accept"), "application/json")
-		if asJSON {
-			w.Header().Set("Content-Type", "application/json")
-			r.WriteJSON(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})

@@ -1,6 +1,6 @@
 // Package obs is the stdlib-only telemetry layer of the fleet: a metrics
-// registry (atomic counters, gauges, fixed-bucket histograms) renderable
-// in both Prometheus text format and JSON, an embeddable HTTP handler
+// registry (atomic counters, gauges, fixed-bucket histograms) rendered
+// in Prometheus text format, an embeddable HTTP handler
 // serving /metrics and /healthz, a structured-logging vocabulary on
 // log/slog shared by every dispatch diagnostic, and a span log that
 // records a run's per-simulation timeline for offline trace inspection.
@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -370,58 +369,4 @@ func formatValue(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// jsonMetric is one series in the JSON rendering.
-type jsonMetric struct {
-	Name    string            `json:"name"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Type    string            `json:"type"`
-	Value   *float64          `json:"value,omitempty"`
-	Count   *int64            `json:"count,omitempty"`
-	Sum     *float64          `json:"sum,omitempty"`
-	Buckets []jsonBucket      `json:"buckets,omitempty"`
-}
-
-type jsonBucket struct {
-	LE    float64 `json:"le"`
-	Count int64   `json:"count"`
-}
-
-// WriteJSON renders every series as a JSON document
-// ({"metrics": [...]}), the machine-readable twin of WritePrometheus,
-// in the same deterministic order. A nil registry renders an empty
-// document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	type doc struct {
-		Metrics []jsonMetric `json:"metrics"`
-	}
-	d := doc{Metrics: []jsonMetric{}}
-	if r != nil {
-		for _, s := range r.snapshot() {
-			m := jsonMetric{Name: s.name, Type: s.kind.String()}
-			if len(s.kv) > 0 {
-				m.Labels = make(map[string]string, len(s.kv)/2)
-				for i := 0; i < len(s.kv); i += 2 {
-					m.Labels[s.kv[i]] = s.kv[i+1]
-				}
-			}
-			if s.kind == kindHistogram {
-				count, sum := s.h.Count(), s.h.Sum()
-				m.Count, m.Sum = &count, &sum
-				var cum int64
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					m.Buckets = append(m.Buckets, jsonBucket{LE: bound, Count: cum})
-				}
-			} else {
-				v := s.value()
-				m.Value = &v
-			}
-			d.Metrics = append(d.Metrics, m)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }

@@ -73,9 +73,6 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Errorf("nil WritePrometheus: %v", err)
 	}
-	if err := r.WriteJSON(io.Discard); err != nil {
-		t.Errorf("nil WriteJSON: %v", err)
-	}
 
 	var l *SpanLog
 	l.Add(Span{})
@@ -124,37 +121,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.WritePrometheus(&buf2)
 	if buf.String() != buf2.String() {
 		t.Error("two renders of the same registry differ")
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits", "", "worker", "w0").Add(2)
-	r.Histogram("secs", "", []float64{1}).Observe(0.5)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Metrics []struct {
-			Name   string            `json:"name"`
-			Labels map[string]string `json:"labels"`
-			Type   string            `json:"type"`
-			Value  *float64          `json:"value"`
-			Count  *int64            `json:"count"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("JSON rendering does not parse: %v\n%s", err, buf.String())
-	}
-	if len(doc.Metrics) != 2 {
-		t.Fatalf("got %d metrics, want 2", len(doc.Metrics))
-	}
-	if m := doc.Metrics[0]; m.Name != "hits" || m.Type != "counter" || m.Labels["worker"] != "w0" || m.Value == nil || *m.Value != 2 {
-		t.Errorf("counter rendered badly: %+v", m)
-	}
-	if m := doc.Metrics[1]; m.Name != "secs" || m.Type != "histogram" || m.Count == nil || *m.Count != 1 {
-		t.Errorf("histogram rendered badly: %+v", m)
 	}
 }
 
@@ -222,9 +188,6 @@ func TestHandlerServesMetricsAndHealthz(t *testing.T) {
 
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "exp_cache_hits_total 5") {
 		t.Errorf("/metrics = %d %q", code, body)
-	}
-	if code, body := get("/metrics?format=json"); code != 200 || !strings.Contains(body, `"exp_cache_hits_total"`) {
-		t.Errorf("/metrics?format=json = %d %q", code, body)
 	}
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)

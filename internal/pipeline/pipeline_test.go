@@ -142,13 +142,14 @@ func TestRunaheadCache(t *testing.T) {
 
 func TestStoreBufferForwardAndDrain(t *testing.T) {
 	h := mem.New(mem.DefaultConfig())
-	sb := NewStoreBuffer(4, h)
+	sb := NewStoreBuffer(1, h)
 	sb.Insert(10, 0x1000, 55)
 	if v, ok := sb.Forward(11, 0x1000); !ok || v != 55 {
 		t.Fatalf("forward = %d,%v", v, ok)
 	}
-	// After the drain completes the entry is gone.
-	done := sb.DrainDone()
+	// After the drain completes the entry is gone. The buffer holds one
+	// entry, so it is full until exactly that drain.
+	done := sb.FullUntil(11)
 	if _, ok := sb.Forward(done+1, 0x1000); ok {
 		t.Fatal("drained store must not forward")
 	}
@@ -213,7 +214,7 @@ func TestWarmupPopulatesStructures(t *testing.T) {
 		{PC: 0x1004, Op: isa.OpBranch, Src1: isa.IntReg(1), Taken: true, Target: 0x1000},
 	})
 	WarmRange(h, p, tr, 0, 2)
-	if h.ProbeData(0x5000) != mem.LevelL1 {
+	if !h.DCache.Probe(0x5000) {
 		t.Fatal("warmup must fill the D$")
 	}
 	if !h.ICache.Probe(0x1000) {

@@ -42,17 +42,19 @@ func (s *SlotAlloc) advanceTo(cycle int64) {
 	}
 }
 
-// StrictTake (test-only) makes Take walk one cycle at a time
-// (takeStrict) instead of jumping straight to the next fitting cycle.
-// Simulated behaviour must be identical either way: the strict
-// equivalence suites of the instruction-driven cores set it to check
-// the jump against the trivially correct walk.
-var StrictTake = false
+// Strict (test-only) is the one switch from every skip-ahead to the
+// trivially correct one-cycle-at-a-time walk: Take walks (takeStrict)
+// instead of jumping straight to the next fitting cycle, and iCFP's
+// cycle loop steps every cycle and runs normal mode through the loop
+// instead of instruction by instruction. Simulated behaviour must be
+// identical either way: the strict equivalence suites of the runahead,
+// sltp and icfp cores set it to check the jumps against the walk.
+var Strict = false
 
 // Take allocates a slot for op at the earliest cycle >= earliest and
 // returns that cycle.
 func (s *SlotAlloc) Take(earliest int64, op isa.Op) int64 {
-	if StrictTake {
+	if Strict {
 		return s.takeStrict(earliest, op)
 	}
 	s.advanceTo(earliest)
@@ -65,7 +67,7 @@ func (s *SlotAlloc) Take(earliest int64, op isa.Op) int64 {
 
 // takeStrict is Take without the skip: it steps the allocator one cycle
 // at a time from the current cycle until op fits. The result and end
-// state are identical to Take's: under StrictTake, the
+// state are identical to Take's: under Strict, the
 // strict-vs-skip-ahead equivalence tests pin that the jump in advanceTo
 // never changes what a core observes.
 func (s *SlotAlloc) takeStrict(earliest int64, op isa.Op) int64 {

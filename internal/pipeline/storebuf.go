@@ -90,15 +90,3 @@ func (b *StoreBuffer) Forward(cycle int64, addr uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// DrainDone returns the cycle by which everything currently buffered has
-// written to the cache.
-func (b *StoreBuffer) DrainDone() int64 {
-	done := b.lastDrain
-	for _, e := range b.entries {
-		if e.done > done {
-			done = e.done
-		}
-	}
-	return done
-}

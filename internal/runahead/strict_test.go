@@ -4,7 +4,7 @@ package runahead
 // instruction-driven — they jump each instruction, in normal and advance
 // mode, straight to its gated issue cycle (pipeline.InOrder's Issue and
 // IssueAdvance, through SlotAlloc.Take) instead of stepping a cycle
-// loop. pipeline.StrictTake replaces the jump with a one-cycle-at-a-time
+// loop. pipeline.Strict replaces the jump with a one-cycle-at-a-time
 // walk, and these tests require the full Result struct to match between
 // the two, on adversarial store-buffer pressure and branch-on-load-chain
 // workloads.
@@ -70,9 +70,9 @@ func strictCases() []strictCase {
 }
 
 func runOnce(tc strictCase, strict bool) pipeline.Result {
-	prev := pipeline.StrictTake
-	pipeline.StrictTake = strict
-	defer func() { pipeline.StrictTake = prev }()
+	prev := pipeline.Strict
+	pipeline.Strict = strict
+	defer func() { pipeline.Strict = prev }()
 	cfg := tc.cfg()
 	cfg.WarmupInsts = 500
 	m := New(cfg)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/tls"
 	"crypto/x509"
@@ -70,19 +69,17 @@ func (c *Client) Submit(suiteJSON []byte, onEvent func(Event)) ([]byte, error) {
 		return nil, fmt.Errorf("serve: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	// The output event carries the whole rendered report in one line.
-	sc.Buffer(make([]byte, 0, 64<<10), maxSuiteBytes)
+	// One decoder reads the whole stream: the output event carries the
+	// rendered report, of any size, as one value.
+	dec := json.NewDecoder(resp.Body)
 	var out []byte
 	completed := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	for {
 		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("serve: undecodable event %q: %w", line, err)
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("serve: undecodable event stream at byte %d: %w", dec.InputOffset(), err)
 		}
 		if onEvent != nil {
 			onEvent(e)
@@ -95,9 +92,6 @@ func (c *Client) Submit(suiteJSON []byte, onEvent func(Event)) ([]byte, error) {
 		case "error":
 			return nil, fmt.Errorf("serve: daemon: %s", e.Error)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if !completed {
 		return nil, fmt.Errorf("serve: response stream ended without a done event")

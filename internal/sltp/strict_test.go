@@ -1,7 +1,7 @@
 package sltp
 
 // Strict-vs-skip-ahead equivalence for SLTP, mirroring the runahead and
-// icfp variants: pipeline.StrictTake swaps SlotAlloc.Take's jump, in
+// icfp variants: pipeline.Strict swaps SlotAlloc.Take's jump, in
 // normal and advance mode, for a one-cycle-at-a-time walk, and the full
 // Result struct must be unchanged on store-pressure and
 // branch-on-load-chain workloads.
@@ -51,9 +51,9 @@ func strictCases() []strictCase {
 }
 
 func runOnce(tc strictCase, strict bool) pipeline.Result {
-	prev := pipeline.StrictTake
-	pipeline.StrictTake = strict
-	defer func() { pipeline.StrictTake = prev }()
+	prev := pipeline.Strict
+	pipeline.Strict = strict
+	defer func() { pipeline.Strict = prev }()
 	cfg := tc.cfg()
 	cfg.WarmupInsts = 500
 	return New(cfg).Run(tc.w())

@@ -1,13 +1,12 @@
 // Package store is the persistent, content-addressed simulation result
 // store: the one persistence layer, behind the expq service
-// (internal/serve, cmd/expq) and the -store flag of cmd/experiments and
-// cmd/expd. Each
-// completed simulation is one record on disk, addressed by the SHA-256
-// of its canonical (machine, workload) spec pair — the same collision-
-// free identity internal/exp memoizes on and internal/dist ships over
-// the wire — in a two-level fanout directory layout, so any number of
-// processes can read and append concurrently without ever rewriting a
-// shared file.
+// (internal/serve, the -store flag of cmd/expq) and the -store flag of
+// cmd/experiments. Each completed simulation is one record on disk,
+// addressed by the SHA-256 of its canonical (machine, workload) spec
+// pair — the same collision-free identity internal/exp memoizes on and
+// internal/dist ships over the wire — in a two-level fanout directory
+// layout, so any number of processes can read and append concurrently
+// without ever rewriting a shared file.
 //
 // Writes are atomic (unique temp file, fsync, rename): a crash leaves
 // either no record or a complete one, never a torn file, and concurrent
