@@ -426,7 +426,7 @@ func loadSuite(path string) (spec.Suite, error) {
 	if err != nil {
 		return spec.Suite{}, err
 	}
-	s, err := spec.UnmarshalSuite(data)
+	s, err := spec.UnmarshalSuite(data) // owns data: the suite's strings alias it
 	if err != nil {
 		return spec.Suite{}, fmt.Errorf("suite %s: %w", path, err)
 	}

@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"icfp/internal/area"
 	"icfp/internal/exp"
@@ -93,17 +94,17 @@ func fig5Exp() Experiment {
 		return fig5Suite(e, p)
 	}
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
-		// Sampled cells (the -sample flag family) grow a ±CI tail; full
-		// cells format exactly as always, keeping the golden intact.
-		sp := func(name string, m sim.Labeled) string {
-			return spCell(rs, "%+8.1f%%", "fig5/"+name+"/"+m.Label, "fig5/"+name+"/base")
-		}
+		l := lookup{rs: rs}
 		fmt.Fprintln(w, "== Figure 5: % speedup over in-order ==")
 		fmt.Fprintf(w, "%-9s %9s %9s %9s %9s\n", "bench", "Runahead", "Multipass", "SLTP", "iCFP")
 		for _, name := range workload.AllSPECNames {
 			fmt.Fprintf(w, "%-9s", name)
+			base := l.get("fig5/", name, "/base")
 			for _, m := range fig5Models {
-				fmt.Fprintf(w, " %s", sp(name, m))
+				// Sampled cells (the -sample flag family) grow a ±CI tail;
+				// full cells format exactly as always, keeping the golden
+				// intact.
+				fmt.Fprintf(w, " %s", spCell("%+8.1f%%", l.get("fig5/", name, "/", m.Label), base))
 			}
 			fmt.Fprintln(w)
 		}
@@ -117,11 +118,10 @@ func fig5Exp() Experiment {
 		} {
 			fmt.Fprintf(w, "%-9s", grp.label)
 			for _, m := range fig5Models {
-				pairs := make([][2]string, 0, len(grp.names))
 				for _, name := range grp.names {
-					pairs = append(pairs, [2]string{"fig5/" + name + "/" + m.Label, "fig5/" + name + "/base"})
+					l.pair(l.get("fig5/", name, "/", m.Label), l.get("fig5/", name, "/base"))
 				}
-				fmt.Fprintf(w, " %+8.1f%%", rs.GeoMeanSpeedup(pairs))
+				fmt.Fprintf(w, " %+8.1f%%", l.geomean())
 			}
 			fmt.Fprintln(w, "   (geomean)")
 		}
@@ -155,23 +155,24 @@ func fig5sExp() Experiment {
 		return fig5Suite(e, q)
 	}
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
+		l := lookup{rs: rs}
 		fmt.Fprintln(w, "== Figure 5 sampled, 25x length: % speedup over in-order ± 95% CI ==")
 		fmt.Fprintf(w, "%-9s %14s %14s %14s %14s\n", "bench", "Runahead", "Multipass", "SLTP", "iCFP")
 		for _, name := range workload.AllSPECNames {
 			fmt.Fprintf(w, "%-9s", name)
+			base := l.get("fig5s/", name, "/base")
 			for _, m := range fig5Models {
-				sp, ci := rs.SpeedupCI95("fig5s/"+name+"/"+m.Label, "fig5s/"+name+"/base")
+				sp, ci := exp.SpeedupCI95(l.get("fig5s/", name, "/", m.Label), base)
 				fmt.Fprintf(w, " %14s", fmt.Sprintf("%+.1f%%±%.1f", sp, ci))
 			}
 			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(w, "%-9s", "SPEC")
 		for _, m := range fig5Models {
-			pairs := make([][2]string, 0, len(workload.AllSPECNames))
 			for _, name := range workload.AllSPECNames {
-				pairs = append(pairs, [2]string{"fig5s/" + name + "/" + m.Label, "fig5s/" + name + "/base"})
+				l.pair(l.get("fig5s/", name, "/", m.Label), l.get("fig5s/", name, "/base"))
 			}
-			fmt.Fprintf(w, " %+13.1f%%", rs.GeoMeanSpeedup(pairs))
+			fmt.Fprintf(w, " %+13.1f%%", l.geomean())
 		}
 		fmt.Fprintln(w, "   (geomean)")
 		fmt.Fprintln(w)
@@ -199,10 +200,11 @@ func table2Exp() Experiment {
 		fmt.Fprintln(w, "== Table 2: diagnostics (miss/KI from the in-order baseline) ==")
 		fmt.Fprintf(w, "%-9s %6s %6s | %6s %6s %6s | %6s %6s %6s | %8s\n",
 			"bench", "D$/KI", "L2/KI", "dMLPiO", "dMLPra", "dMLPic", "l2iO", "l2ra", "l2ic", "rally/KI")
+		l := lookup{rs: rs}
 		for _, name := range workload.AllSPECNames {
-			io := rs.MustGet("table2/" + name + "/in-order")
-			ra := rs.MustGet("table2/" + name + "/Runahead")
-			ic := rs.MustGet("table2/" + name + "/iCFP")
+			io := l.get("table2/", name, "/in-order")
+			ra := l.get("table2/", name, "/Runahead")
+			ic := l.get("table2/", name, "/iCFP")
 			fmt.Fprintf(w, "%-9s %6.1f %6.1f | %6.1f %6.1f %6.1f | %6.1f %6.1f %6.1f | %8.0f\n",
 				name, io.DCacheMissPerKI, io.L2MissPerKI,
 				io.DCacheMLP, ra.DCacheMLP, ic.DCacheMLP,
@@ -249,14 +251,16 @@ func fig6Exp() Experiment {
 			}
 			fmt.Fprintln(w)
 		}
+		l := lookup{rs: rs}
 		fmt.Fprintln(w, "-- equake --")
 		header()
 		for _, m := range machines {
 			fmt.Fprintf(w, "%-18s", m.Label)
 			for _, lat := range fig6Lats {
-				fmt.Fprintf(w, " %s", spCell(rs, "%+6.1f%%",
-					fmt.Sprintf("fig6/equake/%s/%d", m.Label, lat),
-					fmt.Sprintf("fig6/equake/base/%d", lat)))
+				ls := strconv.Itoa(lat)
+				fmt.Fprintf(w, " %s", spCell("%+6.1f%%",
+					l.get("fig6/equake/", m.Label, "/", ls),
+					l.get("fig6/equake/base/", ls)))
 			}
 			fmt.Fprintln(w)
 		}
@@ -265,13 +269,12 @@ func fig6Exp() Experiment {
 		for _, m := range machines {
 			fmt.Fprintf(w, "%-18s", m.Label)
 			for _, lat := range fig6Lats {
-				pairs := make([][2]string, 0, len(workload.AllSPECNames))
+				ls := strconv.Itoa(lat)
 				for _, bench := range workload.AllSPECNames {
-					pairs = append(pairs, [2]string{
-						fmt.Sprintf("fig6/spec/%s/%s/%d", bench, m.Label, lat),
-						fmt.Sprintf("fig6/spec/%s/base/%d", bench, lat)})
+					l.pair(l.get("fig6/spec/", bench, "/", m.Label, "/", ls),
+						l.get("fig6/spec/", bench, "/base/", ls))
 				}
-				fmt.Fprintf(w, " %+6.1f%%", rs.GeoMeanSpeedup(pairs))
+				fmt.Fprintf(w, " %+6.1f%%", l.geomean())
 			}
 			fmt.Fprintln(w)
 		}
@@ -307,10 +310,12 @@ func fig7Exp() Experiment {
 		for i, b := range builds {
 			fmt.Fprintf(w, "bar%d = %s\n", i+1, b.Label)
 		}
+		l := lookup{rs: rs}
 		for _, name := range figure7Names {
 			fmt.Fprintf(w, "%-9s", name)
+			base := l.get("fig7/", name, "/base")
 			for i := range builds {
-				fmt.Fprintf(w, " %s", spCell(rs, "%+7.1f%%", fmt.Sprintf("fig7/%s/bar%d", name, i+1), "fig7/"+name+"/base"))
+				fmt.Fprintf(w, " %s", spCell("%+7.1f%%", l.get("fig7/", name, "/bar", strconv.Itoa(i+1)), base))
 			}
 			fmt.Fprintln(w)
 		}
@@ -339,10 +344,12 @@ func fig8Exp() Experiment {
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
 		fmt.Fprintln(w, "== Figure 8: store buffer designs, % speedup over in-order ==")
 		fmt.Fprintf(w, "%-9s %12s %12s %12s\n", "bench", "limited", "chained", "ideal")
+		l := lookup{rs: rs}
 		for _, name := range figure8Names {
 			fmt.Fprintf(w, "%-9s", name)
+			base := l.get("fig8/", name, "/base")
 			for _, sb := range sbs {
-				fmt.Fprintf(w, " %s", spCell(rs, "%+11.1f%%", fmt.Sprintf("fig8/%s/%s", name, sb.Label), "fig8/"+name+"/base"))
+				fmt.Fprintf(w, " %s", spCell("%+11.1f%%", l.get("fig8/", name, "/", sb.Label), base))
 			}
 			fmt.Fprintln(w)
 		}
@@ -370,9 +377,10 @@ func hopsExp() Experiment {
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
 		fmt.Fprintln(w, "== §3.2: chained store buffer excess hops per load ==")
 		fmt.Fprintf(w, "%-9s %12s %12s | %12s\n", "bench", "hops(512ct)", ">=5 hops", "hops(64ct)")
+		l := lookup{rs: rs}
 		for _, name := range workload.AllSPECNames {
-			r := rs.MustGet("hops/" + name + "/512")
-			r64 := rs.MustGet("hops/" + name + "/64")
+			r := l.get("hops/", name, "/512")
+			r64 := l.get("hops/", name, "/64")
 			fmt.Fprintf(w, "%-9s %12.3f %11.1f%% | %12.3f\n", name, r.SBExtraHops, r.SBHopsAtLeast*100, r64.SBExtraHops)
 		}
 		fmt.Fprintln(w, "paper: < 0.5 for all benchmarks, < 0.05 for most")
@@ -399,10 +407,12 @@ func poisonExp() Experiment {
 	}
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
 		fmt.Fprintln(w, "== §3.4: poison vector width (speedup of 8-bit over 1-bit) ==")
+		l := lookup{rs: rs}
 		speedups := []float64{}
 		for _, name := range workload.AllSPECNames {
-			speedups = append(speedups, rs.Speedup("poison/"+name+"/8", "poison/"+name+"/1"))
-			fmt.Fprintf(w, "%-9s %s\n", name, spCell(rs, "%+6.1f%%", "poison/"+name+"/8", "poison/"+name+"/1"))
+			r8, r1 := l.get("poison/", name, "/8"), l.get("poison/", name, "/1")
+			speedups = append(speedups, r8.SpeedupOver(*r1))
+			fmt.Fprintf(w, "%-9s %s\n", name, spCell("%+6.1f%%", r8, r1))
 		}
 		fmt.Fprintf(w, "%-9s %+6.1f%%   (paper: +1.5%% average, +6%% on mcf)\n\n", "geomean", exp.GeoMeanPercent(speedups))
 	}
@@ -447,16 +457,16 @@ func oooExp() Experiment {
 	}
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
 		fmt.Fprintln(w, "== §5.3: 2-way out-of-order and out-of-order CFP vs in-order ==")
-		var po, pc [][2]string
+		l := lookup{rs: rs}
+		var po, pc [][2]*pipeline.Result
 		for _, name := range workload.AllSPECNames {
-			fmt.Fprintf(w, "%-9s ooo %s   ooo-cfp %s\n", name,
-				spCell(rs, "%+7.1f%%", "ooo/"+name+"/2way", "ooo/"+name+"/base"),
-				spCell(rs, "%+7.1f%%", "ooo/"+name+"/cfp", "ooo/"+name+"/base"))
-			po = append(po, [2]string{"ooo/" + name + "/2way", "ooo/" + name + "/base"})
-			pc = append(pc, [2]string{"ooo/" + name + "/cfp", "ooo/" + name + "/base"})
+			base, o, cfp := l.get("ooo/", name, "/base"), l.get("ooo/", name, "/2way"), l.get("ooo/", name, "/cfp")
+			fmt.Fprintf(w, "%-9s ooo %s   ooo-cfp %s\n", name, spCell("%+7.1f%%", o, base), spCell("%+7.1f%%", cfp, base))
+			po = append(po, [2]*pipeline.Result{o, base})
+			pc = append(pc, [2]*pipeline.Result{cfp, base})
 		}
 		fmt.Fprintf(w, "%-9s ooo %+7.1f%%   ooo-cfp %+7.1f%%   (geomean; paper: +68%% and +83%%)\n\n",
-			"SPEC", rs.GeoMeanSpeedup(po), rs.GeoMeanSpeedup(pc))
+			"SPEC", exp.GeoMeanSpeedupOf(po), exp.GeoMeanSpeedupOf(pc))
 	}
 	return e
 }
@@ -499,14 +509,17 @@ func ablateExp() Experiment {
 		return b.done()
 	}
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
+		l := lookup{rs: rs}
 		fmt.Fprintln(w, "== Ablations: iCFP structure sizing ==")
 		for si, sweep := range ablateSweeps {
 			fmt.Fprintf(w, "-- %s --\n", sweep.label)
+			prefix := "ablate/" + strconv.Itoa(si) + "/"
 			for _, v := range sweep.vals {
 				fmt.Fprintf(w, "%4d:", v)
+				vs := strconv.Itoa(v)
 				for _, name := range ablateNames {
 					fmt.Fprintf(w, "  %s %s", name,
-						spCell(rs, "%+7.1f%%", fmt.Sprintf("ablate/%d/%d/%s", si, v, name), "ablate/base/"+name))
+						spCell("%+7.1f%%", l.get(prefix, vs, "/", name), l.get("ablate/base/", name)))
 				}
 				fmt.Fprintln(w)
 			}
@@ -547,14 +560,15 @@ func fuzzExp() Experiment {
 			fmt.Fprintf(w, " %9s", m.Label)
 		}
 		fmt.Fprintln(w)
+		l := lookup{rs: rs}
 		speedups := make(map[string][]float64)
 		for _, c := range workload.FuzzCorpus() {
 			fmt.Fprintf(w, "%-13s", c.Label)
-			base := "fuzz/" + c.Label + "/base"
+			base := l.get("fuzz/", c.Label, "/base")
 			for _, m := range fuzzModels {
-				name := "fuzz/" + c.Label + "/" + m.Label
-				speedups[m.Label] = append(speedups[m.Label], rs.Speedup(name, base))
-				fmt.Fprintf(w, " %s", spCell(rs, "%+8.1f%%", name, base))
+				r := l.get("fuzz/", c.Label, "/", m.Label)
+				speedups[m.Label] = append(speedups[m.Label], r.SpeedupOver(*base))
+				fmt.Fprintf(w, " %s", spCell("%+8.1f%%", r, base))
 			}
 			fmt.Fprintln(w)
 		}

@@ -12,6 +12,7 @@ package registry
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"icfp/internal/exp"
 	"icfp/internal/pipeline"
@@ -72,30 +73,34 @@ type Experiment struct {
 	Extra bool
 }
 
-// All lists the registry in the paper's presentation order.
-func All() []Experiment {
-	return []Experiment{
-		table1Exp(),
-		fig5Exp(),
-		fig5sExp(),
-		table2Exp(),
-		fig6Exp(),
-		fig7Exp(),
-		fig8Exp(),
-		hopsExp(),
-		poisonExp(),
-		areaExp(),
-		oooExp(),
-		ablateExp(),
-		fuzzExp(),
-	}
+// experiments is the registry in the paper's presentation order, built
+// once: every lookup shares its entries, which nothing changes after
+// init (their closures only read what they captured), so concurrent
+// renders may share them too.
+var experiments = []Experiment{
+	table1Exp(),
+	fig5Exp(),
+	fig5sExp(),
+	table2Exp(),
+	fig6Exp(),
+	fig7Exp(),
+	fig8Exp(),
+	hopsExp(),
+	poisonExp(),
+	areaExp(),
+	oooExp(),
+	ablateExp(),
+	fuzzExp(),
 }
+
+// All lists the registry in the paper's presentation order. The slice
+// is the caller's own copy.
+func All() []Experiment { return slices.Clone(experiments) }
 
 // Names lists the experiment names in registry order.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, e := range all {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
 		names[i] = e.Name
 	}
 	return names
@@ -106,7 +111,7 @@ func Names() []string {
 // named). This is the set the committed -all golden pins.
 func DefaultNames() []string {
 	var names []string
-	for _, e := range All() {
+	for _, e := range experiments {
 		if !e.Extra {
 			names = append(names, e.Name)
 		}
@@ -116,7 +121,7 @@ func DefaultNames() []string {
 
 // Lookup returns the named experiment.
 func Lookup(name string) (Experiment, bool) {
-	for _, e := range All() {
+	for _, e := range experiments {
 		if e.Name == name {
 			return e, true
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"icfp/internal/exp"
+	"icfp/internal/pipeline"
 	"icfp/internal/spec"
 )
 
@@ -79,13 +80,55 @@ func renderTable(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 // the cell ends in "±h", the 95% half-width in percentage points; full
 // runs carry none, so full-mode tables format exactly as they always
 // have.
-func spCell(rs *exp.ResultSet, format, test, base string) string {
-	sp, ci := rs.SpeedupCI95(test, base)
+func spCell(format string, test, base *pipeline.Result) string {
+	sp, ci := exp.SpeedupCI95(test, base)
 	cell := fmt.Sprintf(format, sp)
 	if ci > 0 {
 		cell += fmt.Sprintf("±%.1f", ci)
 	}
 	return cell
+}
+
+// lookup finds a renderer's results by names it builds in one reused
+// buffer (exp.ResultSet.Find), so a table costs work per cell rather
+// than a string per job name it reads.
+type lookup struct {
+	rs    *exp.ResultSet
+	name  []byte
+	pairs [][2]*pipeline.Result // gathered for geomean
+}
+
+// find returns the result named by the concatenation of parts.
+func (l *lookup) find(parts ...string) (*pipeline.Result, bool) {
+	l.name = l.name[:0]
+	for _, p := range parts {
+		l.name = append(l.name, p...)
+	}
+	return l.rs.Find(l.name)
+}
+
+// get is find for a name that must be present: a missing one panics, as
+// exp.ResultSet.MustGet does, and a builtin render recovers the panic
+// into an error naming the suite.
+func (l *lookup) get(parts ...string) *pipeline.Result {
+	r, ok := l.find(parts...)
+	if !ok {
+		panic(fmt.Sprintf("exp: no result named %q", l.name))
+	}
+	return r
+}
+
+// pair adds a (test, base) pair to the next geomean.
+func (l *lookup) pair(test, base *pipeline.Result) {
+	l.pairs = append(l.pairs, [2]*pipeline.Result{test, base})
+}
+
+// geomean returns the geometric-mean percent speedup over the pairs
+// added since the last call.
+func (l *lookup) geomean() float64 {
+	g := exp.GeoMeanSpeedupOf(l.pairs)
+	l.pairs = l.pairs[:0]
+	return g
 }
 
 // baseline returns the render's baseline name segment (default "base").
@@ -105,38 +148,34 @@ func splitLast(name string) (string, string) {
 	return "", name
 }
 
-// joinGroup rebuilds a job name from a group prefix and a segment.
-func joinGroup(group, seg string) string {
-	if group == "" {
-		return seg
-	}
-	return group + "/" + seg
-}
-
 // renderSpeedup prints each non-baseline job's percent speedup over its
 // group's baseline job, plus the geometric mean over all pairs.
 func renderSpeedup(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 	base := baseline(s)
 	fmt.Fprintf(w, "== suite %s: %% speedup over %q ==\n", s.Name, base)
-	var pairs [][2]string
+	l := lookup{rs: rs}
 	for j := range rs.Len() {
-		name, _ := rs.At(j)
+		name, r := rs.At(j)
 		group, seg := splitLast(name)
 		if seg == base {
 			continue
 		}
-		bname := joinGroup(group, base)
-		if _, ok := rs.Get(bname); !ok {
-			return fmt.Errorf("registry: suite %q: job %q has no baseline %q (rename the baseline job or set render.baseline)",
-				s.Name, name, bname)
+		sep := "/"
+		if group == "" {
+			sep = ""
 		}
-		fmt.Fprintf(w, "%-32s %s\n", name, spCell(rs, "%+7.1f%%", name, bname))
-		pairs = append(pairs, [2]string{name, bname})
+		b, ok := l.find(group, sep, base)
+		if !ok {
+			return fmt.Errorf("registry: suite %q: job %q has no baseline %q (rename the baseline job or set render.baseline)",
+				s.Name, name, l.name)
+		}
+		fmt.Fprintf(w, "%-32s %s\n", name, spCell("%+7.1f%%", r, b))
+		l.pair(r, b)
 	}
-	if len(pairs) == 0 {
+	if len(l.pairs) == 0 {
 		return fmt.Errorf("registry: suite %q: no jobs to compare against baseline %q", s.Name, base)
 	}
-	fmt.Fprintf(w, "%-32s %+7.1f%%\n\n", "geomean", rs.GeoMeanSpeedup(pairs))
+	fmt.Fprintf(w, "%-32s %+7.1f%%\n\n", "geomean", l.geomean())
 	return nil
 }
 
@@ -172,17 +211,19 @@ func renderSweep(w io.Writer, s spec.Suite, rs *exp.ResultSet) error {
 		fmt.Fprintf(w, " %8s", col)
 	}
 	fmt.Fprintln(w)
+	l := lookup{rs: rs}
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-18s", row)
 		for _, col := range cols {
-			test, bname := row+"/"+col, base+"/"+col
-			if _, ok := rs.Get(test); !ok {
-				return fmt.Errorf("registry: suite %q: sweep cell %q is missing", s.Name, test)
+			t, ok := l.find(row, "/", col)
+			if !ok {
+				return fmt.Errorf("registry: suite %q: sweep cell %q is missing", s.Name, l.name)
 			}
-			if _, ok := rs.Get(bname); !ok {
-				return fmt.Errorf("registry: suite %q: sweep baseline %q is missing", s.Name, bname)
+			b, ok := l.find(base, "/", col)
+			if !ok {
+				return fmt.Errorf("registry: suite %q: sweep baseline %q is missing", s.Name, l.name)
 			}
-			fmt.Fprintf(w, " %s", spCell(rs, "%+7.1f%%", test, bname))
+			fmt.Fprintf(w, " %s", spCell("%+7.1f%%", t, b))
 		}
 		fmt.Fprintln(w)
 	}

@@ -81,8 +81,9 @@ func (rs *ResultSet) Slice(lo, hi int) *ResultSet {
 	return Collect(rs.jobs[lo:hi:hi], nil, rs.res[lo:hi:hi])
 }
 
-// index returns the index of the first job of the given name.
-func (rs *ResultSet) index(name string) (int, bool) {
+// names returns the set's name index: each name → the index of its
+// first job. The first call builds it; its keys are the jobs' own names.
+func (rs *ResultSet) names() map[string]int {
 	rs.indexOnce.Do(func() {
 		rs.byName = make(map[string]int, len(rs.jobs))
 		for j := range rs.jobs {
@@ -91,8 +92,25 @@ func (rs *ResultSet) index(name string) (int, bool) {
 			}
 		}
 	})
-	j, ok := rs.byName[name]
+	return rs.byName
+}
+
+// index returns the index of the first job of the given name.
+func (rs *ResultSet) index(name string) (int, bool) {
+	j, ok := rs.names()[name]
 	return j, ok
+}
+
+// Find returns the result of the first job named name. It allocates
+// nothing (indexing a map by string(name) copies no bytes), so a renderer
+// can build every name it looks up in one reused buffer.
+func (rs *ResultSet) Find(name []byte) (*pipeline.Result, bool) {
+	j, ok := rs.names()[string(name)]
+	if !ok {
+		return nil, false
+	}
+	_, r := rs.At(j)
+	return r, true
 }
 
 // Get returns the first result of the given name.
@@ -124,24 +142,33 @@ func (rs *ResultSet) Speedup(test, base string) float64 {
 	return rs.must(test).SpeedupOver(*rs.must(base))
 }
 
-// SpeedupCI95 returns Speedup(test, base) together with its 95%
-// half-width in percentage points, propagating both runs' sampling CIs
-// through the CPI ratio (relative half-widths add in quadrature; see
-// stats.RatioCI95). Full runs carry zero CIs, so their half-width is 0
-// and the speedup value itself always matches Speedup exactly.
-func (rs *ResultSet) SpeedupCI95(test, base string) (speedupPct, ciPct float64) {
-	t, b := rs.must(test), rs.must(base)
-	_, ci := stats.RatioCI95(b.CPI(), b.SampleCPICI95, t.CPI(), t.SampleCPICI95)
-	return t.SpeedupOver(*b), ci * 100
+// SpeedupCI95 returns the percent speedup of test over base together
+// with its 95% half-width in percentage points, propagating both runs'
+// sampling CIs through the CPI ratio (relative half-widths add in
+// quadrature; see stats.RatioCI95). Full runs carry zero CIs, so their
+// half-width is 0 and the speedup value itself always matches
+// ResultSet.Speedup exactly.
+func SpeedupCI95(test, base *pipeline.Result) (speedupPct, ciPct float64) {
+	_, ci := stats.RatioCI95(base.CPI(), base.SampleCPICI95, test.CPI(), test.SampleCPICI95)
+	return test.SpeedupOver(*base), ci * 100
 }
 
 // GeoMeanSpeedup returns the geometric-mean percent speedup over a list
 // of (test, base) result-name pairs — the reduction behind every
 // "geomean" row in the paper's figures.
 func (rs *ResultSet) GeoMeanSpeedup(pairs [][2]string) float64 {
+	results := make([][2]*pipeline.Result, 0, len(pairs))
+	for _, p := range pairs {
+		results = append(results, [2]*pipeline.Result{rs.must(p[0]), rs.must(p[1])})
+	}
+	return GeoMeanSpeedupOf(results)
+}
+
+// GeoMeanSpeedupOf is GeoMeanSpeedup over (test, base) result pairs.
+func GeoMeanSpeedupOf(pairs [][2]*pipeline.Result) float64 {
 	ratios := make([]float64, 0, len(pairs))
 	for _, p := range pairs {
-		ratios = append(ratios, float64(rs.must(p[1]).Cycles)/float64(rs.must(p[0]).Cycles))
+		ratios = append(ratios, float64(p[1].Cycles)/float64(p[0].Cycles))
 	}
 	return (stats.GeoMean(ratios) - 1) * 100
 }

@@ -251,6 +251,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading suite: %v", err), code)
 		return
 	}
+	// The decoder owns body from here: the suite's strings alias it, and
+	// nothing writes it again.
 	suite, err := spec.UnmarshalSuite(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -47,15 +47,15 @@ func localServer(t *testing.T, reg *obs.Registry) (*serve.Server, *httptest.Serv
 
 // describe marshals one registry experiment as the suite document a
 // client submits.
-func describe(t *testing.T, name string) []byte {
-	t.Helper()
+func describe(tb testing.TB, name string) []byte {
+	tb.Helper()
 	s, err := registry.Describe(name, tinyParams())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	b, err := s.Marshal()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return b
 }
@@ -254,17 +254,18 @@ func TestSubmitRejectsGarbage(t *testing.T) {
 
 // hostileSuiteAlloc bounds the bytes the daemon allocates to refuse a
 // suite of more than spec.MaxSuiteJobs jobs, whatever its size: the
-// decoder stops at the first job past the bound. (Refusing one job past
-// it allocates 28.5 MB on amd64, mostly the job array grown to the
-// bound.)
-const hostileSuiteAlloc = 48 << 20
+// decoder counts the jobs array before it allocates a job. (Refusing one
+// job past the bound, a 196 KB document, allocates 0.3 MB on amd64, and
+// four times the bound, 786 KB, 0.8 MB: little more than the body read.
+// Growing the job array while decoding it cost 28.5 MB and 32 MB.)
+const hostileSuiteAlloc = 4 << 20
 
 // TestSubmitBoundsJobs pins what a hostile suite costs the daemon:
 // documents of empty jobs, one past spec.MaxSuiteJobs and four times
 // it, are refused with a 400 that names the bound, and refusing either
 // allocates at most hostileSuiteAlloc bytes. Decoding every job before
 // validation rejected the suite cost about ninety times the document's
-// size: 71 MB for the larger one, against 32 MB with the bound.
+// size: 71 MB for the larger one.
 func TestSubmitBoundsJobs(t *testing.T) {
 	_, hs, _ := localServer(t, nil)
 	for _, n := range []int{spec.MaxSuiteJobs + 1, 4 * spec.MaxSuiteJobs} {

@@ -20,39 +20,45 @@ import (
 	"icfp/internal/exp/registry"
 	"icfp/internal/pipeline"
 	"icfp/internal/serve"
+	"icfp/internal/spec"
 	"icfp/internal/store"
 )
 
-// syntheticServer returns the named experiment's suite document at the
-// tests' scale, the number of distinct simulations it names, and a
-// server whose store holds a made-up result for each of them: the suite
-// is answered wholly from the store, and nothing is ever simulated.
-func syntheticServer(t *testing.T, name string) (doc []byte, keys int, srv *serve.Server) {
-	t.Helper()
-	s, err := registry.Describe(name, tinyParams())
-	if err != nil {
-		t.Fatal(err)
+// syntheticServer returns the named experiments' suite documents at the
+// tests' scale, the number of distinct simulations they name, and a
+// server whose store holds a made-up result for each of them: the suites
+// are answered wholly from the store, and nothing is ever simulated.
+func syntheticServer(tb testing.TB, names ...string) (docs [][]byte, keys int, srv *serve.Server) {
+	tb.Helper()
+	var jobs []spec.Job
+	for _, name := range names {
+		s, err := registry.Describe(name, tinyParams())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jobs = append(jobs, s.Jobs...)
+		docs = append(docs, describe(tb, name))
 	}
-	plan, err := exp.Plan(s.Jobs)
+	plan, err := exp.Plan(jobs)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	st, err := store.Open(t.TempDir(), store.Options{})
+	st, err := store.Open(tb.TempDir(), store.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i, sj := range plan {
 		k := exp.KeyOf(sj)
 		r := pipeline.Result{Cycles: int64(10_000 + 37*i), Insts: 8_000}
 		if err := st.Put(exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: r}); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	srv, err = serve.New(serve.Config{Store: st, LocalParallel: 1})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return describe(t, name), len(plan), srv
+	return docs, len(plan), srv
 }
 
 // replyWriter is an http.ResponseWriter that keeps the reply and counts
@@ -93,9 +99,9 @@ func eventLine(t *testing.T, e serve.Event) string {
 // in that order with the fields they always carried, written with no
 // flush before the handler returns.
 func TestAllHitReplyIsPlanOutputDone(t *testing.T) {
-	doc, keys, srv := syntheticServer(t, "fig8")
+	docs, keys, srv := syntheticServer(t, "fig8")
 	w := &replyWriter{header: http.Header{}}
-	w.submit(srv.Handler(), doc)
+	w.submit(srv.Handler(), docs[0])
 	if w.code != 0 && w.code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.code, w.body.Bytes())
 	}
@@ -124,6 +130,35 @@ func TestAllHitReplyIsPlanOutputDone(t *testing.T) {
 	if ct := w.header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type %q, want application/x-ndjson", ct)
 	}
+}
+
+// BenchmarkSubmitHits submits every -all suite over loopback HTTP
+// through serve.Client, against a store that holds a made-up result for
+// each of their simulations: the daemon's hit path end to end (reading,
+// decoding and planning the document, the store lookups, the render and
+// the reply) and the client's, with nothing simulated. One op is one
+// pass over the suites.
+func BenchmarkSubmitHits(b *testing.B) {
+	docs, _, srv := syntheticServer(b, registry.DefaultNames()...)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	c, err := serve.NewClient(hs.URL, "", "", "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pass := func() {
+		for _, doc := range docs {
+			if _, err := c.Submit(doc, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // the store's first read of each record
+	b.ReportAllocs()
+	for b.Loop() {
+		pass()
+	}
+	b.ReportMetric(float64(len(docs)), "suites/op")
 }
 
 // TestPlanReachesClientBeforeSimulation pins the flush rule for a

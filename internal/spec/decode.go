@@ -8,24 +8,29 @@ import (
 	"slices"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 )
 
-// decodeSuite decodes a suite document strictly, in one pass over data and
-// without reflection. It accepts exactly the documents that encoding/json's
-// Decoder with DisallowUnknownFields accepts as one value followed only by
-// whitespace, and builds the same Suite: keys match their field exactly,
-// else under bytes.EqualFold; a repeated key decodes again into what the
-// earlier one left (the later scalar wins, objects merge, a "jobs" array
-// decodes into the existing elements); null clears a pointer or slice and
-// leaves any other field alone; integers must be integer literals in
-// range; strings are unescaped and coerced to valid UTF-8. The reflective
-// decode in oracle_test.go is its test oracle (FuzzSuiteDecode).
+// decodeSuite decodes a suite document strictly, in one pass over data
+// (a jobs array is counted first) and without reflection. It accepts
+// exactly the documents that encoding/json's Decoder with
+// DisallowUnknownFields accepts as one value followed only by whitespace,
+// and builds the same Suite: keys match their field exactly, else under
+// bytes.EqualFold; a repeated key decodes again into what the earlier one
+// left (the later scalar wins, objects merge, a "jobs" array decodes into
+// the existing elements); null clears a pointer or slice and leaves any
+// other field alone; integers must be integer literals in range; strings
+// are unescaped and coerced to valid UTF-8. The reflective decode in
+// oracle_test.go is its test oracle (FuzzSuiteDecode).
 //
-// Decoded strings are substrings of one copy of data, enum values are the
-// package constants, and the per-job override pointers come from slabs,
-// so a document costs a handful of allocations however many jobs it holds.
+// The suite takes ownership of data: an escape-free string is a substring
+// of data itself (unsafe.String), so data must not change while the suite
+// is in use. Enum values are the package constants, the job slice and the
+// override slab are sized by a first count of the jobs array, and the
+// other pointer fields come from slabs, so a document costs a handful of
+// allocations however many jobs it holds.
 func decodeSuite(data []byte) (Suite, error) {
-	d := decoder{data: data, text: string(data)}
+	d := decoder{data: data, text: unsafe.String(unsafe.SliceData(data), len(data))}
 	var s Suite
 	d.ws()
 	if d.object() { // null leaves the zero suite, as encoding/json does
@@ -45,7 +50,7 @@ func decodeSuite(data []byte) (Suite, error) {
 // (fail), and every later step is a no-op.
 type decoder struct {
 	data []byte
-	text string // data as a string: escape-free strings are slices of it
+	text string // data aliased as a string: escape-free strings are slices of it
 	pos  int
 	err  error
 
@@ -59,6 +64,15 @@ type decoder struct {
 type slab[T any] struct {
 	free []T
 	next int // the next chunk's length
+}
+
+// reserve makes room for n more values in one chunk, when the free part
+// of the current one is short of it.
+func (s *slab[T]) reserve(n int) {
+	if len(s.free) < n {
+		s.free = make([]T, n)
+		s.next = max(s.next, n)
+	}
 }
 
 func (s *slab[T]) new() *T {
@@ -125,8 +139,9 @@ func (d *decoder) render(r *Render) {
 // jobs decodes the suite's job array the way encoding/json decodes into a
 // slice: element i decodes into the existing element i, the slice grows
 // (keeping what lies past its length) or is cut to the array's length, and
-// an empty array leaves a new empty slice. An array of more than
-// MaxSuiteJobs elements fails at the first element past the bound.
+// an empty array leaves a new empty slice. A first count (countJobs) sizes
+// the slice and the override slab, and an array of more than MaxSuiteJobs
+// elements fails on that count, before any job is allocated.
 func (d *decoder) jobs(p *[]Job) {
 	switch d.peek() {
 	case 'n':
@@ -139,9 +154,19 @@ func (d *decoder) jobs(p *[]Job) {
 		d.mismatch("jobs array")
 		return
 	}
+	n, overrides := d.countJobs()
+	if n > MaxSuiteJobs {
+		d.fail("jobs array holds more than %d jobs", MaxSuiteJobs)
+		return
+	}
 	s := *p
+	if n > cap(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	d.overrides.reserve(overrides)
 	i := 0
 	for first := true; d.element(first); first = false {
+		// Only a malformed array, whose count was a guess, gets past it.
 		if i == MaxSuiteJobs {
 			d.fail("jobs array holds more than %d jobs", MaxSuiteJobs)
 			return
@@ -165,6 +190,68 @@ func (d *decoder) jobs(p *[]Job) {
 	}
 	*p = s
 }
+
+// countJobs scans the array whose elements begin at d.pos (just past its
+// '[') without decoding it. It returns the number of elements, counting no
+// further than MaxSuiteJobs+1, and the number of "overrides" strings among
+// them, each job's machine naming at most one Overrides. It only skips
+// strings and tracks nesting, so both counts are exact for a well-formed
+// array and a guess, which the decode then refutes, for a malformed one.
+func (d *decoder) countJobs() (n, overrides int) {
+	data, i := d.data, d.pos
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\r' || data[i] == '\n') {
+		i++
+	}
+	if i == len(data) || data[i] == ']' {
+		return 0, 0
+	}
+	depth := 0
+	for i < len(data) {
+		for i < len(data) && !structural[data[i]] {
+			i++
+		}
+		if i == len(data) {
+			break
+		}
+		c := data[i]
+		i++
+		switch c {
+		case '\n':
+			i = skipSpaces(data, i)
+		case '"':
+			start := i
+			for i < len(data) && data[i] != '"' {
+				if data[i] == '\\' {
+					i++ // the escaped byte
+				}
+				i++
+			}
+			if string(data[start:min(i, len(data))]) == "overrides" {
+				overrides++
+			}
+			i++
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth == 0 {
+				return n + 1, overrides
+			}
+			depth--
+		case ',':
+			if depth > 0 {
+				continue
+			}
+			if n++; n == MaxSuiteJobs {
+				return n + 1, overrides
+			}
+		}
+	}
+	return n + 1, overrides
+}
+
+// structural marks the bytes countJobs acts on: a string's opening quote,
+// brackets and braces, the comma, and the newline that indentation follows.
+var structural = [256]bool{'"': true, '[': true, ']': true, '{': true, '}': true, ',': true, '\n': true}
 
 func (d *decoder) job(j *Job) {
 	for k := d.member(jobKeys, -1); k >= 0; k = d.member(jobKeys, k) {
@@ -442,7 +529,7 @@ func (d *decoder) str(dst *string) {
 	case '"':
 		s, esc := d.scanString()
 		if esc != nil {
-			*dst = string(esc)
+			*dst = unsafe.String(unsafe.SliceData(esc), len(esc)) // esc is the decoder's own
 		} else {
 			*dst = d.text[s.start:s.end]
 		}
@@ -757,20 +844,26 @@ func (d *decoder) ws() {
 		case ' ', '\t', '\r':
 			i++
 		case '\n':
-			i++
-			for i+8 <= len(data) {
-				if x := binary.LittleEndian.Uint64(data[i:]) ^ spaces8; x != 0 {
-					i += bits.TrailingZeros64(x) / 8
-					break
-				}
-				i += 8
-			}
+			i = skipSpaces(data, i+1)
 		default:
 			d.pos = i
 			return
 		}
 	}
 	d.pos = i
+}
+
+// skipSpaces returns the index of the first byte at or after i that is
+// not a space, or a multiple of eight bytes past i near the end of data,
+// reading a word at a time.
+func skipSpaces(data []byte, i int) int {
+	for i+8 <= len(data) {
+		if x := binary.LittleEndian.Uint64(data[i:]) ^ spaces8; x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+		i += 8
+	}
+	return i
 }
 
 const spaces8 = 0x2020202020202020

@@ -1,6 +1,7 @@
 package spec_test
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,6 +185,46 @@ func TestDecodeSuiteJobBound(t *testing.T) {
 	}
 }
 
+// TestCountJobsIsExact pins the decoder's first count of a jobs array,
+// which sizes the job slice and the override slab and enforces
+// MaxSuiteJobs: on every -describe document of the -all experiments and
+// on arrays whose strings hold brackets, commas and escaped quotes, it
+// counts exactly the jobs the decode returns, and at least the overrides
+// they hold.
+func TestCountJobsIsExact(t *testing.T) {
+	docs, _ := describedDocs(t)
+	for _, doc := range []string{
+		`{"jobs":[]}`,
+		`{"jobs":[ ]}`,
+		`{"jobs":[null]}`,
+		`{"jobs":[{"name":"a,b}]{[\"x\\"},null,{"name":"overrides"},{"machine":{"overrides":{"width":2}}}]}`,
+		"{\"jobs\" : [\n\t{ } ,\r\n{\"machine\":{\"overrides\":null}} ]}",
+	} {
+		docs = append(docs, []byte(doc))
+	}
+	for _, doc := range docs {
+		s, err := spec.DecodeSuite(doc)
+		if err != nil {
+			t.Fatalf("%.60q: %v", doc, err)
+		}
+		key := bytes.Index(doc, []byte(`"jobs"`))
+		open := bytes.IndexByte(doc[key:], '[')
+		if open < 0 {
+			continue // "jobs": null
+		}
+		n, overrides := spec.CountJobs(doc, key+open)
+		want := 0
+		for _, j := range s.Jobs {
+			if j.Machine.Overrides != nil {
+				want++
+			}
+		}
+		if n != len(s.Jobs) || overrides < want {
+			t.Errorf("%.60q: counted %d jobs and %d overrides, decoded %d jobs with %d", doc, n, overrides, len(s.Jobs), want)
+		}
+	}
+}
+
 // TestDecodeSuiteCornerCases pins the direct decoder to encoding/json on
 // the cases where a hand-written JSON decoder most easily strays.
 func TestDecodeSuiteCornerCases(t *testing.T) {
@@ -240,7 +281,7 @@ func FuzzSuiteDecode(f *testing.F) {
 // it may grow. Allocation counts are deterministic, so the bound is
 // exact.
 const (
-	unmarshalSuiteAllocs     = 162
+	unmarshalSuiteAllocs     = 98
 	unmarshalSuiteAllocSlack = 0.2
 )
 

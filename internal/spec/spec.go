@@ -253,8 +253,9 @@ type Render struct {
 // (the largest described suite, fig6, holds 750). A job decodes from as
 // little as three bytes ("{},") into a 136-byte Job, so without the
 // bound a submitted document of empty jobs would cost the decoder about
-// a hundred times its size in memory; the decoder fails as soon as a
-// jobs array passes it, and Validate enforces it on every suite.
+// a hundred times its size in memory; the decoder counts a jobs array
+// before it allocates for one and refuses it past the bound, and
+// Validate enforces it on every suite.
 const MaxSuiteJobs = 1 << 16
 
 // Suite is a named list of jobs plus how to render their results — the
@@ -578,10 +579,16 @@ func (s Suite) Marshal() ([]byte, error) {
 // UnmarshalSuite parses and validates a suite. Decoding is strict:
 // unknown fields anywhere in the document (a typo'd "trigerr") and
 // trailing garbage are errors, and the parsed suite must validate. The
-// document is read in one pass without reflection, and it is accepted
-// and decoded exactly as encoding/json's Decoder with
-// DisallowUnknownFields would (keys also match case-insensitively, a
-// repeated key decodes again over the earlier value).
+// document is read without reflection, and it is accepted and decoded
+// exactly as encoding/json's Decoder with DisallowUnknownFields would
+// (keys also match case-insensitively, a repeated key decodes again over
+// the earlier value).
+//
+// UnmarshalSuite takes ownership of data: the suite's strings alias it
+// rather than copy it, so the caller must not write data after the call,
+// for as long as the suite or any string taken from it is in use. A jobs
+// array of more than MaxSuiteJobs elements is refused before any job is
+// allocated.
 func UnmarshalSuite(data []byte) (Suite, error) {
 	s, err := decodeSuite(data)
 	if err != nil {
