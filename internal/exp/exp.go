@@ -290,18 +290,16 @@ func Plan(jobs []Job) ([]spec.Job, error) {
 // of a suite spec.UnmarshalSuite returned — without validating them
 // again, and without copying them. Plan entry i is the simulation of
 // jobs[first[i]], the first job to name it; keys[i] is its key, computed
-// while deduplicating, each distinct machine and workload encoded once
-// (spec.KeyMemo); and at[j] is jobs[j]'s entry. A caller that looks every
-// entry up by key and renders from the entries' results (the expq daemon,
-// with Collect) encodes nothing more.
+// once while deduplicating; and at[j] is jobs[j]'s entry. A caller that
+// looks every entry up by key and renders from the entries' results (the
+// expq daemon, with Collect) encodes each spec once.
 func PlanValidated(jobs []Job) (first []int, keys []Key, at []int) {
-	var km spec.KeyMemo
 	index := make(map[Key]int, len(jobs))
 	first = make([]int, 0, len(jobs))
 	keys = make([]Key, 0, len(jobs))
 	at = make([]int, len(jobs))
 	for j := range jobs {
-		k := km.Key(&jobs[j])
+		k := jobs[j].Key()
 		i, ok := index[k]
 		if !ok {
 			i = len(first)
@@ -355,15 +353,13 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 		return nil, err
 	}
 
-	// Each key is computed once, here, and each distinct spec encoded
-	// once; the pool reuses them. The arena key equals the canonical
-	// workload unless a live sampling policy sets the two apart, so only
-	// sampled jobs pay a second encoding.
-	var km spec.KeyMemo
+	// Each key is computed once, here; the pool reuses it. The arena key
+	// equals the canonical workload unless a live sampling policy sets
+	// the two apart, so only sampled jobs pay a second encoding.
 	keys := make([]Key, len(jobs))
 	wkeys := make([]string, len(jobs))
 	for i, j := range jobs {
-		keys[i] = km.Key(&jobs[i])
+		keys[i] = j.Key()
 		wkeys[i] = keys[i].Workload
 		if j.Workload.Sampling.Live() {
 			wkeys[i] = arenaKey(j.Workload)

@@ -126,7 +126,8 @@ func TestResultSetReductions(t *testing.T) {
 	if sp := rs.Speedup(a, b); sp != want {
 		t.Errorf("Speedup = %.3f%%, want %.3f%%", sp, want)
 	}
-	geo := rs.GeoMeanSpeedup([][2]string{{a, b}, {a, b}})
+	pa, pb := rs.MustGet(a), rs.MustGet(b)
+	geo := exp.GeoMeanSpeedup([][2]*pipeline.Result{{&pa, &pb}, {&pa, &pb}})
 	ratio := float64(rs.MustGet(b).Cycles) / float64(rs.MustGet(a).Cycles)
 	if wantGeo := (ratio - 1) * 100; geo < wantGeo-1e-9 || geo > wantGeo+1e-9 {
 		t.Errorf("GeoMeanSpeedup = %.6f%%, want %.6f%%", geo, wantGeo)

@@ -466,7 +466,7 @@ func oooExp() Experiment {
 			pc = append(pc, [2]*pipeline.Result{cfp, base})
 		}
 		fmt.Fprintf(w, "%-9s ooo %+7.1f%%   ooo-cfp %+7.1f%%   (geomean; paper: +68%% and +83%%)\n\n",
-			"SPEC", exp.GeoMeanSpeedupOf(po), exp.GeoMeanSpeedupOf(pc))
+			"SPEC", exp.GeoMeanSpeedup(po), exp.GeoMeanSpeedup(pc))
 	}
 	return e
 }

@@ -126,7 +126,7 @@ func (l *lookup) pair(test, base *pipeline.Result) {
 // geomean returns the geometric-mean percent speedup over the pairs
 // added since the last call.
 func (l *lookup) geomean() float64 {
-	g := exp.GeoMeanSpeedupOf(l.pairs)
+	g := exp.GeoMeanSpeedup(l.pairs)
 	l.pairs = l.pairs[:0]
 	return g
 }

@@ -154,18 +154,9 @@ func SpeedupCI95(test, base *pipeline.Result) (speedupPct, ciPct float64) {
 }
 
 // GeoMeanSpeedup returns the geometric-mean percent speedup over a list
-// of (test, base) result-name pairs — the reduction behind every
-// "geomean" row in the paper's figures.
-func (rs *ResultSet) GeoMeanSpeedup(pairs [][2]string) float64 {
-	results := make([][2]*pipeline.Result, 0, len(pairs))
-	for _, p := range pairs {
-		results = append(results, [2]*pipeline.Result{rs.must(p[0]), rs.must(p[1])})
-	}
-	return GeoMeanSpeedupOf(results)
-}
-
-// GeoMeanSpeedupOf is GeoMeanSpeedup over (test, base) result pairs.
-func GeoMeanSpeedupOf(pairs [][2]*pipeline.Result) float64 {
+// of (test, base) result pairs — the reduction behind every "geomean" row
+// in the paper's figures.
+func GeoMeanSpeedup(pairs [][2]*pipeline.Result) float64 {
 	ratios := make([]float64, 0, len(pairs))
 	for _, p := range pairs {
 		ratios = append(ratios, float64(p[1].Cycles)/float64(p[0].Cycles))

@@ -110,6 +110,8 @@ type Server struct {
 	// coordinator at a time. Store hits and flight waits never take it.
 	dispatchMu sync.Mutex
 
+	prepared preparedSuites // the last documents served, decoded and planned
+
 	submissions *obs.Counter
 	dispatched  *obs.Counter
 	attached    *obs.Counter
@@ -251,15 +253,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading suite: %v", err), code)
 		return
 	}
-	// The decoder owns body from here: the suite's strings alias it, and
+	// The prepared suite owns body from here: its strings alias it, and
 	// nothing writes it again.
-	suite, err := spec.UnmarshalSuite(body)
+	p, err := s.prepared.prepare(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The suite validated on decode: plan it without validating again.
-	first, keys, at := exp.PlanValidated(suite.Jobs)
+	suite, first, keys, at := p.suite, p.first, p.keys, p.at
 
 	s.submissions.Inc()
 	s.clients.Add(1)

@@ -252,12 +252,13 @@ func TestSubmitRejectsGarbage(t *testing.T) {
 	}
 }
 
-// hostileSuiteAlloc bounds the bytes the daemon allocates to refuse a
-// suite of more than spec.MaxSuiteJobs jobs, whatever its size: the
-// decoder counts the jobs array before it allocates a job. (Refusing one
-// job past the bound, a 196 KB document, allocates 0.3 MB on amd64, and
-// four times the bound, 786 KB, 0.8 MB: little more than the body read.
-// Growing the job array while decoding it cost 28.5 MB and 32 MB.)
+// hostileSuiteAlloc bounds the bytes the daemon allocates, beyond
+// reading the body, to refuse a hostile suite, whatever its size. The
+// decoder counts a jobs array that passes the largest described suite
+// before it grows the job slice any further. (Refusing one job past
+// spec.MaxSuiteJobs, a 196 KB document, allocates 0.8 MB on amd64, and
+// four times the bound, 786 KB, 1.3 MB: the body read and the first 1,024
+// jobs. Growing the job array while decoding it cost 28.5 MB and 32 MB.)
 const hostileSuiteAlloc = 4 << 20
 
 // TestSubmitBoundsJobs pins what a hostile suite costs the daemon:
@@ -265,11 +266,14 @@ const hostileSuiteAlloc = 4 << 20
 // it, are refused with a 400 that names the bound, and refusing either
 // allocates at most hostileSuiteAlloc bytes. Decoding every job before
 // validation rejected the suite cost about ninety times the document's
-// size: 71 MB for the larger one.
+// size: 71 MB for the larger one. Documents just under the daemon's size
+// limit that repeat the "overrides" key, as strings in one element or
+// as members of one machine, are refused too, for at most
+// hostileSuiteAlloc bytes beyond the body.
 func TestSubmitBoundsJobs(t *testing.T) {
 	_, hs, _ := localServer(t, nil)
-	for _, n := range []int{spec.MaxSuiteJobs + 1, 4 * spec.MaxSuiteJobs} {
-		body := `{"jobs":[` + strings.Repeat(`{},`, n-1) + `{}]}`
+	post := func(body string) (int, string, uint64) {
+		t.Helper()
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -283,13 +287,33 @@ func TestSubmitBoundsJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), fmt.Sprint(spec.MaxSuiteJobs)) {
-			t.Errorf("%d jobs: status %d, %q; want 400 naming the %d-job bound", n, resp.StatusCode, msg, spec.MaxSuiteJobs)
+		return resp.StatusCode, string(msg), after.TotalAlloc - before.TotalAlloc
+	}
+	for _, n := range []int{spec.MaxSuiteJobs + 1, 4 * spec.MaxSuiteJobs} {
+		body := `{"jobs":[` + strings.Repeat(`{},`, n-1) + `{}]}`
+		code, msg, alloc := post(body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, fmt.Sprint(spec.MaxSuiteJobs)) {
+			t.Errorf("%d jobs: status %d, %q; want 400 naming the %d-job bound", n, code, msg, spec.MaxSuiteJobs)
 		}
-		alloc := after.TotalAlloc - before.TotalAlloc
 		t.Logf("refusing %d jobs in %d bytes allocated %.1f MB", n, len(body), float64(alloc)/1e6)
 		if alloc > hostileSuiteAlloc {
 			t.Errorf("refusing %d jobs allocated %d bytes, want at most %d", n, alloc, hostileSuiteAlloc)
+		}
+	}
+	fill := func(head, item, tail string) string {
+		return head + strings.Repeat(item, (serve.MaxSuiteBytes-len(head)-len(tail))/len(item)) + tail
+	}
+	for _, c := range []struct{ what, body string }{
+		{"override strings", fill(`{"jobs":[[`, `"overrides",`, `"overrides"]]}`)},
+		{"null overrides", fill(`{"jobs":[{"machine":{`, `"overrides":null,`, `"model":"in-order"}}]}`)},
+	} {
+		code, msg, alloc := post(c.body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, %.80q; want 400", c.what, code, msg)
+		}
+		t.Logf("refusing %s in %d bytes allocated %.1f MB", c.what, len(c.body), float64(alloc)/1e6)
+		if alloc > uint64(len(c.body))+hostileSuiteAlloc {
+			t.Errorf("refusing %s in %d bytes allocated %d bytes, want at most %d more", c.what, len(c.body), alloc, hostileSuiteAlloc)
 		}
 	}
 }

@@ -134,10 +134,10 @@ func TestAllHitReplyIsPlanOutputDone(t *testing.T) {
 
 // BenchmarkSubmitHits submits every -all suite over loopback HTTP
 // through serve.Client, against a store that holds a made-up result for
-// each of their simulations: the daemon's hit path end to end (reading,
-// decoding and planning the document, the store lookups, the render and
-// the reply) and the client's, with nothing simulated. One op is one
-// pass over the suites.
+// each of their simulations: the daemon's hit path end to end for a
+// resubmitted document (reading it, finding its prepared suite, the
+// store lookups, the render and the reply) and the client's, with
+// nothing simulated. One op is one pass over the suites.
 func BenchmarkSubmitHits(b *testing.B) {
 	docs, _, srv := syntheticServer(b, registry.DefaultNames()...)
 	hs := httptest.NewServer(srv.Handler())
@@ -153,7 +153,7 @@ func BenchmarkSubmitHits(b *testing.B) {
 			}
 		}
 	}
-	pass() // the store's first read of each record
+	pass() // the store's first read of each record, each document's preparation
 	b.ReportAllocs()
 	for b.Loop() {
 		pass()

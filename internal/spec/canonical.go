@@ -9,13 +9,13 @@ import (
 // for byte what encoding/json produces when it marshals a spec value,
 // re-parses it into a generic (float64-numbered) tree and marshals the
 // tree again. The encoders below write it directly, without reflection
-// or the intermediate tree, because every submission and every run keys
-// its jobs (KeyMemo encodes each distinct spec once). Each appendJSON
-// method therefore lists its fields in sorted key order, applies the
-// same omitempty rules as the struct tags, and writes numbers and
-// strings exactly as the round trip would (appendNumber, appendString).
-// The reflective round trip survives in the tests as the oracle every
-// encoding is checked against.
+// or the intermediate tree, because canonicalization runs several times
+// per job on every submission. Each appendJSON method therefore lists
+// its fields in sorted key order, applies the same omitempty rules as
+// the struct tags, and writes numbers and strings exactly as the
+// round trip would (appendNumber, appendString). The reflective round
+// trip survives in the tests as the oracle every encoding is checked
+// against.
 
 // appendKey starts an object member: a comma unless it is the object's
 // first (the buffer then ends in the object's '{'), the quoted key, and
@@ -170,101 +170,4 @@ func (s *Sampling) appendJSON(b []byte) []byte {
 	b = appendNonZero(b, "seed", s.Seed)
 	b = appendNonZero(b, "warmup", int64(s.Warmup))
 	return append(b, '}')
-}
-
-// KeyMemo returns jobs' keys (Job.Key), encoding each distinct machine
-// and workload once: a suite names far fewer of each than it has jobs
-// (fig6's 750 jobs name 30 machines and 25 workloads). It memoizes each
-// encoding on the spec's comparable flattened form, its pointer fields
-// dereferenced, so equal specs share an encoding whatever cells their
-// pointers name. It does not key on a spec's JSON text, which a repeated
-// key can merge into some other value. The zero value is ready to use; a
-// KeyMemo is not safe for concurrent use.
-type KeyMemo struct {
-	machines  map[machineID]string
-	workloads map[workloadID]string
-}
-
-// Key returns j.Key().
-func (km *KeyMemo) Key(j *Job) Key {
-	if km.machines == nil {
-		km.machines = make(map[machineID]string)
-		km.workloads = make(map[workloadID]string)
-	}
-	mid := j.Machine.id()
-	m, ok := km.machines[mid]
-	if !ok {
-		m = j.Machine.Canonical()
-		km.machines[mid] = m
-	}
-	wid := j.Workload.id()
-	w, ok := km.workloads[wid]
-	if !ok {
-		w = j.Workload.Canonical()
-		km.workloads[wid] = w
-	}
-	return Key{Machine: m, Workload: w}
-}
-
-// machineID is a Machine flattened into a comparable value: two machines
-// have equal IDs exactly when every field, and every override through its
-// pointer, is equal.
-type machineID struct {
-	model, trigger, storeBuffer string
-	cfp                         bool
-	overrides                   overridesID
-}
-
-// overridesID is an *Overrides flattened: bit i of set marks the i-th of
-// ints that is set, bit len(intRanges)+i the i-th of bools, and bit 31 a
-// non-nil pointer.
-type overridesID struct {
-	set   uint32
-	ints  [len(intRanges)]int
-	bools [3]bool
-}
-
-// bools returns the boolean override fields.
-func (o *Overrides) bools() [3]*bool {
-	return [...]*bool{o.BlockSecondaryD1, o.MultithreadRally, o.NonBlockingRally}
-}
-
-func (m *Machine) id() machineID {
-	id := machineID{model: m.Model, trigger: m.Trigger, storeBuffer: m.StoreBuffer, cfp: m.CFP}
-	if o := m.Overrides; o != nil {
-		id.overrides.set = 1 << 31
-		for i, p := range o.ints() {
-			if p != nil {
-				id.overrides.set |= 1 << i
-				id.overrides.ints[i] = *p
-			}
-		}
-		for i, p := range o.bools() {
-			if p != nil {
-				id.overrides.set |= 1 << (len(intRanges) + i)
-				id.overrides.bools[i] = *p
-			}
-		}
-	}
-	return id
-}
-
-// workloadID is a Workload flattened the same way.
-type workloadID struct {
-	spec, scenario       string
-	n                    int
-	hasFuzz, hasSampling bool
-	fuzz                 Fuzz
-	sampling             Sampling
-}
-
-func (w *Workload) id() workloadID {
-	id := workloadID{spec: w.SPEC, scenario: w.Scenario, n: w.N}
-	if w.Fuzz != nil {
-		id.hasFuzz, id.fuzz = true, *w.Fuzz
-	}
-	if w.Sampling != nil {
-		id.hasSampling, id.sampling = true, *w.Sampling
-	}
-	return id
 }

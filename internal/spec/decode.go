@@ -11,24 +11,23 @@ import (
 	"unsafe"
 )
 
-// decodeSuite decodes a suite document strictly, in one pass over data
-// (a jobs array is counted first) and without reflection. It accepts
-// exactly the documents that encoding/json's Decoder with
-// DisallowUnknownFields accepts as one value followed only by whitespace,
-// and builds the same Suite: keys match their field exactly, else under
-// bytes.EqualFold; a repeated key decodes again into what the earlier one
-// left (the later scalar wins, objects merge, a "jobs" array decodes into
-// the existing elements); null clears a pointer or slice and leaves any
-// other field alone; integers must be integer literals in range; strings
-// are unescaped and coerced to valid UTF-8. The reflective decode in
-// oracle_test.go is its test oracle (FuzzSuiteDecode).
+// decodeSuite decodes a suite document strictly, in one pass over data (a
+// jobs array's rest is counted first past 1,024 jobs) and without
+// reflection. It accepts exactly the documents that encoding/json's
+// Decoder with DisallowUnknownFields accepts as one value followed only by
+// whitespace, and builds the same Suite: keys match their field exactly,
+// else under bytes.EqualFold; a repeated key decodes again into what the
+// earlier one left (the later scalar wins, objects merge, a "jobs" array
+// decodes into the existing elements); null clears a pointer or slice and
+// leaves any other field alone; integers must be integer literals in
+// range; strings are unescaped and coerced to valid UTF-8. The reflective
+// decode in oracle_test.go is its test oracle (FuzzSuiteDecode).
 //
 // The suite takes ownership of data: an escape-free string is a substring
 // of data itself (unsafe.String), so data must not change while the suite
-// is in use. Enum values are the package constants, the job slice and the
-// override slab are sized by a first count of the jobs array, and the
-// other pointer fields come from slabs, so a document costs a handful of
-// allocations however many jobs it holds.
+// is in use. Enum values are the package constants and the pointer
+// fields come from slabs, so a document costs a handful of allocations
+// however many jobs it holds.
 func decodeSuite(data []byte) (Suite, error) {
 	d := decoder{data: data, text: unsafe.String(unsafe.SliceData(data), len(data))}
 	var s Suite
@@ -64,15 +63,6 @@ type decoder struct {
 type slab[T any] struct {
 	free []T
 	next int // the next chunk's length
-}
-
-// reserve makes room for n more values in one chunk, when the free part
-// of the current one is short of it.
-func (s *slab[T]) reserve(n int) {
-	if len(s.free) < n {
-		s.free = make([]T, n)
-		s.next = max(s.next, n)
-	}
 }
 
 func (s *slab[T]) new() *T {
@@ -139,9 +129,13 @@ func (d *decoder) render(r *Render) {
 // jobs decodes the suite's job array the way encoding/json decodes into a
 // slice: element i decodes into the existing element i, the slice grows
 // (keeping what lies past its length) or is cut to the array's length, and
-// an empty array leaves a new empty slice. A first count (countJobs) sizes
-// the slice and the override slab, and an array of more than MaxSuiteJobs
-// elements fails on that count, before any job is allocated.
+// an empty array leaves a new empty slice.
+//
+// An array of more than MaxSuiteJobs elements fails before the slice
+// grows for it: the slice doubles as the decode goes, up to countFrom
+// elements, the most a described suite holds; an array that goes past
+// that is counted (countJobs) once, refused if the count passes the
+// bound, and otherwise sized to it exactly.
 func (d *decoder) jobs(p *[]Job) {
 	switch d.peek() {
 	case 'n':
@@ -154,18 +148,21 @@ func (d *decoder) jobs(p *[]Job) {
 		d.mismatch("jobs array")
 		return
 	}
-	n, overrides := d.countJobs()
-	if n > MaxSuiteJobs {
-		d.fail("jobs array holds more than %d jobs", MaxSuiteJobs)
-		return
-	}
 	s := *p
-	if n > cap(s) {
-		s = slices.Grow(s, n-len(s))
-	}
-	d.overrides.reserve(overrides)
+	counted := false
 	i := 0
 	for first := true; d.element(first); first = false {
+		if i >= countFrom && !counted {
+			counted = true
+			n := i + d.countJobs()
+			if n > MaxSuiteJobs {
+				d.fail("jobs array holds more than %d jobs", MaxSuiteJobs)
+				return
+			}
+			if n > cap(s) {
+				s = slices.Grow(s, n-len(s))
+			}
+		}
 		// Only a malformed array, whose count was a guess, gets past it.
 		if i == MaxSuiteJobs {
 			d.fail("jobs array holds more than %d jobs", MaxSuiteJobs)
@@ -191,21 +188,21 @@ func (d *decoder) jobs(p *[]Job) {
 	*p = s
 }
 
-// countJobs scans the array whose elements begin at d.pos (just past its
-// '[') without decoding it. It returns the number of elements, counting no
-// further than MaxSuiteJobs+1, and the number of "overrides" strings among
-// them, each job's machine naming at most one Overrides. It only skips
-// strings and tracks nesting, so both counts are exact for a well-formed
+// countFrom is the number of elements a jobs array decodes before the
+// decoder counts the rest. It exceeds the largest described suite (fig6
+// holds 750 jobs), so those never pay for a count, and it bounds what a
+// refused array costs: at most countFrom jobs, about 0.3 MB with the
+// slice's doublings.
+const countFrom = 1024
+
+// countJobs scans the rest of a jobs array from the element that begins
+// at d.pos without decoding it, and returns the number of elements from
+// there on, counting no further than MaxSuiteJobs+1. It only skips
+// strings and tracks nesting, so the count is exact for a well-formed
 // array and a guess, which the decode then refutes, for a malformed one.
-func (d *decoder) countJobs() (n, overrides int) {
+func (d *decoder) countJobs() int {
 	data, i := d.data, d.pos
-	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\r' || data[i] == '\n') {
-		i++
-	}
-	if i == len(data) || data[i] == ']' {
-		return 0, 0
-	}
-	depth := 0
+	n, depth := 0, 0
 	for i < len(data) {
 		for i < len(data) && !structural[data[i]] {
 			i++
@@ -219,22 +216,18 @@ func (d *decoder) countJobs() (n, overrides int) {
 		case '\n':
 			i = skipSpaces(data, i)
 		case '"':
-			start := i
 			for i < len(data) && data[i] != '"' {
 				if data[i] == '\\' {
 					i++ // the escaped byte
 				}
 				i++
 			}
-			if string(data[start:min(i, len(data))]) == "overrides" {
-				overrides++
-			}
 			i++
 		case '[', '{':
 			depth++
 		case ']', '}':
 			if depth == 0 {
-				return n + 1, overrides
+				return n + 1
 			}
 			depth--
 		case ',':
@@ -242,11 +235,11 @@ func (d *decoder) countJobs() (n, overrides int) {
 				continue
 			}
 			if n++; n == MaxSuiteJobs {
-				return n + 1, overrides
+				return n + 1
 			}
 		}
 	}
-	return n + 1, overrides
+	return n + 1
 }
 
 // structural marks the bytes countJobs acts on: a string's opening quote,

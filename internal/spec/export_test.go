@@ -1,8 +1,8 @@
 package spec
 
-// CountJobs gives the external tests the decoder's first count of the
-// jobs array whose '[' is data[open].
-func CountJobs(data []byte, open int) (n, overrides int) {
-	d := decoder{data: data, pos: open + 1}
+// CountJobs gives the external tests the decoder's count of the rest of
+// a jobs array, from the element that begins at data[at].
+func CountJobs(data []byte, at int) int {
+	d := decoder{data: data, pos: at}
 	return d.countJobs()
 }

@@ -254,8 +254,9 @@ type Render struct {
 // little as three bytes ("{},") into a 136-byte Job, so without the
 // bound a submitted document of empty jobs would cost the decoder about
 // a hundred times its size in memory; the decoder counts a jobs array
-// before it allocates for one and refuses it past the bound, and
-// Validate enforces it on every suite.
+// that passes the largest described suite before it grows the job slice
+// further, and refuses it past the bound, and Validate enforces it on
+// every suite.
 const MaxSuiteJobs = 1 << 16
 
 // Suite is a named list of jobs plus how to render their results — the
@@ -587,8 +588,8 @@ func (s Suite) Marshal() ([]byte, error) {
 // UnmarshalSuite takes ownership of data: the suite's strings alias it
 // rather than copy it, so the caller must not write data after the call,
 // for as long as the suite or any string taken from it is in use. A jobs
-// array of more than MaxSuiteJobs elements is refused before any job is
-// allocated.
+// array of more than MaxSuiteJobs elements is refused having allocated
+// for at most its first 1,024 jobs.
 func UnmarshalSuite(data []byte) (Suite, error) {
 	s, err := decodeSuite(data)
 	if err != nil {
