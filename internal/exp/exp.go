@@ -292,14 +292,29 @@ func Plan(jobs []Job) ([]spec.Job, error) {
 // jobs[first[i]], the first job to name it; keys[i] is its key, computed
 // once while deduplicating; and at[j] is jobs[j]'s entry. A caller that
 // looks every entry up by key and renders from the entries' results (the
-// expq daemon, with Collect) encodes each spec once.
+// expq daemon, with Collect) encodes each spec once. Jobs share machines
+// and workloads (fig6's 750 name 30 and 25), so each distinct encoding
+// becomes a string once, and the keys share those strings.
 func PlanValidated(jobs []Job) (first []int, keys []Key, at []int) {
 	index := make(map[Key]int, len(jobs))
 	first = make([]int, 0, len(jobs))
 	keys = make([]Key, 0, len(jobs))
 	at = make([]int, len(jobs))
+	strs := make(map[string]string)
+	intern := func(b []byte) string {
+		s, ok := strs[string(b)]
+		if !ok {
+			s = string(b)
+			strs[s] = s
+		}
+		return s
+	}
+	var enc []byte
 	for j := range jobs {
-		k := jobs[j].Key()
+		enc = jobs[j].Machine.AppendCanonical(enc[:0])
+		k := Key{Machine: intern(enc)}
+		enc = jobs[j].Workload.AppendCanonical(enc[:0])
+		k.Workload = intern(enc)
 		i, ok := index[k]
 		if !ok {
 			i = len(first)

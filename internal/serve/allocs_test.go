@@ -15,15 +15,15 @@ import (
 // the limits TestSubmitHitAllocs holds the hit path to. A resubmission
 // of a document the server has prepared reads it, looks its plan up in
 // the store, renders and replies; a document's first submission also
-// decodes and plans it, two key strings per distinct simulation. Copying the document, growing the job slice,
+// decodes and plans it. Copying the document, growing the job slice,
 // encoding every job's key and building a string per job name the
 // render looked up, on every submission, cost 4,864 allocations and
 // 1.30 MB.
 const (
 	hitAllocs   = 185
 	hitBytes    = 412_700
-	firstAllocs = 1_720
-	firstBytes  = 978_900
+	firstAllocs = 287
+	firstBytes  = 903_500
 )
 
 // TestSubmitHitAllocs pins what a submission answered wholly from the

@@ -309,8 +309,12 @@ func FuzzWorkload(seed int64, k workload.FuzzKnobs, n int) Workload {
 // and stays distinct.
 func (m Machine) Canonical() string {
 	var buf [256]byte
-	return string(m.collapsed().appendJSON(buf[:0]))
+	return string(m.AppendCanonical(buf[:0]))
 }
+
+// AppendCanonical appends the machine's canonical encoding (Canonical)
+// to b.
+func (m Machine) AppendCanonical(b []byte) []byte { return m.collapsed().appendJSON(b) }
 
 // collapsed returns m with its paper-default spellings cleared, the
 // value whose JSON is the canonical encoding.
@@ -340,8 +344,12 @@ func (m Machine) collapsed() Machine {
 // placement seed, stays part of the identity.
 func (w Workload) Canonical() string {
 	var buf [128]byte
-	return string(w.collapsed().appendJSON(buf[:0]))
+	return string(w.AppendCanonical(buf[:0]))
 }
+
+// AppendCanonical appends the workload's canonical encoding (Canonical)
+// to b.
+func (w Workload) AppendCanonical(b []byte) []byte { return w.collapsed().appendJSON(b) }
 
 // collapsed returns w with a non-live sampling policy dropped, the value
 // whose JSON is the canonical encoding.
