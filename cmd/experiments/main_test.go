@@ -279,12 +279,12 @@ func storedRun(t *testing.T, bin string) (args []string, out []byte, record stri
 	return args, out, files[0], data
 }
 
-// TestLegacyCacheFileRegenerates pins that a persisted result this build
-// cannot decode costs a re-simulation, not the run: the damaged -store
-// record is moved aside, its one key simulates again and is rewritten
-// under the current record schema, and the output is byte-identical to
-// the run that stored it.
-func TestLegacyCacheFileRegenerates(t *testing.T) {
+// TestDamagedStoreRecordRegenerates pins that a persisted result this
+// build cannot decode costs a re-simulation, not the run: the damaged
+// -store record is moved aside, its one key simulates again and is
+// rewritten under the current record schema, and the output is
+// byte-identical to the run that stored it.
+func TestDamagedStoreRecordRegenerates(t *testing.T) {
 	bin := buildBinary(t)
 	args, want, path, data := storedRun(t, bin)
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
@@ -314,11 +314,11 @@ func TestLegacyCacheFileRegenerates(t *testing.T) {
 	}
 }
 
-// TestFutureCacheFileIsFatal pins the never-downgrade rule for persisted
+// TestFutureStoreRecordIsFatal pins the never-downgrade rule for persisted
 // results: a -store record written under a newer record schema fails the
 // run with exit 1 instead of being simulated over, and stays on disk
 // unmodified.
-func TestFutureCacheFileIsFatal(t *testing.T) {
+func TestFutureStoreRecordIsFatal(t *testing.T) {
 	bin := buildBinary(t)
 	args, _, path, data := storedRun(t, bin)
 	var rec map[string]json.RawMessage

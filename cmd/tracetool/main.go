@@ -1,12 +1,7 @@
-// Command tracetool generates, inspects, and converts simulator traces.
+// Command tracetool characterizes a generated SPEC2000 profile trace:
+// its instruction mix, memory footprint and branch behaviour.
 //
-//	tracetool -gen mcf -n 500000 -o mcf.trc     # dump a profile workload
-//	tracetool -info mcf.trc                      # characterize a trace file
-//	tracetool -info -gen mcf -n 500000           # characterize a profile
-//
-// Trace files decouple regression baselines from generator changes and
-// allow externally converted traces to run on the simulator (see
-// workload.ReadTrace).
+//	tracetool -gen mcf -n 500000
 package main
 
 import (
@@ -23,57 +18,20 @@ var (
 	flagGen  = flag.String("gen", "", "generate the named SPEC2000 profile workload")
 	flagN    = flag.Int("n", 500_000, "instructions to generate")
 	flagSeed = flag.Int64("seed", workload.DefaultSeed, "generator seed")
-	flagOut  = flag.String("o", "", "write the trace to this file")
-	flagInfo = flag.Bool("info", false, "print a trace characterization")
 )
 
 func main() {
 	flag.Parse()
-
-	var wl *workload.Workload
-	switch {
-	case *flagGen != "":
-		if err := spec.SPECWorkload(*flagGen, *flagN).Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		wl = workload.Generate(workload.Profiles(*flagGen), *flagN, *flagSeed)
-	case flag.NArg() == 1:
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if wl, err = workload.ReadTrace(f); err != nil {
-			fatal(err)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "need -gen NAME or a trace file argument")
+	if *flagGen == "" || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "need -gen NAME and no arguments")
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	if *flagOut != "" {
-		f, err := os.Create(*flagOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := workload.WriteTrace(f, wl); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: %d instructions\n", *flagOut, wl.Trace.Len())
+	if err := spec.SPECWorkload(*flagGen, *flagN).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *flagInfo || *flagOut == "" {
-		describe(wl)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracetool:", err)
-	os.Exit(1)
+	describe(workload.Generate(workload.Profiles(*flagGen), *flagN, *flagSeed))
 }
 
 // describe prints the static characterization of a trace: instruction

@@ -90,12 +90,12 @@ func TestSnapshotRoundTripsCurrentVersion(t *testing.T) {
 	}
 }
 
-// TestSaveCacheFileErrorNamesPath pins that persisting a cache's result
-// fails with an error naming where it tried to write. A store whose
+// TestPutCachedErrorNamesPath pins that storing a cache's result fails
+// with an error naming where it tried to write. A store whose
 // directory is gone and cannot be recreated (a file now sits at its
 // path) fails for every user, including root; the store's own tests
 // cover a read-only directory.
-func TestSaveCacheFileErrorNamesPath(t *testing.T) {
+func TestPutCachedErrorNamesPath(t *testing.T) {
 	c := runCache(t, persistJobs()[:1])
 	e := c.Snapshot()[0]
 	t.Run("missing dir", func(t *testing.T) {

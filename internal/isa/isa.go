@@ -42,9 +42,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Valid reports whether o names one of the opcode classes.
-func (o Op) Valid() bool { return o < numOps }
-
 // IsMem reports whether the op accesses data memory.
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 
@@ -109,8 +106,8 @@ func (r Reg) String() string {
 // The four 64-bit fields lead so the byte-wide ones pack into a single
 // tail word: a value is 40 bytes, not the 56 that interleaving them
 // would pad to, and every At copies one (TestInstRecordSize pins it).
-// The codec and Trace.Checksum encode field by field, so the layout
-// never reaches their bytes.
+// Trace.Checksum encodes field by field, so the layout never reaches
+// its bytes.
 type Inst struct {
 	PC     uint64 // instruction address (drives I$ and branch prediction)
 	Addr   uint64 // effective address for loads/stores

@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"bytes"
-	"testing"
-
-	"icfp/internal/spec"
-	"icfp/internal/workload"
-)
+import "testing"
 
 // TestGoldenDeterminism pins exact cycle counts for a handful of
 // (machine, benchmark) pairs. Simulation is fully deterministic, so any
@@ -54,37 +48,5 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	if got[5] >= got[3] {
 		t.Errorf("mcf: iCFP %d must beat in-order %d", got[5], got[3])
-	}
-}
-
-// TestSerializedTraceSimulatesIdentically round-trips a workload through
-// the binary codec and checks the simulator produces bit-identical
-// results — the property that makes trace files usable as regression
-// baselines.
-func TestSerializedTraceSimulatesIdentically(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WarmupInsts = 20_000
-	cfg.CheckValues = true
-
-	for _, name := range []string{"mcf", "swim"} {
-		orig := workload.SPEC(name, cfg.WarmupInsts+60_000)
-		var buf bytes.Buffer
-		if err := workload.WriteTrace(&buf, orig); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := workload.ReadTrace(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The loaded workload lacks the generator's Prewarm hook; compare
-		// against the original run without it too.
-		orig.Prewarm = nil
-		for _, m := range []spec.Machine{{Model: spec.ModelInOrder}, icfpMachine} {
-			a := run(t, m, cfg, orig)
-			b := run(t, m, cfg, loaded)
-			if a.Cycles != b.Cycles || a.Insts != b.Insts {
-				t.Errorf("%s/%s: original %d cycles, round-tripped %d", m.Model, name, a.Cycles, b.Cycles)
-			}
-		}
 	}
 }
