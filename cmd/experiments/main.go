@@ -24,11 +24,12 @@
 // with fast functional warming in between, cutting wall clock by >= 10x
 // on paper-scale runs at <= 1% CPI error. Sampled results carry 95%
 // confidence intervals, rendered as "value ± ci" wherever tables show
-// per-run rates. The policy defaults to registry.DefaultSampling (one
-// window per twelfth of the run, 2% of each stratum measured, a ramp of
-// three windows); -sample-interval, -sample-period, -sample-warmup,
-// -sample-ramp and -sample-seed override individual knobs. Full-mode
-// output is byte-identical to a build without the sampling harness.
+// per-run rates. The policy is registry.DefaultSampling (one window per
+// twelfth of the run, 2% of each stratum measured, a ramp of three
+// windows). A custom policy is a suite edit: -describe <name> -sample,
+// change the "sampling" object of its workloads, and run the file with
+// -spec. Full-mode output is byte-identical to a build without the
+// sampling harness.
 //
 // Experiments are declarative (internal/spec): every entry above is a
 // serializable spec.Suite of (machine, workload) jobs.
@@ -90,7 +91,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"icfp/cmd/internal/cliutil"
 	"icfp/internal/exp"
@@ -118,12 +118,7 @@ var (
 	flagMemProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flagRunSummary  = flag.String("run-summary", "", "write the run's span timeline (per-simulation start/end/worker/elapsed) to this JSON file")
 
-	flagSample         = flag.Bool("sample", false, "run SPEC workloads under interval sampling; results carry 95% confidence intervals")
-	flagSampleInterval = flag.Int("sample-interval", 0, "sampled: measured instructions per window (default: scaled to the run length)")
-	flagSamplePeriod   = flag.Int("sample-period", 0, "sampled: stratum length between windows (default: a twelfth of the run)")
-	flagSampleWarmup   = flag.Int("sample-warmup", 0, "sampled: minimum functionally warmed prefix before the first window")
-	flagSampleRamp     = flag.Int("sample-ramp", 0, "sampled: detailed (unmeasured) instructions ahead of each window (default: three intervals)")
-	flagSampleSeed     = flag.Int64("sample-seed", 0, "sampled: stratified window placement seed (default 1; 0 via -sample places windows systematically)")
+	flagSample = flag.Bool("sample", false, "run SPEC workloads under interval sampling; results carry 95% confidence intervals")
 )
 
 // export is the -json file layout: the sample-size parameters and one
@@ -167,16 +162,6 @@ func main() {
 	case *flagDescribe != "" && *flagSpec != "":
 		usageError("-describe and -spec are mutually exclusive")
 	}
-	// The -sample-* knobs refine -sample; alone they would silently do
-	// nothing, so reject the combination.
-	if !*flagSample {
-		flag.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "sample-") {
-				usageError("-" + f.Name + " requires -sample")
-			}
-		})
-	}
-
 	var names []string
 	for _, e := range all {
 		// Extra experiments (the sampled long-workload variants) run only
@@ -189,22 +174,7 @@ func main() {
 	p := registry.Params{Cfg: spec.BaseConfig(), N: *flagN}
 	p.Cfg.WarmupInsts = *flagWarm
 	if *flagSample {
-		pol := registry.DefaultSampling(*flagWarm + *flagN)
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "sample-interval":
-				pol.Interval = *flagSampleInterval
-			case "sample-period":
-				pol.Period = *flagSamplePeriod
-			case "sample-warmup":
-				pol.Warmup = *flagSampleWarmup
-			case "sample-ramp":
-				pol.Ramp = *flagSampleRamp
-			case "sample-seed":
-				pol.Seed = *flagSampleSeed
-			}
-		})
-		p.Sampling = pol
+		p.Sampling = registry.DefaultSampling(*flagWarm + *flagN)
 	}
 
 	if *flagDescribe != "" {
@@ -236,7 +206,7 @@ func main() {
 			if f.Name == "n" || f.Name == "warm" {
 				usageError("-" + f.Name + " conflicts with -spec: sample sizes come from the suite file")
 			}
-			if f.Name == "sample" || strings.HasPrefix(f.Name, "sample-") {
+			if f.Name == "sample" {
 				usageError("-" + f.Name + " conflicts with -spec: sampling policies live on the suite file's workloads")
 			}
 		})

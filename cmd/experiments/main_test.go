@@ -123,7 +123,6 @@ func TestFlagValidation(t *testing.T) {
 		{"-spec", "whatever.json", "-fig5"},      // -spec excludes named experiments
 		{"-spec", "whatever.json", "-n", "5000"}, // sample sizes come from the suite
 		{"-describe", "fig6", "-fig5"},           // -describe emits one experiment
-		{"-fig5", "-sample-interval", "1000"},    // -sample-* knobs refine -sample
 		{"-spec", "whatever.json", "-sample"},    // sampling policies live in the suite
 	} {
 		cmd := exec.Command(bin, args...)

@@ -119,14 +119,15 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store:          st,
-		Join:           join,
-		DistOpts:       dist.Options{Log: log, FrameTimeout: *timeout, Heartbeat: *heartbeat, MaxIdle: *maxIdle},
-		WorkerParallel: *parallel,
-		LocalParallel:  *local,
-		Token:          sec.Token,
-		Metrics:        reg,
-		Log:            log,
+		Store: st,
+		DistOpts: dist.Options{
+			Join: join, Parallel: *parallel, Log: log,
+			FrameTimeout: *timeout, Heartbeat: *heartbeat, MaxIdle: *maxIdle,
+		},
+		LocalParallel: *local,
+		Token:         sec.Token,
+		Metrics:       reg,
+		Log:           log,
 	})
 	if err != nil {
 		fatal(err)

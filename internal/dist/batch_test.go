@@ -114,11 +114,3 @@ func TestRequeuedRemainderDispatchedAgain(t *testing.T) {
 		t.Errorf("dispatched %d distinct jobs after the requeue, want 4 (2 requeued + w1's 2)", len(seen))
 	}
 }
-
-func TestFixedBatchSizeIgnoresGroups(t *testing.T) {
-	d := queue(1, 1, 3, 3)
-	d.opts.BatchSize = 4
-	if got := groups(d.takeBatchLocked()); fmt.Sprint(got) != "[w0 w0 w0 w1]" {
-		t.Errorf("fixed-size batch = %v, want exactly 4 jobs across the boundary", got)
-	}
-}

@@ -34,11 +34,6 @@ type Options struct {
 	// Parallel is each worker's internal pool size (values below 1 mean
 	// the worker's GOMAXPROCS).
 	Parallel int
-	// BatchSize fixes the number of jobs per dispatched batch, so tests
-	// can build exact one-batch fault scenarios. Zero (the default, and
-	// what every command uses) batches whole workload groups; see
-	// takeBatchLocked.
-	BatchSize int
 	// MaxAttempts caps dispatch attempts per job (default
 	// DefaultMaxAttempts). Clean goodbyes do not count.
 	MaxAttempts int
@@ -453,23 +448,19 @@ func (d *dispatcher) endBatch() {
 // only past the guided self-scheduling share ceil(len(ready)/active)
 // (Polychronopoulos & Kuck, IEEE TC 1987), never below the pool width,
 // so a plan with fewer workloads than workers still spreads across the
-// fleet. A fixed Options.BatchSize takes exactly that many jobs.
+// fleet.
 func (d *dispatcher) takeBatchLocked() []*pjob {
-	var n int
-	if d.opts.BatchSize > 0 {
-		n = min(len(d.ready), d.opts.BatchSize)
-	} else {
-		width := d.opts.Parallel
-		if width < 1 {
-			width = defaultPoolWidth
-		}
-		active := max(d.active, 1)
-		limit := min(len(d.ready), max(width, (len(d.ready)+active-1)/active))
-		for n < limit && n < width {
-			g := d.ready[n].group
-			for n < limit && d.ready[n].group == g {
-				n++
-			}
+	width := d.opts.Parallel
+	if width < 1 {
+		width = defaultPoolWidth
+	}
+	active := max(d.active, 1)
+	limit := min(len(d.ready), max(width, (len(d.ready)+active-1)/active))
+	n := 0
+	for n < limit && n < width {
+		g := d.ready[n].group
+		for n < limit && d.ready[n].group == g {
+			n++
 		}
 	}
 	batch := d.ready[:n]

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,7 +83,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Type: dist.TypeInit, Proto: dist.ProtoVersion, Parallel: 2},
 		{Type: dist.TypeReady},
 		{Type: dist.TypeBatch, BatchID: 1, Jobs: []spec.Job{{Machine: job.Machine, Workload: job.Workload}}},
-		{Type: dist.TypeResult, Result: &exp.CachedResult{Machine: job.Key().Machine, Workload: job.Key().Workload, R: pipeline.Result{Cycles: 42}, ElapsedNS: 1234}},
+		{Type: dist.TypeResult, Result: &exp.CachedResult{Machine: job.Key().Machine, Workload: job.Key().Workload, R: pipeline.Result{Cycles: 42}}},
 		{Type: dist.TypeBatchDone, BatchID: 1},
 		{Type: dist.TypeGoodbye},
 		{Type: dist.TypeError, Err: "boom"},
@@ -143,7 +144,7 @@ func TestRunMergesAllResults(t *testing.T) {
 		workers = append(workers, w)
 	}
 	cache := exp.NewCache()
-	if err := dist.Run(plan, workers, cache, dist.Options{BatchSize: 2, Parallel: 1}); err != nil {
+	if err := dist.Run(plan, workers, cache, dist.Options{Parallel: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i, sj := range plan {
@@ -336,9 +337,8 @@ func TestCrashRecovery(t *testing.T) {
 
 	cache := exp.NewCache()
 	err = dist.Run(plan, []dist.Worker{victim, survivor}, cache, dist.Options{
-		BatchSize: len(plan), // one batch: the crash strands a big remainder
-		Parallel:  1,         // deterministic in-worker order: one result lands before the crash
-		Log:       obs.TestLogger(t),
+		Parallel: len(plan), // one batch: the crash strands a big remainder
+		Log:      obs.TestLogger(t),
 	})
 	if err != nil {
 		t.Fatalf("run with one crashed worker must still succeed, got: %v", err)
@@ -403,7 +403,7 @@ func TestStalledWorkerTimesOut(t *testing.T) {
 
 	cache := exp.NewCache()
 	err = dist.Run(plan, []dist.Worker{staller, survivor}, cache, dist.Options{
-		BatchSize:    len(plan),
+		Parallel:     len(plan), // one batch
 		FrameTimeout: 150 * time.Millisecond,
 		Log:          obs.TestLogger(t),
 	})
@@ -589,7 +589,7 @@ func TestWorkerAnswersRedispatchFromCache(t *testing.T) {
 // the local reference still hold.
 func realResult(want map[exp.Key]pipeline.Result, k exp.Key) *exp.CachedResult {
 	res := want[k]
-	return &exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: res, ElapsedNS: 1000}
+	return &exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: res}
 }
 
 // TestGoodbyeMidBatchReassignsRemainder pins the elastic drain
@@ -646,7 +646,7 @@ func TestGoodbyeMidBatchReassignsRemainder(t *testing.T) {
 
 	cache := exp.NewCache()
 	err = dist.Run(plan, []dist.Worker{leaver}, cache, dist.Options{
-		BatchSize:   len(plan),
+		Parallel:    len(plan), // one batch
 		MaxAttempts: 1,
 		Join:        join,
 		Log:         obs.TestLogger(t),
@@ -666,6 +666,64 @@ func TestGoodbyeMidBatchReassignsRemainder(t *testing.T) {
 	}
 	if got := joinerRuns.Load(); got != int64(len(plan))-1 {
 		t.Errorf("joiner simulated %d jobs, want %d (the goodbye'd batch's remainder)", got, len(plan)-1)
+	}
+}
+
+// TestLegacyResultFrameMerges pins wire compatibility with workers built
+// before result frames lost their wall-time field: a scripted worker
+// streams every result with an "elapsed_ns" member, and the coordinator
+// still merges them all, unchanged.
+func TestLegacyResultFrameMerges(t *testing.T) {
+	jobs := testJobs(3)
+	want := localResults(t, jobs)
+	plan, err := exp.Plan(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coordEnd, workerEnd := dist.Pipe()
+	go func() {
+		m, err := dist.ReadMessage(workerEnd)
+		if err != nil || m.Type != dist.TypeInit {
+			return
+		}
+		if err := dist.WriteMessage(workerEnd, &dist.Message{Type: dist.TypeReady}); err != nil {
+			return
+		}
+		if m, err = dist.ReadMessage(workerEnd); err != nil || m.Type != dist.TypeBatch {
+			return
+		}
+		for _, sj := range m.Jobs {
+			res, err := json.Marshal(realResult(want, exp.KeyOf(sj)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			legacy := fmt.Sprintf(`{"type":%q,"result":%s,"elapsed_ns":1234}}`, dist.TypeResult, res[:len(res)-1])
+			frame := binary.BigEndian.AppendUint32(nil, uint32(len(legacy)))
+			if _, err := workerEnd.Write(append(frame, legacy...)); err != nil {
+				return
+			}
+		}
+		if err := dist.WriteMessage(workerEnd, &dist.Message{Type: dist.TypeBatchDone, BatchID: m.BatchID}); err != nil {
+			return
+		}
+		dist.ReadMessage(workerEnd) // wait for the coordinator to close us
+	}()
+
+	cache := exp.NewCache()
+	err = dist.Run(plan, []dist.Worker{{Name: "legacy", RW: coordEnd}}, cache, dist.Options{
+		Parallel: len(plan), // one batch
+		Log:      obs.TestLogger(t),
+	})
+	if err != nil {
+		t.Fatalf("run over legacy result frames: %v", err)
+	}
+	for i, sj := range plan {
+		k := exp.KeyOf(sj)
+		if res, ok := cache.Lookup(k); !ok || res != want[k] {
+			t.Errorf("plan entry %d: merged %+v (present %v), want %+v", i, res, ok, want[k])
+		}
 	}
 }
 

@@ -286,9 +286,8 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, parallel int, so
 			return // cannot happen: the hook fires after the result is published
 		}
 		sent[k] = true
-		elapsed, _ := cache.Elapsed(k)
 		sendErr = conn.send(&Message{Type: TypeResult, Result: &exp.CachedResult{
-			Machine: k.Machine, Workload: k.Workload, R: res, ElapsedNS: int64(elapsed),
+			Machine: k.Machine, Workload: k.Workload, R: res,
 		}})
 	}
 	hook := func(k exp.Key) {

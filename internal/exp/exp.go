@@ -62,7 +62,7 @@ var newRunner = func(j Job) (Runner, error) { return j.Machine.New() }
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
-	runs    map[Key]int // actual simulations per key (diagnostics/tests)
+	runs    int // actual simulations (cache hits and preloads excluded)
 
 	// Telemetry (Instrument). All nil-safe no-ops until a registry is
 	// attached, so the uninstrumented path pays one nil check per event.
@@ -73,14 +73,13 @@ type Cache struct {
 }
 
 type entry struct {
-	done    chan struct{}
-	res     pipeline.Result
-	elapsed time.Duration // wall time of the simulation (0 for preloaded results)
+	done chan struct{}
+	res  pipeline.Result
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[Key]*entry), runs: make(map[Key]int)}
+	return &Cache{entries: make(map[Key]*entry)}
 }
 
 // Instrument attaches a metrics registry: cache hits/misses
@@ -122,22 +121,19 @@ func (c *Cache) claim(k Key) (*entry, bool) {
 	return e, true
 }
 
-// finish publishes the result of a claimed entry, recording how long the
-// simulation took (the width of its timeline span).
-func (c *Cache) finish(k Key, e *entry, res pipeline.Result, elapsed time.Duration) {
+// finish publishes the result of a claimed entry.
+func (c *Cache) finish(e *entry, res pipeline.Result) {
 	c.mu.Lock()
-	c.runs[k]++
+	c.runs++
 	c.mu.Unlock()
 	e.res = res
-	e.elapsed = elapsed
 	c.inflight.Add(-1)
 	close(e.done)
 }
 
 // completed returns k's entry if its simulation has finished, counting
-// no hit or miss: Lookup and Elapsed count for their callers, and the
-// dispatcher peeks through it on no one's behalf. In-flight entries read
-// as absent.
+// no hit or miss: Lookup counts for its callers, and the dispatcher
+// peeks through it on no one's behalf. In-flight entries read as absent.
 func (c *Cache) completed(k Key) (*entry, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[k]
@@ -158,11 +154,7 @@ func (c *Cache) completed(k Key) (*entry, bool) {
 func (c *Cache) Simulations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, v := range c.runs {
-		n += v
-	}
-	return n
+	return c.runs
 }
 
 // Lookup returns the completed result for k, if the cache has one.
@@ -176,18 +168,6 @@ func (c *Cache) Lookup(k Key) (pipeline.Result, bool) {
 	}
 	c.hits.Inc()
 	return e.res, true
-}
-
-// Elapsed returns the wall time the completed simulation for k took, if
-// the cache has one. Results merged via AddResults report the elapsed
-// time their record carried (zero when it predates timing capture);
-// in-flight entries read as absent, like Lookup.
-func (c *Cache) Elapsed(k Key) (time.Duration, bool) {
-	e, ok := c.completed(k)
-	if !ok {
-		return 0, false
-	}
-	return e.elapsed, true
 }
 
 // options collects Run configuration.
@@ -464,7 +444,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 					end := time.Now()
 					done(i)
 					elapsed := end.Sub(start)
-					o.cache.finish(k, e, res, elapsed)
+					o.cache.finish(e, res)
 					if reg := o.cache.registry(); reg != nil {
 						model := j.Machine.Model
 						reg.Counter("exp_simulations_total", "actual simulator runs per model (cache hits excluded)", "model", model).Inc()

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"sort"
-	"time"
 
 	"icfp/internal/pipeline"
 )
@@ -13,18 +12,10 @@ import (
 // workload specs) plus its result. Simulations are deterministic pure
 // functions of the key, which is what makes reloading them in a later
 // process sound.
-//
-// ElapsedNS records the simulation's wall time. Unlike the result it is
-// not deterministic — it describes the machine that ran the simulation,
-// not the simulation — and only sizes timeline spans (a fleet run's
-// -run-summary): zero means "unmeasured" and is always safe. The field
-// is additive and optional, so readers old and new interchange freely
-// (see the versioning rules in docs/ARCHITECTURE.md).
 type CachedResult struct {
-	Machine   string          `json:"machine"`
-	Workload  string          `json:"workload"`
-	R         pipeline.Result `json:"result"`
-	ElapsedNS int64           `json:"elapsed_ns,omitempty"`
+	Machine  string          `json:"machine"`
+	Workload string          `json:"workload"`
+	R        pipeline.Result `json:"result"`
 }
 
 // Snapshot returns every completed cache entry in deterministic
@@ -37,7 +28,7 @@ func (c *Cache) Snapshot() []CachedResult {
 	for k, e := range c.entries {
 		select {
 		case <-e.done:
-			out = append(out, CachedResult{Machine: k.Machine, Workload: k.Workload, R: e.res, ElapsedNS: int64(e.elapsed)})
+			out = append(out, CachedResult{Machine: k.Machine, Workload: k.Workload, R: e.res})
 		default:
 		}
 	}
@@ -62,7 +53,7 @@ func (c *Cache) AddResults(rs []CachedResult) {
 		if _, ok := c.entries[k]; ok {
 			continue
 		}
-		e := &entry{done: make(chan struct{}), res: r.R, elapsed: time.Duration(r.ElapsedNS)}
+		e := &entry{done: make(chan struct{}), res: r.R}
 		close(e.done)
 		c.entries[k] = e
 	}

@@ -389,7 +389,7 @@ func TestChaosFleetMatchesGolden(t *testing.T) {
 	var out bytes.Buffer
 	cache := exp.NewCache()
 	opts := dist.Options{
-		BatchSize:    8,
+		Parallel:     8,
 		FrameTimeout: 500 * time.Millisecond,
 		Metrics:      reg,
 		Log:          obs.TestLogger(t),

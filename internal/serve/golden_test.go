@@ -147,8 +147,7 @@ func TestServiceFleetMatchesGoldenAndSurvivesRestart(t *testing.T) {
 	stA.Instrument(regA)
 	srvA, err := serve.New(serve.Config{
 		Store:    stA,
-		Join:     join,
-		DistOpts: dist.Options{Log: obs.TestLogger(t)},
+		DistOpts: dist.Options{Join: join, Log: obs.TestLogger(t)},
 		Token:    "fleet-secret",
 		Metrics:  regA,
 	})

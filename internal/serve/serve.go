@@ -66,19 +66,16 @@ type Config struct {
 	// Store persists completed results across submissions and daemon
 	// restarts. Required.
 	Store *store.Store
-	// Join, when set, delivers dialed-in expd workers; cache-miss jobs
-	// are dispatched to the fleet via the dist coordinator. The channel
-	// is long-lived: each submission runs one coordinator round, and
-	// workers redial between rounds (the expd join retry loop).
-	Join <-chan dist.Worker
-	// DistOpts seeds the per-submission coordinator options (heartbeat,
-	// idle give-up, frame timeout, logging). Join, Parallel, Metrics,
+	// DistOpts seeds the per-submission coordinator options. When its
+	// Join is set, it delivers dialed-in expd workers and cache-miss
+	// jobs are dispatched to the fleet via the dist coordinator, whose
+	// workers each run a pool of DistOpts.Parallel. The channel is
+	// long-lived: each submission runs one coordinator round, and
+	// workers redial between rounds (the expd join retry loop). Metrics
 	// and OnMerge are filled per submission.
 	DistOpts dist.Options
-	// WorkerParallel is each fleet worker's pool size (dist handshake).
-	WorkerParallel int
-	// LocalParallel, when Join is nil, sizes the in-process simulation
-	// pool; values below 1 mean GOMAXPROCS.
+	// LocalParallel, when DistOpts.Join is nil, sizes the in-process
+	// simulation pool; values below 1 mean GOMAXPROCS.
 	LocalParallel int
 	// Token, when non-empty, requires `Authorization: Bearer <token>`
 	// on submissions — the same shared secret the dist fleet uses.
@@ -428,7 +425,7 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 		}
 	}()
 
-	if s.cfg.Join != nil {
+	if s.cfg.DistOpts.Join != nil {
 		plan := make([]spec.Job, len(mine))
 		for i, p := range mine {
 			plan[i] = spec.Job{Machine: p.sj.Machine, Workload: p.sj.Workload}
@@ -436,8 +433,6 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 		s.dispatchMu.Lock()
 		defer s.dispatchMu.Unlock()
 		opts := s.cfg.DistOpts
-		opts.Join = s.cfg.Join
-		opts.Parallel = s.cfg.WorkerParallel
 		opts.Metrics = s.cfg.Metrics
 		opts.OnMerge = complete
 		if rerr := dist.Run(plan, nil, cache, opts); rerr != nil && err == nil {

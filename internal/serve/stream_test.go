@@ -171,7 +171,7 @@ func TestPlanReachesClientBeforeSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	join := make(chan dist.Worker)
-	srv, err := serve.New(serve.Config{Store: st, Join: join, WorkerParallel: 2})
+	srv, err := serve.New(serve.Config{Store: st, DistOpts: dist.Options{Join: join, Parallel: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ func (s *Store) Preload(cache *exp.Cache, plan []spec.Job) (int, error) {
 	return hits, nil
 }
 
-// PutCached persists cache's completed result for k, with its recorded
-// wall time, and returns the record written. ok is false, and nothing is
+// PutCached persists cache's completed result for k and returns the
+// record written. ok is false, and nothing is
 // written, when the cache holds no completed result for k. It is the
 // per-result hook of every store-backed run: exp.OnRun on a local pool,
 // dist.Options.OnMerge on a fleet.
@@ -33,8 +33,5 @@ func (s *Store) PutCached(cache *exp.Cache, k exp.Key) (rec exp.CachedResult, ok
 		return exp.CachedResult{}, false, nil
 	}
 	rec = exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: res}
-	if d, ok := cache.Elapsed(k); ok {
-		rec.ElapsedNS = int64(d)
-	}
 	return rec, true, s.Put(rec)
 }

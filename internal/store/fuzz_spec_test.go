@@ -53,8 +53,7 @@ func TestFuzzSpecRoundTrip(t *testing.T) {
 
 	rec := exp.CachedResult{
 		Machine: k.Machine, Workload: k.Workload,
-		R:         pipeline.Result{Cycles: 123_456, Insts: 60_000},
-		ElapsedNS: 5,
+		R: pipeline.Result{Cycles: 123_456, Insts: 60_000},
 	}
 	if err := s.Put(rec); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ import (
 )
 
 // RecordVersion identifies the on-disk record schema. Records embed the
-// exp.CachedResult layout (machine, workload, result, elapsed_ns), so
+// exp.CachedResult layout (machine, workload, result), so
 // the additive-fields versioning rules of docs/ARCHITECTURE.md apply
 // here too: new optional fields do not bump the version, re-keyings do.
 const RecordVersion = 1
@@ -384,8 +384,7 @@ func (s *Store) forgetLocked(m *recMeta) {
 // resultBytes is the comparable identity of a stored result: its JSON
 // encoding. pipeline.Result round-trips JSON exactly (the property the
 // whole distributed design rests on), so byte equality here is result
-// equality. ElapsedNS is deliberately excluded — it describes the host
-// that ran the simulation, not the simulation.
+// equality.
 func resultBytes(r exp.CachedResult) []byte {
 	b, err := json.Marshal(r.R)
 	if err != nil {
@@ -396,10 +395,10 @@ func resultBytes(r exp.CachedResult) []byte {
 
 // Put persists one completed simulation. If the key already holds a
 // record with the identical result, the first writer wins and Put is a
-// no-op (the existing record, including its recorded elapsed time, is
-// kept). If the existing result differs byte-for-byte, Put returns a
-// *ConflictError — deterministic simulations cannot disagree, so the
-// store refuses to pick a side. After a new record lands, eviction
+// no-op: the existing record file is left as it is. If the existing
+// result differs byte-for-byte, Put returns a *ConflictError —
+// deterministic simulations cannot disagree, so the store refuses to
+// pick a side. After a new record lands, eviction
 // brings the store back under its byte bound.
 func (s *Store) Put(r exp.CachedResult) error {
 	hash := HashKey(exp.Key{Machine: r.Machine, Workload: r.Workload})

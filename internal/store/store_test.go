@@ -26,10 +26,9 @@ import (
 // so synthetic identities exercise it fully.
 func rec(machine, workload string, cycles int64) exp.CachedResult {
 	return exp.CachedResult{
-		Machine:   machine,
-		Workload:  workload,
-		R:         pipeline.Result{Cycles: cycles, Insts: cycles * 2},
-		ElapsedNS: 1000,
+		Machine:  machine,
+		Workload: workload,
+		R:        pipeline.Result{Cycles: cycles, Insts: cycles * 2},
 	}
 }
 
@@ -54,7 +53,7 @@ func TestRoundTripAndLayout(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get after Put = ok=%v err=%v", ok, err)
 	}
-	if got.R.Cycles != 42 || got.ElapsedNS != 1000 {
+	if got != r {
 		t.Errorf("round trip mangled record: %+v", got)
 	}
 
@@ -130,10 +129,9 @@ func TestPreloadAndPersist(t *testing.T) {
 		}
 	}
 	for _, r := range second.Snapshot() {
-		// Keys are canonical spec encodings, not labels or hashes, and
-		// wall times survive the round trip.
-		if !strings.Contains(r.Machine, `"model"`) || r.ElapsedNS <= 0 {
-			t.Errorf("preloaded entry %s: not a canonical key or no elapsed time (%d ns)", r.Machine, r.ElapsedNS)
+		// Keys are canonical spec encodings, not labels or hashes.
+		if !strings.Contains(r.Machine, `"model"`) {
+			t.Errorf("preloaded entry %s: not a canonical key", r.Machine)
 		}
 	}
 	if _, ok, err := (&store.Store{}).PutCached(exp.NewCache(), exp.KeyOf(plan[0])); ok || err != nil {
@@ -142,9 +140,9 @@ func TestPreloadAndPersist(t *testing.T) {
 }
 
 // TestFirstWriterWins pins the optimistic-concurrency contract: a second
-// Put of the identical result is a silent no-op (even with a different
-// elapsed time, which describes the host, not the simulation), while a
-// byte-different result is a fatal ConflictError naming the record path.
+// Put of the identical result is a silent no-op that leaves the first
+// writer's record file untouched, while a byte-different result is a
+// fatal ConflictError naming the record path.
 func TestFirstWriterWins(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
@@ -155,17 +153,19 @@ func TestFirstWriterWins(t *testing.T) {
 	if err := s.Put(r); err != nil {
 		t.Fatal(err)
 	}
-	dup := r
-	dup.ElapsedNS = 999999 // a slower host re-ran it; still the same simulation
-	if err := s.Put(dup); err != nil {
-		t.Fatalf("identical re-Put errored: %v", err)
-	}
-	got, _, err := s.Get(key(r))
-	if err != nil {
+	path := recordPath(dir, key(r))
+	// Back-date the record so a rewrite would show in its mtime even on
+	// a filesystem with coarse timestamps.
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if got.ElapsedNS != 1000 {
-		t.Errorf("re-Put replaced the first writer's record (elapsed %d, want 1000)", got.ElapsedNS)
+	before := fileState(t, path)
+	if err := s.Put(r); err != nil {
+		t.Fatalf("identical re-Put errored: %v", err)
+	}
+	if after := fileState(t, path); after.data != before.data || !after.mtime.Equal(before.mtime) {
+		t.Errorf("identical re-Put rewrote the first writer's record:\nbefore %+v\nafter  %+v", before, after)
 	}
 
 	bad := r
@@ -180,8 +180,7 @@ func TestFirstWriterWins(t *testing.T) {
 		t.Errorf("ConflictError path %q does not name the record file (hash %s)", conflict.Path, hash)
 	}
 	// The store keeps the original record.
-	got, _, _ = s.Get(key(r))
-	if got.R.Cycles != 7 {
+	if got, _, _ := s.Get(key(r)); got.R.Cycles != 7 {
 		t.Errorf("conflict clobbered the stored result: cycles %d, want 7", got.R.Cycles)
 	}
 }
@@ -283,6 +282,14 @@ func TestRecordWithoutSamplingFieldsLoads(t *testing.T) {
 	}
 	if r.SampleIntervals != 0 || r.SampleCPICI95 != 0 {
 		t.Fatalf("legacy result invented sampling statistics: %+v", r)
+	}
+	// Today's writers carry no elapsed_ns; their Put of the same result
+	// is still the first writer's no-op, which keeps the legacy bytes.
+	if err := s.Put(exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: r}); err != nil {
+		t.Fatalf("re-Put over the legacy record: %v", err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != legacy {
+		t.Errorf("re-Put over the legacy record rewrote it (err %v):\n%s", err, b)
 	}
 }
 
@@ -566,6 +573,27 @@ func recordPath(dir string, k exp.Key) string {
 	return filepath.Join(dir, hash[:2], hash+".json")
 }
 
+// recordFileState is a record file's bytes and mtime: what a rewrite
+// changes.
+type recordFileState struct {
+	data  string
+	mtime time.Time
+}
+
+// fileState reads path's recordFileState.
+func fileState(t *testing.T, path string) recordFileState {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recordFileState{data: string(data), mtime: fi.ModTime()}
+}
+
 // decodeFile decodes a record file the way any reader of the on-disk
 // format would, independently of the store's own reader.
 func decodeFile(t *testing.T, path string) exp.CachedResult {
@@ -603,7 +631,6 @@ func TestDecodedRecordMatchesFile(t *testing.T) {
 			BranchMispredicts: 1<<64 - 1, RallyPerKI: 0.1,
 			SampleIntervals: 12, SampleCPICI95: 0.0123456789,
 		},
-		ElapsedNS: 123_456_789,
 	}
 	k := key(r)
 	if err := s.Put(r); err != nil {
