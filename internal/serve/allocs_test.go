@@ -14,14 +14,16 @@ import (
 // scale) through Handler, on amd64 with Go 1.24, and 1.2 times those:
 // the limits TestSubmitHitAllocs holds the hit path to. A resubmission
 // of a document the server has prepared reads it, looks its plan up in
-// the store, renders and replies; a document's first submission also
-// decodes and plans it. Copying the document, growing the job slice,
-// encoding every job's key and building a string per job name the
-// render looked up, on every submission, cost 4,864 allocations and
-// 1.30 MB.
+// the store, finds the results equal to the ones its kept output was
+// rendered from and replies with that output; a document's first
+// submission also decodes, plans and renders it. Rendering every
+// resubmission cost 185 allocations and 0.41 MB; copying the document,
+// growing the job slice, encoding every job's key and building a string
+// per job name the render looked up, on every submission, 4,864
+// allocations and 1.30 MB.
 const (
-	hitAllocs   = 185
-	hitBytes    = 412_700
+	hitAllocs   = 27
+	hitBytes    = 375_100
 	firstAllocs = 287
 	firstBytes  = 903_500
 )

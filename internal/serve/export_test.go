@@ -16,3 +16,6 @@ func (s *Server) Prepared() (docs, bytes int) {
 	defer s.prepared.mu.Unlock()
 	return len(s.prepared.m), s.prepared.bytes
 }
+
+// SameResult exports the kept-output rule's result equality.
+var SameResult = sameResult

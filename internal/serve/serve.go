@@ -32,7 +32,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
@@ -45,7 +44,6 @@ import (
 
 	"icfp/internal/dist"
 	"icfp/internal/exp"
-	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
 	"icfp/internal/pipeline"
 	"icfp/internal/spec"
@@ -257,7 +255,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	suite, first, keys, at := p.suite, p.first, p.keys, p.at
+	suite, first, keys := p.suite, p.first, p.keys
 
 	s.submissions.Inc()
 	s.clients.Add(1)
@@ -277,13 +275,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every plan entry has its result: rendering simulates nothing, and
 	// the bytes match a local run of the same suite by construction
-	// (same renderer, same results).
-	var out bytes.Buffer
-	if err := registry.RenderSuite(&out, suite, exp.Collect(suite.Jobs, at, res)); err != nil {
+	// (same renderer, same results, or the kept render of results equal
+	// to these bit for bit).
+	out, err := s.prepared.render(p, res)
+	if err != nil {
 		ew.send(Event{Event: "error", Error: err.Error()}, false)
 		return
 	}
-	ew.send(Event{Event: "output", Data: out.String()}, false)
+	ew.send(Event{Event: "output", Data: out}, false)
 	ew.send(Event{Event: "done", Jobs: len(keys)}, false)
 }
 

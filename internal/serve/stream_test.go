@@ -30,6 +30,23 @@ import (
 // are answered wholly from the store, and nothing is ever simulated.
 func syntheticServer(tb testing.TB, names ...string) (docs [][]byte, keys int, srv *serve.Server) {
 	tb.Helper()
+	st, err := store.Open(tb.TempDir(), store.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	docs, plan := syntheticRecords(tb, st, names...)
+	srv, err = serve.New(serve.Config{Store: st, LocalParallel: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return docs, len(plan), srv
+}
+
+// syntheticRecords returns the named experiments' suite documents at the
+// tests' scale and the plan of their jobs, and puts madeUp(i) into st as
+// the result of plan entry i.
+func syntheticRecords(tb testing.TB, st *store.Store, names ...string) (docs [][]byte, plan []spec.Job) {
+	tb.Helper()
 	var jobs []spec.Job
 	for _, name := range names {
 		s, err := registry.Describe(name, tinyParams())
@@ -43,22 +60,18 @@ func syntheticServer(tb testing.TB, names ...string) (docs [][]byte, keys int, s
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := store.Open(tb.TempDir(), store.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	for i, sj := range plan {
 		k := exp.KeyOf(sj)
-		r := pipeline.Result{Cycles: int64(10_000 + 37*i), Insts: 8_000}
-		if err := st.Put(exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: r}); err != nil {
+		if err := st.Put(exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: madeUp(i)}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	srv, err = serve.New(serve.Config{Store: st, LocalParallel: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return docs, len(plan), srv
+	return docs, plan
+}
+
+// madeUp is the result syntheticRecords stores for plan entry i.
+func madeUp(i int) pipeline.Result {
+	return pipeline.Result{Cycles: int64(10_000 + 37*i), Insts: 8_000}
 }
 
 // replyWriter is an http.ResponseWriter that keeps the reply and counts
@@ -94,6 +107,34 @@ func eventLine(t *testing.T, e serve.Event) string {
 	return string(b) + "\n"
 }
 
+// events decodes a reply's NDJSON events.
+func events(t *testing.T, reply []byte) []serve.Event {
+	t.Helper()
+	var evs []serve.Event
+	sc := bufio.NewScanner(bytes.NewReader(reply))
+	sc.Buffer(nil, serve.MaxSuiteBytes)
+	for sc.Scan() {
+		var e serve.Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("undecodable line %q: %v", sc.Bytes(), err)
+		}
+		evs = append(evs, e)
+	}
+	return evs
+}
+
+// output returns the data of a reply's output event.
+func output(t *testing.T, reply []byte) string {
+	t.Helper()
+	for _, e := range events(t, reply) {
+		if e.Event == "output" {
+			return e.Data
+		}
+	}
+	t.Fatalf("no output event in %.300q", reply)
+	return ""
+}
+
 // TestAllHitReplyIsPlanOutputDone pins the reply to a submission answered
 // wholly from the store, byte for byte: the plan, output and done events
 // in that order with the fields they always carried, written with no
@@ -105,21 +146,12 @@ func TestAllHitReplyIsPlanOutputDone(t *testing.T) {
 	if w.code != 0 && w.code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.code, w.body.Bytes())
 	}
-	var events []serve.Event
-	sc := bufio.NewScanner(bytes.NewReader(w.body.Bytes()))
-	sc.Buffer(nil, serve.MaxSuiteBytes)
-	for sc.Scan() {
-		var e serve.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("undecodable line %q: %v", sc.Bytes(), err)
-		}
-		events = append(events, e)
-	}
-	if len(events) != 3 || events[1].Event != "output" || events[1].Data == "" {
-		t.Fatalf("events = %+v, want plan, a non-empty output, done", events)
+	evs := events(t, w.body.Bytes())
+	if len(evs) != 3 || evs[1].Event != "output" || evs[1].Data == "" {
+		t.Fatalf("events = %+v, want plan, a non-empty output, done", evs)
 	}
 	want := eventLine(t, serve.Event{Event: "plan", Jobs: keys, StoreHits: keys}) +
-		eventLine(t, serve.Event{Event: "output", Data: events[1].Data}) +
+		eventLine(t, serve.Event{Event: "output", Data: evs[1].Data}) +
 		eventLine(t, serve.Event{Event: "done", Jobs: keys})
 	if got := w.body.String(); got != want {
 		t.Errorf("reply differs:\n got %.300q\nwant %.300q", got, want)
@@ -136,8 +168,9 @@ func TestAllHitReplyIsPlanOutputDone(t *testing.T) {
 // through serve.Client, against a store that holds a made-up result for
 // each of their simulations: the daemon's hit path end to end for a
 // resubmitted document (reading it, finding its prepared suite, the
-// store lookups, the render and the reply) and the client's, with
-// nothing simulated. One op is one pass over the suites.
+// store lookups, comparing their results with the ones its kept output
+// was rendered from, and the reply) and the client's, with nothing
+// simulated or rendered. One op is one pass over the suites.
 func BenchmarkSubmitHits(b *testing.B) {
 	docs, _, srv := syntheticServer(b, registry.DefaultNames()...)
 	hs := httptest.NewServer(srv.Handler())
@@ -153,7 +186,7 @@ func BenchmarkSubmitHits(b *testing.B) {
 			}
 		}
 	}
-	pass() // the store's first read of each record, each document's preparation
+	pass() // the store's first read of each record, each document's preparation and render
 	b.ReportAllocs()
 	for b.Loop() {
 		pass()
