@@ -13,19 +13,19 @@ import (
 // Allocations of one all-hit fig6 submission (750 jobs, at the tests'
 // scale) through Handler, on amd64 with Go 1.24, and 1.2 times those:
 // the limits TestSubmitHitAllocs holds the hit path to. A resubmission
-// of a document the server has prepared reads it, looks its plan up in
-// the store, finds the results equal to the ones its kept output was
-// rendered from and replies with that output; a document's first
-// submission also decodes, plans and renders it. Rendering every
-// resubmission cost 185 allocations and 0.41 MB; copying the document,
-// growing the job slice, encoding every job's key and building a string
-// per job name the render looked up, on every submission, 4,864
-// allocations and 1.30 MB.
+// of a document the server has prepared reads it, renews the store
+// resolution its kept reply was rendered from and writes that reply:
+// nearly all of its bytes are the 222 KB document read. A document's
+// first submission also decodes, plans, resolves its plan key by key,
+// renders and encodes the reply it keeps. Looking the plan up key by key
+// and comparing its results with the ones a kept output was rendered
+// from, on every resubmission, cost 27 allocations and 0.38 MB;
+// rendering every resubmission, 185 and 0.41 MB.
 const (
-	hitAllocs   = 27
-	hitBytes    = 375_100
-	firstAllocs = 287
-	firstBytes  = 903_500
+	hitAllocs   = 14
+	hitBytes    = 234_700
+	firstAllocs = 286
+	firstBytes  = 918_300
 )
 
 // TestSubmitHitAllocs pins what a submission answered wholly from the

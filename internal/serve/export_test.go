@@ -17,5 +17,14 @@ func (s *Server) Prepared() (docs, bytes int) {
 	return len(s.prepared.m), s.prepared.bytes
 }
 
-// SameResult exports the kept-output rule's result equality.
-var SameResult = sameResult
+// Kept returns the reply the server's prepared suite of doc keeps, nil
+// when it keeps none or doc is not in the memo. Two calls return the same
+// pointer only while the kept reply has not been replaced.
+func (s *Server) Kept(doc []byte) *[]byte {
+	s.prepared.mu.Lock()
+	defer s.prepared.mu.Unlock()
+	if p := s.prepared.m[string(doc)]; p != nil && p.last != nil {
+		return &p.last.reply
+	}
+	return nil
+}

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"math"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -11,6 +9,7 @@ import (
 	"icfp/internal/exp/registry"
 	"icfp/internal/pipeline"
 	"icfp/internal/spec"
+	"icfp/internal/store"
 )
 
 // A prepared suite is a submitted document decoded, validated and
@@ -21,43 +20,58 @@ import (
 // served and answers a byte-identical resubmission without decoding or
 // planning it again.
 //
-// A prepared suite also keeps the output it last rendered and the
-// results it was rendered from. A render is a pure function of the
-// suite and its results, so a later submission whose freshly resolved
-// results equal those bit for bit (sameResult) replies with the kept
-// output; any other renders afresh and replaces the pair. The kept
-// output therefore never answers for results it was not rendered from:
-// the store, the in-flight table and the backend still resolve every
-// plan entry of every submission.
+// A prepared suite also keeps its last reply answered wholly from the
+// store, with the store resolution it was rendered from. An indexed
+// store entry's result never changes its bits, and a render is a pure
+// function of the suite and its results, so while that resolution
+// renews (store.Resolution.Revalidate: none of its entries has been
+// dropped) the kept reply is the reply a fresh resolution would render,
+// byte for byte, and a resubmission writes it and does nothing else.
+// Any other submission resolves its plan key by key and replaces the
+// kept reply with its own, or clears it when it was not all hits.
 type prepared struct {
 	doc   string // the document, aliasing the request body: the memo's key
 	suite spec.Suite
 	// first, keys and at are exp.PlanValidated's plan of suite.Jobs.
 	first, at []int
 	keys      []exp.Key
-	last      *rendered // guarded by the memo's mu; nil until a render is kept
+	last      *answer // guarded by the memo's mu; nil until a reply is kept
 }
 
-// rendered is one render of a prepared suite: the results, one per plan
-// entry, and the report rendered from them. Neither changes once made.
-type rendered struct {
-	res []pipeline.Result
-	out string
+// answer is an all-hit reply of a prepared suite: the resolution it was
+// rendered from and its encoded events (plan, output, done). Neither
+// changes once made.
+type answer struct {
+	res   *store.Resolution
+	reply []byte
+}
+
+// render returns the report of p's suite over res, its plan's results.
+// Every plan entry has its result, so rendering simulates nothing, and
+// the bytes match a local run of the suite by construction: the same
+// renderer over the same results.
+func (p *prepared) render(res []pipeline.Result) (string, error) {
+	var out bytes.Buffer
+	if err := registry.RenderSuite(&out, p.suite, exp.Collect(p.suite.Jobs, p.at, res)); err != nil {
+		return "", err
+	}
+	return out.String(), nil
 }
 
 // size is what p holds in memory by the memo's count: its document, its
-// kept output and its kept results. The caller holds the memo's mu.
+// kept reply and the kept resolution's entries. The caller holds the
+// memo's mu.
 func (p *prepared) size() int {
 	n := len(p.doc)
 	if p.last != nil {
-		n += len(p.last.out) + len(p.last.res)*int(unsafe.Sizeof(pipeline.Result{}))
+		n += len(p.last.reply) + p.last.res.Bytes()
 	}
 	return n
 }
 
 // The prepared-suite memo's bounds: the documents it holds (the -all
 // experiments' 11 documents come to 339 KB) and the bytes it counts for
-// them, each document's own plus its kept output's and results'. A
+// them, each document's own plus its kept reply's and resolution's. A
 // prepared suite takes a few times what it counts in memory (the
 // decoded jobs alias the document; the plan adds the canonical keys), so
 // the memo stays within a few tens of megabytes however many distinct
@@ -120,63 +134,24 @@ func (ps *preparedSuites) addLocked(p *prepared) {
 	ps.bytes += size
 }
 
-// render returns the report of p's suite over res, its plan's results:
-// the output p keeps when res equals the results it was rendered from,
-// else a fresh render, which p then keeps in place of the old pair. A
-// render error is returned and nothing is kept.
-func (ps *preparedSuites) render(p *prepared, res []pipeline.Result) (string, error) {
-	ps.mu.Lock()
-	last := p.last
-	ps.mu.Unlock()
-	if last != nil && slices.EqualFunc(last.res, res, sameResult) {
-		return last.out, nil
-	}
-	var out bytes.Buffer
-	if err := registry.RenderSuite(&out, p.suite, exp.Collect(p.suite.Jobs, p.at, res)); err != nil {
-		return "", err
-	}
-	r := &rendered{res: res, out: out.String()}
+// kept returns the reply p keeps, nil when it keeps none.
+func (ps *preparedSuites) kept(p *prepared) *answer {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	// Only a suite in the memo keeps its render: no later submission
-	// finds one that is not. Re-adding it counts the new pair against the
-	// bounds.
-	if ps.m[p.doc] == p {
-		delete(ps.m, p.doc)
-		ps.bytes -= p.size()
-		p.last = r
-		ps.addLocked(p)
-	}
-	return r.out, nil
+	return p.last
 }
 
-// sameResult reports whether a and b are the same result: the same name
-// and the same bits in every numeric field. Floats compare by their bits,
-// so −0 and +0 (which render differently) never match and a NaN matches
-// only the same NaN. A field added to pipeline.Result needs its line here
-// (TestSameResultSeesEveryField).
-func sameResult(a, b pipeline.Result) bool {
-	f := math.Float64bits
-	return a.Name == b.Name &&
-		a.Cycles == b.Cycles &&
-		a.Insts == b.Insts &&
-		f(a.DCacheMissPerKI) == f(b.DCacheMissPerKI) &&
-		f(a.L2MissPerKI) == f(b.L2MissPerKI) &&
-		f(a.DCacheMLP) == f(b.DCacheMLP) &&
-		f(a.L2MLP) == f(b.L2MLP) &&
-		a.BranchMispredicts == b.BranchMispredicts &&
-		a.Advances == b.Advances &&
-		a.AdvanceInsts == b.AdvanceInsts &&
-		a.RallyInsts == b.RallyInsts &&
-		a.RallyPasses == b.RallyPasses &&
-		f(a.RallyPerKI) == f(b.RallyPerKI) &&
-		a.SliceOverflows == b.SliceOverflows &&
-		a.SBOverflows == b.SBOverflows &&
-		a.PoisonAddrObs == b.PoisonAddrObs &&
-		a.Squashes == b.Squashes &&
-		a.SBForwards == b.SBForwards &&
-		f(a.SBExtraHops) == f(b.SBExtraHops) &&
-		f(a.SBHopsAtLeast) == f(b.SBHopsAtLeast) &&
-		a.SampleIntervals == b.SampleIntervals &&
-		f(a.SampleCPICI95) == f(b.SampleCPICI95)
+// keep makes a, which may be nil, the reply p keeps. Only a suite in the
+// memo keeps a reply: no later submission finds one that is not.
+// Re-adding it counts the new reply against the bounds.
+func (ps *preparedSuites) keep(p *prepared, a *answer) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.m[p.doc] != p || p.last == a {
+		return
+	}
+	delete(ps.m, p.doc)
+	ps.bytes -= p.size()
+	p.last = a
+	ps.addLocked(p)
 }

@@ -2,20 +2,21 @@ package serve_test
 
 import (
 	"bytes"
-	"math"
+	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
+	"icfp/internal/obs"
 	"icfp/internal/pipeline"
 	"icfp/internal/serve"
+	"icfp/internal/spec"
 	"icfp/internal/store"
 )
 
@@ -23,18 +24,31 @@ import (
 // resubmitted document is answered byte-identically from the suite
 // prepared for it, also by concurrent submissions; a document that
 // differs in any byte is prepared afresh; one that fails to decode is
-// not kept; the memo counts each document with the output it keeps and
-// the results that output was rendered from; and however many distinct
-// documents arrive, the memo stays within its bounds.
+// not kept; the memo counts each document with the reply it keeps and
+// the store resolution that reply was rendered from; and however many
+// distinct documents arrive, the memo stays within its bounds.
 func TestPreparedSuites(t *testing.T) {
-	docs, keys, srv := syntheticServer(t, "fig7")
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, plan := syntheticRecords(t, st, "fig7")
+	srv, err := serve.New(serve.Config{Store: st, LocalParallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	doc := docs[0]
 	h := srv.Handler()
 	w := &replyWriter{header: http.Header{}}
 	w.submit(h, doc)
 	want := bytes.Clone(w.body.Bytes())
-	// What the memo counts for one document beyond its bytes.
-	kept := len(output(t, want)) + keys*int(unsafe.Sizeof(pipeline.Result{}))
+	// What the memo counts for one document beyond its bytes: the reply
+	// and the resolution of its plan.
+	rs, err := st.Resolve(keysOf(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := len(want) + rs.Bytes()
 	held := func(wantDocs, wantBytes int) {
 		t.Helper()
 		if n, size := srv.Prepared(); n != wantDocs || size != wantBytes {
@@ -165,49 +179,168 @@ func TestChangedResultRendersAfresh(t *testing.T) {
 	}
 }
 
-// TestSameResultSeesEveryField pins the equality a kept output is
-// reused under: a result differing from another in any one field of
-// pipeline.Result, set in turn by reflection, is told apart from it, so
-// a field added to Result without its line in sameResult fails here.
-// Floats compare by their bits.
-func TestSameResultSeesEveryField(t *testing.T) {
-	var zero pipeline.Result
-	if !serve.SameResult(zero, zero) {
-		t.Fatal("a zero result differs from itself")
+// keysOf returns the keys of plan's jobs, in order.
+func keysOf(plan []spec.Job) []exp.Key {
+	keys := make([]exp.Key, len(plan))
+	for i, sj := range plan {
+		keys[i] = exp.KeyOf(sj)
 	}
-	typ := reflect.TypeOf(zero)
-	for i := range typ.NumField() {
-		name := typ.Field(i).Name
-		var a, b pipeline.Result
-		fb := reflect.ValueOf(&b).Elem().Field(i)
-		switch fb.Kind() {
-		case reflect.String:
-			fb.SetString("x")
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			fb.SetInt(1)
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			fb.SetUint(1)
-		case reflect.Float32, reflect.Float64:
-			fb.SetFloat(math.Copysign(0, -1))
-			if serve.SameResult(a, b) {
-				t.Errorf("%s: a result with -0 matches one with +0", name)
-			}
-			fa := reflect.ValueOf(&a).Elem().Field(i)
-			fa.SetFloat(math.NaN())
-			fb.SetFloat(math.NaN())
-			if !serve.SameResult(a, b) {
-				t.Errorf("%s: a result with NaN differs from one with the same NaN", name)
-			}
-			fa.SetFloat(0)
-			fb.SetFloat(1)
-		default:
-			t.Fatalf("%s is of kind %s, which this test cannot set: teach it and sameResult the kind", name, fb.Kind())
+	return keys
+}
+
+// TestKeptReplyKeepsLRUOrder pins that a resubmission answered with its
+// kept reply stamps the store's LRU clock as per-key lookups do. The
+// store is bounded to the records of two suites, A and B; A is
+// submitted, then B, then A again, and one more record is stored. The
+// record evicted must be B's oldest, never one of A's: a kept path that
+// skipped the stamping would leave A's first record the oldest.
+func TestKeptReplyKeepsLRUOrder(t *testing.T) {
+	dir := t.TempDir()
+	fill, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, _ := syntheticRecords(t, fill, "hops", "ooo")
+	plans := make([][]exp.Key, 2)
+	for i, name := range []string{"hops", "ooo"} {
+		s, err := registry.Describe(name, tinyParams())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if serve.SameResult(a, b) || serve.SameResult(b, a) {
-			t.Errorf("results differing only in %s compare equal", name)
+		_, plans[i], _ = exp.PlanValidated(s.Jobs)
+	}
+	a, b := plans[0], plans[1]
+	for _, k := range a {
+		if slices.Contains(b, k) {
+			t.Fatalf("suites A and B share the key (%s | %s): pick disjoint suites", k.Machine, k.Workload)
 		}
-		if !serve.SameResult(b, b) {
-			t.Errorf("a result with %s set differs from itself", name)
+	}
+	st, err := store.Open(dir, store.Options{MaxBytes: fill.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Store: st, LocalParallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	w := &replyWriter{header: http.Header{}}
+	for _, doc := range [][]byte{docs[0], docs[1], docs[0]} {
+		w.submit(h, doc)
+		if evs := events(t, w.body.Bytes()); evs[0].StoreHits != evs[0].Jobs {
+			t.Fatalf("plan event %+v, want all store hits", evs[0])
+		}
+	}
+	kept := srv.Kept(docs[0])
+	if kept == nil {
+		t.Fatal("suite A keeps no reply")
+	}
+
+	if err := st.Put(exp.CachedResult{Machine: "{}", Workload: "{}"}); err != nil {
+		t.Fatal(err)
+	}
+	stored := func(k exp.Key) bool {
+		_, err := os.Stat(filepath.Join(dir, store.HashKey(k)[:2], store.HashKey(k)+".json"))
+		return err == nil
+	}
+	for _, k := range a {
+		if !stored(k) {
+			t.Errorf("A's record (%s | %s) was evicted; B's oldest should have been", k.Machine, k.Workload)
+		}
+	}
+	if stored(b[0]) {
+		t.Errorf("B's oldest record, its first plan entry, is still stored")
+	}
+	for _, k := range b[1:] {
+		if !stored(k) {
+			t.Errorf("B's record (%s | %s) was evicted; B's oldest should have been", k.Machine, k.Workload)
+		}
+	}
+	w.submit(h, docs[0])
+	if srv.Kept(docs[0]) != kept {
+		t.Error("A's resubmission after an unrelated eviction did not reply from its kept reply")
+	}
+}
+
+// TestKeptReplySurvivesUnrelatedChanges pins when a kept reply answers
+// a resubmission: while none of the store entries it was resolved from
+// has been dropped. An identical re-Put of one of the suite's records,
+// or the quarantine of an unrelated damaged record, leaves it answering;
+// the reply is byte-identical, its plan event is all store hits, and the
+// store counts one hit per plan entry and no miss.
+func TestKeptReplySurvivesUnrelatedChanges(t *testing.T) {
+	dir := t.TempDir()
+	fill, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, plan := syntheticRecords(t, fill, "fig8")
+	damaged := exp.CachedResult{Machine: "{}", Workload: "{}"}
+	if err := fill.Put(damaged); err != nil {
+		t.Fatal(err)
+	}
+	hash := store.HashKey(exp.Key{Machine: damaged.Machine, Workload: damaged.Workload})
+	path := filepath.Join(dir, hash[:2], hash+".json")
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st.Instrument(reg)
+	srv, err := serve.New(serve.Config{Store: st, LocalParallel: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := func(name string) int64 { return reg.Counter(name, "").Value() }
+	h := srv.Handler()
+	w := &replyWriter{header: http.Header{}}
+	w.submit(h, docs[0])
+	want := bytes.Clone(w.body.Bytes())
+	kept := srv.Kept(docs[0])
+	if kept == nil || !bytes.Equal(*kept, want) {
+		t.Fatal("the all-hit reply is not the reply kept")
+	}
+
+	k0 := exp.KeyOf(plan[0])
+	for _, change := range []struct {
+		what string
+		do   func() error
+	}{
+		{"an identical re-Put of one of its records", func() error {
+			return st.Put(exp.CachedResult{Machine: k0.Machine, Workload: k0.Workload, R: madeUp(0)})
+		}},
+		{"the quarantine of an unrelated damaged record", func() error {
+			if _, ok, err := st.Get(exp.Key{Machine: damaged.Machine, Workload: damaged.Workload}); ok || err != nil {
+				return fmt.Errorf("the damaged record reads as ok=%v, err=%v; want a miss", ok, err)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				return fmt.Errorf("the damaged record was not quarantined: %v", err)
+			}
+			return nil
+		}},
+	} {
+		if err := change.do(); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := counter("expq_store_hits_total"), counter("expq_store_misses_total")
+		w.submit(h, docs[0])
+		if !bytes.Equal(w.body.Bytes(), want) {
+			t.Errorf("after %s: the reply differs:\n%.300s\nwant\n%.300s", change.what, w.body.Bytes(), want)
+		}
+		if evs := events(t, w.body.Bytes()); evs[0].Event != "plan" || evs[0].StoreHits != len(plan) || evs[0].Dispatched != 0 || evs[0].Attached != 0 {
+			t.Errorf("after %s: plan event %+v, want %d store hits", change.what, evs[0], len(plan))
+		}
+		if d := counter("expq_store_hits_total") - hits; d != int64(len(plan)) {
+			t.Errorf("after %s: the resubmission counted %d store hits, want %d", change.what, d, len(plan))
+		}
+		if d := counter("expq_store_misses_total") - misses; d != 0 {
+			t.Errorf("after %s: the resubmission counted %d store misses, want 0", change.what, d)
+		}
+		if srv.Kept(docs[0]) != kept {
+			t.Errorf("after %s: the resubmission replaced the kept reply rather than answering with it", change.what)
 		}
 	}
 }

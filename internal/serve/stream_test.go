@@ -167,10 +167,10 @@ func TestAllHitReplyIsPlanOutputDone(t *testing.T) {
 // BenchmarkSubmitHits submits every -all suite over loopback HTTP
 // through serve.Client, against a store that holds a made-up result for
 // each of their simulations: the daemon's hit path end to end for a
-// resubmitted document (reading it, finding its prepared suite, the
-// store lookups, comparing their results with the ones its kept output
-// was rendered from, and the reply) and the client's, with nothing
-// simulated or rendered. One op is one pass over the suites.
+// resubmitted document (reading it, finding its prepared suite, renewing
+// the store resolution its kept reply was rendered from, and writing
+// that reply) and the client's, with nothing looked up, simulated or
+// rendered. One op is one pass over the suites.
 func BenchmarkSubmitHits(b *testing.B) {
 	docs, _, srv := syntheticServer(b, registry.DefaultNames()...)
 	hs := httptest.NewServer(srv.Handler())
@@ -186,7 +186,7 @@ func BenchmarkSubmitHits(b *testing.B) {
 			}
 		}
 	}
-	pass() // the store's first read of each record, each document's preparation and render
+	pass() // the store's first read of each record, each document's preparation, render and kept reply
 	b.ReportAllocs()
 	for b.Loop() {
 		pass()

@@ -22,18 +22,25 @@
 //
 // The in-memory index keeps each record's decoded result once this
 // process has read or written it, keyed by the record's exp.Key, so a
-// repeat lookup (every resubmitted suite) is one map lookup: no hashing,
-// no path, no system call. The bound covers those copies too: a decoded
-// result is smaller than its indented on-disk record, and evicting a
-// record drops its copy. A record that fails to decode is moved aside as
-// damaged and its key reads as a miss, so one bad file costs one
-// re-simulation rather than failing its key forever.
+// repeat Get is a map lookup: no path, no system call, though the map
+// still hashes and compares both canonical strings of the key. An
+// indexed entry's result never changes its bits (the first writer wins,
+// and a byte-different Put is a ConflictError), so a whole plan resolved
+// once (Resolve) can be renewed without a single lookup
+// (Resolution.Revalidate) for as long as none of its entries has been
+// dropped: that is how the service answers a resubmitted suite. The
+// bound covers the decoded copies too: a decoded result is smaller than
+// its indented on-disk record, and evicting a record drops its copy. A
+// record that fails to decode is moved aside as damaged and its key
+// reads as a miss, so one bad file costs one re-simulation rather than
+// failing its key forever.
 //
 // Access times: the in-memory LRU clock eviction runs on is exact (every
-// Get stamps it), while a record file's mtime — the clock Open reads
-// back — is refreshed at most once per touchInterval. A restarted
-// process therefore recovers the LRU order to within that interval, and
-// a resubmission answered from memory writes nothing to disk.
+// Get stamps it, as does every renewal of a resolution for its entries),
+// while a record file's mtime — the clock Open reads back — is refreshed
+// at most once per touchInterval. A restarted process therefore recovers
+// the LRU order to within that interval, and a resubmission answered
+// from memory writes nothing to disk.
 package store
 
 import (
@@ -102,8 +109,12 @@ type recMeta struct {
 	// last read or wrote it (zero when unknown).
 	access, stamp time.Time
 	// res is the record's decoded result once this process has read or
-	// written it, nil before. It leaves the index with the entry.
+	// written it, nil before. It leaves the index with the entry. Its
+	// bits never change: a later copy comes from the same record file,
+	// or from an identical Put (a byte-different one is a ConflictError).
 	res *exp.CachedResult
+	// dropped is set when the entry leaves the index (dropLocked).
+	dropped bool
 }
 
 // due reports whether a hit at t must refresh the file's mtime, taking t
@@ -263,18 +274,31 @@ func (s *Store) Bytes() int64 {
 // again; a record of another schema version, or one holding another
 // key, is an error.
 func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
+	res, _, err := s.get(k)
+	if res == nil {
+		return exp.CachedResult{}, false, err
+	}
+	return *res, true, nil
+}
+
+// get is Get without the copy: it returns k's result, nil on a miss or
+// an error, and the index entry holding it as its decoded copy, nil when
+// the result was read but not kept (an entry was dropped meanwhile; see
+// Store.drops). Neither the result nor, while it is indexed, the entry's
+// copy ever changes.
+func (s *Store) get(k exp.Key) (*exp.CachedResult, *recMeta, error) {
 	t := now()
 	s.mu.Lock()
 	if m, ok := s.decoded[k]; ok {
 		m.access = t
-		res := *m.res
+		res := m.res
 		touch := m.due(t)
 		s.mu.Unlock()
 		if touch {
 			s.touch(m.hash, t)
 		}
 		s.hits.Inc()
-		return res, true, nil
+		return res, m, nil
 	}
 	drops := s.drops
 	s.mu.Unlock()
@@ -286,28 +310,33 @@ func (s *Store) Get(k exp.Key) (exp.CachedResult, bool, error) {
 	case errors.Is(err, errCorrupt):
 		s.quarantine(hash, path)
 		s.misses.Inc()
-		return exp.CachedResult{}, false, nil
+		return nil, nil, nil
 	case os.IsNotExist(err):
 		s.mu.Lock()
 		s.dropLocked(hash)
 		s.mu.Unlock()
 		s.misses.Inc()
-		return exp.CachedResult{}, false, nil
+		return nil, nil, nil
 	case err != nil:
-		return exp.CachedResult{}, false, err
+		return nil, nil, err
 	}
 	if rec.Machine != k.Machine || rec.Workload != k.Workload {
-		return exp.CachedResult{}, false, fmt.Errorf("store: %s holds (%s | %s), wanted (%s | %s) — hash collision or corrupted record",
+		return nil, nil, fmt.Errorf("store: %s holds (%s | %s), wanted (%s | %s) — hash collision or corrupted record",
 			path, rec.Machine, rec.Workload, k.Machine, k.Workload)
 	}
+	res := &rec.CachedResult
 	s.mu.Lock()
-	touch := s.indexLocked(hash, size, t, &rec.CachedResult, drops).due(t)
+	m := s.indexLocked(hash, size, t, res, drops)
+	touch := m.due(t)
+	if m.res != res {
+		m = nil
+	}
 	s.mu.Unlock()
 	if touch {
 		s.touch(hash, t)
 	}
 	s.hits.Inc()
-	return rec.CachedResult, true, nil
+	return res, m, nil
 }
 
 // touch sets a record file's mtime to t. It is best effort: a failed
@@ -420,6 +449,14 @@ func (s *Store) Put(r exp.CachedResult) error {
 		drops = s.quarantine(hash, path)
 	case !os.IsNotExist(err):
 		return err
+	default:
+		// The file is gone (another process evicted it): so is its entry,
+		// as for Get, and the record written below starts a new one. An
+		// entry's result therefore never changes under it.
+		s.mu.Lock()
+		s.dropLocked(hash)
+		drops = s.drops
+		s.mu.Unlock()
 	}
 
 	data, err := json.MarshalIndent(record{Version: RecordVersion, CachedResult: r}, "", "  ")
@@ -498,12 +535,14 @@ func (s *Store) evictLocked() {
 }
 
 // dropLocked forgets an index entry and its decoded copy (evicted, gone
-// from disk, or quarantined); the caller holds mu.
+// from disk, or quarantined) and marks the entry dropped, which ends
+// every Resolution holding it; the caller holds mu.
 func (s *Store) dropLocked(hash string) {
 	if m, ok := s.recs[hash]; ok {
 		s.bytes -= m.size
 		delete(s.recs, hash)
 		s.forgetLocked(m)
+		m.res, m.dropped = nil, true
 		s.drops++
 	}
 }

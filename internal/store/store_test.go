@@ -1082,3 +1082,231 @@ func BenchmarkStoreGetHit(b *testing.B) {
 		}
 	}
 }
+
+// TestRevalidateStampsAsGet pins that renewing a resolution is, to the
+// LRU clock and the record files, a Get of each of its keys: the same
+// access stamps (so the same record is evicted next), the same mtime
+// refreshes once a file's stamp is an interval old, and one hit per key.
+// Each subtest runs the same schedule, renewing w0 and w1 by per-key
+// Gets or by Revalidate.
+func TestRevalidateStampsAsGet(t *testing.T) {
+	for _, renew := range []string{"Get", "Revalidate"} {
+		t.Run(renew, func(t *testing.T) {
+			clock := time.Now()
+			defer store.SetClock(func() time.Time { return clock })()
+			dir := t.TempDir()
+			fill, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rs []exp.CachedResult
+			var keys []exp.Key
+			for i := range 3 {
+				r := rec("m", fmt.Sprintf("w%d", i), int64(i+1))
+				if err := fill.Put(r); err != nil {
+					t.Fatal(err)
+				}
+				setMtime(t, dir, key(r), clock.Add(time.Duration(i-3)*time.Hour))
+				rs, keys = append(rs, r), append(keys, key(r))
+			}
+			recBytes := fill.Bytes() / 3
+			s, err := store.Open(dir, store.Options{MaxBytes: recBytes*3 + recBytes/2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			hits := reg.Counter("expq_store_hits_total", "")
+
+			res, err := s.Resolve(keys[:2])
+			if err != nil || res.Hits() != 2 {
+				t.Fatalf("Resolve: %d hits, err %v; want 2 hits", res.Hits(), err)
+			}
+			clock = clock.Add(time.Second)
+			if _, ok, err := s.Get(keys[2]); err != nil || !ok {
+				t.Fatalf("Get w2: ok=%v err=%v", ok, err)
+			}
+			// w0 and w1 are now the least recently used, and their files'
+			// stamps (the Resolve above) are an interval old.
+			clock = clock.Add(store.TouchInterval)
+			before := hits.Value()
+			if renew == "Get" {
+				for _, k := range keys[:2] {
+					if _, ok, err := s.Get(k); err != nil || !ok {
+						t.Fatalf("Get: ok=%v err=%v", ok, err)
+					}
+				}
+			} else if !res.Revalidate() {
+				t.Fatal("a resolution none of whose entries was dropped did not renew")
+			}
+			if d := hits.Value() - before; d != 2 {
+				t.Errorf("renewing two keys counted %d hits, want 2", d)
+			}
+			for _, k := range keys[:2] {
+				// Filesystems may store coarser timestamps than the clock's.
+				if d := clock.Sub(mtime(t, recordPath(dir, k))); d < 0 || d > 2*time.Second {
+					t.Errorf("%s: mtime %v after renewing, want about %v", k.Workload, mtime(t, recordPath(dir, k)), clock)
+				}
+			}
+
+			// One more record evicts the least recently used: w2, stamped
+			// before w0 and w1 were renewed.
+			if err := s.Put(rec("m", "w3", 4)); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rs {
+				_, err := os.Stat(recordPath(dir, key(r)))
+				if alive := err == nil; alive != (i != 2) {
+					t.Errorf("w%d alive=%v after one eviction, want %v", i, alive, i != 2)
+				}
+			}
+		})
+	}
+}
+
+// TestResolutionRenewsUntilDropped pins when a resolution renews: while
+// none of its own entries has been dropped. An identical re-Put of one
+// of its records, the quarantine of an unrelated damaged record and the
+// eviction of an unrelated one leave it renewing; a Put that finds one
+// of its records' files gone, or the eviction of one of its own records,
+// ends it, and a resolution with a miss never renews.
+func TestResolutionRenewsUntilDropped(t *testing.T) {
+	dir := t.TempDir()
+	fill, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, damaged, other := rec("m", "a", 1), rec("m", "b", 2), rec("m", "damaged", 3), rec("m", "other", 4)
+	for _, r := range []exp.CachedResult{a, b, damaged, other} {
+		if err := fill.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := recordPath(dir, key(damaged))
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Resolve([]exp.Key{key(a), key(b)})
+	if err != nil || res.Hits() != 2 {
+		t.Fatalf("Resolve: %d hits, err %v; want 2 hits", res.Hits(), err)
+	}
+	for i, want := range []exp.CachedResult{a, b} {
+		if got, ok := res.Result(i); !ok || got != want.R {
+			t.Errorf("Result(%d) = %+v, %v; want %+v", i, got, ok, want.R)
+		}
+	}
+
+	if err := s.Put(a); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Revalidate() {
+		t.Error("an identical re-Put of one of its records ended the resolution")
+	}
+	if _, ok, err := s.Get(key(damaged)); ok || err != nil {
+		t.Fatalf("Get of a damaged record: ok=%v err=%v, want a miss", ok, err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("the damaged record was not quarantined: %v", err)
+	}
+	if !res.Revalidate() {
+		t.Error("the quarantine of an unrelated record ended the resolution")
+	}
+
+	miss, err := s.Resolve([]exp.Key{key(a), key(damaged)})
+	if err != nil || miss.Hits() != 1 {
+		t.Fatalf("Resolve with a miss: %d hits, err %v; want 1 hit", miss.Hits(), err)
+	}
+	if _, ok := miss.Result(1); ok {
+		t.Error("a missed key has a result")
+	}
+	if miss.Revalidate() {
+		t.Error("a resolution with a miss renewed")
+	}
+
+	// A Put that finds a record's file gone (another process evicted it)
+	// drops the record's entry before it writes a new one.
+	res, err = s.Resolve([]exp.Key{key(a), key(b)})
+	if err != nil || res.Hits() != 2 {
+		t.Fatalf("Resolve: %d hits, err %v; want 2 hits", res.Hits(), err)
+	}
+	if err := os.Remove(recordPath(dir, key(b))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(b); err != nil {
+		t.Fatal(err)
+	}
+	if res.Revalidate() {
+		t.Error("a resolution renewed after a Put found one of its records' files gone")
+	}
+
+	// A store bounded to what it holds evicts the least recently used
+	// record on each Put: first other, read before the resolution, then
+	// one of the resolution's own.
+	bounded, err := store.Open(dir, store.Options{MaxBytes: s.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := bounded.Get(key(other)); !ok || err != nil {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	res, err = bounded.Resolve([]exp.Key{key(a), key(b)})
+	if err != nil || res.Hits() != 2 {
+		t.Fatalf("Resolve: %d hits, err %v; want 2 hits", res.Hits(), err)
+	}
+	if err := bounded.Put(rec("m", "x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(recordPath(dir, key(other))); !os.IsNotExist(err) {
+		t.Fatalf("other was not the record evicted: %v", err)
+	}
+	if !res.Revalidate() {
+		t.Error("the eviction of an unrelated record ended the resolution")
+	}
+	if _, ok, err := bounded.Get(key(rec("m", "x", 5))); !ok || err != nil {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	if err := bounded.Put(rec("m", "y", 6)); err != nil {
+		t.Fatal(err)
+	}
+	if bounded.Len() != 3 {
+		t.Fatalf("the bounded store holds %d records after the second eviction, want 3", bounded.Len())
+	}
+	if res.Revalidate() {
+		t.Error("a resolution renewed after one of its records was evicted")
+	}
+}
+
+// TestRevalidateAllocs pins that renewing a resolution whose files are
+// not due a touch allocates nothing.
+func TestRevalidateAllocs(t *testing.T) {
+	clock := time.Now()
+	defer store.SetClock(func() time.Time { return clock })()
+	s, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Instrument(obs.NewRegistry())
+	var keys []exp.Key
+	for i := range 8 {
+		r := rec("m", fmt.Sprintf("w%d", i), int64(i+1))
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key(r))
+	}
+	res, err := s.Resolve(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if !res.Revalidate() {
+			t.Fatal("the resolution did not renew")
+		}
+	}); got != 0 {
+		t.Errorf("%.0f allocs per renewal, want 0", got)
+	}
+}
