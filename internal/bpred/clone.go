@@ -42,6 +42,25 @@ func (p *Predictor) CopyFrom(src *Predictor) {
 	p.bimodal, p.tagged, p.btbTags, p.btbTargets, p.ras = bimodal, tagged, btbTags, btbTargets, ras
 }
 
+// Reset makes p the predictor New builds from its configuration, reusing
+// its tables instead of allocating.
+func (p *Predictor) Reset() {
+	for i := range p.bimodal {
+		p.bimodal[i] = 2 // weakly taken, as New sets them
+	}
+	for _, t := range p.tagged {
+		clear(t)
+	}
+	clear(p.btbTags)
+	clear(p.btbTargets)
+	clear(p.ras)
+	*p = Predictor{
+		cfg: p.cfg, bimodal: p.bimodal, tagged: p.tagged,
+		win: p.win, idxOut: p.idxOut, tagOut: p.tagOut,
+		btbTags: p.btbTags, btbTargets: p.btbTargets, ras: p.ras,
+	}
+}
+
 // sameShape reports whether two predictors' tables have equal sizes.
 func sameShape(a, b *Predictor) bool {
 	if len(a.bimodal) != len(b.bimodal) || len(a.tagged) != len(b.tagged) ||

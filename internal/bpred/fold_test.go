@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -240,5 +241,23 @@ func TestPredictorCopyFromEqualsClone(t *testing.T) {
 	}
 	if _, ok := dst.PredictTarget(8); !ok {
 		t.Fatal("copy lost the source's BTB")
+	}
+}
+
+// TestResetEqualsNew pins that Reset leaves nothing of a trained
+// predictor's state: it equals a new one field for field.
+func TestResetEqualsNew(t *testing.T) {
+	p := newDefault()
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 20_000; i++ {
+		pc := uint64(rng.Intn(512)) << 2
+		p.PredictUpdate(pc, rng.Intn(3) > 0)
+		p.UpdateTarget(pc, pc+64)
+		p.Push(pc)
+		p.PredictTarget(pc)
+	}
+	p.Reset()
+	if want := newDefault(); !reflect.DeepEqual(p, want) {
+		t.Errorf("reset predictor differs from a new one:\n%+v\nwant\n%+v", p, want)
 	}
 }

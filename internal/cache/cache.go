@@ -288,9 +288,11 @@ func (c *Cache) FlushSpeculative() int {
 	return n
 }
 
-// Reset invalidates the whole cache and clears statistics.
+// Reset invalidates the whole cache and clears statistics, victim
+// buffer included: c ends up as New built it, its buffers reused.
 func (c *Cache) Reset() {
 	clear(c.lines)
+	clear(c.victim)
 	c.vHead, c.vLen = 0, 0
 	c.clock = 0
 	c.Hits, c.Misses, c.VictimHits = 0, 0, 0

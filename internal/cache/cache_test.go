@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +154,27 @@ func TestReset(t *testing.T) {
 	}
 	if c.Hits != 0 || c.Misses != 0 {
 		t.Error("Reset must clear stats")
+	}
+}
+
+// TestResetEqualsNew pins that Reset leaves nothing of a used cache's
+// state, victim buffer included: the cache equals a new one field for
+// field.
+func TestResetEqualsNew(t *testing.T) {
+	cfg := smallCfg()
+	cfg.VictimEntries = 4
+	c := New(cfg)
+	for a := uint64(0); a < 1<<14; a += 64 {
+		if !c.Lookup(a, a%128 == 0) {
+			c.Insert(a, a%128 == 0)
+		}
+	}
+	if c.VictimHits+c.Misses == 0 || c.vLen == 0 {
+		t.Fatal("the walk left the victim buffer empty")
+	}
+	c.Reset()
+	if !reflect.DeepEqual(c, New(cfg)) {
+		t.Errorf("reset cache differs from a new one:\n%+v\nwant\n%+v", c, New(cfg))
 	}
 }
 

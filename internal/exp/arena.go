@@ -22,15 +22,20 @@ import (
 // its own lifetime (benchmarks use one to time generation alone). The
 // private arena each Run builds instead drops each workload as soon as
 // the run's last job over it is done, so a run's memory grows with its
-// parallelism, not its plan.
+// parallelism, not its plan. It also recycles what a dropped workload
+// held: the trace arrays and warmed-state buffers go to a pool the arena
+// owns (workload.Spares), and the next workload it generates builds over
+// them instead of first touching fresh memory. The pool lives and dies
+// with the arena, so it never outlasts the run.
 //
 // An Arena is safe for concurrent use: the first claimant of a key
 // generates, everyone else waits for its result.
 type Arena struct {
 	mu      sync.Mutex
 	entries map[string]*arenaEntry
-	gens    int // actual generations (diagnostics/tests)
-	peak    int // most workloads held at once (diagnostics/tests)
+	spares  *workload.Spares // what released workloads held; nil: no recycling
+	gens    int              // actual generations (diagnostics/tests)
+	peak    int              // most workloads held at once (diagnostics/tests)
 }
 
 type arenaEntry struct {
@@ -73,19 +78,31 @@ func (a *Arena) get(key string, w spec.Workload) *workload.Workload {
 	a.gens++
 	a.peak = max(a.peak, len(a.entries))
 	a.mu.Unlock()
-	e.w = w.New()
+	e.w = w.NewOver(a.spares)
 	close(e.done)
 	return e.w
 }
 
-// release drops the workload under key, so its trace, memory image and
-// warmed-state checkpoints are freed once the last simulation holding
-// it returns. Only Run releases, from its private arena, once no job of
-// the run will get the key again.
+// release drops the workload under key and hands its trace and
+// warmed-state buffers to the arena's pool. Only Run releases, from its
+// private arena, once no job of the run will get the key again and every
+// simulation over the workload has returned.
 func (a *Arena) release(key string) {
 	a.mu.Lock()
+	e := a.entries[key]
 	delete(a.entries, key)
 	a.mu.Unlock()
+	if e != nil {
+		a.spares.Release(e.w)
+	}
+}
+
+// newRunArena returns the arena a Run owns: one that recycles released
+// workloads through its own pool.
+func newRunArena() *Arena {
+	a := NewArena()
+	a.spares = new(workload.Spares)
+	return a
 }
 
 // Generations returns how many workloads were actually generated — at

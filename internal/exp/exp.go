@@ -534,7 +534,7 @@ var genAheadHook func()
 
 // privateArena builds the arena each Run owns; engine tests swap it to
 // watch how many workloads the run holds.
-var privateArena = NewArena
+var privateArena = newRunArena
 
 // workloadMajor returns the dispatch order of jobs with the given arena
 // keys — grouped by key, groups in order of first appearance, job order

@@ -16,6 +16,7 @@ import (
 
 	"icfp/internal/obs"
 	"icfp/internal/pipeline"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func captureArenas(t *testing.T) func() []*Arena {
 	var got []*Arena
 	old := privateArena
 	privateArena = func() *Arena {
-		a := NewArena()
+		a := old()
 		mu.Lock()
 		got = append(got, a)
 		mu.Unlock()
@@ -111,6 +112,46 @@ func TestPrivateArenaBoundedByParallelism(t *testing.T) {
 					t.Errorf("Parallelism(%d): m%d/w%d cycles = %d, want %d (results land by job index)", c.par, m, w, got, 100*m+w)
 				}
 			}
+		}
+	}
+}
+
+// TestRunRecyclesReleasedWorkloads pins what a Run's arena recycles: a
+// run of sampled jobs over seven workloads, whose later workloads are
+// built over the trace arrays and warmed-state buffers of released ones,
+// gives exactly the results of a run whose arena recycles nothing, and
+// allocates a trace afresh at most once per workload it can hold at
+// once (p+1 at Parallelism(p)): every other generation finds a released
+// trace with room.
+func TestRunRecyclesReleasedWorkloads(t *testing.T) {
+	pol := &spec.Sampling{Mode: spec.ModeSampled, Interval: 500, Period: 1_500, Ramp: 200}
+	var jobs []Job
+	for _, model := range []string{spec.ModelInOrder, spec.ModelRunahead} {
+		mach := spec.Machine{Model: model, Overrides: &spec.Overrides{Warmup: spec.Int(1_000)}}
+		for _, name := range []string{"mcf", "swim", "gzip", "art", "vpr", "equake", "twolf"} {
+			w := spec.SPECWorkload(name, 4_000)
+			w.Sampling = pol
+			jobs = append(jobs, Job{Name: model + "/" + name, Machine: mach, Workload: w})
+		}
+	}
+	old := privateArena
+	privateArena = NewArena // recycles nothing
+	want, err := Run(jobs, Parallelism(1))
+	privateArena = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 4} {
+		arenas := captureArenas(t)
+		got, err := Run(jobs, Parallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results(), want.Results()) {
+			t.Errorf("Parallelism(%d): results differ from a run that recycles nothing:\ngot  %+v\nwant %+v", par, got.Results(), want.Results())
+		}
+		if fresh := arenas()[0].spares.Fresh(); fresh > par+1 {
+			t.Errorf("Parallelism(%d): %d of 7 traces allocated afresh, want <= %d", par, fresh, par+1)
 		}
 	}
 }

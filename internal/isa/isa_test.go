@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -194,6 +195,45 @@ func TestNewBuilderNeverRegrows(t *testing.T) {
 	}
 	if tr := b.Trace(); tr.Cap() != len(insts)+7 {
 		t.Fatalf("Cap = %d, want the %d the builder was sized for", tr.Cap(), len(insts)+7)
+	}
+}
+
+// TestBuilderResetOverSpare pins building over a spare trace with a
+// builder that has built one before: whatever the spare's length, the
+// trace built is the one a fresh builder builds, every instruction, its
+// Len and its Cap alike; and the spare's arrays are reused wherever they
+// have room.
+func TestBuilderResetOverSpare(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := NewBuilder("used", 1)
+	for _, n := range []int{1, 64, 65, 3 * addrChunk} {
+		insts := randomInsts(rng, n)
+		want := NewTrace("fresh", insts)
+		for _, spareN := range []int{0, 1, n / 2, n, 2*n + 100} {
+			spare := NewTrace("spare", randomInsts(rng, spareN))
+			dyn, chunks := unsafe.SliceData(spare.dyn), slices.Clone(spare.addrs)
+			b.Reset(spare, "over", n+7)
+			for i := range insts {
+				b.Append(&insts[i])
+			}
+			got := b.Trace()
+			if got.Len() != n || got.Cap() != n+7 {
+				t.Fatalf("n=%d over a %d-instruction spare: Len %d, Cap %d, want %d, %d", n, spareN, got.Len(), got.Cap(), n, n+7)
+			}
+			for i := range n {
+				if g, w := got.At(i), want.At(i); g != w {
+					t.Fatalf("n=%d over a %d-instruction spare, instruction %d: %+v, want %+v", n, spareN, i, g, w)
+				}
+			}
+			if reused := unsafe.SliceData(got.dyn) == dyn; reused != (spareN >= n+7) {
+				t.Errorf("n=%d over a %d-instruction spare: dyn reused %v, want %v", n, spareN, reused, !reused)
+			}
+			for k, c := range got.addrs[1:] {
+				if k+1 < len(chunks) && unsafe.SliceData(c) != unsafe.SliceData(chunks[k+1]) {
+					t.Errorf("n=%d over a %d-instruction spare: Addr chunk %d not reused", n, spareN, k+1)
+				}
+			}
+		}
 	}
 }
 

@@ -201,6 +201,9 @@ type Builder struct {
 	n      int   // instructions appended
 	naddr  int   // Addrs appended
 	addrOK int   // Addrs the chunks have room for
+	// spareAddrs are the Addr chunks of the trace built over: chunk k
+	// of the new trace reuses spareAddrs[k] when it has room.
+	spareAddrs [][]uint64
 	// lookup is an open-addressed index of static, at most a quarter
 	// full: each slot holds 1+index, or 0 when empty.
 	lookup []int32
@@ -215,16 +218,56 @@ type Builder struct {
 // NewBuilder returns a builder for a trace named name with room for n
 // instructions: up to n, appending never regrows an array.
 func NewBuilder(name string, n int) *Builder {
+	b := new(Builder)
+	b.Reset(nil, name, n)
+	return b
+}
+
+// Reset readies b to build a new trace named name with room for n
+// instructions, as NewBuilder would, whether or not b has built one
+// before. With a non-nil spare, a trace nobody reads any more, which
+// Reset takes, the new trace goes into spare's arrays where they have
+// room, and only what they lack is allocated; b's static index is
+// reused too. A program reuses the memory of traces it is done with
+// this way, instead of first touching fresh memory for the next. The
+// trace built is the one NewBuilder(name, n) builds, its Cap included.
+func (b *Builder) Reset(spare *Trace, name string, n int) {
 	n = max(n, 1)
-	return &Builder{
-		t: Trace{
-			Name:   name,
-			dyn:    make([]uint32, n),
-			val:    make([]uint64, n),
-			blocks: make([]addrBlock, (n+63)/64),
-		},
-		lookup: make([]int32, 256),
+	var old Trace
+	if spare != nil {
+		old, *spare = *spare, Trace{}
 	}
+	lookup := b.lookup
+	if lookup == nil {
+		lookup = make([]int32, 256)
+	} else {
+		clear(lookup)
+	}
+	nb := (n + 63) / 64
+	*b = Builder{
+		t: Trace{
+			Name:    name,
+			static:  old.static[:0],
+			dyn:     room(old.dyn, n),
+			val:     room(old.val, n),
+			blocks:  room(old.blocks, nb),
+			targets: old.targets[:0],
+		},
+		spareAddrs: old.addrs,
+		lookup:     lookup,
+	}
+	if cap(old.blocks) >= nb {
+		clear(b.t.blocks) // masks are ORed in
+	}
+}
+
+// room returns s's array at length and capacity n when it has room for
+// n, and a new array otherwise.
+func room[E any](s []E, n int) []E {
+	if cap(s) >= n {
+		return s[:n:n]
+	}
+	return make([]E, n)
 }
 
 // Len returns the number of instructions appended so far.
@@ -298,15 +341,29 @@ func regrow[E any](s []E, n int) []E {
 func (b *Builder) addrRoom() {
 	switch c := len(b.t.addrs); {
 	case c == 0:
-		b.t.addrs = append(b.t.addrs, make([]uint64, min(len(b.t.dyn), addrChunk)))
+		b.t.addrs = append(b.t.addrs, b.chunk(min(len(b.t.dyn), addrChunk)))
 	case len(b.t.addrs[c-1]) < addrChunk:
-		// The first chunk, sized short: widen it.
-		b.t.addrs[0] = regrow(b.t.addrs[0], addrChunk)
+		// The first chunk, sized short: widen it. Its Addrs are kept;
+		// the rest of a spare chunk is written before it is read.
+		if first := b.t.addrs[0]; cap(first) >= addrChunk {
+			b.t.addrs[0] = first[:addrChunk]
+		} else {
+			b.t.addrs[0] = regrow(first, addrChunk)
+		}
 	default:
-		b.t.addrs = append(b.t.addrs, make([]uint64, addrChunk))
+		b.t.addrs = append(b.t.addrs, b.chunk(addrChunk))
 	}
 	last := b.t.addrs[len(b.t.addrs)-1]
 	b.addrOK = (len(b.t.addrs)-1)*addrChunk + len(last)
+}
+
+// chunk returns n words of room for the next Addr chunk: the spare
+// trace's chunk in the same place when it has room, else a new one.
+func (b *Builder) chunk(n int) []uint64 {
+	if k := len(b.t.addrs); k < len(b.spareAddrs) && cap(b.spareAddrs[k]) >= n {
+		return b.spareAddrs[k][:n]
+	}
+	return make([]uint64, n)
 }
 
 // settle records where the last instruction's Target comes from, next
@@ -380,7 +437,7 @@ func hashStatic(pc, key uint64, n int) int {
 }
 
 // Trace finishes the trace and returns it; the builder must not be used
-// again.
+// again until Reset.
 func (b *Builder) Trace() *Trace {
 	if b.n > 0 {
 		b.settle(0, false)
@@ -389,6 +446,6 @@ func (b *Builder) Trace() *Trace {
 	*t = b.t
 	t.dyn, t.val = t.dyn[:b.n], t.val[:b.n]
 	t.blocks = t.blocks[:(b.n+63)/64]
-	b.t = Trace{}
+	b.t, b.spareAddrs = Trace{}, nil
 	return t
 }

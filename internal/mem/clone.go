@@ -26,3 +26,13 @@ func (h *Hierarchy) CopyCaches(cfg Config, src *Hierarchy) {
 	h.L2.CopyFrom(src.L2)
 	h.reset(cfg)
 }
+
+// Reset is New(cfg) into h: it empties h's caches in place instead of
+// allocating, and leaves every other piece of state as New builds it.
+// cfg's cache geometries must equal h's.
+func (h *Hierarchy) Reset(cfg Config) {
+	h.ICache.Reset()
+	h.DCache.Reset()
+	h.L2.Reset()
+	h.reset(cfg)
+}

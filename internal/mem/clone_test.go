@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestHierarchyCloneIsolated pins that a hierarchy built by CloneCaches
 // shares no mutable state with its original: accesses through the clone
@@ -121,5 +124,39 @@ func TestCopyCachesEqualsCloneCaches(t *testing.T) {
 	}
 	if dst.Stats.Prefetches == 0 || dst.Stats.MSHRStallCycles == 0 {
 		t.Fatalf("walk exercised no prefetches or MSHR stalls (%+v)", dst.Stats)
+	}
+}
+
+// TestResetEqualsNew pins that Reset empties a used hierarchy into the
+// one New builds under the new configuration: empty caches, and timing
+// state, statistics and behaviour all as New's.
+func TestResetEqualsNew(t *testing.T) {
+	walk := func(h *Hierarchy, base uint64) (out []Result) {
+		for a := base; a < base+1<<16; a += 64 {
+			out = append(out, h.Data(int64(a/256), a, a%192 == 0))
+			out = append(out, h.Inst(int64(a/256), 0x40_0000+a%4096))
+		}
+		return out
+	}
+	h := New(DefaultConfig())
+	walk(h, 0)
+	cfg := DefaultConfig()
+	cfg.L2HitLat, cfg.NumMSHRs, cfg.StreamBufs = 30, 6, 3
+	h.Reset(cfg)
+	fresh := New(cfg)
+	for _, c := range [][2]any{{h.ICache, fresh.ICache}, {h.DCache, fresh.DCache}, {h.L2, fresh.L2}} {
+		if !reflect.DeepEqual(c[0], c[1]) {
+			t.Fatalf("reset %T differs from a new one", c[0])
+		}
+	}
+	if h.Config() != cfg || h.Stats != (Stats{}) || h.pending.n != 0 || len(h.mshrs) != 0 || h.busFree != 0 {
+		t.Fatalf("reset hierarchy kept timing state: config %+v, stats %+v, %d fills, %d MSHRs, bus free at %d",
+			h.Config(), h.Stats, h.pending.n, len(h.mshrs), h.busFree)
+	}
+	a, b := walk(h, 0), walk(fresh, 0)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("access %d: reset %+v, new %+v", i, a[i], b[i])
+		}
 	}
 }

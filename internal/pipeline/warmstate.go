@@ -36,8 +36,9 @@ func WarmState(w *workload.Workload, hierCfg mem.Config, bpredCfg bpred.Config, 
 
 // seriesFor returns w's warm-state series for the configurations.
 func seriesFor(w *workload.Workload, hierCfg mem.Config, bpredCfg bpred.Config) *warmSeries {
-	return w.SharedState(warmKey(hierCfg, bpredCfg), func() any {
-		return &warmSeries{w: w, hierCfg: hierCfg, bpredCfg: bpredCfg}
+	key := warmKey(hierCfg, bpredCfg)
+	return w.SharedState(key, func() any {
+		return &warmSeries{w: w, key: key, hierCfg: hierCfg, bpredCfg: bpredCfg}
 	}).(*warmSeries)
 }
 
@@ -58,15 +59,26 @@ func warmKey(hierCfg mem.Config, bpredCfg bpred.Config) string {
 
 // warmSeries holds warmed-state masters for one (workload, cache
 // geometries, predictor config) triple at increasing trace prefixes.
+//
+// Masters and hand-outs are built in spare buffers when there are any:
+// the first master is a spare emptied (mem.Hierarchy.Reset,
+// bpred.Predictor.Reset), every later one and every hand-out a copy into
+// a spare. Only without a spare is a buffer allocated, by New or a
+// clone. A hand-out first reuses one handed back (put). Beyond those, a
+// workload generated over a pool (workload.Spares) offers the buffers of
+// series under the same key on workloads released to it: a released
+// series gives up its masters and free hand-outs (Recycle). The key
+// fixes the cache geometries and the predictor configuration, so every
+// spare has the shape the series needs.
 type warmSeries struct {
 	w        *workload.Workload
+	key      string     // the series' shared-state key (warmKey)
 	hierCfg  mem.Config // the first requester's; masters use only its cache geometries
 	bpredCfg bpred.Config
 
 	mu      sync.Mutex
 	masters []warmMaster // ascending by upto
-	// free holds window buffers handed back by put: hand-outs copy a
-	// master into one of them and clone only when none is free.
+	// free holds window buffers handed back by put.
 	free []warmBuf
 }
 
@@ -95,16 +107,19 @@ func (s *warmSeries) at(hierCfg mem.Config, upto int) (*mem.Hierarchy, *bpred.Pr
 	// Largest master with .upto <= upto.
 	i := sort.Search(len(s.masters), func(i int) bool { return s.masters[i].upto > upto }) - 1
 	if i < 0 || s.masters[i].upto != upto {
-		// Masters are kept for the workload's lifetime, so a new one is
-		// always a fresh allocation; the free list serves hand-outs.
 		var b warmBuf
 		lo := 0
 		if i >= 0 {
 			m := s.masters[i]
-			b = warmBuf{mem.CloneCaches(s.hierCfg, m.hier), m.pred.Clone()}
+			b = copyOf(s.hierCfg, m.warmBuf, s.spare())
 			lo = m.upto
 		} else {
-			b = warmBuf{mem.New(s.hierCfg), bpred.New(s.bpredCfg)}
+			if b = s.spare(); b.hier != nil {
+				b.hier.Reset(s.hierCfg)
+				b.pred.Reset()
+			} else {
+				b = warmBuf{mem.New(s.hierCfg), bpred.New(s.bpredCfg)}
+			}
 			if s.w.Prewarm != nil {
 				s.w.Prewarm(b.hier)
 			}
@@ -113,22 +128,33 @@ func (s *warmSeries) at(hierCfg mem.Config, upto int) (*mem.Hierarchy, *bpred.Pr
 		i++
 		s.masters = slices.Insert(s.masters, i, warmMaster{upto: upto, warmBuf: b})
 	}
-	b := s.take(hierCfg, s.masters[i].warmBuf)
+	var dst warmBuf
+	if n := len(s.free); n > 0 {
+		dst = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		dst = s.spare()
+	}
+	b := copyOf(hierCfg, s.masters[i].warmBuf, dst)
 	return b.hier, b.pred
 }
 
-// take returns a copy of src under hierCfg, written into a free buffer
-// when there is one and cloned otherwise. The caller holds s.mu.
-func (s *warmSeries) take(hierCfg mem.Config, src warmBuf) warmBuf {
-	n := len(s.free)
-	if n == 0 {
+// spare returns a buffer a released workload's series under the same key
+// gave up, or no buffer (nil pointers) when there is none.
+func (s *warmSeries) spare() warmBuf {
+	b, _ := s.w.Spare(s.key).(warmBuf)
+	return b
+}
+
+// copyOf returns a copy of src under hierCfg, written into dst when it
+// is a buffer and cloned when it is not.
+func copyOf(hierCfg mem.Config, src, dst warmBuf) warmBuf {
+	if dst.hier == nil {
 		return warmBuf{mem.CloneCaches(hierCfg, src.hier), src.pred.Clone()}
 	}
-	b := s.free[n-1]
-	s.free = s.free[:n-1]
-	b.hier.CopyCaches(hierCfg, src.hier)
-	b.pred.CopyFrom(src.pred)
-	return b
+	dst.hier.CopyCaches(hierCfg, src.hier)
+	dst.pred.CopyFrom(src.pred)
+	return dst
 }
 
 // put hands a buffer from at back to the series for reuse. The caller
@@ -137,4 +163,22 @@ func (s *warmSeries) put(hier *mem.Hierarchy, pred *bpred.Predictor) {
 	s.mu.Lock()
 	s.free = append(s.free, warmBuf{hier, pred})
 	s.mu.Unlock()
+}
+
+// Recycle gives up the series' buffers, its masters' and its free
+// hand-outs', for a later workload's series under the same key to copy
+// into (workload.Recycler). The series' workload is released: nothing
+// asks the series for state again.
+func (s *warmSeries) Recycle() []any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bufs := make([]any, 0, len(s.masters)+len(s.free))
+	for _, m := range s.masters {
+		bufs = append(bufs, m.warmBuf)
+	}
+	for _, b := range s.free {
+		bufs = append(bufs, b)
+	}
+	s.masters, s.free = nil, nil
+	return bufs
 }

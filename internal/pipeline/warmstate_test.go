@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -186,6 +188,75 @@ func TestRecycledWindowsEqualFreshClones(t *testing.T) {
 		}
 		if recycled.SBOverflows+recycled.SBForwards == 0 {
 			t.Fatalf("%s: no prefetches or MSHR stalls (%+v): the windows do not dirty non-cache state", name, recycled)
+		}
+	}
+}
+
+// TestRecycledSeriesEqualsFresh pins warm state built in the buffers a
+// released workload's series gave up. Over a pool (workload.Spares), a
+// second workload's masters and hand-outs are built in the first
+// workload's buffers, the first master emptied and the rest copied into:
+// none is allocated while one is left. Each equals its counterpart in a
+// series with no pool, caches and predictor field for field, and so
+// does what a timed window simulates from it.
+func TestRecycledSeriesEqualsFresh(t *testing.T) {
+	const n = 40_000
+	cfg := DefaultConfig()
+	cfg.WarmupInsts = 2_000
+	cfg.Hier.NumMSHRs = 4
+	pol := SamplePolicy{Interval: 1_000, Period: 4_000, Ramp: 1_000}
+
+	pool := new(workload.Spares)
+	first := pool.Generate(workload.Profiles("mcf"), n, workload.DefaultSeed)
+	RunWindowed(first, &cfg, pol, timedWindow(first.Trace, nil))
+	released := map[*mem.Hierarchy]bool{}
+	s := seriesFor(first, cfg.Hier, cfg.Bpred)
+	for _, m := range s.masters {
+		released[m.hier] = true
+	}
+	for _, b := range s.free {
+		released[b.hier] = true
+	}
+	pool.Release(first)
+
+	w := pool.Generate(workload.Profiles("swim"), n, workload.DefaultSeed)
+	fresh := workload.SPEC("swim", n)
+	var seen []*mem.Hierarchy
+	if got, want := RunWindowed(w, &cfg, pol, timedWindow(w.Trace, &seen)), freshWindowed(fresh, &cfg, pol); got != want {
+		t.Fatalf("run over recycled buffers differs from fresh clones:\nrecycled %+v\nfresh    %+v", got, want)
+	}
+	for i, h := range seen {
+		if !released[h] {
+			t.Errorf("window %d's hand-out is not a released buffer", i)
+		}
+	}
+	rs, fs := seriesFor(w, cfg.Hier, cfg.Bpred), seriesFor(fresh, cfg.Hier, cfg.Bpred)
+	if len(rs.masters) != len(fs.masters) || len(rs.masters) < 3 {
+		t.Fatalf("%d masters over recycled buffers, %d fresh: want equal, and at least 3", len(rs.masters), len(fs.masters))
+	}
+	same := func(what string, h, fh *mem.Hierarchy, p, fp *bpred.Predictor) {
+		t.Helper()
+		for _, c := range [][2]any{{h.ICache, fh.ICache}, {h.DCache, fh.DCache}, {h.L2, fh.L2}, {p, fp}} {
+			if !reflect.DeepEqual(c[0], c[1]) {
+				t.Fatalf("%s differs from its fresh counterpart in a %T", what, c[0])
+			}
+		}
+	}
+	for i, m := range rs.masters {
+		f := fs.masters[i]
+		if m.upto != f.upto {
+			t.Fatalf("master %d warmed to %d, fresh to %d", i, m.upto, f.upto)
+		}
+		if !released[m.hier] {
+			t.Errorf("master %d was allocated while released buffers were left", i)
+		}
+		same(fmt.Sprintf("master %d", i), m.hier, f.hier, m.pred, f.pred)
+		h, p := WarmState(w, cfg.Hier, cfg.Bpred, m.upto)
+		fh, fp := WarmState(fresh, cfg.Hier, cfg.Bpred, m.upto)
+		same(fmt.Sprintf("hand-out at %d", m.upto), h, fh, p, fp)
+		end := min(m.upto+5_000, n)
+		if got, want := timedWindow(w.Trace, nil)(h, p, m.upto, m.upto, end), timedWindow(fresh.Trace, nil)(fh, fp, m.upto, m.upto, end); got != want {
+			t.Fatalf("hand-out at %d simulates differently from a fresh clone:\nrecycled %+v\nfresh    %+v", m.upto, got, want)
 		}
 	}
 }

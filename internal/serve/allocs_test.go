@@ -13,17 +13,18 @@ import (
 // Allocations of one all-hit fig6 submission (750 jobs, at the tests'
 // scale) through Handler, on amd64 with Go 1.24, and 1.2 times those:
 // the limits TestSubmitHitAllocs holds the hit path to. A resubmission
-// of a document the server has prepared reads it, renews the store
-// resolution its kept reply was rendered from and writes that reply:
-// nearly all of its bytes are the 222 KB document read. A document's
-// first submission also decodes, plans, resolves its plan key by key,
-// renders and encodes the reply it keeps. Looking the plan up key by key
-// and comparing its results with the ones a kept output was rendered
-// from, on every resubmission, cost 27 allocations and 0.38 MB;
-// rendering every resubmission, 185 and 0.41 MB.
+// of a document the server has prepared reads it into a body buffer an
+// earlier resubmission gave back, renews the store resolution its kept
+// reply was rendered from and writes that reply; reading each document
+// into a new buffer cost 222 KB more. A document's first submission
+// also decodes, plans, resolves its plan key by key, renders and encodes
+// the reply it keeps. Looking the plan up key by key and comparing its
+// results with the ones a kept output was rendered from, on every
+// resubmission, cost 27 allocations and 0.38 MB; rendering every
+// resubmission, 185 and 0.41 MB.
 const (
-	hitAllocs   = 14
-	hitBytes    = 234_700
+	hitAllocs   = 13
+	hitBytes    = 5_300
 	firstAllocs = 286
 	firstBytes  = 918_300
 )

@@ -28,3 +28,11 @@ func (s *Server) Kept(doc []byte) *[]byte {
 	}
 	return nil
 }
+
+// SpareBodies returns how many request-body buffers the server keeps to
+// read later bodies into.
+func (s *Server) SpareBodies() int {
+	s.prepared.mu.Lock()
+	defer s.prepared.mu.Unlock()
+	return len(s.prepared.spare)
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -87,15 +88,47 @@ type preparedSuites struct {
 	mu    sync.Mutex
 	m     map[string]*prepared
 	bytes int // total size of the prepared suites in m
+	// spare holds request bodies that found their prepared suite, so no
+	// suite aliases them, for later bodies to be read into (body); they
+	// come to spareBytes of capacity, at most maxPreparedBytes.
+	spare      [][]byte
+	spareBytes int
+}
+
+// body returns a buffer of length n to read a request body into: the
+// smallest spare with room when there is one, else a new buffer. The
+// buffer goes to prepare.
+func (ps *preparedSuites) body(n int) []byte {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	best := -1
+	for i, b := range ps.spare {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(ps.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, n)
+	}
+	b := ps.spare[best]
+	ps.spare = slices.Delete(ps.spare, best, best+1)
+	ps.spareBytes -= cap(b)
+	return b[:n]
 }
 
 // prepare returns the prepared suite of doc, a request body the caller
-// hands over: the suite aliases it (spec.UnmarshalSuite), and so may the
-// memo, so nothing may write doc afterwards. A document that fails to
-// decode or validate returns the decoder's error and is not kept.
+// hands over and must not use again: a resubmission's body goes back to
+// the spares (body), and any other's is aliased by its suite
+// (spec.UnmarshalSuite) and may be by the memo, so nothing writes it
+// again. A document that fails to decode or validate returns the
+// decoder's error and is not kept.
 func (ps *preparedSuites) prepare(doc []byte) (*prepared, error) {
 	ps.mu.Lock()
 	p, ok := ps.m[string(doc)]
+	if ok && ps.spareBytes+cap(doc) <= maxPreparedBytes {
+		ps.spare = append(ps.spare, doc)
+		ps.spareBytes += cap(doc)
+	}
 	ps.mu.Unlock()
 	if ok {
 		return p, nil

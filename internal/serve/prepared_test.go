@@ -20,6 +20,50 @@ import (
 	"icfp/internal/store"
 )
 
+// TestResubmittedBodiesAreReused pins the body spares: a resubmission's
+// body, which no prepared suite aliases, is what the next body is read
+// into, and a first submission's, which its prepared suite aliases, is
+// never read into again. However the buffers go round, every document
+// is still found in the memo and answered with its own reply.
+func TestResubmittedBodiesAreReused(t *testing.T) {
+	docs, _, srv := syntheticServer(t, "fig6", "fig7", "fig8")
+	h := srv.Handler()
+	w := &replyWriter{header: http.Header{}}
+	submit := func(doc []byte) []byte {
+		t.Helper()
+		w.submit(h, doc)
+		if w.code != 0 && w.code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.code, w.body.Bytes())
+		}
+		return bytes.Clone(w.body.Bytes())
+	}
+	var want [][]byte
+	for _, doc := range docs {
+		want = append(want, submit(doc))
+	}
+	submit(docs[0])
+	if n := srv.SpareBodies(); n != 1 {
+		t.Fatalf("%d spare bodies after a resubmission, want 1", n)
+	}
+	// A new document shorter than fig6's is read into the spare, which
+	// its prepared suite then aliases.
+	fresh := append(slices.Clip(docs[1]), ' ')
+	docs, want = append(docs, fresh), append(want, submit(fresh))
+	if n := srv.SpareBodies(); n != 0 {
+		t.Fatalf("%d spare bodies after a first submission, want 0: it was read into the spare", n)
+	}
+	for range 3 {
+		for i, doc := range docs {
+			if got := submit(doc); !bytes.Equal(got, want[i]) {
+				t.Fatalf("document %d: reply differs from its first:\n%s\nwant\n%s", i, got, want[i])
+			}
+		}
+		if n, _ := srv.Prepared(); n != len(docs) {
+			t.Fatalf("the memo holds %d documents, want %d: a body a suite aliases was read into", n, len(docs))
+		}
+	}
+}
+
 // TestPreparedSuites pins the server's memo of prepared suites: a
 // resubmitted document is answered byte-identically from the suite
 // prepared for it, also by concurrent submissions; a document that

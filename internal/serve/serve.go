@@ -219,12 +219,13 @@ type planned struct {
 }
 
 // readBody reads a request body of declared length n (negative when
-// unknown, as for a chunked body) into one buffer.
-func readBody(body io.Reader, n int64) ([]byte, error) {
+// unknown, as for a chunked body) into one buffer, a spare of the
+// prepared-suite memo's when n is known.
+func (s *Server) readBody(body io.Reader, n int64) ([]byte, error) {
 	if n < 0 {
 		return io.ReadAll(body)
 	}
-	b := make([]byte, n)
+	b := s.prepared.body(int(n))
 	_, err := io.ReadFull(body, b)
 	return b, err
 }
@@ -242,7 +243,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("suite of %d bytes; the limit is %d", r.ContentLength, maxSuiteBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
-	body, err := readBody(http.MaxBytesReader(w, r.Body, maxSuiteBytes), r.ContentLength)
+	body, err := s.readBody(http.MaxBytesReader(w, r.Body, maxSuiteBytes), r.ContentLength)
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -252,8 +253,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("reading suite: %v", err), code)
 		return
 	}
-	// The prepared suite owns body from here: its strings alias it, and
-	// nothing writes it again.
+	// The memo owns body from here: a prepared suite's strings alias it,
+	// or it is a spare the next body is read into.
 	p, err := s.prepared.prepare(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

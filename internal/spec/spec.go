@@ -492,14 +492,19 @@ func (w Workload) Validate() error {
 
 // New generates the declared workload. The spec must be valid
 // (Validate is the panic barrier: every input it accepts generates).
-func (w Workload) New() *workload.Workload {
+func (w Workload) New() *workload.Workload { return w.NewOver(nil) }
+
+// NewOver is New generating over the pool s, the memory of workloads
+// released to it (workload.Spares.Generate); the workload is the one New
+// generates. A nil s, and any scenario, allocates afresh.
+func (w Workload) NewOver(s *workload.Spares) *workload.Workload {
 	switch {
 	case w.Scenario != "":
 		return workload.NewScenario(workload.Scenario(w.Scenario))
 	case w.Fuzz != nil:
-		return workload.Fuzz(w.Fuzz.Seed, w.Fuzz.Knobs(), w.N)
+		return s.Generate(workload.FuzzProfile(w.Fuzz.Seed, w.Fuzz.Knobs()), w.N, w.Fuzz.Seed)
 	}
-	return workload.SPEC(w.SPEC, w.N)
+	return s.Generate(workload.Profiles(w.SPEC), w.N, workload.DefaultSeed)
 }
 
 // Validate checks the job's machine and workload, with the job's name as

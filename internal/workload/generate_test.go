@@ -45,27 +45,85 @@ func TestGenerateRejectsBadN(t *testing.T) {
 	}
 }
 
+// TestGenerateOverSpare pins generation over a pool's released trace,
+// by the generator scratch the released trace's generation left: for
+// every SPEC profile and fuzz-corpus member, a trace built over a longer
+// trace, a shorter one or another profile's is the fresh trace, its Len,
+// Cap (n+genSlack, the single preallocation) and Checksum alike.
+func TestGenerateOverSpare(t *testing.T) {
+	const n = 20_000
+	type gen struct {
+		name string
+		p    Profile
+		seed int64
+	}
+	var gens []gen
+	for _, name := range AllSPECNames {
+		gens = append(gens, gen{name, Profiles(name), DefaultSeed})
+	}
+	for _, c := range FuzzCorpus() {
+		gens = append(gens, gen{c.Label, FuzzProfile(c.Seed, c.Knobs), c.Seed})
+	}
+	for i, g := range gens {
+		fresh := Generate(g.p, n, g.seed).Trace
+		other := gens[(i+1)%len(gens)]
+		for _, sp := range []struct {
+			what string
+			g    gen
+			n    int
+		}{{"a longer trace", g, 2 * n}, {"a shorter trace", g, n / 4}, {other.name, other, n}} {
+			pool := new(Spares)
+			pool.Release(pool.Generate(sp.g.p, sp.n, sp.g.seed))
+			got := pool.Generate(g.p, n, g.seed).Trace
+			if got.Len() != fresh.Len() || got.Cap() != n+genSlack || got.Checksum() != fresh.Checksum() {
+				t.Fatalf("%s over %s: Len %d, Cap %d, Checksum %#x; fresh: %d, %d, %#x",
+					g.name, sp.what, got.Len(), got.Cap(), got.Checksum(), fresh.Len(), n+genSlack, fresh.Checksum())
+			}
+		}
+	}
+}
+
 // BenchmarkGenerate measures trace generation and reports bytes allocated
 // per generated instruction — the figure of merit for the one-allocation
 // builder (a packed instruction is about 15 bytes; the chase rings, the
 // map of stored words and the builder's indexes add a workload-fixed
-// overhead on top).
+// overhead on top). "fresh" builds every trace on new memory; "spare"
+// builds each over the one before it, released to a pool, as a run's
+// arena does, so its B/op is what generation allocates besides the
+// trace.
 func BenchmarkGenerate(b *testing.B) {
 	const n = 200_000
 	p := Profiles("mcf")
-	b.ReportAllocs()
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w := Generate(p, n, DefaultSeed); w.Trace.Len() < n {
-			b.Fatal("short trace")
+	for _, spare := range []bool{false, true} {
+		name := "fresh"
+		if spare {
+			name = "spare"
 		}
+		b.Run(name, func(b *testing.B) {
+			var pool *Spares
+			var w *Workload
+			if spare {
+				pool = new(Spares)
+				w = pool.Generate(p, n, DefaultSeed)
+			}
+			b.ReportAllocs()
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if w != nil {
+					pool.Release(w)
+				}
+				if w = pool.Generate(p, n, DefaultSeed); w.Trace.Len() < n {
+					b.Fatal("short trace")
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N)/float64(n), "bytes/inst")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N)/float64(n), "bytes/inst")
 }
 
 // requireOracle fails unless Generate's trace for (p, n, seed) equals

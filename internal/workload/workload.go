@@ -30,6 +30,7 @@ type Workload struct {
 
 	sharedMu sync.Mutex
 	shared   map[string]any
+	spares   *Spares // the pool generation drew on; nil for none
 }
 
 // SharedState returns the per-workload shared value for key, calling
@@ -53,6 +54,13 @@ func (w *Workload) SharedState(key string, build func() any) any {
 	}
 	return v
 }
+
+// Spare takes a buffer that a released workload's shared state under
+// key gave up (Recycler) from the pool the workload was generated over,
+// for the shared state under key to build over instead of allocating. It
+// returns nil when the pool has none, and always for a workload
+// generated outside a pool (Spares.Generate).
+func (w *Workload) Spare(key string) any { return w.spares.take(key) }
 
 // Address-space layout for generated programs. Regions are spaced far
 // apart so they never alias.
@@ -200,22 +208,32 @@ func dataReg(i int, fp bool) isa.Reg {
 	return isa.IntReg(8 + i%16)
 }
 
-func newBuilder(name string, seed int64, n int) *builder {
-	b := &builder{
-		rng:     rand.New(rand.NewSource(seed)),
-		stored:  make(map[uint64]uint64),
-		written: new([writtenBits / 64]uint64),
-		n:       n,
-		// One allocation per trace array: generation appends at most one
-		// iteration past n (bounded by genSlack), and growing a
-		// multi-hundred-kilo-instruction array by doubling would copy it
-		// several times over.
-		tr: isa.NewBuilder(name, n+genSlack),
+// reset readies b, a new builder or one that has generated before, to
+// generate an n-instruction trace named name from seed, built over spare
+// when it is not nil (isa.Builder.Reset). Generation only reads what
+// it wrote, or reset did, so a reused builder generates the trace a new
+// one does.
+func (b *builder) reset(name string, seed int64, n int, spare *isa.Trace) {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(seed))
+		b.stored = make(map[uint64]uint64)
+		b.written = new([writtenBits / 64]uint64)
+		b.tr = new(isa.Builder)
+	} else {
+		b.rng.Seed(seed)
+		clear(b.stored)
+		clear(b.written[:])
 	}
+	b.n = n
+	b.vals = [isa.NumRegs]uint64{}
 	for k := range b.hot {
 		b.hot[k] = uint64(8*k) ^ 0xABCD // the hot region's fill
 	}
-	return b
+	// One allocation per trace array: generation appends at most one
+	// iteration past n (bounded by genSlack), and growing a
+	// multi-hundred-kilo-instruction array by doubling would copy it
+	// several times over.
+	b.tr.Reset(spare, name, n+genSlack)
 }
 
 // emit appends an instruction.
@@ -312,10 +330,11 @@ func (b *builder) emitBranch(pc uint64, s1, s2 isa.Reg, taken bool, target uint6
 // buildChase lays a pseudo-random ring of linked-list nodes over bytes of
 // memory starting at base and points reg at the ring's first node. The
 // node order is rand.Perm's, from the same draws, so the rng stream is
-// exactly what Perm leaves behind.
-func (b *builder) buildChase(base, bytes uint64, reg isa.Reg) chaseRing {
+// exactly what Perm leaves behind. The ring reuses old's arrays where
+// they have room: every entry is written before it is read.
+func (b *builder) buildChase(base, bytes uint64, reg isa.Reg, old chaseRing) chaseRing {
 	if bytes == 0 {
-		return chaseRing{}
+		return chaseRing{order: old.order[:0], pos: old.pos[:0]}
 	}
 	n := bytes / nodeSize
 	if n < 2 {
@@ -324,8 +343,8 @@ func (b *builder) buildChase(base, bytes uint64, reg isa.Reg) chaseRing {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("workload: chase ring of %d bytes is over %d nodes", bytes, math.MaxInt32))
 	}
-	order := make([]int32, n+1)
-	pos := make([]int32, n)
+	order := resize(old.order, int(n)+1)
+	pos := resize(old.pos, int(n))
 	for i := range int(n) {
 		j := b.rng.Intn(i + 1)
 		if j != i {
@@ -358,14 +377,20 @@ const genSlack = 512
 // Generate builds a deterministic workload of roughly n dynamic
 // instructions for the profile; n must be in 1..MaxInsts. The same
 // (profile, seed, n) triple always yields an identical trace.
-func Generate(p Profile, n int, seed int64) *Workload {
+func Generate(p Profile, n int, seed int64) *Workload { return generate(p, n, seed, nil) }
+
+// generate is Generate over the pool s (Spares.Generate); a nil s
+// allocates everything afresh.
+func generate(p Profile, n int, seed int64, s *Spares) *Workload {
 	if n < 1 || n > MaxInsts {
 		panic(fmt.Sprintf("workload: Generate n=%d out of range 1..%d", n, MaxInsts))
 	}
-	b := newBuilder(p.Name, seed, n)
+	b := s.builder()
+	b.reset(p.Name, seed, n, s.trace(n+genSlack))
+	defer s.putBuilder(b)
 	b.streamPtr = streamBase
-	b.far = b.buildChase(chaseBase, p.ChaseBytes, regChase)
-	b.near = b.buildChase(chase2Base, p.Chase2Bytes, regChase2)
+	b.far = b.buildChase(chaseBase, p.ChaseBytes, regChase, b.far)
+	b.near = b.buildChase(chase2Base, p.Chase2Bytes, regChase2, b.near)
 
 	// The program is one big loop; every iteration walks the same static
 	// block sequence (stable PCs train the predictor and I$), with block
@@ -377,7 +402,17 @@ func Generate(p Profile, n int, seed int64) *Workload {
 		Name:    p.Name,
 		Trace:   b.tr.Trace(),
 		Prewarm: prewarmL2(p),
+		spares:  s,
 	}
+}
+
+// resize returns s at length n, reusing its array when it has room.
+// Entries it keeps are stale: the caller writes each before reading it.
+func resize[E any](s []E, n int) []E {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]E, n)
 }
 
 // prewarmL2 returns a hook that installs the steady-state-resident data
